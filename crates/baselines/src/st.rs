@@ -1,6 +1,6 @@
-//! `st` — the Steiner tree baseline: Mehlhorn's 2-approximation with unit
-//! edge weights, exactly the algorithm `ws-q` invokes internally on the
-//! reweighted graphs (§6.1).
+//! `st` — the Steiner tree baseline: Mehlhorn's 2-approximation under the
+//! graph's own edge weights (unit weights on unweighted graphs), exactly
+//! the algorithm `ws-q` invokes internally on the reweighted graphs (§6.1).
 
 use mwc_core::{mehlhorn_steiner, Connector, Result};
 use mwc_graph::{Graph, NodeId};
@@ -9,7 +9,8 @@ use mwc_graph::{Graph, NodeId};
 /// approximate Steiner tree (evaluated, like every method, as the induced
 /// subgraph over its vertices).
 pub fn steiner_tree_baseline(g: &Graph, q: &[NodeId]) -> Result<Connector> {
-    let tree = mehlhorn_steiner(g, q, |_, _| 1.0)?;
+    // `edge_weight` is 1 on every edge of an unweighted graph.
+    let tree = mehlhorn_steiner(g, q, |u, v| g.edge_weight(u, v) as f64)?;
     Ok(Connector::new_unchecked(g, tree.nodes))
 }
 
@@ -37,6 +38,16 @@ mod tests {
         let c = steiner_tree_baseline(&g, &q).unwrap();
         assert!(c.contains_all(&q));
         assert!(c.len() <= 10);
+    }
+
+    #[test]
+    fn weighted_graphs_route_around_heavy_edges() {
+        // 0–1 (1), 1–2 (1), 0–2 (100), 2–3 (1) with Q = {0, 2}: the cheap
+        // detour through 1 beats the direct heavy edge.
+        let g =
+            Graph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 100), (2, 3, 1)]).unwrap();
+        let c = steiner_tree_baseline(&g, &[0, 2]).unwrap();
+        assert_eq!(c.vertices(), &[0, 1, 2]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `kernel` — micro-benchmark of the distance kernel, emitting
 //! `BENCH_kernel.json`.
 //!
-//! Eight comparisons, each isolating one layer of the cache-aware kernel
-//! refactor:
+//! Nine comparisons, each isolating one layer of the kernel work:
 //!
 //! 1. **per-source vs multi-source BFS** — 64 single-source sweeps
 //!    against one 64-lane [`MsBfsWorkspace`] sweep (same sources);
@@ -33,7 +32,12 @@
 //!    bit-identical before timing;
 //! 8. **sequential vs batched weighted oracle** (`weighted_oracle`) —
 //!    the `oracle_build` comparison on the weighted graph, where both
-//!    sides dispatch to the delta-stepping kernels.
+//!    sides dispatch to the delta-stepping kernels;
+//! 9. **Mehlhorn Steiner call vs BFS** (`steiner`) — p50 of one
+//!    ws-q-reweighted [`mehlhorn_steiner_with`] call (every `(root, λ)`
+//!    pair of a |Q| = 8 query, one workspace, as a root sweep runs them)
+//!    against p50 of one BFS on the same graph. `speedup` is bfs/steiner,
+//!    a scale-invariant ratio the regression gate can hold on any host.
 //!
 //! ```text
 //! cargo run --release -p mwc-bench --bin kernel -- \
@@ -49,8 +53,8 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use mwc_bench::{Scale, Timer};
-use mwc_core::wsq::batched_root_distances;
-use mwc_core::{QueryEngine, QueryOptions};
+use mwc_core::wsq::{batched_root_distances, lambda_grid};
+use mwc_core::{mehlhorn_steiner_with, QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
 use mwc_graph::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, WorkspacePool, MS_BFS_LANES};
 use mwc_graph::NodeId;
@@ -64,6 +68,9 @@ const WSQ_BATCH_ROOTS: usize = 16;
 /// Landmark count of the `oracle_build` comparison — one full 64-lane
 /// sweep on the batched side.
 const ORACLE_LANDMARKS: usize = 64;
+
+/// Query size of the `steiner` section (the cold ws-q benchmark's |Q|).
+const STEINER_QUERY: usize = 8;
 
 struct Args {
     scale: Scale,
@@ -347,6 +354,45 @@ fn main() {
         wbatched_build_ms,
     );
 
+    // 9. One ws-q Steiner call vs one BFS on the same graph. The Steiner
+    //    side times every (root, λ) call of a |Q| = 8 query through one
+    //    workspace; the BFS side times one BFS per root, as often.
+    let steiner_q: Vec<NodeId> = wsq_roots[..STEINER_QUERY].to_vec();
+    let lambdas = lambda_grid(n, WsqConfig::default().beta);
+    let root_dists: Vec<Vec<u32>> = steiner_q.iter().map(|&r| ws.run(&g, r).to_vec()).collect();
+    let mut steiner_ws = SteinerWorkspace::new();
+    let mut steiner_lat = Vec::new();
+    let mut bfs_lat = Vec::new();
+    for _ in 0..gate_reps {
+        for dist_r in &root_dists {
+            for &lambda in &lambdas {
+                let weight = |u: NodeId, v: NodeId| {
+                    lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda
+                };
+                let t = Instant::now();
+                let tree = mehlhorn_steiner_with(&mut steiner_ws, &g, &steiner_q, weight)
+                    .expect("a BA graph is connected");
+                steiner_lat.push(t.elapsed().as_secs_f64() * 1e3);
+                std::hint::black_box(tree);
+            }
+        }
+        for _ in &lambdas {
+            for &r in &steiner_q {
+                let t = Instant::now();
+                std::hint::black_box(ws.run(&g, r));
+                bfs_lat.push(t.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+    }
+    steiner_lat.sort_by(|a, b| a.total_cmp(b));
+    bfs_lat.sort_by(|a, b| a.total_cmp(b));
+    let (mehlhorn_p50, bfs_p50) = (quantile_ms(&steiner_lat, 0.5), quantile_ms(&bfs_lat, 0.5));
+    println!(
+        "{:<28} mehlhorn p50 {mehlhorn_p50:>9.3} ms   bfs p50 {bfs_p50:>9.3} ms   speedup {:>5.2}x",
+        "steiner:mehlhorn_vs_bfs",
+        bfs_p50 / mehlhorn_p50
+    );
+
     // 4. Cache-cold vs cache-hot solve latency on a fixed query workload.
     let engine = QueryEngine::new(&g);
     let queries: Vec<Vec<NodeId>> = (0..args.scale.pick(24, 32, 32))
@@ -406,6 +452,16 @@ fn main() {
         ("oracle_build", oracle_cmp.1),
         ("delta_stepping", delta_cmp.1),
         ("weighted_oracle", weighted_oracle_cmp.1),
+        (
+            "steiner",
+            Json::obj([
+                ("mehlhorn_p50_ms", Json::from(mehlhorn_p50)),
+                ("bfs_p50_ms", Json::from(bfs_p50)),
+                ("speedup", Json::from(bfs_p50 / mehlhorn_p50)),
+                ("query", Json::from(STEINER_QUERY)),
+                ("lambdas", Json::from(lambdas.len())),
+            ]),
+        ),
         (
             "solve_cache",
             Json::obj([

@@ -75,7 +75,7 @@ pub use engine::{
 };
 pub use error::{CoreError, Result};
 pub use ilp_solve::{program6_exact, program7_bounds, Program7Bounds, Program7Config};
-pub use steiner::{mehlhorn_steiner, SteinerTree};
+pub use steiner::{mehlhorn_steiner, mehlhorn_steiner_with, SteinerTree, SteinerWorkspace};
 pub use trace::{SpanRecord, TraceContext, TraceRecorder, NO_PARENT};
 pub use wsq::{
     minimum_wiener_connector, CandidateRecord, RootPolicy, WienerSteiner, WsqConfig, WsqSolution,

@@ -6,35 +6,34 @@
 //! (steps 4–5) end with exactly this refinement; factoring it keeps the
 //! two implementations honest about producing identical tree invariants.
 
-use mwc_graph::hash::{FxHashMap, FxHashSet};
 use mwc_graph::NodeId;
 
 use crate::steiner::mehlhorn::SteinerTree;
 use crate::steiner::mst::{kruskal, WeightedEdge};
 
-/// Builds the MST of the subgraph `(sub_nodes, sub_edges)` under `weight`,
-/// prunes non-terminal leaves, and packages the result. `terms` must be
-/// sorted; `sub_nodes` must contain every terminal and induce a connected
-/// subgraph via `sub_edges` (the expansion step guarantees both).
+/// Builds the MST of the subgraph `(nodes, edges)` under `weight`, prunes
+/// non-terminal leaves, and packages the result. `terms` and `nodes` must
+/// be sorted and duplicate-free, `edges` duplicate-free with `u < v`;
+/// `nodes` must contain every terminal and induce a connected subgraph via
+/// `edges` (the expansion step guarantees all of this). Edge order does
+/// not matter: Kruskal sorts by `(w, u, v)`.
 pub(crate) fn mst_then_prune<W>(
     terms: &[NodeId],
-    sub_nodes: FxHashSet<NodeId>,
-    sub_edges: &FxHashSet<(NodeId, NodeId)>,
+    nodes: &[NodeId],
+    edges: &[(NodeId, NodeId)],
     weight: W,
 ) -> SteinerTree
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
-    let mut nodes: Vec<NodeId> = sub_nodes.into_iter().collect();
-    nodes.sort_unstable();
-    let local: FxHashMap<NodeId, u32> = nodes
+    let local = |v: NodeId| {
+        nodes
+            .binary_search(&v)
+            .expect("edge endpoint in the node set") as u32
+    };
+    let mut local_edges: Vec<WeightedEdge> = edges
         .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    let mut local_edges: Vec<WeightedEdge> = sub_edges
-        .iter()
-        .map(|&(u, v)| (weight(u, v), local[&u], local[&v]))
+        .map(|&(u, v)| (weight(u, v), local(u), local(v)))
         .collect();
     let (sub_mst, _) = kruskal(nodes.len(), &mut local_edges);
     debug_assert_eq!(

@@ -8,7 +8,6 @@
 //! reference implementation the faster variant is validated against, and
 //! as an ablation subroutine inside Algorithm 1.
 
-use mwc_graph::hash::FxHashSet;
 use mwc_graph::traversal::dijkstra::{dijkstra, DijkstraResult};
 use mwc_graph::{Graph, NodeId, NO_NODE};
 
@@ -58,23 +57,26 @@ where
 
     // Step 3: expand each MST edge (i, j) into the shortest path realized
     // by terminal i's Dijkstra tree.
-    let mut sub_nodes: FxHashSet<NodeId> = terms.iter().copied().collect();
-    let mut sub_edges: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
+    let mut sub_nodes: Vec<NodeId> = terms.clone();
+    let mut sub_edges: Vec<(NodeId, NodeId)> = Vec::new();
     for &(_, i, j) in &term_mst {
         let run = &runs[i as usize];
         let mut cur = terms[j as usize];
         while run.parent[cur as usize] != NO_NODE {
             let p = run.parent[cur as usize];
-            sub_nodes.insert(cur);
-            sub_nodes.insert(p);
-            sub_edges.insert((cur.min(p), cur.max(p)));
+            sub_nodes.push(p);
+            sub_edges.push((cur.min(p), cur.max(p)));
             cur = p;
         }
     }
+    sub_nodes.sort_unstable();
+    sub_nodes.dedup();
+    sub_edges.sort_unstable();
+    sub_edges.dedup();
 
     // Steps 4–5: MST of the expansion + leaf pruning (shared with
     // Mehlhorn's steps 5–6).
-    Ok(mst_then_prune(&terms, sub_nodes, &sub_edges, &weight))
+    Ok(mst_then_prune(&terms, &sub_nodes, &sub_edges, &weight))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ pub mod unionfind;
 
 pub use klein_ravi::klein_ravi;
 pub use kmb::kou_markowsky_berman;
-pub use mehlhorn::{mehlhorn_steiner, SteinerTree};
+pub use mehlhorn::{mehlhorn_steiner, mehlhorn_steiner_with, SteinerTree, SteinerWorkspace};
 pub use mst::{kruskal, WeightedEdge};
 pub use takahashi::takahashi_matsuyama;
 pub use unionfind::UnionFind;
@@ -53,8 +53,23 @@ pub fn steiner_tree<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
+    steiner_tree_with(&mut SteinerWorkspace::new(), algorithm, g, terminals, weight)
+}
+
+/// [`steiner_tree`] with Mehlhorn's buffers reused from `ws` (the other
+/// algorithms ignore it).
+pub fn steiner_tree_with<W>(
+    ws: &mut SteinerWorkspace,
+    algorithm: SteinerAlgorithm,
+    g: &Graph,
+    terminals: &[NodeId],
+    weight: W,
+) -> Result<SteinerTree>
+where
+    W: Fn(NodeId, NodeId) -> f64,
+{
     match algorithm {
-        SteinerAlgorithm::Mehlhorn => mehlhorn_steiner(g, terminals, weight),
+        SteinerAlgorithm::Mehlhorn => mehlhorn_steiner_with(ws, g, terminals, weight),
         SteinerAlgorithm::KouMarkowskyBerman => kou_markowsky_berman(g, terminals, weight),
         SteinerAlgorithm::TakahashiMatsuyama => takahashi_matsuyama(g, terminals, weight),
     }

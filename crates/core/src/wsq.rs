@@ -33,7 +33,7 @@ use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
 use crate::adjust::adjust_distances_with;
 use crate::connector::Connector;
 use crate::error::{CoreError, Result};
-use crate::steiner::{klein_ravi, steiner_tree, SteinerAlgorithm};
+use crate::steiner::{klein_ravi, steiner_tree_with, SteinerAlgorithm, SteinerWorkspace};
 use crate::trace::TraceContext;
 
 /// Which vertices Algorithm 1 tries as the root `r`.
@@ -288,17 +288,17 @@ impl<'g> WienerSteiner<'g> {
 
         // Stage accounting for the `root_sweep` span: multi-source sweeps
         // run locally (prefetch-covered batches run none), lanes packed
-        // into them, kernel BFS levels expanded, and `AdjustDistances`
-        // time accumulated across sweep workers (reported as a counter —
-        // the adjusts run interleaved on several threads, so a child span
-        // would overlap its siblings).
+        // into them, kernel BFS levels expanded, and Steiner and
+        // `AdjustDistances` time accumulated across sweep workers
+        // (reported as counters — the stages run interleaved on several
+        // threads, so child spans would overlap their siblings).
         let traced = self.config.trace.enabled();
         let sweep_start = traced.then(Instant::now);
         let mut local_sweeps = 0u64;
         let mut local_lanes = 0u64;
         let mut kernel_levels_base = 0u64;
-        let adjust_acc = AtomicU64::new(0);
-        let adjust_us = traced.then_some(&adjust_acc);
+        let stage_acc = StageCounters::default();
+        let counters = traced.then_some(&stage_acc);
 
         // The candidate stream: identical root order (and therefore
         // identical records) whether the per-root distances come from
@@ -358,11 +358,11 @@ impl<'g> WienerSteiner<'g> {
                     Some(&dists),
                     &lambdas,
                     pool,
-                    adjust_us,
+                    counters,
                 )?);
             }
         } else {
-            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, adjust_us)?;
+            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, counters)?;
         }
         if let Some(t0) = sweep_start {
             let kernel_levels = ms.as_ref().map_or(0, |w| w.expanded() - kernel_levels_base);
@@ -376,7 +376,12 @@ impl<'g> WienerSteiner<'g> {
                     ("lanes", local_lanes),
                     ("kernel_levels", kernel_levels),
                     ("candidates", all.len() as u64),
-                    ("adjust_us", adjust_acc.load(Ordering::Relaxed)),
+                    ("steiner_us", stage_acc.steiner_us.load(Ordering::Relaxed)),
+                    (
+                        "steiner_calls",
+                        stage_acc.steiner_calls.load(Ordering::Relaxed),
+                    ),
+                    ("adjust_us", stage_acc.adjust_us.load(Ordering::Relaxed)),
                 ],
             );
         }
@@ -469,7 +474,7 @@ impl<'g> WienerSteiner<'g> {
         dists: Option<&[Arc<Vec<u32>>]>,
         lambdas: &[f64],
         pool: &WorkspacePool,
-        adjust_us: Option<&AtomicU64>,
+        counters: Option<&StageCounters>,
     ) -> Result<Vec<EvaluatedCandidate>> {
         let threads = if self.config.parallel {
             std::thread::available_parallelism()
@@ -480,7 +485,7 @@ impl<'g> WienerSteiner<'g> {
             1
         };
         if threads <= 1 {
-            return run_roots(g, &self.config, q, roots, dists, lambdas, pool, adjust_us);
+            return run_roots(g, &self.config, q, roots, dists, lambdas, pool, counters);
         }
         let chunk = roots.len().div_ceil(threads);
         let results: Vec<Result<Vec<EvaluatedCandidate>>> = std::thread::scope(|scope| {
@@ -491,16 +496,7 @@ impl<'g> WienerSteiner<'g> {
                     let dists_chunk = dists.map(|d| &d[i * chunk..i * chunk + chunk_roots.len()]);
                     let (q, lambdas, cfg) = (q, lambdas, &self.config);
                     scope.spawn(move || {
-                        run_roots(
-                            g,
-                            cfg,
-                            q,
-                            chunk_roots,
-                            dists_chunk,
-                            lambdas,
-                            pool,
-                            adjust_us,
-                        )
+                        run_roots(g, cfg, q, chunk_roots, dists_chunk, lambdas, pool, counters)
                     })
                 })
                 .collect();
@@ -616,7 +612,7 @@ pub fn normalize_query(g: &Graph, q: &[NodeId]) -> Result<Vec<NodeId>> {
 /// The λ grid: powers of `(1 + β)` covering `[1/√2, √n]` — the range
 /// Lemma 3 guarantees contains the optimal λ, so some tried value is
 /// within a `(1 + β)` factor of it.
-pub(crate) fn lambda_grid(n: usize, beta: f64) -> Vec<f64> {
+pub fn lambda_grid(n: usize, beta: f64) -> Vec<f64> {
     let base = 1.0 + beta;
     let lo = std::f64::consts::FRAC_1_SQRT_2;
     let hi = (n.max(2) as f64).sqrt();
@@ -627,6 +623,15 @@ pub(crate) fn lambda_grid(n: usize, beta: f64) -> Vec<f64> {
 
 /// A candidate's record plus its vertex set.
 type EvaluatedCandidate = (CandidateRecord, Vec<NodeId>);
+
+/// Stage time the sweep workers accumulate for a traced solve's
+/// `root_sweep` span (statistics only, hence `Relaxed`).
+#[derive(Default)]
+struct StageCounters {
+    steiner_us: AtomicU64,
+    steiner_calls: AtomicU64,
+    adjust_us: AtomicU64,
+}
 
 /// Whether the configured deadline (if any) has passed.
 fn past_deadline(cfg: &WsqConfig) -> bool {
@@ -651,9 +656,11 @@ fn run_roots(
     dists: Option<&[Arc<Vec<u32>>]>,
     lambdas: &[f64],
     pool: &WorkspacePool,
-    adjust_us: Option<&AtomicU64>,
+    counters: Option<&StageCounters>,
 ) -> Result<Vec<EvaluatedCandidate>> {
     let mut out = Vec::with_capacity(roots.len() * lambdas.len());
+    // One Steiner workspace serves every (root, λ) call of this worker.
+    let mut steiner_ws = SteinerWorkspace::new();
     // Per-root distances come from the kernel matching the graph:
     // delta-stepping on weighted graphs, BFS otherwise.
     let mut ws = (!g.is_weighted()).then(|| pool.lease());
@@ -695,6 +702,7 @@ fn run_roots(
             let weight = |u: NodeId, v: NodeId| {
                 lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda
             };
+            let t0 = counters.map(|_| Instant::now());
             let tree = if cfg.node_weighted_steiner {
                 // Problem 4 solved directly: vertex cost λ + d_G(r, u)/λ.
                 let node_cost = |u: NodeId| {
@@ -708,14 +716,20 @@ fn run_roots(
                 };
                 klein_ravi(g, &terminals, node_cost)?
             } else {
-                steiner_tree(cfg.steiner, g, &terminals, weight)?
+                steiner_tree_with(&mut steiner_ws, cfg.steiner, g, &terminals, weight)?
             };
+            if let (Some(c), Some(t0)) = (counters, t0) {
+                c.steiner_us
+                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                c.steiner_calls.fetch_add(1, Ordering::Relaxed);
+            }
             let final_tree = if cfg.adjust {
-                let t0 = adjust_us.map(|_| Instant::now());
+                let t0 = counters.map(|_| Instant::now());
                 let adjusted =
                     adjust_distances_with(g, &tree, r, dist_r, |v| canonical_parent(g, dist_r, v));
-                if let (Some(acc), Some(t0)) = (adjust_us, t0) {
-                    acc.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                if let (Some(c), Some(t0)) = (counters, t0) {
+                    c.adjust_us
+                        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                 }
                 adjusted
             } else {

@@ -31,7 +31,7 @@ use rand::Rng;
 
 use crate::connector::Connector;
 use crate::error::{CoreError, Result};
-use crate::steiner::{steiner_tree, SteinerAlgorithm};
+use crate::steiner::{steiner_tree_with, SteinerAlgorithm, SteinerWorkspace};
 use crate::wsq::{evaluate_a, lambda_grid, normalize_query, CandidateRecord, WsqSolution};
 
 /// Configuration of the approximate solver.
@@ -194,6 +194,8 @@ pub fn solve_with_oracle(
         None
     };
     let mut all: Vec<(CandidateRecord, Vec<NodeId>)> = Vec::new();
+    // One Steiner workspace serves the whole (root, λ) loop.
+    let mut steiner_ws = SteinerWorkspace::new();
     for (ri, &r) in q.iter().enumerate() {
         let per_root;
         let dist_r: &[u32] = match &root_dists {
@@ -215,7 +217,7 @@ pub fn solve_with_oracle(
                 };
                 lambda + d as f64 / lambda
             };
-            let tree = steiner_tree(config.steiner, g, &q, weight)?;
+            let tree = steiner_tree_with(&mut steiner_ws, config.steiner, g, &q, weight)?;
             let nodes = tree.nodes;
             let a_value = evaluate_a(g, &nodes, r, pool, config.kernel)?;
             all.push((

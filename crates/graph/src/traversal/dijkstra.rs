@@ -1,12 +1,13 @@
 //! Dijkstra shortest paths with caller-supplied edge weights.
 //!
-//! Algorithm 1 reweights the input graph into `G_{r,λ}` (edge weight
-//! `λ + max(d_G(r,u), d_G(r,v)) / λ`, Lemma 4) and runs Mehlhorn's Steiner
-//! approximation on it. Mehlhorn's algorithm needs a *multi-source* Dijkstra
-//! that also records, for every vertex, which source (terminal) is nearest —
-//! the Voronoi partition of the graph around the terminals. Weights are
-//! provided as a closure so the reweighted graph never has to be
-//! materialized.
+//! [`multi_source_dijkstra`] computes the Voronoi partition of the graph
+//! around a source set: for every vertex, the nearest source and a
+//! shortest path back to it. Weights are provided as a closure so a
+//! reweighted graph never has to be materialized. It serves the
+//! Takahashi–Matsuyama Steiner heuristic and the parity reference of the
+//! Mehlhorn tests. Algorithm 1's own Mehlhorn calls, one per `(root, λ)`
+//! candidate on `G_{r,λ}`, grow their Voronoi regions inside
+//! `mwc_core`'s reusable Steiner workspace instead.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

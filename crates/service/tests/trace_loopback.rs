@@ -123,6 +123,12 @@ fn traced_solve_returns_pipeline_span_tree() {
     let sweep = child(root, "root_sweep").unwrap();
     assert!(counter(sweep, "roots").unwrap() >= 1);
     assert!(counter(sweep, "lanes").is_some());
+    // One Steiner call per (root, λ) candidate, its time accumulated
+    // across the sweep workers.
+    let steiner_calls = counter(sweep, "steiner_calls").unwrap();
+    assert!(steiner_calls >= 1);
+    assert_eq!(Some(steiner_calls), counter(sweep, "candidates"));
+    assert!(counter(sweep, "steiner_us").is_some());
     assert_eq!(
         counter(child(root, "cache_lookup").unwrap(), "hit"),
         Some(0)
