@@ -824,7 +824,8 @@ impl ConnectorSolver for LocalSearchSolver {
 /// `"exact"` — provably minimum connectors where feasible: any-size graphs
 /// for `|Q| = 2` (a shortest path is optimal on unweighted graphs, §3),
 /// pruned subset enumeration on ≤ 64-vertex graphs otherwise (the §6.2
-/// certificate stand-in). Errors with `UnsupportedInstance` beyond that.
+/// certificate stand-in). Errors with `UnsupportedInstance` beyond that,
+/// and on weighted graphs, where both methods would count hops.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolver {
     /// Enumeration budget.
@@ -1863,6 +1864,23 @@ mod tests {
         assert!(bad
             .iter()
             .all(|r| matches!(r, Err(CoreError::UnknownSolver { .. }))));
+    }
+
+    #[test]
+    fn exact_refuses_weighted_graphs_that_ws_q_solves() {
+        // 0–1 (1), 1–2 (1), 0–2 (100), 2–3 (1) with Q = {0, 2}: a hop
+        // count would call {0, 2} optimal with W = 1, but its true W is
+        // 100, and ws-q's {0, 1, 2} has W = 4.
+        let g =
+            Graph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 100), (2, 3, 1)]).unwrap();
+        let engine = QueryEngine::new(&g);
+        assert!(matches!(
+            engine.solve("exact", &[0, 2]),
+            Err(CoreError::UnsupportedInstance { .. })
+        ));
+        let wsq = engine.solve("ws-q", &[0, 2]).unwrap();
+        assert_eq!(wsq.connector.vertices(), &[0, 1, 2]);
+        assert_eq!(wsq.wiener_index, 4);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! The enumeration is exact whenever it completes within budget and before
 //! the size cutoff: every connector with `C(k, 2)` below the incumbent has
 //! been inspected, and any larger connector has `W ≥ C(k, 2) ≥` incumbent.
+//!
+//! Both solvers count hops, so both refuse weighted graphs with
+//! [`CoreError::UnsupportedInstance`] rather than return a connector whose
+//! W and optimality claim ignore the weights.
 
 use mwc_graph::traversal::bfs::{bfs_parents, path_from_parents};
 use mwc_graph::{Graph, NodeId};
@@ -53,8 +57,10 @@ impl Default for ExactConfig {
 }
 
 /// Exact solver for `|Q| = 2`: returns a shortest `s`–`t` path, which is an
-/// optimal Wiener connector on unweighted graphs (§3).
+/// optimal Wiener connector on unweighted graphs (§3). Refuses weighted
+/// graphs.
 pub fn shortest_path_connector(g: &Graph, s: NodeId, t: NodeId) -> Result<Connector> {
+    refuse_weighted(g)?;
     g.check_node(s)?;
     g.check_node(t)?;
     if s == t {
@@ -63,6 +69,17 @@ pub fn shortest_path_connector(g: &Graph, s: NodeId, t: NodeId) -> Result<Connec
     let bfs = bfs_parents(g, s);
     let path = path_from_parents(&bfs.parent, s, t).ok_or(CoreError::QueryNotConnectable)?;
     Ok(Connector::new_unchecked(g, path))
+}
+
+/// The exact solvers score and search by hop count, which is wrong on a
+/// weighted graph.
+fn refuse_weighted(g: &Graph) -> Result<()> {
+    if g.is_weighted() {
+        return Err(CoreError::UnsupportedInstance {
+            what: "the exact solvers count hops and do not support weighted graphs".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// A graph over at most 64 vertices with bitset adjacency, supporting
@@ -161,13 +178,14 @@ impl BitGraph {
 /// first `k` with `C(k, 2) ≥` incumbent Wiener index — larger connectors
 /// cannot win since every pair contributes at least 1. `initial` (e.g. the
 /// `ws-q` solution, as the paper warm-starts Gurobi) tightens that cutoff
-/// from the start.
+/// from the start. Refuses weighted graphs.
 pub fn exact_minimum(
     g: &Graph,
     q: &[NodeId],
     initial: Option<&Connector>,
     cfg: &ExactConfig,
 ) -> Result<ExactOutcome> {
+    refuse_weighted(g)?;
     let q = normalize_query(g, q)?;
     let bg = BitGraph::from_graph(g)?;
     let n = bg.num_nodes();
@@ -301,6 +319,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn weighted_graphs_are_refused() {
+        let g =
+            Graph::from_weighted_edges(4, &[(0, 1, 1), (1, 2, 1), (0, 2, 100), (2, 3, 1)]).unwrap();
+        assert!(matches!(
+            shortest_path_connector(&g, 0, 2),
+            Err(CoreError::UnsupportedInstance { .. })
+        ));
+        assert!(matches!(
+            exact_minimum(&g, &[0, 2], None, &ExactConfig::default()),
+            Err(CoreError::UnsupportedInstance { .. })
+        ));
     }
 
     #[test]

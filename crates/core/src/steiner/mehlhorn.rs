@@ -36,6 +36,18 @@
 //!   lexicographically wins, with `u < v` its endpoints;
 //! - both MSTs sort their edges by `(w, u, v)`.
 //!
+//! ws-q relies on this. Every decision above compares path sums (settled
+//! and tentative distances, crossing offers and their floors, MST edge
+//! weights) with `<` or `==`, and breaks ties by vertex id; the radix
+//! queue's buckets change how fast it finds the next `(key, id)`, not
+//! which one it is. Under ws-q's reweighting with λ a power of two those
+//! sums are exact, and for large λ they order like the λ-free
+//! lexicographic order on (hops, distance sum), so the tree stops
+//! depending on λ. `wsq::lexicographic_regime` proves this, and ws-q
+//! reuses one tree across those λ. A change that lets a key decide
+//! anything other than through such a comparison (rounding it, say)
+//! would break that reuse.
+//!
 //! Buffers live in a [`SteinerWorkspace`]: Algorithm 1 calls this once per
 //! `(root, λ)` candidate, so a root sweep holds one workspace for all of
 //! its calls and no per-call `O(|V|)` allocation or reset remains.

@@ -13,6 +13,18 @@
 //! 4. keep the candidate minimizing `A(H, r)` (or the exact Wiener index
 //!    when all candidates are small — Remark 1).
 //!
+//! Steps 1–3 and the `A(H, r)` evaluation are skipped where they provably
+//! cannot change the answer. Let `h_Q` be the largest hop distance from
+//! `Q` to a vertex it reaches (one BFS per solve) and `ecc_r` the largest
+//! `d_G(r, v)` over those vertices. Once λ is a power of two with
+//! `λ² > (2·h_Q + 1)·ecc_r` (see [`lexicographic_regime`]), every
+//! comparison Mehlhorn makes has the outcome of the λ-free lexicographic
+//! order on (hops, distance sum), so the tree is the same for every such
+//! λ. Each root therefore runs Mehlhorn, `AdjustDistances` and `A(H, r)`
+//! once for the first certified λ and reuses that candidate, under its
+//! own λ, for the later ones. The candidate stream is bit-identical to
+//! the full grid's.
+//!
 //! Theorem 4: the result is an `O(1)`-approximate minimum Wiener connector,
 //! in time `O(|Q| (|E| log|V| + |V| log²|V|))`. The paper's §6.6 notes the
 //! root loop parallelizes embarrassingly; [`WsqConfig::parallel`] does
@@ -114,8 +126,9 @@ pub struct WsqConfig {
     /// and A/B parity testing.
     pub batch: bool,
     /// Per-request trace context: when enabled the solver records
-    /// `feasibility`, `root_sweep` (with lane/sweep/candidate counters
-    /// and accumulated `AdjustDistances` time), and `evaluate` stage
+    /// `feasibility`, `root_sweep` (with lane/sweep/candidate counters,
+    /// Steiner calls and reused trees, and accumulated Steiner,
+    /// `AdjustDistances` and `A(H, r)` time), and `evaluate` stage
     /// spans. Disabled (the default) it costs one branch per stage.
     /// Typically set through
     /// [`QueryOptions::trace`](crate::engine::QueryOptions::trace).
@@ -300,6 +313,13 @@ impl<'g> WienerSteiner<'g> {
         let stage_acc = StageCounters::default();
         let counters = traced.then_some(&stage_acc);
 
+        // The λ-regime certificate's solve-wide half: h_Q from one hop BFS
+        // over Q, held through the sweep so that each root can take its
+        // eccentricity over the same vertices.
+        let mut hop_ws = regime_possible(&self.config, &lambdas).then(|| pool.lease());
+        let regime = hop_ws.as_mut().map(|ws| Regime::new(ws.run_multi(g, &q)));
+        let regime = regime.as_ref();
+
         // The candidate stream: identical root order (and therefore
         // identical records) whether the per-root distances come from
         // ⌈|roots|/64⌉ shared multi-source sweeps or one BFS per root.
@@ -358,11 +378,12 @@ impl<'g> WienerSteiner<'g> {
                     Some(&dists),
                     &lambdas,
                     pool,
+                    regime,
                     counters,
                 )?);
             }
         } else {
-            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, counters)?;
+            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, regime, counters)?;
         }
         if let Some(t0) = sweep_start {
             let kernel_levels = ms.as_ref().map_or(0, |w| w.expanded() - kernel_levels_base);
@@ -381,11 +402,20 @@ impl<'g> WienerSteiner<'g> {
                         "steiner_calls",
                         stage_acc.steiner_calls.load(Ordering::Relaxed),
                     ),
+                    (
+                        "steiner_reused",
+                        stage_acc.steiner_reused.load(Ordering::Relaxed),
+                    ),
                     ("adjust_us", stage_acc.adjust_us.load(Ordering::Relaxed)),
+                    (
+                        "evaluate_a_us",
+                        stage_acc.evaluate_a_us.load(Ordering::Relaxed),
+                    ),
                 ],
             );
         }
         drop(ms);
+        drop(hop_ws);
 
         // Remark 1, engineered: Lemma 1 gives A(H,r)/2 ≤ W(H) ≤ A(H,r), so
         // a candidate with A > 2 · min_A cannot have a smaller Wiener index
@@ -474,6 +504,7 @@ impl<'g> WienerSteiner<'g> {
         dists: Option<&[Arc<Vec<u32>>]>,
         lambdas: &[f64],
         pool: &WorkspacePool,
+        regime: Option<&Regime<'_>>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<EvaluatedCandidate>> {
         let threads = if self.config.parallel {
@@ -485,7 +516,17 @@ impl<'g> WienerSteiner<'g> {
             1
         };
         if threads <= 1 {
-            return run_roots(g, &self.config, q, roots, dists, lambdas, pool, counters);
+            return run_roots(
+                g,
+                &self.config,
+                q,
+                roots,
+                dists,
+                lambdas,
+                pool,
+                regime,
+                counters,
+            );
         }
         let chunk = roots.len().div_ceil(threads);
         let results: Vec<Result<Vec<EvaluatedCandidate>>> = std::thread::scope(|scope| {
@@ -496,7 +537,17 @@ impl<'g> WienerSteiner<'g> {
                     let dists_chunk = dists.map(|d| &d[i * chunk..i * chunk + chunk_roots.len()]);
                     let (q, lambdas, cfg) = (q, lambdas, &self.config);
                     scope.spawn(move || {
-                        run_roots(g, cfg, q, chunk_roots, dists_chunk, lambdas, pool, counters)
+                        run_roots(
+                            g,
+                            cfg,
+                            q,
+                            chunk_roots,
+                            dists_chunk,
+                            lambdas,
+                            pool,
+                            regime,
+                            counters,
+                        )
                     })
                 })
                 .collect();
@@ -621,6 +672,110 @@ pub fn lambda_grid(n: usize, beta: f64) -> Vec<f64> {
     (t_min..=t_max).map(|t| base.powi(t)).collect()
 }
 
+/// Whether λ lies in the *lexicographic regime* of a ws-q Mehlhorn call
+/// on `G_{r,λ}`, where `h_q` is the largest hop distance from `Q` to a
+/// vertex it reaches and `ecc_r` the largest `d_G(r, v)` over those
+/// vertices. Every λ for which this holds yields the same Mehlhorn tree,
+/// `nodes` and `edges` alike, so Algorithm 1 computes it once per root.
+///
+/// The certificate, checked in exact integer arithmetic:
+/// - `λ = 2^t` exactly, with `t ≥ 0`;
+/// - `λ² > B_r`, where `B_r = (2·h_q + 1)·ecc_r`;
+/// - `(2·h_q + 1)·λ² + B_r < 2^53`.
+///
+/// Proof. The reweighted edge `(u, v)` costs `λ + m/λ` with
+/// `m = max(d_r(u), d_r(v)) ≤ ecc_r`, so a path of `k` edges costs
+/// `kλ + M/λ`, where `M` is the sum of its `m`. Mehlhorn's keys are all
+/// such path sums: settled and tentative distances, crossing offers
+/// `d(u) + w(u, v) + d(v)` and their floors `d(u) + d(v)`, and the
+/// weights both MSTs sort. Compare this run with the same code run on
+/// pairs `(k, M)` ordered lexicographically. That run settles every
+/// vertex at its hop distance from the terminals, at most `h_q`, since
+/// the terminals include `Q`. So its keys have `k ≤ 2·h_q + 1` and
+/// `0 ≤ M ≤ B_r`.
+/// - *Exact.* With `λ = 2^t`, `kλ + M/λ = (kλ² + M)·2^{-t}`, an integer
+///   below `2^53` times a power of two. Every such sum, and every partial
+///   sum on the way to it, is an f64 with no rounding.
+/// - *Order-preserving.* If `k < k'`, then `(k'λ + M'/λ) − (kλ + M/λ) ≥
+///   λ − B_r/λ > 0`, because `λ² > B_r`. If `k = k'`, the sign is that of
+///   `M' − M`. Equal keys stay equal.
+///
+/// By induction over the run, each comparison (`<` and `==` on
+/// distances, the radix queue's `(key, id)` pop order, `(w, u, v)` on
+/// crossings, `total_cmp` in both MST sorts) has the outcome it has in
+/// the lexicographic run, id tie-breaks included. The run does not depend
+/// on λ, so neither do `nodes` and `edges`. Only `total_weight` differs,
+/// and ws-q never reads it. `AdjustDistances` and `A(H, r)` read only the
+/// tree and `d_r`, so the whole candidate repeats.
+///
+/// `ecc_r` takes saturated [`INF_DIST`] distances at face value, as the
+/// weight closure does, so such a graph certifies nothing. λ < 1 is never
+/// certified: it would need `B_r = 0`, which positive edge weights rule
+/// out once `|Q| ≥ 2`.
+pub fn lexicographic_regime(lambda: f64, h_q: u32, ecc_r: u32) -> bool {
+    let Some(t) = dyadic_exponent(lambda) else {
+        return false;
+    };
+    // λ² ≥ 2^54 fails the last condition whatever h_q is.
+    if t >= 27 {
+        return false;
+    }
+    let lambda_sq = 1u128 << (2 * t);
+    let k_max = 2 * h_q as u128 + 1;
+    let bound = k_max * ecc_r as u128;
+    lambda_sq > bound && k_max * lambda_sq + bound < 1 << 53
+}
+
+/// `t` when `λ = 2^t` exactly with `t ≥ 0`.
+fn dyadic_exponent(lambda: f64) -> Option<u32> {
+    let bits = lambda.to_bits();
+    // Sign and biased exponent; a set sign bit lands far out of range.
+    let t = (bits >> 52) as i64 - 1023;
+    (bits & ((1 << 52) - 1) == 0 && (0..=1023).contains(&t)).then_some(t as u32)
+}
+
+/// Whether [`lexicographic_regime`] can ever let a root reuse a candidate
+/// under `cfg`: the subroutine is Mehlhorn on edge weights, and the grid
+/// holds at least two powers of two `≥ 1`.
+fn regime_possible(cfg: &WsqConfig, lambdas: &[f64]) -> bool {
+    cfg.steiner == SteinerAlgorithm::Mehlhorn
+        && !cfg.node_weighted_steiner
+        && lambdas
+            .iter()
+            .filter_map(|&l| dyadic_exponent(l))
+            .nth(1)
+            .is_some()
+}
+
+/// The solve-wide half of the λ-regime certificate.
+struct Regime<'a> {
+    /// Hop distance from `Q`, [`INF_DIST`] where `Q` does not reach.
+    hops: &'a [u32],
+    /// `h_Q`: the largest finite entry of `hops`.
+    h_q: u32,
+}
+
+impl<'a> Regime<'a> {
+    fn new(hops: &'a [u32]) -> Self {
+        let h_q = hops.iter().copied().filter(|&h| h != INF_DIST).max();
+        Regime {
+            hops,
+            h_q: h_q.unwrap_or(0),
+        }
+    }
+
+    /// `ecc_r`: the largest `dist_r` over the vertices `Q` reaches.
+    fn eccentricity(&self, dist_r: &[u32]) -> u32 {
+        self.hops
+            .iter()
+            .zip(dist_r)
+            .filter(|(&h, _)| h != INF_DIST)
+            .map(|(_, &d)| d)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// A candidate's record plus its vertex set.
 type EvaluatedCandidate = (CandidateRecord, Vec<NodeId>);
 
@@ -630,7 +785,9 @@ type EvaluatedCandidate = (CandidateRecord, Vec<NodeId>);
 struct StageCounters {
     steiner_us: AtomicU64,
     steiner_calls: AtomicU64,
+    steiner_reused: AtomicU64,
     adjust_us: AtomicU64,
+    evaluate_a_us: AtomicU64,
 }
 
 /// Whether the configured deadline (if any) has passed.
@@ -647,6 +804,10 @@ fn past_deadline(cfg: &WsqConfig) -> bool {
 /// are derived on demand from the distances by the deterministic
 /// [`canonical_parent`] rule — a pure function of the (kernel-invariant)
 /// distance array, so every configuration grafts identical paths.
+///
+/// With `regime` present, the first λ of a root that passes
+/// [`lexicographic_regime`] is solved as usual and every later one that
+/// passes gets a copy of that candidate under its own λ.
 #[allow(clippy::too_many_arguments)]
 fn run_roots(
     g: &Graph,
@@ -656,9 +817,10 @@ fn run_roots(
     dists: Option<&[Arc<Vec<u32>>]>,
     lambdas: &[f64],
     pool: &WorkspacePool,
+    regime: Option<&Regime<'_>>,
     counters: Option<&StageCounters>,
 ) -> Result<Vec<EvaluatedCandidate>> {
-    let mut out = Vec::with_capacity(roots.len() * lambdas.len());
+    let mut out: Vec<EvaluatedCandidate> = Vec::with_capacity(roots.len() * lambdas.len());
     // One Steiner workspace serves every (root, λ) call of this worker.
     let mut steiner_ws = SteinerWorkspace::new();
     // Per-root distances come from the kernel matching the graph:
@@ -695,9 +857,23 @@ fn run_roots(
             }
             terminals.push(r);
         }
+        let bounds = regime.map(|reg| (reg.h_q, reg.eccentricity(dist_r)));
+        // Index in `out` of this root's first certified candidate.
+        let mut certified_first: Option<usize> = None;
         for &lambda in lambdas {
             if !out.is_empty() && past_deadline(cfg) {
                 break;
+            }
+            let certified =
+                bounds.is_some_and(|(h_q, ecc_r)| lexicographic_regime(lambda, h_q, ecc_r));
+            if let (true, Some(i)) = (certified, certified_first) {
+                let (rec, nodes) = &out[i];
+                let reused = (CandidateRecord { lambda, ..*rec }, nodes.clone());
+                out.push(reused);
+                if let Some(c) = counters {
+                    c.steiner_reused.fetch_add(1, Ordering::Relaxed);
+                }
+                continue;
             }
             let weight = |u: NodeId, v: NodeId| {
                 lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda
@@ -736,7 +912,15 @@ fn run_roots(
                 tree
             };
             let nodes = final_tree.nodes;
+            let t0 = counters.map(|_| Instant::now());
             let a_value = evaluate_a(g, &nodes, r, pool, cfg.kernel)?;
+            if let (Some(c), Some(t0)) = (counters, t0) {
+                c.evaluate_a_us
+                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            }
+            if certified {
+                certified_first = Some(out.len());
+            }
             out.push((
                 CandidateRecord {
                     root: r,
@@ -804,6 +988,34 @@ mod tests {
                 assert!((w[1] / w[0] - 2.0).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn lexicographic_regime_checks_every_condition() {
+        // h_Q = 2, ecc_r = 3: B_r = 15, so 4² = 16 is the first square
+        // above it.
+        let certified: Vec<f64> = lambda_grid(1 << 20, 1.0)
+            .into_iter()
+            .filter(|&l| lexicographic_regime(l, 2, 3))
+            .collect();
+        assert_eq!(
+            certified,
+            (2..11).map(|t| (1u32 << t) as f64).collect::<Vec<_>>()
+        );
+        // λ² = B_r is not enough.
+        assert!(!lexicographic_regime(4.0, 0, 16));
+        assert!(lexicographic_regime(4.0, 0, 15));
+        // Not a power of two, below 1, or not finite.
+        for lambda in [3.0, 6.0, 1.5, 0.5, 0.25, f64::INFINITY, f64::NAN, -4.0, 0.0] {
+            assert!(!lexicographic_regime(lambda, 0, 0), "λ = {lambda}");
+        }
+        // Exactness: (2·h_Q + 1)·λ² + B_r must stay below 2^53.
+        let lambda = (1u64 << 26) as f64;
+        assert!(lexicographic_regime(lambda, 0, 0));
+        assert!(!lexicographic_regime(lambda, 1, 0));
+        assert!(!lexicographic_regime((1u64 << 27) as f64, 0, 0));
+        // Saturated eccentricities certify nothing on a realistic grid.
+        assert!(!lexicographic_regime(65536.0, 1, INF_DIST));
     }
 
     #[test]

@@ -84,13 +84,21 @@ impl BfsWorkspace {
     ///
     /// Returns the filled distance slice. `O(|V| + |E|)`.
     pub fn run(&mut self, g: &Graph, source: NodeId) -> &[u32] {
-        self.run_inner(g, source, false);
+        self.run_inner(g, &[source], false);
+        &self.dist
+    }
+
+    /// Hop distances from the nearest of `sources` (duplicates allowed),
+    /// written into the workspace. Edge weights are ignored, so on a
+    /// weighted graph this counts edges, not weight. `O(|V| + |E|)`.
+    pub fn run_multi(&mut self, g: &Graph, sources: &[NodeId]) -> &[u32] {
+        self.run_inner(g, sources, false);
         &self.dist
     }
 
     /// BFS distances and parents from `source`.
     pub fn run_with_parents(&mut self, g: &Graph, source: NodeId) -> (&[u32], &[NodeId]) {
-        self.run_inner(g, source, true);
+        self.run_inner(g, &[source], true);
         (&self.dist, &self.parent)
     }
 
@@ -163,7 +171,7 @@ impl BfsWorkspace {
     /// sums) can switch freely; the parity is pinned by property tests.
     pub fn run_auto(&mut self, g: &Graph, source: NodeId) -> &[u32] {
         if g.num_nodes() < DIRECTION_OPT_MIN_NODES || g.num_edges() == 0 {
-            self.run_inner(g, source, false);
+            self.run_inner(g, &[source], false);
         } else {
             self.run_direction_optimizing(g, source);
         }
@@ -248,12 +256,16 @@ impl BfsWorkspace {
         }
     }
 
-    fn run_inner(&mut self, g: &Graph, source: NodeId, want_parents: bool) {
+    fn run_inner(&mut self, g: &Graph, sources: &[NodeId], want_parents: bool) {
         let n = g.num_nodes();
-        debug_assert!((source as usize) < n);
         self.reset(n, want_parents);
-        self.dist[source as usize] = 0;
-        self.queue.push(source);
+        for &s in sources {
+            debug_assert!((s as usize) < n);
+            if self.dist[s as usize] == INF_DIST {
+                self.dist[s as usize] = 0;
+                self.queue.push(s);
+            }
+        }
         let mut head = 0usize;
         while head < self.queue.len() {
             let u = self.queue[head];
@@ -935,7 +947,7 @@ pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
 /// One-shot BFS distances and parents from `source`.
 pub fn bfs_parents(g: &Graph, source: NodeId) -> BfsResult {
     let mut ws = BfsWorkspace::new();
-    ws.run_inner(g, source, true);
+    ws.run_inner(g, &[source], true);
     BfsResult {
         dist: ws.dist,
         parent: ws.parent,
@@ -1017,6 +1029,23 @@ mod tests {
         let d4: Vec<u32> = ws.run(&g, 4).to_vec();
         assert_eq!(d0, vec![0, 1, 2, 3, 4]);
         assert_eq!(d4, vec![4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn run_multi_is_the_minimum_over_sources() {
+        // Path 0..6 plus a separate edge 7–8; weights must not matter.
+        let mut edges: Vec<(NodeId, NodeId, u32)> = (0..6).map(|i| (i, i + 1, 1 + i * 7)).collect();
+        edges.push((7, 8, 1));
+        let g = Graph::from_weighted_edges(9, &edges).unwrap();
+        let mut ws = BfsWorkspace::new();
+        let d = ws.run_multi(&g, &[1, 5, 5]).to_vec();
+        assert_eq!(d, vec![1, 0, 1, 2, 1, 0, 1, INF_DIST, INF_DIST]);
+        for (v, &dv) in d.iter().enumerate() {
+            let nearest = [1, 5].map(|s| bfs_distances(&g, s)[v]).into_iter().min();
+            assert_eq!(Some(dv), nearest, "vertex {v}");
+        }
+        assert_eq!(ws.last_run_distance_sum(), (1 + 1 + 2 + 1 + 1, 7));
+        assert_eq!(ws.run_multi(&g, &[0]), bfs_distances(&g, 0).as_slice());
     }
 
     #[test]

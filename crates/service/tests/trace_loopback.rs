@@ -123,12 +123,18 @@ fn traced_solve_returns_pipeline_span_tree() {
     let sweep = child(root, "root_sweep").unwrap();
     assert!(counter(sweep, "roots").unwrap() >= 1);
     assert!(counter(sweep, "lanes").is_some());
-    // One Steiner call per (root, λ) candidate, its time accumulated
-    // across the sweep workers.
+    // Every (root, λ) candidate comes from a Steiner call or from a tree
+    // reused across the certified λ regime (none for this query: only
+    // λ = 8 certifies), its time accumulated across the sweep workers.
     let steiner_calls = counter(sweep, "steiner_calls").unwrap();
     assert!(steiner_calls >= 1);
-    assert_eq!(Some(steiner_calls), counter(sweep, "candidates"));
+    let steiner_reused = counter(sweep, "steiner_reused").unwrap();
+    assert_eq!(
+        Some(steiner_calls + steiner_reused),
+        counter(sweep, "candidates")
+    );
     assert!(counter(sweep, "steiner_us").is_some());
+    assert!(counter(sweep, "evaluate_a_us").is_some());
     assert_eq!(
         counter(child(root, "cache_lookup").unwrap(), "hit"),
         Some(0)
@@ -139,6 +145,33 @@ fn traced_solve_returns_pipeline_span_tree() {
         .roundtrip_line(r#"{"cmd":"solve","graph":"karate","solver":"ws-q","q":[0,33]}"#)
         .unwrap();
     assert!(!raw.contains("\"trace\""), "untraced response grew a tree");
+    handle.shutdown();
+}
+
+/// With Q = {0, 33} on karate, root 0 (`ecc_r` 3, `h_Q` 2, so
+/// `B_r` = 15) certifies λ ∈ {4, 8}: the sweep reuses the λ = 4 tree
+/// at λ = 8 instead of calling Steiner again, and the answer is the
+/// untraced one.
+#[test]
+fn traced_solve_reports_reused_steiner_trees() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let q: &[NodeId] = &[0, 33];
+    let (traced, tree) = client
+        .solve_traced("karate", "ws-q", q, None, None, true)
+        .unwrap();
+    let plain = client
+        .solve_opts("karate", "ws-q", q, None, None, true)
+        .unwrap();
+    assert_eq!(plain.connector, traced.connector);
+    assert_eq!(plain.wiener_index, traced.wiener_index);
+
+    let tree = tree.expect("trace:true returns an inline tree");
+    let sweep = child(tree.get("root").unwrap(), "root_sweep").unwrap();
+    let calls = counter(sweep, "steiner_calls").unwrap();
+    let reused = counter(sweep, "steiner_reused").unwrap();
+    assert!(reused > 0, "no reuse in {tree}");
+    assert_eq!(Some(calls + reused), counter(sweep, "candidates"));
     handle.shutdown();
 }
 
