@@ -348,11 +348,7 @@ fn main() {
             &mut r,
         );
     });
-    let weighted_oracle_cmp = comparison(
-        "weighted:oracle_build",
-        wseq_build_ms,
-        wbatched_build_ms,
-    );
+    let weighted_oracle_cmp = comparison("weighted:oracle_build", wseq_build_ms, wbatched_build_ms);
 
     // 9. One ws-q Steiner call vs one BFS on the same graph. The Steiner
     //    side times every (root, λ) call of a |Q| = 8 query through one

@@ -147,7 +147,12 @@ struct Args {
 impl Args {
     /// The workhorse graph spec every self-spawning mode defaults to.
     fn ba_spec(&self) -> String {
-        if self.weighted { "wba:2000x3" } else { "ba:2000x3" }.to_string()
+        if self.weighted {
+            "wba:2000x3"
+        } else {
+            "ba:2000x3"
+        }
+        .to_string()
     }
 }
 
@@ -266,7 +271,9 @@ fn parse_cli() -> Args {
     if args.weighted && !args.graphs.is_empty() {
         // Explicit specs override the workload defaults; pass wfile:/wba:
         // sources directly instead of combining them with the flag.
-        eprintln!("--weighted picks the default weighted workload; with --graph, use wba:/wfile: specs");
+        eprintln!(
+            "--weighted picks the default weighted workload; with --graph, use wba:/wfile: specs"
+        );
         usage();
     }
     if args.graphs.is_empty() && !args.router {

@@ -69,7 +69,10 @@ pub fn objective_a_best_root(g: &Graph, vertices: &[NodeId]) -> Result<Option<(N
         for (lane, &local) in sources.iter().enumerate() {
             let (sum, reached) = match delta.as_ref() {
                 Some(ws) => ws.distance_sum(lane),
-                None => bfs.as_ref().expect("one kernel is leased").distance_sum(lane),
+                None => bfs
+                    .as_ref()
+                    .expect("one kernel is leased")
+                    .distance_sum(lane),
             };
             if reached != k {
                 return Ok(None);

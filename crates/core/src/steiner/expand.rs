@@ -21,10 +21,10 @@ pub(crate) fn mst_then_prune<W>(
     terms: &[NodeId],
     nodes: &[NodeId],
     edges: &[(NodeId, NodeId)],
-    weight: W,
+    mut weight: W,
 ) -> SteinerTree
 where
-    W: Fn(NodeId, NodeId) -> f64,
+    W: FnMut(NodeId, NodeId) -> f64,
 {
     let local = |v: NodeId| {
         nodes

@@ -36,21 +36,62 @@
 //!   lexicographically wins, with `u < v` its endpoints;
 //! - both MSTs sort their edges by `(w, u, v)`.
 //!
-//! ws-q relies on this. Every decision above compares path sums (settled
-//! and tentative distances, crossing offers and their floors, MST edge
-//! weights) with `<` or `==`, and breaks ties by vertex id; the radix
-//! queue's buckets change how fast it finds the next `(key, id)`, not
-//! which one it is. Under ws-q's reweighting with λ a power of two those
-//! sums are exact, and for large λ they order like the λ-free
-//! lexicographic order on (hops, distance sum), so the tree stops
-//! depending on λ. `wsq::lexicographic_regime` proves this, and ws-q
-//! reuses one tree across those λ. A change that lets a key decide
-//! anything other than through such a comparison (rounding it, say)
-//! would break that reuse.
-//!
 //! Buffers live in a [`SteinerWorkspace`]: Algorithm 1 calls this once per
 //! `(root, λ)` candidate, so a root sweep holds one workspace for all of
 //! its calls and no per-call `O(|V|)` allocation or reset remains.
+//!
+//! # Which larger λ repeat a ws-q run
+//!
+//! ws-q's instance `G_{r,λ}` costs edge `(u, v)` at `λ + m/λ` for an
+//! integer `m = m(u, v)` ([`lambda_steiner_with`](super::lambda_steiner_with)),
+//! so a path of `k` edges costs `kλ + M/λ`, `M` the sum of its `m`. Every
+//! key the run compares is such a sum: settled and tentative distances,
+//! crossing offers and their floors, and the weights both MSTs sort. A run
+//! at `λ = 2^t` keeps the hop count `k` of each label and reads
+//! `M = key·λ − k·λ²` back from the key. Besides its tree it returns
+//! [`Repeats`]: the larger λ' at which the same call makes every decision
+//! the same way, so that `nodes` and `edges` repeat (`total_weight` does
+//! not, and ws-q never reads it).
+//!
+//! *One decision.* A comparison the run makes has a winner `X ≤ Y` at λ.
+//! At λ', `Y − X = (Δk·λ'² + ΔM)/λ'` with `Δk = k_Y − k_X` and
+//! `ΔM = M_Y − M_X`. If `k_X ≤ k_Y` this only grows with λ', so `X` still
+//! wins: strictly, or on the same id tie-break when the `(k, M)` pairs are
+//! equal. If `k_X > k_Y`, `X` still wins strictly while
+//! `(k_X − k_Y)·λ'² < ΔM`; the run keeps the tightest such bound on λ'².
+//! A tie at λ between unequal pairs has `ΔM = (k_X − k_Y)·λ²`, which admits
+//! no larger λ'. So almost every check is one comparison of hop counts.
+//!
+//! *The decisions checked.*
+//! - Voronoi: a settled non-terminal `v` keeps as parent the neighbour `u`
+//!   minimizing `(d(u) + w(u, v), d(u), id(u))`. Each edge is checked once,
+//!   when its second endpoint settles (the branch that makes crossing
+//!   offers): each endpoint's label against the other endpoint's offer.
+//!   Two equal offer pairs come from senders with equal hop counts, whose
+//!   distances then order by `M` alone at every λ. Labels meeting these
+//!   conditions at λ' satisfy Bellman's equations there, so they are the
+//!   shortest-path labels, and the λ' run computes the same labels,
+//!   parents and sources.
+//! - Crossing table: every offer that lost to the held edge, floor-skipped
+//!   offers included (compared on their exact `(k, M)`), and every
+//!   replacement against what it replaced. By transitivity the final edge
+//!   is still each pair's `(w, u, v)` minimum at λ'.
+//! - Terminal MST: consecutive edges of Kruskal's sorted order.
+//!
+//! Expansion, the subgraph MST (single edges, which order by `m` alone)
+//! and pruning do not depend on λ.
+//!
+//! *Exactness.* The argument needs every key to be an exact f64, at λ and
+//! at λ'. A key sums `k ≤ 2h + 1` edges, `h` the largest label hop count,
+//! with `M ≤ k·m_max`, `m_max` the largest `m` the run met. At
+//! `λ' = 2^{t'} ≥ 1` it is the integer `kλ'² + M` times `2^{-t'}`, exact
+//! while `(2h + 1)·(λ'² + m_max) < 2^53`, which caps the certificate; the
+//! run at λ itself must pass the same test (below 1, in units of λ). Hop
+//! counts are kept in 16 bits, and a run whose labels saturate them
+//! certifies nothing. So do runs at any other λ: [`Repeats::NONE`].
+//!
+//! A change that lets a key decide anything other than through such a
+//! comparison (rounding it, say) must add its decision to the certificate.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -145,7 +186,7 @@ const SETTLED: u8 = u8::MAX;
 const BUCKETS: usize = 65;
 
 /// Terminal count up to which the crossing table is a dense `|T|×|T|`
-/// array (16 bytes an entry, 256 KiB at the limit); larger terminal sets
+/// array (24 bytes an entry, 384 KiB at the limit); larger terminal sets
 /// fall back to a hash map so a huge query cannot allocate `|T|²`.
 const DENSE_CROSSING_TERMINALS: usize = 128;
 
@@ -162,9 +203,14 @@ struct VertexState {
     /// Neighbours in the vertex's radix bucket list while it is queued.
     prev: NodeId,
     next: NodeId,
+    /// Edges on the parent path to the nearest terminal, saturating.
+    hops: u16,
     /// Radix bucket while queued, [`SETTLED`] once popped.
     slot: u8,
 }
+
+// `hops` rides in what was padding: the state stays half a cache line.
+const _: () = assert!(std::mem::size_of::<VertexState>() == 32);
 
 /// Radix bucket of `key` relative to the last popped key `last ≤ key`.
 fn bucket_of(key: u64, last: u64) -> u8 {
@@ -316,6 +362,8 @@ struct Crossing {
     /// Graph edge realizing it, `u < v`; `u == NO_NODE` marks "none yet".
     u: NodeId,
     v: NodeId,
+    /// Edges on the terminal-to-terminal path `w` sums.
+    hops: u32,
 }
 
 impl Crossing {
@@ -323,6 +371,7 @@ impl Crossing {
         w: f64::INFINITY,
         u: NO_NODE,
         v: NO_NODE,
+        hops: 0,
     };
 
     /// Whether `self` replaces `held`: lexicographically smaller
@@ -355,24 +404,49 @@ impl CrossingTable {
         }
     }
 
-    /// Offers the crossing edge `(u, v)`, `u < v`, for terminal pair
-    /// `(a, b)`. Its weight `w()` is at least `floor = d(u) + d(v)` (f64
-    /// addition of a non-negative term never rounds below the other
-    /// operand), so when the held edge already weighs less than `floor`
-    /// the offer cannot win and `w` is never evaluated.
-    fn offer(&mut self, a: u32, b: u32, floor: f64, u: NodeId, v: NodeId, w: impl FnOnce() -> f64) {
+    /// Offers the crossing edge between the settled vertices `x` and `y`
+    /// of Voronoi regions `a` and `b`, each given as `(id, distance,
+    /// hops)`. Its weight is at least `floor = d(x) + d(y)` (f64 addition
+    /// of a non-negative term never rounds below the other operand), so
+    /// when the held edge already weighs less than `floor` the offer cannot
+    /// win and its weight is never evaluated, unless `costs` needs it to
+    /// record the decision.
+    fn offer<C: Costs>(
+        &mut self,
+        costs: &mut C,
+        (a, b): (u32, u32),
+        x: (NodeId, f64, u16),
+        y: (NodeId, f64, u16),
+    ) {
         let (a, b) = (a.min(b), a.max(b));
+        let ((u, du, ku), (v, dv, kv)) = if x.0 < y.0 { (x, y) } else { (y, x) };
         let held = if self.terms <= DENSE_CROSSING_TERMINALS {
             &mut self.dense[a as usize * self.terms + b as usize]
         } else {
             self.sparse.entry((a, b)).or_insert(Crossing::NONE)
         };
-        if held.u != NO_NODE && held.w < floor {
+        let hops = ku as u32 + kv as u32 + 1;
+        let weigh = |costs: &mut C| du + costs.cost(u, v) + dv;
+        if held.u != NO_NODE && held.w < du + dv {
+            if C::CERTIFIES && held.hops > hops {
+                let w = weigh(costs);
+                costs.decided((held.w, held.hops), (w, hops));
+            }
             return;
         }
-        let c = Crossing { w: w(), u, v };
+        let c = Crossing {
+            w: weigh(costs),
+            u,
+            v,
+            hops,
+        };
         if c.beats(held) {
+            if held.u != NO_NODE {
+                costs.decided((c.w, hops), (held.w, held.hops));
+            }
             *held = c;
+        } else {
+            costs.decided((held.w, held.hops), (c.w, hops));
         }
     }
 
@@ -400,6 +474,165 @@ impl CrossingTable {
             out.extend(self.sparse.iter().map(|(&(a, b), c)| (c.w, a, b)));
         }
     }
+}
+
+/// Where a Mehlhorn run gets its edge costs, and what it records about
+/// its own decisions: [`Plain`] wraps a weight closure and records
+/// nothing; [`Dyadic`] is ws-q's `λ + m/λ` at `λ = 2^t` and certifies.
+trait Costs {
+    /// Whether the run reports its decisions.
+    const CERTIFIES: bool;
+
+    fn cost(&mut self, u: NodeId, v: NodeId) -> f64;
+
+    /// A vertex whose label has `hops` edges settled.
+    fn settled(&mut self, _hops: u16) {}
+
+    /// A decision: the key `win.0`, a path sum of `win.1` edges, beat
+    /// `lose.0` of `lose.1` edges, `win.0 ≤ lose.0` (a tie won on ids).
+    fn decided(&mut self, _win: (f64, u32), _lose: (f64, u32)) {}
+}
+
+/// Costs from a closure; certifies nothing and costs nothing extra.
+struct Plain<W>(W);
+
+impl<W: Fn(NodeId, NodeId) -> f64> Costs for Plain<W> {
+    const CERTIFIES: bool = false;
+
+    #[inline]
+    fn cost(&mut self, u: NodeId, v: NodeId) -> f64 {
+        (self.0)(u, v)
+    }
+}
+
+/// `λ + m(u, v)/λ` at `λ = 2^t`, collecting the run's certificate.
+struct Dyadic<M> {
+    m: M,
+    t: i32,
+    lambda: f64,
+    /// `1/λ`, exact, so `m · inv_lambda` is bit for bit `m / λ`.
+    inv_lambda: f64,
+    lambda_sq: f64,
+    /// Largest λ'² every decision so far allows.
+    lim: u64,
+    /// Largest label hop count and edge `m` met, for the exactness cap.
+    hops_max: u16,
+    m_max: u32,
+}
+
+impl<M> Dyadic<M> {
+    fn new(m: M, t: i32) -> Self {
+        let lambda = 2f64.powi(t);
+        Dyadic {
+            m,
+            t,
+            lambda,
+            inv_lambda: 2f64.powi(-t),
+            lambda_sq: lambda * lambda,
+            lim: u64::MAX,
+            hops_max: 0,
+            m_max: 0,
+        }
+    }
+
+    /// `M` of a key summing `hops` edges. Exact keys give it exactly; an
+    /// inexact run is refused by `repeats` whatever this returns.
+    fn m_of(&self, (key, hops): (f64, u32)) -> i64 {
+        (key * self.lambda - hops as f64 * self.lambda_sq) as i64
+    }
+
+    /// Bounds λ'² for a winner with more hops: it keeps winning strictly
+    /// while `(k_win − k_lose)·λ'² < M_lose − M_win`.
+    #[cold]
+    #[inline(never)]
+    fn bound(&mut self, win: (f64, u32), lose: (f64, u32)) {
+        let dm = self.m_of(lose).saturating_sub(self.m_of(win));
+        let dk = i64::from(win.1 - lose.1);
+        self.lim = if dm > 0 {
+            self.lim.min(((dm - 1) / dk) as u64)
+        } else {
+            0
+        };
+    }
+
+    /// The certificate: every bound recorded, capped where keys stop being
+    /// exact.
+    fn repeats(&self) -> Repeats {
+        const EXACT: u128 = 1 << 53;
+        if self.hops_max == u16::MAX || self.t.abs() > 26 {
+            return Repeats::NONE;
+        }
+        let k = 2 * self.hops_max as u128 + 1;
+        let m = self.m_max as u128;
+        let here = if self.t >= 0 {
+            (1u128 << (2 * self.t)) + m
+        } else {
+            1 + (m << (-2 * self.t))
+        };
+        if k * here >= EXACT {
+            return Repeats::NONE;
+        }
+        let cap = ((EXACT - 1) / k).saturating_sub(m) as u64;
+        Repeats {
+            t: self.t,
+            max_sq: self.lim.min(cap),
+        }
+    }
+}
+
+impl<M: Fn(NodeId, NodeId) -> u32> Costs for Dyadic<M> {
+    const CERTIFIES: bool = true;
+
+    #[inline]
+    fn cost(&mut self, u: NodeId, v: NodeId) -> f64 {
+        let m = (self.m)(u, v);
+        self.m_max = self.m_max.max(m);
+        self.lambda + m as f64 * self.inv_lambda
+    }
+
+    #[inline]
+    fn settled(&mut self, hops: u16) {
+        self.hops_max = self.hops_max.max(hops);
+    }
+
+    #[inline]
+    fn decided(&mut self, win: (f64, u32), lose: (f64, u32)) {
+        if win.1 > lose.1 {
+            self.bound(win, lose);
+        }
+    }
+}
+
+/// The larger λ at which a ws-q Mehlhorn run provably repeats, decision
+/// for decision, so that a fresh call there returns the same `nodes` and
+/// `edges` (see the module doc). Returned by
+/// [`lambda_steiner_with`](super::lambda_steiner_with).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Repeats {
+    /// The run's λ is `2^t`.
+    t: i32,
+    /// Largest λ'² covered.
+    max_sq: u64,
+}
+
+impl Repeats {
+    /// Covers no λ.
+    pub const NONE: Repeats = Repeats { t: 0, max_sq: 0 };
+
+    /// Whether the run repeats at `lambda`: a power of two `≥ 1`, above
+    /// the run's λ and within its bound.
+    pub fn covers(&self, lambda: f64) -> bool {
+        dyadic_exponent(lambda)
+            .is_some_and(|t| t > self.t && (0..=26).contains(&t) && 1u64 << (2 * t) <= self.max_sq)
+    }
+}
+
+/// `t` when `λ = 2^t` exactly (positive and normal).
+pub(crate) fn dyadic_exponent(lambda: f64) -> Option<i32> {
+    let bits = lambda.to_bits();
+    // A set sign bit puts the biased exponent out of range.
+    let biased = (bits >> 52) as i32;
+    (bits & ((1 << 52) - 1) == 0 && (1..2047).contains(&biased)).then_some(biased - 1023)
 }
 
 /// Reusable buffers for [`mehlhorn_steiner_with`].
@@ -457,10 +690,7 @@ impl SteinerWorkspace {
 
     /// Steps 1–2: grows the Voronoi regions of `self.terms` and fills the
     /// crossing table as each crossing edge's second endpoint settles.
-    fn voronoi<W>(&mut self, g: &Graph, weight: &W, gen: u32)
-    where
-        W: Fn(NodeId, NodeId) -> f64,
-    {
+    fn voronoi<C: Costs>(&mut self, g: &Graph, costs: &mut C, gen: u32) {
         let SteinerWorkspace {
             states,
             queue,
@@ -480,6 +710,7 @@ impl SteinerWorkspace {
                 stamp: gen,
                 prev: NO_NODE,
                 next: NO_NODE,
+                hops: 0,
                 slot: 0,
             };
             queue.ready.push(t);
@@ -488,23 +719,34 @@ impl SteinerWorkspace {
             let VertexState {
                 dist: du,
                 source: su,
+                hops: ku,
                 ..
             } = states[u as usize];
+            costs.settled(ku);
+            let kv_new = ku.saturating_add(1);
             for &v in g.neighbors(u) {
                 let sv = states[v as usize];
                 if sv.stamp == gen && sv.slot == SETTLED {
                     // Both endpoints settled: `(u, v)`'s distances are
-                    // final, so a crossing edge is complete now.
+                    // final, so a crossing edge is complete now, and each
+                    // label has beaten the other endpoint's offer (a
+                    // parent's offer is the label, one hop short).
+                    if C::CERTIFIES && ku.abs_diff(sv.hops) > 1 {
+                        let (ku, kv) = (ku as u32, sv.hops as u32);
+                        if ku > kv {
+                            let offer = sv.dist + costs.cost(v, u);
+                            costs.decided((du, ku), (offer, kv + 1));
+                        } else {
+                            let offer = du + costs.cost(u, v);
+                            costs.decided((sv.dist, kv), (offer, ku + 1));
+                        }
+                    }
                     if sv.source != su {
-                        let (lo, hi) = (u.min(v), u.max(v));
-                        let (dlo, dhi) = if u < v { (du, sv.dist) } else { (sv.dist, du) };
-                        crossing.offer(su, sv.source, du + sv.dist, lo, hi, || {
-                            dlo + weight(lo, hi) + dhi
-                        });
+                        crossing.offer(costs, (su, sv.source), (u, du, ku), (v, sv.dist, sv.hops));
                     }
                     continue;
                 }
-                let w = weight(u, v);
+                let w = costs.cost(u, v);
                 debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
                 let cand = du + w;
                 if sv.stamp == gen {
@@ -513,6 +755,7 @@ impl SteinerWorkspace {
                         s.dist = cand;
                         s.parent = u;
                         s.source = su;
+                        s.hops = kv_new;
                         queue.decrease(states, v, cand.to_bits());
                     }
                 } else if cand < f64::INFINITY {
@@ -523,6 +766,7 @@ impl SteinerWorkspace {
                         stamp: gen,
                         prev: NO_NODE,
                         next: NO_NODE,
+                        hops: kv_new,
                         slot: 0,
                     };
                     queue.insert(states, v, cand.to_bits());
@@ -598,6 +842,35 @@ pub fn mehlhorn_steiner_with<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
+    mehlhorn_run(ws, g, terminals, &mut Plain(weight))
+}
+
+/// [`mehlhorn_steiner_with`] under ws-q's cost `λ + m(u, v)/λ` at
+/// `λ = 2^t`, certifying as it runs: the tree, and the larger λ at which
+/// the same call repeats it (see the module doc). The tree equals
+/// `mehlhorn_steiner_with`'s under the closure `λ + m(u, v) as f64 / λ`.
+pub(crate) fn mehlhorn_dyadic<M>(
+    ws: &mut SteinerWorkspace,
+    g: &Graph,
+    terminals: &[NodeId],
+    t: i32,
+    m: M,
+) -> Result<(SteinerTree, Repeats)>
+where
+    M: Fn(NodeId, NodeId) -> u32,
+{
+    let mut costs = Dyadic::new(m, t);
+    let tree = mehlhorn_run(ws, g, terminals, &mut costs)?;
+    Ok((tree, costs.repeats()))
+}
+
+/// The one Mehlhorn implementation, generic over where costs come from.
+fn mehlhorn_run<C: Costs>(
+    ws: &mut SteinerWorkspace,
+    g: &Graph,
+    terminals: &[NodeId],
+    costs: &mut C,
+) -> Result<SteinerTree> {
     ws.terms.clear();
     ws.terms.extend_from_slice(terminals);
     ws.terms.sort_unstable();
@@ -614,7 +887,7 @@ where
 
     // Steps 1–2: Voronoi partition and the crossing table, in one pass.
     let gen = ws.begin(g.num_nodes());
-    ws.voronoi(g, &weight, gen);
+    ws.voronoi(g, costs, gen);
 
     // Step 3: MST over the terminal distance graph.
     ws.term_edges.clear();
@@ -622,6 +895,14 @@ where
     let (term_mst, _) = kruskal(ws.terms.len(), &mut ws.term_edges);
     if term_mst.len() + 1 != ws.terms.len() {
         return Err(CoreError::QueryNotConnectable);
+    }
+    if C::CERTIFIES {
+        // Kruskal's picks follow from its sorted order.
+        for pair in ws.term_edges.windows(2) {
+            let [(w0, a0, b0), (w1, a1, b1)] = [pair[0], pair[1]];
+            let (k0, k1) = (ws.crossing.get(a0, b0).hops, ws.crossing.get(a1, b1).hops);
+            costs.decided((w0, k0), (w1, k1));
+        }
     }
 
     // Step 4: expand each terminal-MST edge into its graph path.
@@ -633,7 +914,7 @@ where
         &ws.terms,
         &ws.sub_nodes,
         &ws.sub_edges,
-        &weight,
+        |u, v| costs.cost(u, v),
     ))
 }
 
@@ -797,22 +1078,70 @@ mod tests {
 
     #[test]
     fn crossing_ties_pick_the_smallest_edge() {
+        let mut costs = Plain(|u: NodeId, v: NodeId| match (u, v) {
+            (1, 2) => 1.0,
+            (0, 1) => unreachable!("pruned by its floor"),
+            _ => 4.0,
+        });
         let mut t = CrossingTable::default();
         for terms in [3, DENSE_CROSSING_TERMINALS + 1] {
             t.reset(terms);
-            for (a, b, w, u, v) in [(2, 0, 4.0, 9, 12), (0, 2, 4.0, 7, 20), (0, 2, 4.0, 7, 30)] {
-                t.offer(a, b, 0.0, u, v, || w);
+            for (a, b, x, y) in [(2, 0, 12, 9), (0, 2, 7, 20), (0, 2, 30, 7)] {
+                t.offer(&mut costs, (a, b), (x, 0.0, 0), (y, 0.0, 0));
             }
             // Floors at or below the held weight are evaluated; one above
             // it never calls the weight.
-            t.offer(0, 2, 4.0, 1, 2, || 5.0);
-            t.offer(0, 2, 4.5, 0, 1, || unreachable!("pruned by its floor"));
+            t.offer(&mut costs, (0, 2), (1, 2.0, 0), (2, 2.0, 0));
+            t.offer(&mut costs, (0, 2), (0, 2.0, 0), (1, 2.5, 0));
             let c = t.get(0, 2);
             assert_eq!((c.w, c.u, c.v), (4.0, 7, 20), "terms = {terms}");
             let mut edges = Vec::new();
             t.edges_into(&mut edges);
             assert_eq!(edges, vec![(4.0, 0, 2)]);
         }
+    }
+
+    #[test]
+    fn decisions_bound_the_certificate() {
+        let m = |_: NodeId, _: NodeId| 0;
+        // At λ = 1 a 2-edge key 2 (M = 0) beat a 1-edge key 41 (M = 40):
+        // it keeps winning while λ'² < 40, so up to λ' = 4.
+        let mut d = Dyadic::new(m, 0);
+        d.decided((2.0, 2), (41.0, 1));
+        d.decided((41.0, 1), (50.0, 3)); // fewer hops: no bound
+        let covered: Vec<f64> = [0.5, 1.0, 2.0, 3.0, 4.0, 8.0]
+            .into_iter()
+            .filter(|&l| d.repeats().covers(l))
+            .collect();
+        assert_eq!(covered, vec![2.0, 4.0]);
+        // A tie won by the longer path admits no larger λ.
+        d.decided((3.0, 2), (3.0, 1));
+        assert_eq!(d.repeats().max_sq, 0);
+        // λ = 1/2: keys are k/2 + 2M; 3-edge 1.5 (M = 0) beat 1-edge 4.5
+        // (M = 2), so λ'² < 1 and nothing larger repeats.
+        let mut d = Dyadic::new(m, -1);
+        d.decided((1.5, 3), (4.5, 1));
+        assert!(!d.repeats().covers(1.0));
+        // Without bounds the exactness cap rules: (2·h + 1)·(λ'² + m_max)
+        // must stay below 2^53.
+        let mut d = Dyadic::new(m, 0);
+        d.hops_max = 3;
+        d.m_max = 1 << 30;
+        let cap = (((1u64 << 53) - 1) / 7) - (1 << 30);
+        assert_eq!(d.repeats().max_sq, cap);
+        assert!(d.repeats().covers((1u64 << 25) as f64));
+        assert!(!d.repeats().covers((1u64 << 26) as f64));
+        d.hops_max = u16::MAX;
+        assert_eq!(d.repeats(), Repeats::NONE);
+        // Only powers of two ≥ 1 above the run's λ are ever covered.
+        let d = Dyadic::new(m, 1);
+        let r = d.repeats();
+        assert!(r.covers(4.0) && !r.covers(2.0) && !r.covers(1.0) && !r.covers(6.0));
+        for lambda in [f64::INFINITY, f64::NAN, -4.0, 0.0] {
+            assert!(!r.covers(lambda), "λ = {lambda}");
+        }
+        assert_eq!(dyadic_exponent(0.5), Some(-1));
+        assert_eq!(dyadic_exponent(1.5), None);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub mod unionfind;
 
 pub use klein_ravi::klein_ravi;
 pub use kmb::kou_markowsky_berman;
-pub use mehlhorn::{mehlhorn_steiner, mehlhorn_steiner_with, SteinerTree, SteinerWorkspace};
+pub use mehlhorn::{
+    mehlhorn_steiner, mehlhorn_steiner_with, Repeats, SteinerTree, SteinerWorkspace,
+};
 pub use mst::{kruskal, WeightedEdge};
 pub use takahashi::takahashi_matsuyama;
 pub use unionfind::UnionFind;
@@ -26,6 +28,7 @@ pub use unionfind::UnionFind;
 use mwc_graph::{Graph, NodeId};
 
 use crate::error::Result;
+use crate::steiner::mehlhorn::{dyadic_exponent, mehlhorn_dyadic};
 
 /// Which Steiner subroutine to run (all are `2(1 − 1/|Q|)`-approximations,
 /// so Algorithm 1's guarantee holds with any of them).
@@ -53,7 +56,13 @@ pub fn steiner_tree<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
-    steiner_tree_with(&mut SteinerWorkspace::new(), algorithm, g, terminals, weight)
+    steiner_tree_with(
+        &mut SteinerWorkspace::new(),
+        algorithm,
+        g,
+        terminals,
+        weight,
+    )
 }
 
 /// [`steiner_tree`] with Mehlhorn's buffers reused from `ws` (the other
@@ -72,6 +81,39 @@ where
         SteinerAlgorithm::Mehlhorn => mehlhorn_steiner_with(ws, g, terminals, weight),
         SteinerAlgorithm::KouMarkowskyBerman => kou_markowsky_berman(g, terminals, weight),
         SteinerAlgorithm::TakahashiMatsuyama => takahashi_matsuyama(g, terminals, weight),
+    }
+}
+
+/// Algorithm 1's per-`(root, λ)` instance `G_{r,λ}` (Lemma 4): a Steiner
+/// tree for `terminals` under the edge cost `λ + m(u, v)/λ`, where `m` is a
+/// symmetric integer per edge (ws-q's `max(d_G(r, u), d_G(r, v))`).
+///
+/// Also returns the larger λ at which the same call provably returns the
+/// same `nodes` and `edges`, so a sweep over an ascending λ grid can reuse
+/// the tree there. Only Mehlhorn runs at `λ = 2^t` certify anything (the
+/// proof is in the [`mehlhorn`] module doc); the other algorithms and λ
+/// return [`Repeats::NONE`]. Trees equal [`steiner_tree_with`]'s under the
+/// closure `λ + m(u, v) as f64 / λ`.
+pub fn lambda_steiner_with<M>(
+    ws: &mut SteinerWorkspace,
+    algorithm: SteinerAlgorithm,
+    g: &Graph,
+    terminals: &[NodeId],
+    lambda: f64,
+    m: M,
+) -> Result<(SteinerTree, Repeats)>
+where
+    M: Fn(NodeId, NodeId) -> u32,
+{
+    match dyadic_exponent(lambda) {
+        Some(t) if algorithm == SteinerAlgorithm::Mehlhorn => {
+            mehlhorn_dyadic(ws, g, terminals, t, m)
+        }
+        _ => {
+            let weight = |u: NodeId, v: NodeId| lambda + m(u, v) as f64 / lambda;
+            let tree = steiner_tree_with(ws, algorithm, g, terminals, weight)?;
+            Ok((tree, Repeats::NONE))
+        }
     }
 }
 

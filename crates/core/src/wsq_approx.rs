@@ -10,8 +10,9 @@
 //!   per query vertex, `O(|Q| (|V| + |E|))` per solve) are replaced by
 //!   landmark estimates (`O(|Q| · k · |V|)` scans against a `k`-landmark
 //!   oracle built once per graph and shared across queries);
-//! * the `G_{r,λ}` reweighting, λ sweep, Steiner solves, and Remark 1
-//!   candidate selection are unchanged;
+//! * the `G_{r,λ}` reweighting, λ sweep, Steiner solves (with the same
+//!   reuse of a certified run across larger λ), and Remark 1 candidate
+//!   selection are unchanged;
 //! * `AdjustDistances` is skipped — it needs an exact BFS tree from the
 //!   root, which is precisely what this variant avoids. The theoretical
 //!   guarantee consequently degrades from a constant factor to a
@@ -25,14 +26,16 @@
 
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
 use mwc_graph::traversal::bfs::WorkspacePool;
-use mwc_graph::wiener;
 use mwc_graph::{Graph, NodeId, INF_DIST};
 use rand::Rng;
 
 use crate::connector::Connector;
 use crate::error::{CoreError, Result};
-use crate::steiner::{steiner_tree_with, SteinerAlgorithm, SteinerWorkspace};
-use crate::wsq::{evaluate_a, lambda_grid, normalize_query, CandidateRecord, WsqSolution};
+use crate::steiner::{lambda_steiner_with, Repeats, SteinerAlgorithm, SteinerWorkspace};
+use crate::wsq::{
+    better, evaluate_a, evaluate_exact, lambda_grid, normalize_query, reuse_candidate,
+    CandidateRecord, EvaluatedCandidate, WsqSolution,
+};
 
 /// Configuration of the approximate solver.
 #[derive(Debug, Clone)]
@@ -185,82 +188,20 @@ pub fn solve_with_oracle(
         }
     }
 
-    let lambdas = lambda_grid(g.num_nodes(), config.beta);
-    // Batched root estimates: one pass over the landmark matrix serves
-    // every root (identical values to per-root `estimate_all` calls).
-    let root_dists = if config.batch {
-        Some(oracle.estimate_all_multi(&q))
-    } else {
-        None
-    };
-    let mut all: Vec<(CandidateRecord, Vec<NodeId>)> = Vec::new();
-    // One Steiner workspace serves the whole (root, λ) loop.
-    let mut steiner_ws = SteinerWorkspace::new();
-    for (ri, &r) in q.iter().enumerate() {
-        let per_root;
-        let dist_r: &[u32] = match &root_dists {
-            Some(d) => &d[ri],
-            None => {
-                per_root = oracle.estimate_all(r);
-                &per_root
-            }
-        };
-        for &lambda in &lambdas {
-            let weight = |u: NodeId, v: NodeId| {
-                // Unreachable vertices never appear on used paths (the
-                // feasibility check passed); saturate defensively.
-                let d = dist_r[u as usize].max(dist_r[v as usize]);
-                let d = if d == INF_DIST {
-                    g.num_nodes() as u32
-                } else {
-                    d
-                };
-                lambda + d as f64 / lambda
-            };
-            let tree = steiner_tree_with(&mut steiner_ws, config.steiner, g, &q, weight)?;
-            let nodes = tree.nodes;
-            let a_value = evaluate_a(g, &nodes, r, pool, config.kernel)?;
-            all.push((
-                CandidateRecord {
-                    root: r,
-                    lambda,
-                    size: nodes.len(),
-                    a_value,
-                    wiener: None,
-                },
-                nodes,
-            ));
-        }
-    }
-
+    let mut all = candidates(g, oracle, config, &q, pool)?;
     // Remark 1 selection, identical to the exact solver: Lemma 1 rules
     // out candidates with A > 2 · min A; the survivors get exact W.
-    let min_a = all.iter().map(|(rec, _)| rec.a_value).min().unwrap_or(0);
-    for (rec, nodes) in &mut all {
-        if rec.a_value <= 2 * min_a && nodes.len() <= config.wiener_exact_threshold {
-            let sub = g.induced(nodes)?;
-            // Sequential when the engine is already parallel across
-            // queries (see ApproxWsqConfig::parallel) — never nest pools.
-            rec.wiener = if config.parallel {
-                wiener::wiener_index(sub.graph())
-            } else {
-                wiener::wiener_index_sequential(sub.graph())
-            };
-        }
-    }
+    evaluate_exact(
+        g,
+        &mut all,
+        config.wiener_exact_threshold,
+        config.parallel,
+        None,
+    )?;
     let num_candidates = all.len();
-    let mut best: Option<(CandidateRecord, Vec<NodeId>)> = None;
+    let mut best: Option<EvaluatedCandidate> = None;
     for (rec, nodes) in all {
-        let better = match &best {
-            None => true,
-            Some((cur, _)) => match (rec.wiener, cur.wiener) {
-                (Some(a), Some(b)) => a < b,
-                (Some(a), None) => a < cur.a_value,
-                (None, Some(b)) => rec.a_value / 2 < b && rec.a_value < cur.a_value,
-                (None, None) => rec.a_value < cur.a_value,
-            },
-        };
-        if better {
+        if best.as_ref().is_none_or(|(cur, _)| better(&rec, cur)) {
             best = Some((rec, nodes));
         }
     }
@@ -279,6 +220,74 @@ pub fn solve_with_oracle(
         num_candidates,
         trace: Vec::new(),
     })
+}
+
+/// The `(root, λ)` candidates of a feasible, normalized query: the
+/// Steiner tree under the estimated reweighting and its `A(H, r)`, in root
+/// then λ order, with no exact W yet.
+fn candidates(
+    g: &Graph,
+    oracle: &LandmarkOracle,
+    config: &ApproxWsqConfig,
+    q: &[NodeId],
+    pool: &WorkspacePool,
+) -> Result<Vec<EvaluatedCandidate>> {
+    let lambdas = lambda_grid(g.num_nodes(), config.beta);
+    // Batched root estimates: one pass over the landmark matrix serves
+    // every root (identical values to per-root `estimate_all` calls).
+    let root_dists = if config.batch {
+        Some(oracle.estimate_all_multi(q))
+    } else {
+        None
+    };
+    let n = g.num_nodes() as u32;
+    let mut all: Vec<EvaluatedCandidate> = Vec::new();
+    // One Steiner workspace serves the whole (root, λ) loop.
+    let mut steiner_ws = SteinerWorkspace::new();
+    for (ri, &r) in q.iter().enumerate() {
+        let per_root;
+        let dist_r: &[u32] = match &root_dists {
+            Some(d) => &d[ri],
+            None => {
+                per_root = oracle.estimate_all(r);
+                &per_root
+            }
+        };
+        let m = |u: NodeId, v: NodeId| {
+            // Unreachable vertices never appear on used paths (the
+            // feasibility check passed); saturate defensively.
+            let d = dist_r[u as usize].max(dist_r[v as usize]);
+            if d == INF_DIST {
+                n
+            } else {
+                d
+            }
+        };
+        // The root's last Steiner call: its candidate's index in `all`,
+        // and the larger λ at which it repeats.
+        let mut last: Option<(usize, Repeats)> = None;
+        for &lambda in &lambdas {
+            if reuse_candidate(&mut all, last, lambda) {
+                continue;
+            }
+            let (tree, repeats) =
+                lambda_steiner_with(&mut steiner_ws, config.steiner, g, q, lambda, m)?;
+            let nodes = tree.nodes;
+            let a_value = evaluate_a(g, &nodes, r, pool, config.kernel)?;
+            last = Some((all.len(), repeats));
+            all.push((
+                CandidateRecord {
+                    root: r,
+                    lambda,
+                    size: nodes.len(),
+                    a_value,
+                    wiener: None,
+                },
+                nodes,
+            ));
+        }
+    }
+    Ok(all)
 }
 
 #[cfg(test)]
@@ -404,6 +413,88 @@ mod tests {
             assert_eq!(a.connector.vertices(), b.connector.vertices(), "{q:?}");
             assert_eq!(a.wiener_index, b.wiener_index);
         }
+    }
+
+    #[test]
+    fn candidate_stream_matches_the_full_grid() {
+        // Algorithm 1 with estimated distances over the whole λ grid, from
+        // public stages: landmark estimates, a Steiner call per λ under
+        // the weight the solver used to build, `objective_a`, and W for
+        // Lemma 1's survivors. Reused candidates must not show.
+        use crate::objective::objective_a;
+        use crate::steiner::mehlhorn_steiner;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut reused = 0;
+        for weighted in [false, true] {
+            let base = mwc_graph::generators::barabasi_albert(300, 2, &mut rng);
+            let g = if weighted {
+                let edges: Vec<(NodeId, NodeId, u32)> = base
+                    .edges()
+                    .map(|(u, v)| (u, v, (u * 7 + v * 13) % 5 + 1))
+                    .collect();
+                Graph::from_weighted_edges(base.num_nodes(), &edges).unwrap()
+            } else {
+                base
+            };
+            let config = ApproxWsqConfig {
+                parallel: false,
+                ..ApproxWsqConfig::default()
+            };
+            let oracle = LandmarkOracle::build(&g, 8, config.strategy, &mut rng);
+            for _ in 0..4 {
+                let q: Vec<NodeId> = (0..5).map(|_| rng.gen_range(0..300)).collect();
+                let q = normalize_query(&g, &q).unwrap();
+                let mut grid: Vec<EvaluatedCandidate> = Vec::new();
+                for &r in &q {
+                    let est = oracle.estimate_all(r);
+                    let m = |u: NodeId, v: NodeId| match est[u as usize].max(est[v as usize]) {
+                        INF_DIST => g.num_nodes() as u32,
+                        d => d,
+                    };
+                    let mut ws = SteinerWorkspace::new();
+                    let mut last: Option<Repeats> = None;
+                    for lambda in lambda_grid(g.num_nodes(), config.beta) {
+                        let weight = |u: NodeId, v: NodeId| lambda + m(u, v) as f64 / lambda;
+                        let tree = mehlhorn_steiner(&g, &q, weight).unwrap();
+                        let a_value = objective_a(&g, &tree.nodes, r).unwrap().unwrap();
+                        let rec = CandidateRecord {
+                            root: r,
+                            lambda,
+                            size: tree.nodes.len(),
+                            a_value,
+                            wiener: None,
+                        };
+                        grid.push((rec, tree.nodes));
+                        if last.is_some_and(|rep| rep.covers(lambda)) {
+                            reused += 1;
+                        } else {
+                            let alg = SteinerAlgorithm::Mehlhorn;
+                            let (_, rep) =
+                                lambda_steiner_with(&mut ws, alg, &g, &q, lambda, m).unwrap();
+                            last = Some(rep);
+                        }
+                    }
+                }
+                let min_a = grid.iter().map(|(rec, _)| rec.a_value).min().unwrap();
+                for (rec, nodes) in &mut grid {
+                    if rec.a_value <= 2 * min_a {
+                        rec.wiener =
+                            mwc_graph::wiener::wiener_index(g.induced(nodes).unwrap().graph());
+                    }
+                }
+                let pool = WorkspacePool::new();
+                let mut got = candidates(&g, &oracle, &config, &q, &pool).unwrap();
+                evaluate_exact(&g, &mut got, config.wiener_exact_threshold, false, None).unwrap();
+                let key = |(rec, nodes): &EvaluatedCandidate| {
+                    let r = (rec.root, rec.lambda.to_bits(), rec.size, rec.a_value);
+                    (r, rec.wiener, nodes.clone())
+                };
+                let expect: Vec<_> = grid.iter().map(key).collect();
+                assert_eq!(got.iter().map(key).collect::<Vec<_>>(), expect, "{q:?}");
+            }
+        }
+        assert!(reused > 0, "no candidate was reused");
     }
 
     #[test]

@@ -380,8 +380,8 @@ mod tests {
 
     #[test]
     fn weighted_edges_round_trip_with_symmetry() {
-        let g = Graph::from_weighted_edges(4, &[(0, 1, 3), (1, 2, 9), (2, 0, 1), (2, 3, 5)])
-            .unwrap();
+        let g =
+            Graph::from_weighted_edges(4, &[(0, 1, 3), (1, 2, 9), (2, 0, 1), (2, 3, 5)]).unwrap();
         assert!(g.is_weighted());
         assert_eq!(g.num_edges(), 4);
         // Symmetric lookups agree, in both directions.
@@ -400,8 +400,8 @@ mod tests {
 
     #[test]
     fn weighted_duplicates_merge_to_min_and_zero_clamps() {
-        let g = Graph::from_weighted_edges(3, &[(0, 1, 7), (1, 0, 4), (0, 1, 9), (1, 2, 0)])
-            .unwrap();
+        let g =
+            Graph::from_weighted_edges(3, &[(0, 1, 7), (1, 0, 4), (0, 1, 9), (1, 2, 0)]).unwrap();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edge_weight(0, 1), 4);
         assert_eq!(g.edge_weight(1, 2), 1); // zero clamps up to 1

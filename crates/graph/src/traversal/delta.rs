@@ -192,8 +192,7 @@ impl DeltaWorkspace {
                     Some(ws) => {
                         for (&u, &w) in g.neighbors(v).iter().zip(ws) {
                             if w <= delta {
-                                pending +=
-                                    self.relax(u, dv.saturating_add(w), shift, nb) as usize;
+                                pending += self.relax(u, dv.saturating_add(w), shift, nb) as usize;
                             }
                         }
                     }
@@ -479,7 +478,8 @@ impl MsDeltaWorkspace {
                     Some(ws) => {
                         for (&u, &w) in g.neighbors(v).iter().zip(ws) {
                             if w <= delta {
-                                entries += self.relax_lanes(u, &act[..alen], w, shift, nb, lanes, gen);
+                                entries +=
+                                    self.relax_lanes(u, &act[..alen], w, shift, nb, lanes, gen);
                             }
                         }
                     }
@@ -773,8 +773,8 @@ mod tests {
         // reached at 9 via the direct edge, then improved to 2 via vertex
         // 2 — its outgoing edge to 3 must be re-relaxed at the improved
         // distance.
-        let g = Graph::from_weighted_edges(4, &[(0, 1, 9), (0, 2, 1), (2, 1, 1), (1, 3, 1)])
-            .unwrap();
+        let g =
+            Graph::from_weighted_edges(4, &[(0, 1, 9), (0, 2, 1), (2, 1, 1), (1, 3, 1)]).unwrap();
         let mut ws = DeltaWorkspace::new();
         assert_eq!(ws.run_with_delta(&g, 0, 10), &[0, 2, 1, 3]);
     }

@@ -342,7 +342,14 @@ mod tests {
         use super::DijkstraWorkspace;
         let g = Graph::from_weighted_edges(
             6,
-            &[(0, 1, 4), (1, 2, 1), (2, 5, 9), (0, 3, 2), (3, 4, 2), (4, 5, 3)],
+            &[
+                (0, 1, 4),
+                (1, 2, 1),
+                (2, 5, 9),
+                (0, 3, 2),
+                (3, 4, 2),
+                (4, 5, 3),
+            ],
         )
         .unwrap();
         let weight = |u: NodeId, v: NodeId| g.edge_weight(u, v) as f64;
@@ -350,11 +357,11 @@ mod tests {
         for source in [0u32, 3, 5] {
             let expect = dijkstra(&g, source, weight);
             let got = ws.run(&g, source);
-            for v in 0..6usize {
-                if expect.dist[v].is_infinite() {
-                    assert_eq!(got[v], crate::INF_DIST);
+            for (v, (&want, &have)) in expect.dist.iter().zip(got).enumerate() {
+                if want.is_infinite() {
+                    assert_eq!(have, crate::INF_DIST);
                 } else {
-                    assert_eq!(got[v] as f64, expect.dist[v], "source {source} vertex {v}");
+                    assert_eq!(have as f64, want, "source {source} vertex {v}");
                 }
             }
         }

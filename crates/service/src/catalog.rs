@@ -168,7 +168,7 @@ impl GraphSource {
             let k: usize = k.parse().map_err(|_| bad(format!("bad degree {k:?}")))?;
             if n < 2 || k == 0 || max_weight == 0 {
                 return Err(bad(
-                    "wba graph needs n >= 2, k >= 1, max weight >= 1".to_string(),
+                    "wba graph needs n >= 2, k >= 1, max weight >= 1".to_string()
                 ));
             }
             // Same bound the wfile: loader enforces: u32 distance
@@ -242,7 +242,7 @@ pub fn weight_digest(g: &Graph) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
-        h = h.wrapping_mul(0x1_0000_0001_b3);
+        h = h.wrapping_mul(0x0100_0000_01b3);
     };
     for (u, v, w) in g.weighted_edges() {
         mix(u as u64);
@@ -732,10 +732,7 @@ mod tests {
         let unweighted_twin = GraphSource::parse("ba:400x3").unwrap().build().unwrap();
         assert_ne!(
             report.wiener_index,
-            report
-                .connector
-                .wiener_index(&unweighted_twin)
-                .unwrap()
+            report.connector.wiener_index(&unweighted_twin).unwrap()
         );
     }
 
@@ -745,7 +742,9 @@ mod tests {
         let weighted = catalog.load("w", "wba:200x2").unwrap();
         let plain = catalog.load("u", "ba:200x2").unwrap();
         let q = [3u32, 50, 150];
-        weighted.solve("ws-q", &q, &QueryOptions::default()).unwrap();
+        weighted
+            .solve("ws-q", &q, &QueryOptions::default())
+            .unwrap();
         plain.solve("ws-q", &q, &QueryOptions::default()).unwrap();
         let wseeds = weighted.export_cache();
         assert!(wseeds.iter().all(|s| s.weight_digest != 0));

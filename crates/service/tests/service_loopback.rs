@@ -504,7 +504,10 @@ fn weighted_cache_seeds_survive_the_wire() {
     assert!(entries.len() >= queries.len(), "{raw}");
     for e in &entries {
         let digest = e.get("weight_digest").unwrap();
-        assert!(digest.as_str().is_some(), "digest must be a hex string: {e}");
+        assert!(
+            digest.as_str().is_some(),
+            "digest must be a hex string: {e}"
+        );
     }
     exporter.shutdown();
 

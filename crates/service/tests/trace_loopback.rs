@@ -123,9 +123,9 @@ fn traced_solve_returns_pipeline_span_tree() {
     let sweep = child(root, "root_sweep").unwrap();
     assert!(counter(sweep, "roots").unwrap() >= 1);
     assert!(counter(sweep, "lanes").is_some());
-    // Every (root, λ) candidate comes from a Steiner call or from a tree
-    // reused across the certified λ regime (none for this query: only
-    // λ = 8 certifies), its time accumulated across the sweep workers.
+    // Every (root, λ) candidate comes from a Steiner call or is a copy of
+    // the root's last call, reused at a larger λ where that run provably
+    // repeats; Steiner time is accumulated across the sweep workers.
     let steiner_calls = counter(sweep, "steiner_calls").unwrap();
     assert!(steiner_calls >= 1);
     let steiner_reused = counter(sweep, "steiner_reused").unwrap();
@@ -148,10 +148,10 @@ fn traced_solve_returns_pipeline_span_tree() {
     handle.shutdown();
 }
 
-/// With Q = {0, 33} on karate, root 0 (`ecc_r` 3, `h_Q` 2, so
-/// `B_r` = 15) certifies λ ∈ {4, 8}: the sweep reuses the λ = 4 tree
-/// at λ = 8 instead of calling Steiner again, and the answer is the
-/// untraced one.
+/// With Q = {0, 33} on karate, each root's Steiner run at λ = 1/2
+/// provably repeats at every larger λ of the grid, so the sweep reuses
+/// those candidates instead of calling Steiner again, and the answer is
+/// the untraced one.
 #[test]
 fn traced_solve_reports_reused_steiner_trees() {
     let handle = start_server(ServerConfig::default());

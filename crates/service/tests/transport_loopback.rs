@@ -317,7 +317,10 @@ fn weighted_wire_solves_match_direct_engine_calls() {
                 want.connector.vertices(),
                 "{transport:?} q={q:?}"
             );
-            assert_eq!(wire.wiener_index, want.wiener_index, "{transport:?} q={q:?}");
+            assert_eq!(
+                wire.wiener_index, want.wiener_index,
+                "{transport:?} q={q:?}"
+            );
             assert_eq!(wire.candidates, want.candidates, "{transport:?} q={q:?}");
         }
         handle.shutdown();
