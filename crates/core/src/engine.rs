@@ -55,7 +55,7 @@
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -565,7 +565,7 @@ impl<'e> QueryContext<'e> {
     }
 
     /// `true` when the engine is already parallelizing *across* queries
-    /// (inside [`QueryEngine::solve_batch`] workers) and solvers should
+    /// (inside [`QueryEngine::solve_group`] workers) and solvers should
     /// not spawn their own worker threads on top — ws-q's root loop
     /// honors this to avoid `P²` oversubscription.
     pub fn prefer_sequential(&self) -> bool {
@@ -864,10 +864,10 @@ impl ConnectorSolver for ExactSolver {
     }
 }
 
-/// One query of a coalesced window: solver registry name, query set, and
+/// One query of a group: solver registry name, query set, and
 /// per-query options — the heterogeneous unit [`QueryEngine::solve_group`]
-/// accepts (unlike [`QueryEngine::solve_batch`], which runs one solver
-/// over many queries with shared options).
+/// accepts ([`QueryEngine::solve_batch`] builds one per query, all with
+/// the same solver and options).
 #[derive(Debug, Clone)]
 pub struct GroupQuery {
     /// Registry name of the solver to run.
@@ -933,6 +933,23 @@ pub struct GroupOutcome {
     pub results: Vec<Result<SolveReport>>,
     /// What the window shared, deduplicated, and executed.
     pub stats: GroupStats,
+}
+
+/// Most distinct roots one [`QueryEngine::solve_group`] prefetches: two
+/// full multi-source sweeps. The prefetched distance arrays (one `u32`
+/// per vertex per root) live until the group ends, so the cap bounds a
+/// group's memory however many queries it carries.
+const GROUP_PREFETCH_ROOTS: usize = 2 * MS_BFS_LANES;
+
+/// One distinct execution of a [`QueryEngine::solve_group`]: the solver,
+/// canonical query and options it runs with, the input slots it answers,
+/// and whether its report goes into the solve cache.
+struct GroupJob<'q> {
+    solver: &'q str,
+    canonical: Vec<NodeId>,
+    options: &'q QueryOptions,
+    members: Vec<usize>,
+    cache_insert: bool,
 }
 
 /// Best-effort duplication of a solve error, so one shared execution can
@@ -1008,7 +1025,7 @@ pub type OwnedEngine = QueryEngine<'static>;
 ///
 /// Owns the string-keyed solver registry and the state worth amortizing
 /// across queries (see the [module docs](self)). Shareable across threads
-/// (`&QueryEngine` is `Send + Sync`); [`Self::solve_batch`] exploits that
+/// (`&QueryEngine` is `Send + Sync`); [`Self::solve_group`] exploits that
 /// with scoped worker threads. Engines either borrow their graph
 /// ([`Self::new`], the zero-cost embedding) or share ownership of it
 /// ([`Self::new_shared`], yielding an [`OwnedEngine`] free of borrowed
@@ -1279,17 +1296,6 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Solves one query with the named solver and explicit options.
-    pub fn solve_with(
-        &self,
-        solver: &str,
-        q: &[NodeId],
-        options: &QueryOptions,
-    ) -> Result<SolveReport> {
-        self.solve_inner(solver, q, options, false)
-    }
-
-    /// Shared solve path; `prefer_sequential` is set by batch workers so
-    /// solvers do not nest their own parallelism inside the batch's.
     ///
     /// Consults the engine's solve cache first: repeated `(solver,
     /// canonical query, size budget)` triples are the serving norm, and a
@@ -1298,12 +1304,11 @@ impl<'g> QueryEngine<'g> {
     /// bypass the cache entirely — their results depend on wall-clock
     /// luck and must not be replayed as canonical answers — and
     /// [`QueryOptions::no_cache`] forces a fresh, unstored solve.
-    fn solve_inner(
+    pub fn solve_with(
         &self,
         solver: &str,
         q: &[NodeId],
         options: &QueryOptions,
-        prefer_sequential: bool,
     ) -> Result<SolveReport> {
         let start = Instant::now();
         let s = self.solver(solver)?;
@@ -1325,12 +1330,7 @@ impl<'g> QueryEngine<'g> {
                 return Ok(report);
             }
         }
-        let ctx = QueryContext::new(
-            self.graph.get(),
-            &self.shared,
-            options.clone(),
-            prefer_sequential,
-        );
+        let ctx = QueryContext::new(self.graph.get(), &self.shared, options.clone(), false);
         let mut report = s.solve(&ctx, q)?;
         report.seconds = start.elapsed().as_secs_f64();
         if let Some(budget) = options.size_budget() {
@@ -1347,62 +1347,29 @@ impl<'g> QueryEngine<'g> {
         Ok(report)
     }
 
-    /// Solves a batch of queries with the named solver, in parallel across
-    /// scoped worker threads (one per available core, capped at the batch
-    /// size). Results keep the input order; each query gets its own
-    /// context, so deadlines are per query. Per-query errors are reported
-    /// in place — one infeasible query does not fail the batch.
+    /// Solves a batch of queries with the named solver: a
+    /// [`Self::solve_group`] of one [`GroupQuery`] per query, every one
+    /// with the same solver and options. Results keep the input order;
+    /// each query gets its own context, so deadlines are per query.
+    /// Per-query errors are reported in place — one infeasible query does
+    /// not fail the batch — and identical queries are solved once.
     pub fn solve_batch(
         &self,
         solver: &str,
         queries: &[Vec<NodeId>],
         options: &QueryOptions,
     ) -> Vec<Result<SolveReport>> {
-        // Surface an unknown solver on every slot rather than panicking
-        // (the lookup is repeated per slot; it cannot succeed mid-batch).
-        if self.solver(solver).is_err() {
-            return queries
-                .iter()
-                .map(|_| match self.solver(solver) {
-                    Err(e) => Err(e),
-                    Ok(_) => unreachable!("registry is immutable during solve_batch"),
-                })
-                .collect();
-        }
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(queries.len());
-        if threads <= 1 {
-            return queries
-                .iter()
-                .map(|q| self.solve_with(solver, q, options))
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<SolveReport>>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (q_chunk, s_chunk) in queries.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (q, slot) in q_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = Some(self.solve_inner(solver, q, options, true));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch slot is filled by its worker"))
-            .collect()
+        let group: Vec<GroupQuery> = queries
+            .iter()
+            .map(|q| GroupQuery::new(solver, q.clone(), options.clone()))
+            .collect();
+        self.solve_group(&group).results
     }
 
     /// Solves a *heterogeneous* group of queries — mixed solvers, mixed
-    /// options — as one coalesced execution: the cross-request entry point
-    /// behind `mwc_service`'s per-graph coalescer.
+    /// options — as one execution: the executor behind
+    /// [`Self::solve_batch`] and `mwc_service`'s per-graph coalescer and
+    /// wire `batch`.
     ///
     /// Three passes:
     ///
@@ -1412,15 +1379,18 @@ impl<'g> QueryEngine<'g> {
     ///    remainder: queries with identical `(solver, canonical query,
     ///    size budget)` share one execution (deadline-bearing queries are
     ///    never shared — their results depend on wall-clock luck).
-    /// 2. **Prefetch** — when more than one execution remains, union every
-    ///    job's [`ConnectorSolver::coalesce_roots`] answer and run the
-    ///    union through shared 64-lane multi-source sweeps, so root BFS
-    ///    work that today runs once per request with mostly-empty lanes
-    ///    runs once per *window* with packed lanes.
-    /// 3. **Execute** — jobs run across scoped worker threads (sequential
-    ///    solver internals, as in [`Self::solve_batch`]), each consuming
-    ///    the prefetched arrays; results fan back out to every member in
-    ///    input order.
+    /// 2. **Prefetch** — when more than one execution remains, union the
+    ///    jobs' [`ConnectorSolver::coalesce_roots`] answers, in job order,
+    ///    up to 128 distinct roots (two sweeps), and run the union
+    ///    through shared 64-lane multi-source sweeps, so root BFS work
+    ///    that would run once per query with mostly-empty lanes runs once
+    ///    per group with packed lanes. A job whose roots do not fit under
+    ///    the cap is left out whole and runs its own sweep; the cap bounds
+    ///    the distance arrays a group holds until it ends.
+    /// 3. **Execute** — scoped workers (the calling thread among them)
+    ///    each take the next job from a shared counter, with sequential
+    ///    solver internals when several jobs run at once; results fan back
+    ///    out to every member in input order.
     ///
     /// Results are **bit-identical** to per-query [`Self::solve_with`]
     /// calls (multi-source lanes are independent; pinned by the group
@@ -1435,14 +1405,7 @@ impl<'g> QueryEngine<'g> {
         slots.resize_with(queries.len(), || None);
 
         // Pass 1: admission — errors, cache hits, dedup.
-        struct Job<'q> {
-            solver: &'q str,
-            canonical: Vec<NodeId>,
-            options: &'q QueryOptions,
-            members: Vec<usize>,
-            cache_insert: bool,
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
+        let mut jobs: Vec<GroupJob<'_>> = Vec::new();
         let mut dedup: HashMap<CacheKey, usize> = HashMap::new();
         for (i, gq) in queries.iter().enumerate() {
             if let Err(e) = self.solver(&gq.solver) {
@@ -1477,7 +1440,7 @@ impl<'g> QueryEngine<'g> {
                 }
                 dedup.insert(key.clone(), jobs.len());
             }
-            jobs.push(Job {
+            jobs.push(GroupJob {
                 solver: &gq.solver,
                 canonical: key.1,
                 options: &gq.options,
@@ -1487,9 +1450,10 @@ impl<'g> QueryEngine<'g> {
         }
         stats.executed = jobs.len() as u64;
 
-        // Pass 2: prefetch the union of every job's root sweeps through
-        // shared multi-source batches. Only worth it when executions can
-        // actually share lanes; a lone job packs its own lanes already.
+        // Pass 2: prefetch the capped union of the jobs' root sweeps
+        // through shared multi-source batches. Only worth it when
+        // executions can actually share lanes; a lone job packs its own
+        // lanes already.
         let mut shared: Option<Arc<SharedRootDists>> = None;
         if jobs.len() > 1 {
             let mut roots: BTreeSet<NodeId> = BTreeSet::new();
@@ -1498,7 +1462,10 @@ impl<'g> QueryEngine<'g> {
                 let ctx =
                     QueryContext::new(self.graph.get(), &self.shared, job.options.clone(), false);
                 if let Some(r) = s.coalesce_roots(&ctx, &job.canonical) {
-                    roots.extend(r);
+                    let fresh = r.iter().filter(|v| !roots.contains(v)).count();
+                    if roots.len() + fresh <= GROUP_PREFETCH_ROOTS {
+                        roots.extend(r);
+                    }
                 }
             }
             if roots.len() > 1 {
@@ -1518,51 +1485,47 @@ impl<'g> QueryEngine<'g> {
             }
         }
 
-        // Pass 3: execute and fan out. Mirrors solve_batch's threading:
-        // one chunk per core, sequential solver internals when several
-        // jobs run concurrently.
+        // Pass 3: execute and fan out. Workers pull jobs from a shared
+        // counter, so a run of slow jobs cannot pin one worker's fixed
+        // share of the group; solver internals stay sequential when
+        // several jobs run concurrently.
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(jobs.len().max(1));
-        let results: Vec<Result<SolveReport>> = if jobs.len() <= 1 || threads <= 1 {
+        let shared = shared.as_ref();
+        let results: Vec<Result<SolveReport>> = if threads <= 1 {
             jobs.iter()
-                .map(|job| {
-                    self.solve_prefetched(
-                        job.solver,
-                        &job.canonical,
-                        job.options,
-                        shared.as_ref(),
-                        job.cache_insert,
-                        false,
-                        start,
-                    )
-                })
+                .map(|job| self.solve_prefetched(job, shared, false))
                 .collect()
         } else {
+            // Relaxed: the counter only hands out job indices; results
+            // come back through `join`.
+            let next = AtomicUsize::new(0);
+            let work = || {
+                let mut done = Vec::new();
+                loop {
+                    let j = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(j) else { break done };
+                    done.push((j, self.solve_prefetched(job, shared, true)));
+                }
+            };
             let mut out: Vec<Option<Result<SolveReport>>> = Vec::new();
             out.resize_with(jobs.len(), || None);
-            let chunk = jobs.len().div_ceil(threads);
-            let shared = &shared;
             std::thread::scope(|scope| {
-                for (j_chunk, o_chunk) in jobs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (job, slot) in j_chunk.iter().zip(o_chunk.iter_mut()) {
-                            *slot = Some(self.solve_prefetched(
-                                job.solver,
-                                &job.canonical,
-                                job.options,
-                                shared.as_ref(),
-                                job.cache_insert,
-                                true,
-                                start,
-                            ));
-                        }
-                    });
+                let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+                let mut place = |done: Vec<(usize, Result<SolveReport>)>| {
+                    for (j, r) in done {
+                        out[j] = Some(r);
+                    }
+                };
+                place(work());
+                for w in workers {
+                    place(w.join().expect("group worker panicked"));
                 }
             });
             out.into_iter()
-                .map(|s| s.expect("every job slot is filled by its worker"))
+                .map(|s| s.expect("every job slot is filled by a worker"))
                 .collect()
         };
         for (job, result) in jobs.iter().zip(results) {
@@ -1590,32 +1553,29 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// One job of a [`Self::solve_group`] window: like
-    /// [`Self::solve_inner`] but with the cache lookup already done by the
-    /// window's admission pass (`cache_insert` carries its verdict) and
-    /// the prefetched root distances attached to the context.
-    #[allow(clippy::too_many_arguments)]
+    /// One job of a [`Self::solve_group`]: like [`Self::solve_with`] but
+    /// with the cache lookup already done by the group's admission pass
+    /// (`cache_insert` carries its verdict) and the prefetched root
+    /// distances attached to the context. `seconds` is the job's own
+    /// wall time.
     fn solve_prefetched(
         &self,
-        solver: &str,
-        canonical: &[NodeId],
-        options: &QueryOptions,
+        job: &GroupJob<'_>,
         shared: Option<&Arc<SharedRootDists>>,
-        cache_insert: bool,
         prefer_sequential: bool,
-        start: Instant,
     ) -> Result<SolveReport> {
-        let s = self.solver(solver)?;
+        let start = Instant::now();
+        let s = self.solver(job.solver)?;
         let ctx = QueryContext::new(
             self.graph.get(),
             &self.shared,
-            options.clone(),
+            job.options.clone(),
             prefer_sequential,
         )
         .with_shared_roots(shared.cloned());
-        let mut report = s.solve(&ctx, canonical)?;
+        let mut report = s.solve(&ctx, &job.canonical)?;
         report.seconds = start.elapsed().as_secs_f64();
-        if let Some(budget) = options.size_budget() {
+        if let Some(budget) = job.options.size_budget() {
             if report.connector.len() > budget {
                 return Err(CoreError::BudgetExceeded {
                     size: report.connector.len(),
@@ -1623,12 +1583,12 @@ impl<'g> QueryEngine<'g> {
                 });
             }
         }
-        if cache_insert {
+        if job.cache_insert {
             self.cache.insert(
                 (
-                    solver.to_string(),
-                    canonical.to_vec(),
-                    options.size_budget(),
+                    job.solver.to_string(),
+                    job.canonical.clone(),
+                    job.options.size_budget(),
                 ),
                 report.clone(),
             );
@@ -2290,6 +2250,36 @@ mod tests {
             lone.results[0].as_ref().unwrap().connector.vertices(),
             direct.connector.vertices()
         );
+    }
+
+    #[test]
+    fn solve_group_caps_its_prefetch_and_matches_per_query_solves() {
+        use mwc_graph::generators::barabasi_albert::barabasi_albert;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xCA9);
+        let g = barabasi_albert(1500, 3, &mut rng);
+        let engine = QueryEngine::new(&g);
+        // 40 disjoint |Q| = 4 queries: 160 distinct roots, more than the
+        // cap, so the jobs past it run their own sweeps.
+        let queries: Vec<GroupQuery> = (0..40u32)
+            .map(|i| {
+                let q = (0..4u32).map(|k| (i * 37 + k * 373) % 1500).collect();
+                GroupQuery::new("ws-q", q, QueryOptions::new().no_cache())
+            })
+            .collect();
+        let distinct: BTreeSet<NodeId> = queries.iter().flat_map(|gq| gq.q.clone()).collect();
+        assert!(distinct.len() > GROUP_PREFETCH_ROOTS);
+        let outcome = engine.solve_group(&queries);
+        assert_eq!(outcome.stats.executed, queries.len() as u64);
+        assert!(outcome.stats.shared_roots > 0);
+        assert!(outcome.stats.shared_roots <= GROUP_PREFETCH_ROOTS as u64);
+        assert!(outcome.stats.shared_sweeps <= 2);
+        for (gq, result) in queries.iter().zip(&outcome.results) {
+            let grouped = result.as_ref().expect("connected BA query");
+            let direct = engine.solve_with("ws-q", &gq.q, &gq.options).unwrap();
+            assert_eq!(grouped.connector.vertices(), direct.connector.vertices());
+            assert_eq!(grouped.wiener_index, direct.wiener_index);
+            assert_eq!(grouped.candidates, direct.candidates);
+        }
     }
 
     use mwc_graph::Graph;

@@ -58,7 +58,7 @@ pub struct ApproxWsqConfig {
     pub kernel: bool,
     /// Allow internal parallelism (currently: the multi-source parallel
     /// Wiener evaluation of Remark-1 survivors). The engine clears this
-    /// inside `solve_batch` workers so solvers do not nest one thread
+    /// inside `solve_group` workers so solvers do not nest one thread
     /// pool per worker — same contract as [`crate::WsqConfig::parallel`].
     pub parallel: bool,
     /// Batch the per-root landmark estimates: all `|Q|` root distance

@@ -27,9 +27,8 @@ const PARALLEL_WIENER_MIN_NODES: usize = 1024;
 /// subgraphs) run the sequential per-source loop; above
 /// `PARALLEL_WIENER_MIN_NODES` vertices the sources are batched into
 /// 64-lane multi-source BFS sweeps distributed over scoped worker
-/// threads (the same chunking shape as `QueryEngine::solve_batch`), so
-/// the CSR is streamed once per level per batch instead of once per
-/// source. For million-node inputs prefer [`wiener_index_sampled`];
+/// threads, so the CSR is streamed once per level per batch instead of
+/// once per source. For million-node inputs prefer [`wiener_index_sampled`];
 /// callers already running on a saturated thread pool (batch workers)
 /// should call [`wiener_index_sequential`] to avoid nesting pools — the
 /// solvers' `parallel` config flags do exactly that.

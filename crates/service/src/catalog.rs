@@ -258,7 +258,7 @@ pub fn weight_digest(g: &Graph) -> u64 {
 /// replaced.
 ///
 /// The engine runs over the degree-ordered relabeling of `graph`; use
-/// [`CatalogEntry::solve`] / [`CatalogEntry::solve_batch`], which speak
+/// [`CatalogEntry::solve`] / [`CatalogEntry::solve_group`], which speak
 /// original ids at both ends. Reaching into [`CatalogEntry::engine`]
 /// directly means speaking *relabeled* ids.
 #[derive(Debug)]
@@ -399,13 +399,13 @@ impl CatalogEntry {
             .map(|r| self.translate_report(r))
     }
 
-    /// Heterogeneous-group counterpart of [`CatalogEntry::solve`]: a
-    /// window of queries (each with its own solver and options) runs
-    /// through [`QueryEngine::solve_group`](mwc_core::QueryEngine::solve_group),
+    /// Group counterpart of [`CatalogEntry::solve`]: queries (each with
+    /// its own solver and options) run through
+    /// [`QueryEngine::solve_group`](mwc_core::QueryEngine::solve_group),
     /// which dedups identical work and prefetches per-root BFS sweeps
     /// shared **across** the queries. Ids are translated at the boundary
     /// in both directions; per-query errors stay in place. The coalescer
-    /// is the caller.
+    /// and the wire `batch` are the callers.
     pub fn solve_group(&self, queries: &[GroupQuery]) -> GroupOutcome {
         let translated: Vec<GroupQuery> = queries
             .iter()
@@ -487,25 +487,6 @@ impl CatalogEntry {
             }
         }
         imported
-    }
-
-    /// Batch counterpart of [`CatalogEntry::solve`]: queries in, reports
-    /// out, all in original ids, with per-query errors kept in place.
-    pub fn solve_batch(
-        &self,
-        solver: &str,
-        queries: &[Vec<NodeId>],
-        options: &QueryOptions,
-    ) -> Vec<mwc_core::Result<SolveReport>> {
-        let translated: Vec<Vec<NodeId>> = queries
-            .iter()
-            .map(|q| q.iter().map(|&v| self.to_engine_id(v)).collect())
-            .collect();
-        self.engine
-            .solve_batch(solver, &translated, options)
-            .into_iter()
-            .map(|r| r.map(|report| self.translate_report(report)))
-            .collect()
     }
 }
 
@@ -828,12 +809,9 @@ mod tests {
             report.wiener_index,
             report.connector.wiener_index(&original).unwrap()
         );
-        // Batch path agrees with the single-query path.
-        let batch = entry.solve_batch("ws-q", &[q.to_vec()], &QueryOptions::default());
-        assert_eq!(
-            batch[0].as_ref().unwrap().connector.vertices(),
-            report.connector.vertices()
-        );
+        // A cached replay agrees with the first solve.
+        let again = entry.solve("ws-q", &q, &QueryOptions::default()).unwrap();
+        assert_eq!(again.connector.vertices(), report.connector.vertices());
         // Out-of-range ids surface the standard error, untranslated.
         assert!(entry
             .solve("ws-q", &[999], &QueryOptions::default())

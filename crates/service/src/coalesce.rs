@@ -24,6 +24,26 @@
 //! single worker the leader simply waits out the window alone — batching
 //! degrades to a small fixed latency cost, never a deadlock.
 //!
+//! Lanes are counted once per distinct `(solver, canonical q, max_size)`:
+//! identical members share one execution, so a duplicate adds no root
+//! work and never triggers a flush.
+//!
+//! # Gather at flush
+//!
+//! A busy server's backlog sits in the admission queue, not in the
+//! window: while the workers are all leading or solving, nobody pops it.
+//! So once a window's time or size trigger fires, and before the shared
+//! execution runs, the leader moves the solves for its graph that are
+//! still queued into the window, in queue order, through the server's
+//! [`Backlog`]. Duplicates of a member are always taken; a new distinct
+//! query is taken while the window holds fewer than `max_lanes` lanes.
+//! The scan stops at a queued `load` of the graph (the only queued
+//! command that can replace it), leaves deadline-bearing requests to the
+//! workers, and takes nothing a [`Coalescer::submit`] would not park:
+//! no gather happens during shutdown, past `max_pending` members, or
+//! once the catalog no longer serves the window's entry. Gathered
+//! requests become ordinary members; the leader never solves one inline.
+//!
 //! # Bypass rules
 //!
 //! A request is executed directly (never parked) when coalescing is
@@ -46,7 +66,7 @@
 //! other requests shared its sweep (pinned by the engine's group tests
 //! and the service loopback parity suite).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -77,10 +97,13 @@ pub struct CoalesceConfig {
     pub window: Duration,
     /// Size trigger: flush early once the gathered requests' root-BFS
     /// work is estimated to fill this many MS-BFS lanes (one lane per
-    /// query vertex). Defaults to the kernel's lane width.
+    /// query vertex of each distinct query). A flush's gather takes new
+    /// distinct queries only below it. Defaults to the kernel's lane
+    /// width.
     pub max_lanes: usize,
-    /// Hard cap on requests parked per graph; beyond it new arrivals
-    /// bypass to direct execution instead of queueing without bound.
+    /// Hard cap on requests parked per graph, gathered ones included;
+    /// beyond it new arrivals bypass to direct execution instead of
+    /// queueing without bound.
     pub max_pending: usize,
 }
 
@@ -105,19 +128,79 @@ pub enum Submit {
     Queued,
 }
 
-/// One parked request.
-struct Pending {
-    params: SolveParams,
-    q: Vec<NodeId>,
+/// One solve offered to a window, by [`Coalescer::submit`] or by a
+/// [`Backlog`] gather.
+pub struct Member {
+    /// The request's wire parameters.
+    pub params: SolveParams,
+    /// The query vertex set, in original ids.
+    pub q: Vec<NodeId>,
     /// When the server read the request (deadline epoch).
-    received: Instant,
-    /// When it entered the coalescing queue (queue-wait epoch).
-    enqueued: Instant,
+    pub received: Instant,
     /// Per-request tracing handle (disabled for untraced requests); the
     /// flush records the park time as a `coalesce_wait` span and threads
     /// the context into the shared execution's options.
-    trace: TraceContext,
-    respond: Responder,
+    pub trace: TraceContext,
+    /// Writes the answer once the window flushes.
+    pub respond: Responder,
+}
+
+/// The admission backlog a flushing window gathers from: the server's
+/// job queue (see the module docs' gather rule).
+pub trait Backlog {
+    /// Removes from the queue, in queue order, the deadline-free `solve`
+    /// requests for `graph` that `take` accepts, stopping at a queued
+    /// `load` of `graph`, and returns them ready to park in a window
+    /// pinned to `entry`. Returns nothing when the catalog no longer
+    /// serves `entry` under `graph`.
+    fn gather(
+        &self,
+        graph: &str,
+        entry: &Arc<CatalogEntry>,
+        take: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+    ) -> Vec<Member>;
+}
+
+/// One parked request.
+struct Pending {
+    member: Member,
+    /// When it entered the window (queue-wait epoch).
+    enqueued: Instant,
+}
+
+/// The root-BFS lanes of a window, counted once per distinct `(solver,
+/// canonical q, max_size)`: identical members share one execution in
+/// [`CatalogEntry::solve_group`], so a duplicate adds no work.
+#[derive(Default)]
+struct Lanes {
+    distinct: HashSet<(String, Vec<NodeId>, Option<usize>)>,
+    count: usize,
+}
+
+impl Lanes {
+    /// Counts `(params, q)` into the window unless an identical member is
+    /// already there. With `cap`, a new distinct query is refused once
+    /// the window holds `cap` lanes. Returns whether the member fits.
+    fn add(&mut self, params: &SolveParams, q: &[NodeId], cap: Option<usize>) -> bool {
+        let mut canonical = q.to_vec();
+        canonical.sort_unstable();
+        canonical.dedup();
+        let lanes = canonical.len().max(1);
+        // Deadline-bearing members never share an execution.
+        let key = params
+            .deadline_ms
+            .is_none()
+            .then(|| (params.solver.clone(), canonical, params.max_size));
+        if key.as_ref().is_some_and(|k| self.distinct.contains(k)) {
+            return true;
+        }
+        if cap.is_some_and(|cap| self.count >= cap) {
+            return false;
+        }
+        self.distinct.extend(key);
+        self.count += lanes;
+        true
+    }
 }
 
 /// Why a window flushed.
@@ -134,8 +217,8 @@ struct QueueState {
     /// entry (load replaced it mid-window) bypasses instead.
     entry: Option<Arc<CatalogEntry>>,
     pending: Vec<Pending>,
-    /// Estimated MS-BFS lanes of gathered root work (Σ |q|).
-    lanes: usize,
+    /// MS-BFS lanes of the parked members' distinct root work.
+    lanes: Lanes,
     /// Whether a leader is currently waiting on / flushing this queue.
     leader: bool,
     /// When the current window opened (leadership claimed).
@@ -153,7 +236,7 @@ impl GraphQueue {
             state: Mutex::new(QueueState {
                 entry: None,
                 pending: Vec::new(),
-                lanes: 0,
+                lanes: Lanes::default(),
                 leader: false,
                 opened: Instant::now(),
             }),
@@ -171,6 +254,7 @@ pub struct Coalescer {
     shutdown: AtomicBool,
     // Admission counters.
     enqueued_total: AtomicU64,
+    gathered_total: AtomicU64,
     bypass_total: AtomicU64,
     overflow_total: AtomicU64,
     // Outcome counters.
@@ -211,6 +295,7 @@ impl Coalescer {
             queues: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             enqueued_total: AtomicU64::new(0),
+            gathered_total: AtomicU64::new(0),
             bypass_total: AtomicU64::new(0),
             overflow_total: AtomicU64::new(0),
             expired_total: AtomicU64::new(0),
@@ -244,37 +329,34 @@ impl Coalescer {
 
     /// Offers one solve to the scheduler. `remaining` is the deadline
     /// residue the server already computed (deadline-expired requests
-    /// never get here); `trace` is the request's tracing handle
-    /// ([`TraceContext::disabled`] when untraced). Returns
-    /// [`Submit::Direct`] with the responder handed back when the
-    /// request should execute uncoalesced.
-    #[allow(clippy::too_many_arguments)]
+    /// never get here). A submit that opens a window leads it, gathering
+    /// from `backlog` when the window flushes. Returns [`Submit::Direct`]
+    /// with the responder handed back when the request should execute
+    /// uncoalesced.
     pub fn submit(
         &self,
         entry: &Arc<CatalogEntry>,
-        params: SolveParams,
-        q: Vec<NodeId>,
-        received: Instant,
+        member: Member,
         remaining: Option<Duration>,
-        trace: TraceContext,
-        respond: Responder,
+        backlog: &dyn Backlog,
     ) -> Submit {
         if !self.config.enabled || self.shutdown.load(Ordering::SeqCst) {
-            return Submit::Direct(respond);
+            return Submit::Direct(member.respond);
         }
         // Deadline bypass: a request that could expire while parked (or
         // soon after) must not gamble on the window.
         if let Some(d) = remaining {
             if d <= self.config.window * 2 {
                 self.bypass_total.fetch_add(1, Ordering::Relaxed);
-                return Submit::Direct(respond);
+                return Submit::Direct(member.respond);
             }
         }
+        let graph = member.params.graph.clone();
         let queue = {
             let mut queues = self.queues.lock().expect("coalesce registry poisoned");
             Arc::clone(
                 queues
-                    .entry(params.graph.clone())
+                    .entry(graph.clone())
                     .or_insert_with(|| Arc::new(GraphQueue::new())),
             )
         };
@@ -282,30 +364,26 @@ impl Coalescer {
             let mut state = queue.state.lock().expect("coalesce queue poisoned");
             if state.pending.len() >= self.config.max_pending {
                 self.overflow_total.fetch_add(1, Ordering::Relaxed);
-                return Submit::Direct(respond);
+                return Submit::Direct(member.respond);
             }
             match &state.entry {
                 Some(open) if !Arc::ptr_eq(open, entry) => {
                     // The catalog replaced this graph under the open
                     // window; don't mix engines in one batch.
                     self.bypass_total.fetch_add(1, Ordering::Relaxed);
-                    return Submit::Direct(respond);
+                    return Submit::Direct(member.respond);
                 }
                 Some(_) => {}
                 None => state.entry = Some(Arc::clone(entry)),
             }
-            state.lanes += q.len().max(1);
+            state.lanes.add(&member.params, &member.q, None);
             state.pending.push(Pending {
-                params,
-                q,
-                received,
+                member,
                 enqueued: Instant::now(),
-                trace,
-                respond,
             });
             self.enqueued_total.fetch_add(1, Ordering::Relaxed);
             if state.leader {
-                if state.lanes >= self.config.max_lanes {
+                if state.lanes.count >= self.config.max_lanes {
                     queue.wake.notify_all(); // size trigger: flush early
                 }
                 false
@@ -316,14 +394,14 @@ impl Coalescer {
             }
         };
         if lead_now {
-            self.lead(&queue);
+            self.lead(&graph, &queue, backlog);
         }
         Submit::Queued
     }
 
-    /// The leader's wait-then-flush loop (runs on the submitting worker's
-    /// thread; see the module docs).
-    fn lead(&self, queue: &GraphQueue) {
+    /// The leader's wait-gather-flush loop (runs on the submitting
+    /// worker's thread; see the module docs).
+    fn lead(&self, graph: &str, queue: &GraphQueue, backlog: &dyn Backlog) {
         let mut state = queue.state.lock().expect("coalesce queue poisoned");
         let trigger = loop {
             if state.pending.is_empty() {
@@ -332,7 +410,7 @@ impl Coalescer {
             if self.shutdown.load(Ordering::SeqCst) {
                 break Trigger::Drain;
             }
-            if state.lanes >= self.config.max_lanes {
+            if state.lanes.count >= self.config.max_lanes {
                 break Trigger::Lanes;
             }
             let elapsed = state.opened.elapsed();
@@ -346,14 +424,47 @@ impl Coalescer {
             state = guard;
         };
         let entry = state.entry.take();
-        let batch = std::mem::take(&mut state.pending);
-        state.lanes = 0;
+        let mut batch = std::mem::take(&mut state.pending);
+        let lanes = std::mem::take(&mut state.lanes);
         state.leader = false;
         drop(state);
         queue.wake.notify_all(); // unblock drain() waiters and new leaders
+        if let Some(entry) = entry.as_ref().filter(|_| trigger != Trigger::Drain) {
+            self.gather(graph, entry, &mut batch, lanes, backlog);
+        }
         if !batch.is_empty() {
             self.flush(entry, batch, trigger);
         }
+    }
+
+    /// Moves `graph`'s queued solves from `backlog` into a flushing
+    /// window: duplicates of a member always, new distinct queries while
+    /// the window holds fewer than `max_lanes` lanes, and never more than
+    /// `max_pending` members in all.
+    fn gather(
+        &self,
+        graph: &str,
+        entry: &Arc<CatalogEntry>,
+        batch: &mut Vec<Pending>,
+        mut lanes: Lanes,
+        backlog: &dyn Backlog,
+    ) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut room = self.config.max_pending.saturating_sub(batch.len());
+        let gathered = backlog.gather(graph, entry, &mut |params, q| {
+            let take = room > 0 && lanes.add(params, q, Some(self.config.max_lanes));
+            room -= take as usize;
+            take
+        });
+        self.gathered_total
+            .fetch_add(gathered.len() as u64, Ordering::Relaxed);
+        let now = Instant::now();
+        batch.extend(gathered.into_iter().map(|member| Pending {
+            member,
+            enqueued: now,
+        }));
     }
 
     /// Executes one drained window and demuxes the results.
@@ -371,10 +482,11 @@ impl Coalescer {
         // Per-member deadline accounting: requests whose budget ran out
         // while parked fail without running; the rest carry their residue
         // into the shared execution as their own cooperative deadline.
-        let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
+        let mut live: Vec<Member> = Vec::with_capacity(batch.len());
         let mut queries: Vec<GroupQuery> = Vec::with_capacity(batch.len());
-        for p in batch {
-            self.queue_wait.record(now.duration_since(p.enqueued));
+        for pending in batch {
+            let (p, enqueued) = (pending.member, pending.enqueued);
+            self.queue_wait.record(now.duration_since(enqueued));
             let spent = p.received.elapsed();
             let residue = match p.params.deadline_ms {
                 None => None,
@@ -392,7 +504,7 @@ impl Coalescer {
             // The window park shows up in the request's span tree as
             // `coalesce_wait`, then the shared execution records its own
             // stages through the same context.
-            p.trace.record("coalesce_wait", p.enqueued, now);
+            p.trace.record("coalesce_wait", enqueued, now);
             queries.push(GroupQuery::new(
                 p.params.solver.clone(),
                 p.q.clone(),
@@ -444,7 +556,7 @@ impl Coalescer {
         let batch = {
             let mut state = queue.state.lock().expect("coalesce queue poisoned");
             state.entry = None;
-            state.lanes = 0;
+            state.lanes = Lanes::default();
             std::mem::take(&mut state.pending)
         };
         queue.wake.notify_all(); // the leader wakes, finds nothing, retires
@@ -452,7 +564,7 @@ impl Coalescer {
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let n = batch.len();
         for p in batch {
-            (p.respond)(Err(ServiceError::GraphEvicted {
+            (p.member.respond)(Err(ServiceError::GraphEvicted {
                 name: name.to_string(),
             }));
         }
@@ -483,7 +595,7 @@ impl Coalescer {
                 if !state.leader && !state.pending.is_empty() {
                     let entry = state.entry.take();
                     let batch = std::mem::take(&mut state.pending);
-                    state.lanes = 0;
+                    state.lanes = Lanes::default();
                     drop(state);
                     self.flush(entry, batch, Trigger::Drain);
                     state = q.state.lock().expect("coalesce queue poisoned");
@@ -520,6 +632,7 @@ impl Coalescer {
             ),
             ("max_lanes", Json::from(self.config.max_lanes)),
             ("enqueued", load(&self.enqueued_total)),
+            ("gathered", load(&self.gathered_total)),
             ("bypassed", load(&self.bypass_total)),
             ("overflow", load(&self.overflow_total)),
             ("expired", load(&self.expired_total)),
@@ -579,6 +692,35 @@ mod tests {
         )
     }
 
+    fn member(
+        params: SolveParams,
+        q: Vec<NodeId>,
+        received: Instant,
+        respond: Responder,
+    ) -> Member {
+        Member {
+            params,
+            q,
+            received,
+            trace: TraceContext::disabled(),
+            respond,
+        }
+    }
+
+    /// An empty admission queue.
+    struct NoBacklog;
+
+    impl Backlog for NoBacklog {
+        fn gather(
+            &self,
+            _: &str,
+            _: &Arc<CatalogEntry>,
+            _: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+        ) -> Vec<Member> {
+            Vec::new()
+        }
+    }
+
     #[test]
     fn window_coalesces_and_matches_direct_solves() {
         let catalog = Catalog::new().with_solve_cache_bytes(0);
@@ -603,7 +745,7 @@ mod tests {
             leaders.push(std::thread::spawn(move || {
                 let now = Instant::now();
                 matches!(
-                    co.submit(&entry, p, q, now, None, TraceContext::disabled(), respond),
+                    co.submit(&entry, member(p, q, now, respond), None, &NoBacklog),
                     Submit::Queued
                 )
             }));
@@ -631,6 +773,89 @@ mod tests {
         assert!(stats.get("shared_sweeps").unwrap().as_u64().unwrap() >= 1);
     }
 
+    /// Requests waiting for a worker, offered to a gather in order.
+    struct QueuedBacklog(Mutex<Vec<Member>>);
+
+    impl Backlog for QueuedBacklog {
+        fn gather(
+            &self,
+            graph: &str,
+            _: &Arc<CatalogEntry>,
+            take: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+        ) -> Vec<Member> {
+            let mut queued = self.0.lock().unwrap();
+            let (taken, kept) = queued
+                .drain(..)
+                .partition(|m| m.params.graph == graph && take(&m.params, &m.q));
+            *queued = kept;
+            taken
+        }
+    }
+
+    #[test]
+    fn flush_gathers_duplicates_always_and_distinct_queries_up_to_the_lane_cap() {
+        let catalog = Catalog::new().with_solve_cache_bytes(0);
+        let entry = catalog.load("k", "karate").unwrap();
+        let co = Coalescer::new(CoalesceConfig {
+            window: Duration::from_millis(20),
+            max_lanes: 4,
+            ..CoalesceConfig::default()
+        });
+        let queued: Vec<(&str, Vec<NodeId>)> = vec![
+            ("k", vec![33, 0]),     // duplicate of the leader's query
+            ("k", vec![5, 16]),     // distinct: the window reaches 4 lanes
+            ("k", vec![11, 24]),    // distinct past the cap: stays queued
+            ("x", vec![0, 33]),     // another graph: stays queued
+            ("k", vec![0, 33, 33]), // duplicate past the cap: taken
+        ];
+        let mut rxs = Vec::new();
+        let backlog = QueuedBacklog(Mutex::new(
+            queued
+                .iter()
+                .map(|(graph, q)| {
+                    let (respond, rx) = channel_responder();
+                    rxs.push(rx);
+                    member(params(graph, "ws-q"), q.clone(), Instant::now(), respond)
+                })
+                .collect(),
+        ));
+        let (respond, rx) = channel_responder();
+        let leader = member(params("k", "ws-q"), vec![0, 33], Instant::now(), respond);
+        assert!(matches!(
+            co.submit(&entry, leader, None, &backlog),
+            Submit::Queued
+        ));
+
+        let left: Vec<Vec<NodeId>> = backlog
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|m| m.q.clone())
+            .collect();
+        assert_eq!(left, vec![vec![11, 24], vec![0, 33]]);
+        let answered = [
+            (&rx, vec![0, 33]),
+            (&rxs[0], vec![33, 0]),
+            (&rxs[1], vec![5, 16]),
+            (&rxs[4], vec![0, 33]),
+        ];
+        for (rx, q) in answered {
+            let got = rx.try_recv().expect("answered by the flush").unwrap();
+            let direct = entry
+                .solve("ws-q", &q, &mwc_core::QueryOptions::new().no_cache())
+                .unwrap();
+            assert_eq!(got.connector.vertices(), direct.connector.vertices());
+            assert_eq!(got.wiener_index, direct.wiener_index);
+        }
+        let stats = co.stats_json();
+        let count = |name: &str| stats.get(name).unwrap().as_u64().unwrap();
+        assert_eq!(count("enqueued"), 1);
+        assert_eq!(count("gathered"), 3);
+        assert_eq!(count("executed"), 2);
+        assert_eq!(count("deduped"), 2);
+    }
+
     #[test]
     fn tight_deadlines_bypass_and_shutdown_goes_direct() {
         let catalog = Catalog::new();
@@ -643,12 +868,9 @@ mod tests {
         // Remaining 60 ms ≤ 2×50 ms window → direct.
         match co.submit(
             &entry,
-            params("k", "ws-q"),
-            vec![0, 33],
-            Instant::now(),
+            member(params("k", "ws-q"), vec![0, 33], Instant::now(), respond),
             Some(Duration::from_millis(60)),
-            TraceContext::disabled(),
-            respond,
+            &NoBacklog,
         ) {
             Submit::Direct(_) => {}
             Submit::Queued => panic!("tight deadline should bypass"),
@@ -658,12 +880,9 @@ mod tests {
         let (respond, _rx) = channel_responder();
         match co.submit(
             &entry,
-            params("k", "ws-q"),
-            vec![0, 33],
-            Instant::now(),
+            member(params("k", "ws-q"), vec![0, 33], Instant::now(), respond),
             None,
-            TraceContext::disabled(),
-            respond,
+            &NoBacklog,
         ) {
             Submit::Direct(_) => {}
             Submit::Queued => panic!("post-drain submits must go direct"),
@@ -685,12 +904,9 @@ mod tests {
             std::thread::spawn(move || {
                 co.submit(
                     &entry,
-                    params("k", "ws-q"),
-                    vec![0, 33],
-                    Instant::now(),
+                    member(params("k", "ws-q"), vec![0, 33], Instant::now(), respond),
                     None,
-                    TraceContext::disabled(),
-                    respond,
+                    &NoBacklog,
                 );
             })
         };
@@ -721,12 +937,9 @@ mod tests {
             std::thread::spawn(move || {
                 co.submit(
                     &entry,
-                    params("k", "ws-q"),
-                    vec![11, 24],
-                    Instant::now(),
+                    member(params("k", "ws-q"), vec![11, 24], Instant::now(), respond),
                     None,
-                    TraceContext::disabled(),
-                    respond,
+                    &NoBacklog,
                 );
             })
         };
@@ -763,12 +976,9 @@ mod tests {
         let received = Instant::now() - Duration::from_millis(195);
         co.submit(
             &entry,
-            p,
-            vec![0, 33],
-            received,
+            member(p, vec![0, 33], received, respond),
             Some(Duration::from_millis(200)),
-            TraceContext::disabled(),
-            respond,
+            &NoBacklog,
         );
         let err = rx
             .recv_timeout(Duration::from_secs(2))

@@ -243,7 +243,7 @@ pub enum Command {
         q: Vec<NodeId>,
     },
     /// Many queries, each against the batch's graph or its entry's own
-    /// (solved with the engine's parallel batch path, grouped per graph).
+    /// (each graph's entries solved as one `solve_group`).
     Batch {
         /// Graph/solver/limits (the deadline applies per query; `graph`
         /// may be empty when every entry carries its own).

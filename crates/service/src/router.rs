@@ -1624,6 +1624,7 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
                         coalesce,
                         &[
                             "enqueued",
+                            "gathered",
                             "bypassed",
                             "overflow",
                             "expired",
@@ -1642,6 +1643,14 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
                             "shared_roots",
                         ],
                         "coalesce",
+                    );
+                }
+                if let Some(batch) = stats.get("batch") {
+                    sum_into(
+                        &mut totals,
+                        batch,
+                        &["requests", "deduped", "executed"],
+                        "batch",
                     );
                 }
                 sum_into(&mut totals, &stats, &["connections"], "");

@@ -14,7 +14,10 @@
 //!                            │
 //!               worker pool (N threads): solve/batch/load/burn
 //!                            │  solve → per-graph coalescing
-//!                            │  window (see [`crate::coalesce`])
+//!                            │  window (see [`crate::coalesce`]),
+//!                            │  which gathers the queue's solves
+//!                            │  for its graph when it flushes;
+//!                            │  batch → one solve_group per graph
 //!                            ▼
 //!          per-connection write mutex  /  completion mailbox
 //!          (threads)                      + eventfd wakeup (epoll)
@@ -36,6 +39,13 @@
 //!   request is read; queue wait is charged against it, and the residue
 //!   becomes the solver's cooperative [`QueryOptions`] deadline. A
 //!   request that expires in the queue is failed without starting.
+//! * **One executor** — a coalescing window and a wire `batch` both run
+//!   through [`CatalogEntry::solve_group`], which answers identical
+//!   queries once and shares their root sweeps. A flushing window also
+//!   takes the solves for its graph still waiting in the admission queue
+//!   (up to a queued `load` of the graph; deadline-bearing requests stay
+//!   for the workers), so a backlog of repeated queries is solved once
+//!   instead of once per worker pickup.
 //! * **Connection scale** (epoll) — 10k mostly-idle connections cost one
 //!   loop thread and a table entry each, not 10k reader threads; slow
 //!   clients are bounded by a per-connection write-buffer cap.
@@ -47,13 +57,16 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::catalog::Catalog;
-use crate::coalesce::{CoalesceConfig, Coalescer, Responder, Submit};
+use mwc_core::{GroupQuery, GroupStats};
+use mwc_graph::NodeId;
+
+use crate::catalog::{Catalog, CatalogEntry};
+use crate::coalesce::{Backlog, CoalesceConfig, Coalescer, Member, Responder, Submit};
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -210,6 +223,31 @@ impl JobQueue {
         Ok(())
     }
 
+    /// Removes the jobs [`solves_to_gather`] picks for `graph`, in queue
+    /// order; every other job keeps its place.
+    fn take_solves(
+        &self,
+        graph: &str,
+        take: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+        metrics: &Metrics,
+    ) -> Vec<Job> {
+        let mut jobs = self.jobs.lock().expect("queue lock poisoned");
+        let picked = solves_to_gather(jobs.iter().map(|job| &job.request), graph, take);
+        if picked.is_empty() {
+            return Vec::new();
+        }
+        let mut taken: Vec<Job> = picked
+            .iter()
+            .rev()
+            .map(|&i| jobs.remove(i).expect("picked from this queue"))
+            .collect();
+        taken.reverse();
+        metrics
+            .queue_depth
+            .store(jobs.len() as u64, Ordering::Relaxed);
+        taken
+    }
+
     /// Blocks for the next job; `None` once shutdown is set *and* the
     /// queue has drained (accepted work is finished, not dropped).
     fn pop(&self, shutdown: &AtomicBool, metrics: &Metrics) -> Option<Job> {
@@ -233,14 +271,98 @@ impl JobQueue {
     }
 }
 
+/// The admission-queue scan a flushing coalescing window runs: indices,
+/// in queue order, of the `solve` requests for `graph` without a
+/// deadline that `take` accepts. The scan stops at a queued `load` of
+/// `graph`, which may replace the graph the solves behind it should see.
+fn solves_to_gather<'a>(
+    requests: impl IntoIterator<Item = &'a Request>,
+    graph: &str,
+    take: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+) -> Vec<usize> {
+    let mut picked = Vec::new();
+    for (i, request) in requests.into_iter().enumerate() {
+        match &request.command {
+            Command::Load { name, .. } if name == graph => break,
+            Command::Solve { params, q }
+                if params.graph == graph && params.deadline_ms.is_none() && take(params, q) =>
+            {
+                picked.push(i)
+            }
+            _ => {}
+        }
+    }
+    picked
+}
+
+/// What the wire `batch` command's per-graph groups shared: the `stats`
+/// command's flat `"batch"` section.
+#[derive(Default)]
+pub(crate) struct BatchCounters {
+    requests: AtomicU64,
+    deduped: AtomicU64,
+    executed: AtomicU64,
+}
+
+impl BatchCounters {
+    fn record(&self, stats: &GroupStats) {
+        self.requests.fetch_add(stats.requests, Ordering::Relaxed);
+        self.deduped.fetch_add(stats.deduped, Ordering::Relaxed);
+        self.executed.fetch_add(stats.executed, Ordering::Relaxed);
+    }
+
+    fn stats_json(&self) -> Json {
+        let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        Json::obj([
+            ("requests", load(&self.requests)),
+            ("deduped", load(&self.deduped)),
+            ("executed", load(&self.executed)),
+        ])
+    }
+}
+
 pub(crate) struct Inner {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) config: ServerConfig,
     pub(crate) queue: JobQueue,
     pub(crate) coalescer: Coalescer,
+    pub(crate) batch: BatchCounters,
     pub(crate) slowlog: SlowLog,
     pub(crate) shutdown: AtomicBool,
+}
+
+/// A flushing window gathers from the server's admission queue.
+impl Backlog for Arc<Inner> {
+    fn gather(
+        &self,
+        graph: &str,
+        entry: &Arc<CatalogEntry>,
+        take: &mut dyn FnMut(&SolveParams, &[NodeId]) -> bool,
+    ) -> Vec<Member> {
+        // A worker popping these solves would look the graph up itself;
+        // gather them only while that lookup still finds the window's
+        // entry.
+        if !self
+            .catalog
+            .get(graph)
+            .is_ok_and(|current| Arc::ptr_eq(&current, entry))
+        {
+            return Vec::new();
+        }
+        self.queue
+            .take_solves(graph, take, &self.metrics)
+            .into_iter()
+            .map(|job| {
+                self.metrics
+                    .record_stage("admission", job.received.elapsed());
+                let Command::Solve { params, q } = &job.request.command else {
+                    unreachable!("take_solves takes solves only")
+                };
+                park(self, &job, params, q)
+            })
+            .collect()
+    }
 }
 
 impl Inner {
@@ -281,6 +403,7 @@ pub fn start(
         metrics,
         queue: JobQueue::new(config.queue_capacity.max(1)),
         coalescer: Coalescer::new(config.coalesce.clone()),
+        batch: BatchCounters::default(),
         slowlog: SlowLog::new(config.slowlog_threshold, config.slowlog_capacity),
         config,
         shutdown: AtomicBool::new(false),
@@ -731,6 +854,7 @@ pub(crate) fn control_response(inner: &Inner, request: &Request) -> Option<(Stri
             if let Json::Obj(fields) = &mut snap {
                 fields.insert("solve_cache".to_string(), cache_stats_json(&inner.catalog));
                 fields.insert("coalesce".to_string(), inner.coalescer.stats_json());
+                fields.insert("batch".to_string(), inner.batch.stats_json());
                 fields.insert(
                     "transport".to_string(),
                     Json::from(match inner.config.transport {
@@ -1030,6 +1154,25 @@ fn maybe_coalesce(inner: &Arc<Inner>, job: Job) -> Option<Job> {
             return None;
         }
     };
+    let member = park(inner, &job, params, q);
+    let ctx = member.trace.clone();
+    match inner.coalescer.submit(&entry, member, remaining, inner) {
+        Submit::Queued => None,
+        Submit::Direct(respond) => {
+            // Bypass verdict (tight deadline, full queue, drain): run it
+            // uncoalesced on this worker, through the same responder.
+            let result = entry
+                .solve(&params.solver, q, &params.options(remaining).trace(ctx))
+                .map_err(ServiceError::Core);
+            respond(result);
+            None
+        }
+    }
+}
+
+/// Readies a `solve` job for a coalescing window: starts its trace and
+/// builds the responder that answers it through the job's sink.
+fn park(inner: &Arc<Inner>, job: &Job, params: &SolveParams, q: &[NodeId]) -> Member {
     let trace = begin_trace(params, job.received);
     let ctx = trace.as_ref().map(RequestTrace::ctx).unwrap_or_default();
     let respond: Responder = {
@@ -1089,25 +1232,12 @@ fn maybe_coalesce(inner: &Arc<Inner>, job: Job) -> Option<Job> {
             write_line(&sink, &response, ok, &inner.metrics);
         })
     };
-    match inner.coalescer.submit(
-        &entry,
-        params.clone(),
-        q.clone(),
-        job.received,
-        remaining,
-        ctx.clone(),
+    Member {
+        params: params.clone(),
+        q: q.to_vec(),
+        received: job.received,
+        trace: ctx,
         respond,
-    ) {
-        Submit::Queued => None,
-        Submit::Direct(respond) => {
-            // Bypass verdict (tight deadline, full queue, drain): run it
-            // uncoalesced on this worker, through the same responder.
-            let result = entry
-                .solve(&params.solver, q, &params.options(remaining).trace(ctx))
-                .map_err(ServiceError::Core);
-            respond(result);
-            None
-        }
     }
 }
 
@@ -1143,7 +1273,8 @@ impl RequestTrace {
 
 /// Starts tracing when the request asked for it (`None` otherwise): the
 /// root span is reserved up front, and the time between the read and the
-/// worker pickup is recorded as the `admission` span.
+/// worker pickup (or a flushing window's gather) is recorded as the
+/// `admission` span.
 fn begin_trace(params: &SolveParams, received: Instant) -> Option<RequestTrace> {
     if !params.trace {
         return None;
@@ -1259,10 +1390,11 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> Result<Vec<(&'static str, Json)>, S
                 options = options.trace(tr.ctx());
             }
             // Entries may target different graphs (the router's fan-out
-            // shape); group them per graph so each group runs the
-            // engine's parallel batch path, then reassemble the replies
-            // into the original request order. Group errors (unknown
-            // graph) land per entry, like per-query solve errors.
+            // shape); each graph's entries run as one solve_group, which
+            // solves identical entries once and shares their root sweeps,
+            // then the replies are reassembled into the original request
+            // order. Group errors (unknown graph) land per entry, like
+            // per-query solve errors.
             let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
             for (i, entry) in queries.iter().enumerate() {
                 let name = entry.graph_name(&params.graph);
@@ -1282,9 +1414,19 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> Result<Vec<(&'static str, Json)>, S
                         }
                     }
                     Ok(entry) => {
-                        let qs: Vec<_> = idxs.iter().map(|&i| queries[i].q.clone()).collect();
-                        let results = entry.solve_batch(&params.solver, &qs, &options);
-                        for (&i, r) in idxs.iter().zip(results) {
+                        let group: Vec<GroupQuery> = idxs
+                            .iter()
+                            .map(|&i| {
+                                GroupQuery::new(
+                                    params.solver.clone(),
+                                    queries[i].q.clone(),
+                                    options.clone(),
+                                )
+                            })
+                            .collect();
+                        let outcome = entry.solve_group(&group);
+                        inner.batch.record(&outcome.stats);
+                        for (&i, r) in idxs.iter().zip(outcome.results) {
                             slots[i] = Some(match r {
                                 Ok(report) => {
                                     ok += 1;
@@ -1369,5 +1511,40 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> Result<Vec<(&'static str, Json)>, S
         | Command::Shutdown => Err(ServiceError::BadRequest(
             "control command routed to worker pool (server bug)".to_string(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::parse_request;
+
+    #[test]
+    fn gather_scan_takes_same_graph_solves_in_order_and_stops_at_a_load() {
+        let lines = [
+            r#"{"cmd":"solve","graph":"g","solver":"ws-q","q":[0,1]}"#,
+            r#"{"cmd":"solve","graph":"h","solver":"ws-q","q":[0,1]}"#,
+            r#"{"cmd":"solve","graph":"g","solver":"ws-q","q":[2,3],"deadline_ms":500}"#,
+            r#"{"cmd":"batch","graph":"g","solver":"ws-q","queries":[[0,1]]}"#,
+            r#"{"cmd":"solve","graph":"g","solver":"st","q":[4,5]}"#,
+            r#"{"cmd":"solve","graph":"g","solver":"ws-q","q":[6,7]}"#,
+            r#"{"cmd":"load","name":"h","source":"karate"}"#,
+            r#"{"cmd":"solve","graph":"g","solver":"ws-q","q":[8,9]}"#,
+            r#"{"cmd":"load","name":"g","source":"karate"}"#,
+            r#"{"cmd":"solve","graph":"g","solver":"ws-q","q":[0,1]}"#,
+        ];
+        let requests: Vec<Request> = lines.iter().map(|l| parse_request(l).unwrap()).collect();
+        let mut offered: Vec<Vec<NodeId>> = Vec::new();
+        let picked = solves_to_gather(&requests, "g", &mut |_, q| {
+            offered.push(q.to_vec());
+            q != [6, 7] // the window refuses this one
+        });
+        // Other graphs, deadlines and batches are skipped; another
+        // graph's load is passed over; this graph's load ends the scan.
+        assert_eq!(picked, vec![0, 4, 7]);
+        assert_eq!(
+            offered,
+            vec![vec![0, 1], vec![4, 5], vec![6, 7], vec![8, 9]]
+        );
     }
 }

@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 use mwc_core::QueryOptions;
 use mwc_graph::NodeId;
 use mwc_service::coalesce::CoalesceConfig;
-use mwc_service::{server, Catalog, Client, ClientError, ServerConfig};
+use mwc_service::{
+    server, Catalog, Client, ClientError, Json, PipelinedClient, ServerConfig, WireReport,
+};
 
 /// A server with solve caches disabled (so parity and sharing are about
 /// coalescing, not cache hits) and the given flush window.
@@ -183,6 +185,99 @@ fn coalesced_results_match_direct_engine_calls_for_every_solver() {
             .unwrap()
             > 0.0
     );
+    handle.shutdown();
+}
+
+/// A flushing window takes the solves for its graph that wait in the
+/// admission queue: while two `burn`s hold both workers, duplicate and
+/// distinct solves queue up; the worker freed first leads a window that
+/// gathers all of them, and identical queries run once.
+#[test]
+fn flushing_window_gathers_the_admission_backlog() {
+    let catalog = Arc::new(Catalog::new().with_solve_cache_bytes(0));
+    catalog.load("toy", "ba:600x3").unwrap();
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = server::start(catalog, config, "127.0.0.1:0").expect("bind loopback");
+    let addr = handle.local_addr();
+
+    // The short burn frees its worker first; the long one keeps the other
+    // worker away from the queue until the window has flushed.
+    let burns: Vec<_> = [300u64, 1500]
+        .into_iter()
+        .map(|ms| std::thread::spawn(move || Client::connect(addr).unwrap().burn(ms)))
+        .collect();
+    // Wait until the server has read both burns (every `stats` poll
+    // counts itself too): the admission queue is FIFO, so the workers
+    // take the burns before any solve sent after this point.
+    let mut control = Client::connect(addr).unwrap();
+    for polls in 1u64.. {
+        let stats = control.stats().unwrap();
+        let total = stats.get("requests").unwrap().get("total").unwrap();
+        if total.as_u64().unwrap() >= polls + 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let duplicates: [&[NodeId]; 6] = [
+        &[7, 150, 450],
+        &[450, 7, 150],
+        &[7, 150, 450],
+        &[150, 450, 7],
+        &[7, 450, 150],
+        &[7, 150, 450],
+    ];
+    let distinct: [&[NodeId]; 4] = [&[0, 599], &[3, 300, 500], &[42, 84, 126], &[10, 20]];
+    let queries: Vec<&[NodeId]> = duplicates.iter().chain(&distinct).copied().collect();
+    let mut client = PipelinedClient::connect(addr).unwrap();
+    let ids: Vec<u64> = queries
+        .iter()
+        .map(|q| {
+            client
+                .send(vec![
+                    ("cmd", Json::from("solve")),
+                    ("graph", Json::from("toy")),
+                    ("solver", Json::from("ws-q")),
+                    ("no_cache", Json::Bool(true)),
+                    (
+                        "q",
+                        Json::Arr(q.iter().map(|&v| Json::from(u64::from(v))).collect()),
+                    ),
+                ])
+                .unwrap()
+        })
+        .collect();
+
+    let reference = reference_catalog();
+    let entry = reference.get("toy").unwrap();
+    for (id, q) in ids.into_iter().zip(&queries) {
+        let response = client.recv_until(id).unwrap();
+        let wire = WireReport::from_json(response.get("report").unwrap()).unwrap();
+        let direct = entry
+            .solve("ws-q", q, &QueryOptions::new().no_cache())
+            .unwrap();
+        assert_eq!(wire.connector, direct.connector.vertices(), "{q:?}");
+        assert_eq!(wire.wiener_index, direct.wiener_index, "{q:?}");
+        assert_eq!(wire.candidates, direct.candidates, "{q:?}");
+    }
+    for burn in burns {
+        burn.join().unwrap().unwrap();
+    }
+
+    // One window: the leader's own solve plus every queued one gathered,
+    // one execution per distinct query.
+    let stats = control.stats().unwrap();
+    let coalesce = stats.get("coalesce").unwrap();
+    let count = |name: &str| coalesce.get(name).unwrap().as_u64().unwrap();
+    assert_eq!(count("enqueued"), 1);
+    assert_eq!(count("gathered"), queries.len() as u64 - 1);
+    assert_eq!(count("flush_total"), 1);
+    assert_eq!(count("group_requests"), queries.len() as u64);
+    assert_eq!(count("executed"), 1 + distinct.len() as u64);
+    assert_eq!(count("deduped"), duplicates.len() as u64 - 1);
     handle.shutdown();
 }
 

@@ -471,10 +471,23 @@ fn stats_merge_aggregates_across_shards() {
         for q in QUERIES {
             client.solve(name, "st", q, None, None).unwrap();
         }
+        // A batch of two identical entries: one execution on its shard.
+        let pair = vec![vec![3, 150], vec![150, 3]];
+        let reports = client.batch(name, "st", &pair, None, None).unwrap();
+        assert!(reports.iter().all(Result::is_ok));
     }
     let stats = client.stats().unwrap();
     let aggregate = stats.get("aggregate").unwrap();
     let shards_doc = stats.get("shards").unwrap();
+    let batch = aggregate.get("batch").expect("batch counters aggregate");
+    for (field, want) in [("requests", 4), ("deduped", 2), ("executed", 2)] {
+        assert_eq!(
+            batch.get(field).unwrap().as_u64(),
+            Some(want),
+            "batch.{field}"
+        );
+    }
+    assert!(aggregate.get("coalesce").unwrap().get("gathered").is_some());
     for field in ["total", "ok", "error"] {
         let agg = aggregate
             .get("requests")

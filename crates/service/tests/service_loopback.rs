@@ -11,7 +11,9 @@ use std::time::Duration;
 
 use mwc_core::QueryOptions;
 use mwc_graph::NodeId;
-use mwc_service::{server, Catalog, Client, ClientError, GraphSource, ServerConfig};
+use mwc_service::{
+    server, Catalog, Client, ClientError, GraphSource, Json, ServerConfig, WireReport,
+};
 
 fn start_two_graph_server(config: ServerConfig) -> server::ServerHandle {
     let catalog = Arc::new(Catalog::new());
@@ -113,7 +115,7 @@ fn concurrent_solves_match_direct_engine_calls() {
     handle.shutdown();
 }
 
-/// A wire batch equals the engine's parallel batch, query by query, with
+/// A wire batch equals direct per-query solves, query by query, with
 /// per-query errors in place.
 #[test]
 fn batch_matches_engine_batch_and_reports_errors_in_place() {
@@ -133,7 +135,10 @@ fn batch_matches_engine_batch_and_reports_errors_in_place() {
 
     let reference = Catalog::new();
     let entry = reference.load("karate", "karate").unwrap();
-    let direct = entry.solve_batch("ws-q", &queries, &QueryOptions::default());
+    let direct: Vec<_> = queries
+        .iter()
+        .map(|q| entry.solve("ws-q", q, &QueryOptions::default()))
+        .collect();
     for (i, (w, d)) in wire.iter().zip(&direct).enumerate() {
         match (w, d) {
             (Ok(w), Ok(d)) => {
@@ -144,6 +149,82 @@ fn batch_matches_engine_batch_and_reports_errors_in_place() {
             other => panic!("query {i}: wire/direct disagree on feasibility: {other:?}"),
         }
     }
+    handle.shutdown();
+}
+
+/// A wire batch runs each graph's entries as one group: duplicate
+/// entries are solved once, an unknown-graph entry fails in place, and
+/// every report equals a direct solve, in request order.
+#[test]
+fn batch_dedups_duplicate_entries_and_keeps_errors_in_place() {
+    let handle = start_two_graph_server(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let entries: &[(&str, &[NodeId])] = &[
+        ("karate", &[0, 33]),
+        ("toy", &[7, 150, 250]),
+        ("karate", &[33, 0]),
+        ("atlantis", &[1, 2]),
+        ("karate", &[11, 24, 25, 29]),
+        ("toy", &[250, 7, 150]),
+        ("karate", &[0, 33]),
+    ];
+    let queries: Vec<Json> = entries
+        .iter()
+        .map(|&(graph, q)| {
+            Json::obj([
+                ("graph", Json::from(graph)),
+                (
+                    "q",
+                    Json::Arr(q.iter().map(|&v| Json::from(u64::from(v))).collect()),
+                ),
+            ])
+        })
+        .collect();
+    let line = Json::obj([
+        ("cmd", Json::from("batch")),
+        ("graph", Json::from("karate")),
+        ("solver", Json::from("ws-q")),
+        ("no_cache", Json::Bool(true)),
+        ("queries", Json::Arr(queries)),
+    ])
+    .to_string();
+    let response = mwc_service::json::parse(client.roundtrip_line(&line).unwrap().trim()).unwrap();
+    assert_eq!(response.get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(response.get("solved").unwrap().as_u64(), Some(6));
+    let reports = response.get("reports").unwrap().as_array().unwrap();
+    assert_eq!(reports.len(), entries.len());
+
+    let reference = Catalog::new();
+    reference.load("karate", "karate").unwrap();
+    reference.load("toy", "ba:300x2").unwrap();
+    for (i, (&(graph, q), report)) in entries.iter().zip(reports).enumerate() {
+        if graph == "atlantis" {
+            let code = report.get("error").and_then(|e| e.get("code"));
+            assert_eq!(
+                code.and_then(Json::as_str),
+                Some("unknown_graph"),
+                "entry {i}"
+            );
+            continue;
+        }
+        let wire = WireReport::from_json(report).unwrap();
+        let direct = reference
+            .get(graph)
+            .unwrap()
+            .solve("ws-q", q, &QueryOptions::new().no_cache())
+            .unwrap();
+        assert_eq!(wire.connector, direct.connector.vertices(), "entry {i}");
+        assert_eq!(wire.wiener_index, direct.wiener_index, "entry {i}");
+        assert_eq!(wire.candidates, direct.candidates, "entry {i}");
+    }
+
+    // Per graph, one group: karate's four entries run two executions,
+    // toy's two run one.
+    let stats = client.stats().unwrap();
+    let batch = stats.get("batch").expect("stats carry a batch section");
+    assert_eq!(batch.get("requests").unwrap().as_u64(), Some(6));
+    assert_eq!(batch.get("deduped").unwrap().as_u64(), Some(3));
+    assert_eq!(batch.get("executed").unwrap().as_u64(), Some(3));
     handle.shutdown();
 }
 
