@@ -9,17 +9,19 @@
 //!    α/β-switching kernel, same sources;
 //! 3. **original vs degree-ordered layout** — the same multi-source
 //!    sweep on the as-generated CSR and on
-//!    [`Graph::degree_ordered`]'s hub-first relabeling;
+//!    [`Graph::degree_ordered`](mwc_graph::Graph::degree_ordered)'s
+//!    hub-first relabeling;
 //! 4. **cache-cold vs cache-hot solve** — `ws-q` engine solves over a
 //!    query workload, first pass cold, second pass replayed from the
 //!    engine's solve cache (p50 of each);
 //! 5. **per-root vs batched `ws-q` root sweep** (`wsq_batched`) — the
 //!    BFS work Algorithm 1 pays before its λ sweeps for a |Q| = 16
 //!    query: a standalone feasibility BFS plus one distance+parent BFS
-//!    per root (the pre-batching solver) against the solver's
-//!    [`batched_root_distances`] (⌈|Q|/64⌉ shared CSR sweeps;
-//!    feasibility rides lane 0, and parents are derived on demand from
-//!    the distances, so the batched side pays neither up front);
+//!    per root (the pre-batching solver) against
+//!    [`batched_root_distances`], the unweighted kernel of the engine's
+//!    group prefetch (⌈|Q|/64⌉ shared CSR sweeps; feasibility rides
+//!    lane 0, and parents are derived on demand from the distances, so
+//!    the batched side pays neither up front);
 //! 6. **sequential vs batched oracle construction** (`oracle_build`) —
 //!    64 hub landmarks built by `k` sequential BFS runs
 //!    ([`LandmarkOracle::build_sequential`]) against the one-sweep
@@ -27,9 +29,10 @@
 //! 7. **per-source Dijkstra vs batched delta-stepping**
 //!    (`delta_stepping`) — the same 64 sources on the weighted twin of
 //!    the bench graph (`wba:` hash weights), 64 pooled
-//!    [`DijkstraWorkspace`] runs against one
-//!    [`MsDeltaWorkspace`] bucket sweep, distances asserted
-//!    bit-identical before timing;
+//!    [`DijkstraWorkspace`](mwc_graph::traversal::dijkstra::DijkstraWorkspace)
+//!    runs against one
+//!    [`MsDeltaWorkspace`](mwc_graph::traversal::delta::MsDeltaWorkspace)
+//!    bucket sweep, distances asserted bit-identical before timing;
 //! 8. **sequential vs batched weighted oracle** (`weighted_oracle`) —
 //!    the `oracle_build` comparison on the weighted graph, where both
 //!    sides dispatch to the delta-stepping kernels;
@@ -233,7 +236,7 @@ fn main() {
     //    pays in BFS before the λ sweeps, for a |Q| = 16 query. The
     //    baseline is the pre-batching solver's work — one standalone
     //    feasibility BFS from q[0] plus one distance+parent BFS per root;
-    //    the kernel side is the batched path's own helper (shared
+    //    the kernel side is the group prefetch's own helper (shared
     //    multi-source sweeps plus the per-root gather — feasibility rides
     //    lane 0 for free, and parent trees are derived on demand later).
     let wsq_roots: Vec<NodeId> = {

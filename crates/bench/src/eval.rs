@@ -22,10 +22,10 @@ pub struct SolutionMetrics {
     /// solution's vertices — `bc(H)`.
     pub avg_betweenness: f64,
     /// Exact Wiener index `W(H)` (every
-    /// [`SolveReport`](mwc_core::SolveReport) carries it).
+    /// [`SolveReport`] carries it).
     pub wiener: f64,
     /// Wall-clock seconds of the engine solve (which includes the exact
-    /// Wiener evaluation every [`SolveReport`](mwc_core::SolveReport)
+    /// Wiener evaluation every [`SolveReport`]
     /// carries; the extra metrics below are excluded).
     pub seconds: f64,
 }

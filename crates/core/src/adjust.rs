@@ -122,8 +122,9 @@ pub fn adjust_distances(
 /// [`adjust_distances`] with the BFS parent tree supplied as a lookup
 /// function instead of a materialized array.
 ///
-/// This is the entry point the batched `ws-q` path uses: the multi-source
-/// kernel produces per-root *distance* arrays only, and parents are
+/// This is the entry point `ws-q`'s root sweep uses: its distance
+/// kernels (single-source in the sweep workers, multi-source in a group
+/// prefetch) produce per-root *distance* arrays only, and parents are
 /// derived on demand by
 /// [`canonical_parent`](mwc_graph::traversal::bfs::canonical_parent)
 /// (lowest-id neighbor one level closer) — a pure function of the

@@ -12,9 +12,9 @@
 //!   implements, so callers select algorithms by registry name instead of
 //!   matching on enums;
 //! * [`QueryEngine`] — built once per graph, owning the state worth
-//!   amortizing across queries: a [`WorkspacePool`] of BFS buffers, the
-//!   degree-centrality vector, a lazily built betweenness vector, a
-//!   lazily built [`LandmarkOracle`] shared by every approximate solve,
+//!   amortizing across queries: a [`WorkspacePool`] of BFS buffers, a
+//!   lazily built betweenness vector, a lazily built [`LandmarkOracle`]
+//!   shared by every approximate solve,
 //!   and a bounded LRU *solve cache* ([`CacheStats`]) replaying recent
 //!   `(solver, query, options)` answers — repeated and overlapping query
 //!   sets are the serving norm;
@@ -504,18 +504,11 @@ impl SolveCache {
 #[derive(Debug)]
 struct SharedState {
     pool: WorkspacePool,
-    degree: Vec<f64>,
     betweenness: OnceLock<Vec<f64>>,
     oracle: OnceLock<LandmarkOracle>,
     landmarks: usize,
     landmark_strategy: LandmarkStrategy,
     oracle_seed: u64,
-    /// Route solvers' distance-only BFS through the direction-optimizing
-    /// kernel (results are identical; see [`crate::WsqConfig::kernel`]).
-    kernel: bool,
-    /// Batch per-root sweeps through the multi-source kernel (results
-    /// are identical; see [`crate::WsqConfig::batch`]).
-    batch: bool,
 }
 
 /// The per-query view a [`ConnectorSolver`] receives: the graph plus the
@@ -557,9 +550,10 @@ impl<'e> QueryContext<'e> {
 
     /// Per-root distance arrays prefetched by a cross-query coalesced
     /// sweep, when this solve is part of one ([`QueryEngine::solve_group`]).
-    /// Solvers that batch per-root BFS (`ws-q`, `ws-q+ls`) consume these
-    /// instead of running their own sweeps; results are bit-identical
-    /// either way because MS-BFS lanes are independent.
+    /// Solvers with per-root distance sweeps (`ws-q`, `ws-q+ls`) take
+    /// these instead of computing the covered roots themselves; results
+    /// are bit-identical either way because multi-source lanes are
+    /// independent.
     pub fn shared_root_distances(&self) -> Option<&SharedRootDists> {
         self.shared_roots.as_deref()
     }
@@ -596,26 +590,6 @@ impl<'e> QueryContext<'e> {
     /// The engine's BFS buffer pool; lease instead of allocating.
     pub fn workspace_pool(&self) -> &'e WorkspacePool {
         &self.shared.pool
-    }
-
-    /// Whether solvers should route distance-only BFS runs through the
-    /// direction-optimizing kernel (see
-    /// [`QueryEngine::set_kernel_enabled`]). Purely a performance choice:
-    /// distances, and therefore connectors, are identical either way.
-    pub fn kernel_enabled(&self) -> bool {
-        self.shared.kernel
-    }
-
-    /// Whether solvers should batch per-root sweeps through the
-    /// multi-source BFS kernel (see [`QueryEngine::set_batch_enabled`]).
-    /// Purely a performance choice: connectors are identical either way.
-    pub fn batch_enabled(&self) -> bool {
-        self.shared.batch
-    }
-
-    /// Degree centrality of every vertex (computed once per engine).
-    pub fn degree_centrality(&self) -> &'e [f64] {
-        &self.shared.degree
     }
 
     /// Exact betweenness centrality of every vertex, computed on first use
@@ -695,8 +669,6 @@ impl ConnectorSolver for WsqSolver {
         let mut cfg = self.config.clone();
         cfg.deadline = ctx.deadline();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         cfg.trace = ctx.options().trace_context().clone();
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
@@ -712,17 +684,16 @@ impl ConnectorSolver for WsqSolver {
 }
 
 /// Shared [`ConnectorSolver::coalesce_roots`] answer for the solvers built
-/// on [`WienerSteiner`]: under the batched `QueryOnly` sweep the per-root
-/// distance arrays are exactly the normalized query vertices' BFS
-/// distances, so those are what a coalesced window can prefetch. Any
-/// configuration that would not take the batched path (batching off,
-/// `AllVertices` roots, single-vertex query) declines.
+/// on [`WienerSteiner`]: under `QueryOnly` roots the per-root distance
+/// arrays are exactly the normalized query vertices' distances, so those
+/// are what a coalesced window can prefetch. `AllVertices` roots and
+/// single-vertex queries decline.
 fn wsq_coalesce_roots(
     cfg: &WsqConfig,
     ctx: &QueryContext<'_>,
     q: &[NodeId],
 ) -> Option<Vec<NodeId>> {
-    if !(cfg.batch && ctx.batch_enabled()) || cfg.roots != RootPolicy::QueryOnly {
+    if cfg.roots != RootPolicy::QueryOnly {
         return None;
     }
     crate::wsq::normalize_query(ctx.graph(), q)
@@ -749,9 +720,7 @@ impl ConnectorSolver for ApproxWsqSolver {
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
         let mut cfg = self.config.clone();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         let sol = solve_with_oracle(
             ctx.graph(),
             ctx.landmark_oracle(),
@@ -782,8 +751,6 @@ impl ConnectorSolver for LocalSearchSolver {
         let mut cfg = self.wsq.clone();
         cfg.deadline = ctx.deadline();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         cfg.trace = ctx.options().trace_context().clone();
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
@@ -935,11 +902,24 @@ pub struct GroupOutcome {
     pub stats: GroupStats,
 }
 
-/// Most distinct roots one [`QueryEngine::solve_group`] prefetches: two
-/// full multi-source sweeps. The prefetched distance arrays (one `u32`
-/// per vertex per root) live until the group ends, so the cap bounds a
-/// group's memory however many queries it carries.
-const GROUP_PREFETCH_ROOTS: usize = 2 * MS_BFS_LANES;
+/// Most bytes of distance arrays one [`QueryEngine::solve_group`]
+/// prefetches. The arrays (one `u32` per vertex per root) live until the
+/// group ends, so the budget bounds a group's memory however many queries
+/// it carries; a sweep's lane matrix is no larger than its arrays.
+const GROUP_PREFETCH_BYTES: usize = 64 << 20;
+
+/// Most distinct roots one [`QueryEngine::solve_group`] prefetches on a
+/// graph of `n` vertices: two full multi-source sweeps, fewer when their
+/// arrays would pass [`GROUP_PREFETCH_BYTES`], and none when fewer than
+/// two fit (one root has nothing to share a sweep with).
+fn group_prefetch_roots(n: usize) -> usize {
+    let cap = (GROUP_PREFETCH_BYTES / (4 * n.max(1))).min(2 * MS_BFS_LANES);
+    if cap < 2 {
+        0
+    } else {
+        cap
+    }
+}
 
 /// One distinct execution of a [`QueryEngine::solve_group`]: the solver,
 /// canonical query and options it runs with, the input slots it answers,
@@ -1077,20 +1057,16 @@ impl<'g> QueryEngine<'g> {
 
     fn with_store(graph: GraphStore<'g>, with_solvers: bool) -> Self {
         let approx_defaults = ApproxWsqConfig::default();
-        let degree = centrality::degree_centrality(graph.get());
         let mut engine = QueryEngine {
             graph,
             solvers: Vec::new(),
             shared: SharedState {
                 pool: WorkspacePool::new(),
-                degree,
                 betweenness: OnceLock::new(),
                 oracle: OnceLock::new(),
                 landmarks: approx_defaults.landmarks,
                 landmark_strategy: approx_defaults.strategy,
                 oracle_seed: 0x5EED,
-                kernel: true,
-                batch: true,
             },
             cache: SolveCache::new(
                 DEFAULT_SOLVE_CACHE_CAPACITY,
@@ -1162,26 +1138,6 @@ impl<'g> QueryEngine<'g> {
     /// budget are kept.
     pub fn set_solve_cache_ttl(&mut self, ttl: Option<Duration>) -> &mut Self {
         self.cache = SolveCache::new(self.cache.capacity, self.cache.max_bytes, ttl);
-        self
-    }
-
-    /// Toggles the direction-optimizing distance kernel for all solvers
-    /// of this engine (default: on). Distances — and therefore connectors
-    /// — are identical either way; the switch exists for benchmarking and
-    /// parity testing.
-    pub fn set_kernel_enabled(&mut self, enabled: bool) -> &mut Self {
-        self.shared.kernel = enabled;
-        self
-    }
-
-    /// Toggles the multi-source batched root sweep for all solvers of
-    /// this engine (default: on). Connectors are identical either way —
-    /// per-root parent trees are reconstructed from distances by a
-    /// deterministic rule, and multi-source distances are bit-identical
-    /// to per-source BFS; the switch exists for benchmarking and parity
-    /// testing (`wsq_batching_toggle_is_invisible_in_results`).
-    pub fn set_batch_enabled(&mut self, enabled: bool) -> &mut Self {
-        self.shared.batch = enabled;
         self
     }
 
@@ -1295,7 +1251,8 @@ impl<'g> QueryEngine<'g> {
         self.solve_with(solver, q, &QueryOptions::default())
     }
 
-    /// Solves one query with the named solver and explicit options.
+    /// Solves one query with the named solver and explicit options: a
+    /// [`Self::solve_group`] of one [`GroupQuery`].
     ///
     /// Consults the engine's solve cache first: repeated `(solver,
     /// canonical query, size budget)` triples are the serving norm, and a
@@ -1310,41 +1267,9 @@ impl<'g> QueryEngine<'g> {
         q: &[NodeId],
         options: &QueryOptions,
     ) -> Result<SolveReport> {
-        let start = Instant::now();
-        let s = self.solver(solver)?;
-        let cacheable =
-            !self.cache.disabled() && !options.cache_disabled() && options.time_budget().is_none();
-        let key = cacheable.then(|| {
-            let mut canonical = q.to_vec();
-            canonical.sort_unstable();
-            canonical.dedup();
-            (solver.to_string(), canonical, options.size_budget())
-        });
-        if let Some(key) = &key {
-            let mut span = options.trace_context().span("cache_lookup");
-            let hit = self.cache.get(key);
-            span.counter("hit", hit.is_some() as u64);
-            drop(span);
-            if let Some(mut report) = hit {
-                report.seconds = start.elapsed().as_secs_f64();
-                return Ok(report);
-            }
-        }
-        let ctx = QueryContext::new(self.graph.get(), &self.shared, options.clone(), false);
-        let mut report = s.solve(&ctx, q)?;
-        report.seconds = start.elapsed().as_secs_f64();
-        if let Some(budget) = options.size_budget() {
-            if report.connector.len() > budget {
-                return Err(CoreError::BudgetExceeded {
-                    size: report.connector.len(),
-                    budget,
-                });
-            }
-        }
-        if let Some(key) = key {
-            self.cache.insert(key, report.clone());
-        }
-        Ok(report)
+        let query = GroupQuery::new(solver, q.to_vec(), options.clone());
+        let mut outcome = self.solve_group(std::slice::from_ref(&query));
+        outcome.results.pop().expect("one result per query")
     }
 
     /// Solves a batch of queries with the named solver: a
@@ -1374,19 +1299,20 @@ impl<'g> QueryEngine<'g> {
     /// Three passes:
     ///
     /// 1. **Admission** — per query: resolve the solver (unknown names
-    ///    error in place), canonicalize, consult the solve cache under the
-    ///    exact policy of [`Self::solve_with`], and *deduplicate* the
+    ///    error in place), canonicalize, consult the solve cache (see
+    ///    [`Self::solve_with`] for the policy), and *deduplicate* the
     ///    remainder: queries with identical `(solver, canonical query,
     ///    size budget)` share one execution (deadline-bearing queries are
     ///    never shared — their results depend on wall-clock luck).
     /// 2. **Prefetch** — when more than one execution remains, union the
     ///    jobs' [`ConnectorSolver::coalesce_roots`] answers, in job order,
-    ///    up to 128 distinct roots (two sweeps), and run the union
-    ///    through shared 64-lane multi-source sweeps, so root BFS work
-    ///    that would run once per query with mostly-empty lanes runs once
-    ///    per group with packed lanes. A job whose roots do not fit under
-    ///    the cap is left out whole and runs its own sweep; the cap bounds
-    ///    the distance arrays a group holds until it ends.
+    ///    up to 128 distinct roots (two sweeps; fewer where their arrays
+    ///    would pass 64 MiB), and run the union through shared 64-lane
+    ///    multi-source sweeps, so root distance work that would run once
+    ///    per root and query runs once per group with packed lanes. A job
+    ///    whose roots do not fit under the cap is left out whole and
+    ///    computes its roots' distances in its own sweep workers; the cap
+    ///    bounds the distance arrays a group holds until it ends.
     /// 3. **Execute** — scoped workers (the calling thread among them)
     ///    each take the next job from a shared counter, with sequential
     ///    solver internals when several jobs run at once; results fan back
@@ -1450,12 +1376,13 @@ impl<'g> QueryEngine<'g> {
         }
         stats.executed = jobs.len() as u64;
 
-        // Pass 2: prefetch the capped union of the jobs' root sweeps
-        // through shared multi-source batches. Only worth it when
-        // executions can actually share lanes; a lone job packs its own
-        // lanes already.
+        // Pass 2: prefetch the capped union of the jobs' roots through
+        // shared multi-source batches. Only worth it when executions can
+        // actually share lanes; a lone job's sweep workers compute their
+        // own roots' distances.
         let mut shared: Option<Arc<SharedRootDists>> = None;
         if jobs.len() > 1 {
+            let cap = group_prefetch_roots(self.graph.get().num_nodes());
             let mut roots: BTreeSet<NodeId> = BTreeSet::new();
             for job in &jobs {
                 let s = self.solver(job.solver).expect("resolved in pass 1");
@@ -1463,7 +1390,7 @@ impl<'g> QueryEngine<'g> {
                     QueryContext::new(self.graph.get(), &self.shared, job.options.clone(), false);
                 if let Some(r) = s.coalesce_roots(&ctx, &job.canonical) {
                     let fresh = r.iter().filter(|v| !roots.contains(v)).count();
-                    if roots.len() + fresh <= GROUP_PREFETCH_ROOTS {
+                    if roots.len() + fresh <= cap {
                         roots.extend(r);
                     }
                 }
@@ -1553,11 +1480,11 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// One job of a [`Self::solve_group`]: like [`Self::solve_with`] but
-    /// with the cache lookup already done by the group's admission pass
-    /// (`cache_insert` carries its verdict) and the prefetched root
-    /// distances attached to the context. `seconds` is the job's own
-    /// wall time.
+    /// One job of a [`Self::solve_group`], with the cache lookup already
+    /// done by the group's admission pass (`cache_insert` carries its
+    /// verdict) and the prefetched root distances attached to the
+    /// context: solve, stamp `seconds` with the job's own wall time,
+    /// enforce the size budget, and cache the report.
     fn solve_prefetched(
         &self,
         job: &GroupJob<'_>,
@@ -1594,11 +1521,6 @@ impl<'g> QueryEngine<'g> {
             );
         }
         Ok(report)
-    }
-
-    /// Degree centrality of every vertex (cached at construction).
-    pub fn degree_centrality(&self) -> &[f64] {
-        &self.shared.degree
     }
 
     /// Exact betweenness centrality, computed on first use and cached.
@@ -1929,48 +1851,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_toggle_is_observable_and_parity_holds() {
-        let g = karate_club();
-        let mut engine = QueryEngine::new(&g);
-        assert!(engine.context(QueryOptions::default()).kernel_enabled());
-        let q = [11u32, 24, 25, 29];
-        let on = engine.solve("ws-q", &q).unwrap();
-        engine.set_kernel_enabled(false);
-        assert!(!engine.context(QueryOptions::default()).kernel_enabled());
-        let off = engine
-            .solve_with("ws-q", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-    }
-
-    #[test]
-    fn wsq_batching_toggle_is_invisible_in_results() {
-        let g = karate_club();
-        let mut engine = QueryEngine::new(&g);
-        assert!(engine.context(QueryOptions::default()).batch_enabled());
-        let q = [11u32, 24, 25, 29];
-        let on = engine.solve("ws-q", &q).unwrap();
-        engine.set_batch_enabled(false);
-        assert!(!engine.context(QueryOptions::default()).batch_enabled());
-        let off = engine
-            .solve_with("ws-q", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-        assert_eq!(on.candidates, off.candidates);
-        // The approximate solver honors the toggle too.
-        engine.set_batch_enabled(true);
-        let a_on = engine.solve("ws-q-approx", &q).unwrap();
-        engine.set_batch_enabled(false);
-        let a_off = engine
-            .solve_with("ws-q-approx", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(a_on.connector.vertices(), a_off.connector.vertices());
-        assert_eq!(a_on.wiener_index, a_off.wiener_index);
-    }
-
-    #[test]
     fn solve_cache_is_bounded_in_bytes() {
         let g = structured::path(60);
         let mut engine = QueryEngine::new(&g);
@@ -2088,7 +1968,6 @@ mod tests {
         let o1 = engine.landmark_oracle().landmarks().to_vec();
         let o2 = engine.landmark_oracle().landmarks().to_vec();
         assert_eq!(o1, o2);
-        assert_eq!(engine.degree_centrality().len(), g.num_nodes());
         // The approx solver goes through the same shared oracle.
         let q = [11u32, 24, 25, 29];
         let a = engine.solve("ws-q-approx", &q).unwrap();
@@ -2235,8 +2114,8 @@ mod tests {
         let empty = engine.solve_group(&[]);
         assert!(empty.results.is_empty());
         assert_eq!(empty.stats, GroupStats::default());
-        // A lone query runs without a prefetch (its own sweep already
-        // packs lanes) and matches the direct call.
+        // A lone query runs without a prefetch (there is nothing to
+        // share lanes with) and matches the direct call.
         let lone = engine.solve_group(&[GroupQuery::new(
             "ws-q",
             vec![11, 24, 25, 29],
@@ -2259,19 +2138,20 @@ mod tests {
         let g = barabasi_albert(1500, 3, &mut rng);
         let engine = QueryEngine::new(&g);
         // 40 disjoint |Q| = 4 queries: 160 distinct roots, more than the
-        // cap, so the jobs past it run their own sweeps.
+        // cap, so the jobs past it compute their own roots' distances.
         let queries: Vec<GroupQuery> = (0..40u32)
             .map(|i| {
                 let q = (0..4u32).map(|k| (i * 37 + k * 373) % 1500).collect();
                 GroupQuery::new("ws-q", q, QueryOptions::new().no_cache())
             })
             .collect();
+        let cap = group_prefetch_roots(g.num_nodes());
         let distinct: BTreeSet<NodeId> = queries.iter().flat_map(|gq| gq.q.clone()).collect();
-        assert!(distinct.len() > GROUP_PREFETCH_ROOTS);
+        assert!(distinct.len() > cap);
         let outcome = engine.solve_group(&queries);
         assert_eq!(outcome.stats.executed, queries.len() as u64);
         assert!(outcome.stats.shared_roots > 0);
-        assert!(outcome.stats.shared_roots <= GROUP_PREFETCH_ROOTS as u64);
+        assert!(outcome.stats.shared_roots <= cap as u64);
         assert!(outcome.stats.shared_sweeps <= 2);
         for (gq, result) in queries.iter().zip(&outcome.results) {
             let grouped = result.as_ref().expect("connected BA query");
@@ -2280,6 +2160,22 @@ mod tests {
             assert_eq!(grouped.wiener_index, direct.wiener_index);
             assert_eq!(grouped.candidates, direct.candidates);
         }
+    }
+
+    #[test]
+    fn group_prefetch_cap_is_a_byte_budget() {
+        // Two full sweeps while 128 arrays fit in 64 MiB (every graph up
+        // to 131 072 vertices), then as many as fit.
+        assert_eq!(group_prefetch_roots(34), 2 * MS_BFS_LANES);
+        assert_eq!(group_prefetch_roots(20_000), 2 * MS_BFS_LANES);
+        assert_eq!(group_prefetch_roots(200_000), 83);
+        assert_eq!(group_prefetch_roots(1_000_000), 16);
+        for n in [20_000, 200_000, 1_000_000] {
+            assert!(group_prefetch_roots(n) * 4 * n <= GROUP_PREFETCH_BYTES);
+        }
+        // Where not even two arrays fit, nothing is prefetched.
+        assert_eq!(group_prefetch_roots(GROUP_PREFETCH_BYTES / 8), 2);
+        assert_eq!(group_prefetch_roots(GROUP_PREFETCH_BYTES / 8 + 1), 0);
     }
 
     use mwc_graph::Graph;

@@ -26,7 +26,15 @@
 //! Theorem 4: the result is an `O(1)`-approximate minimum Wiener connector,
 //! in time `O(|Q| (|E| log|V| + |V| log²|V|))`. The paper's §6.6 notes the
 //! root loop parallelizes embarrassingly; [`WsqConfig::parallel`] does
-//! exactly that with scoped threads.
+//! exactly that with scoped threads. Each sweep worker also computes its
+//! own roots' distances `d_G(r, ·)` (line 1) in one pooled workspace:
+//! direction-optimizing BFS, or delta-stepping on weighted graphs. Only a
+//! [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
+//! prefetch computes them ahead of the sweep, packing the roots of many
+//! queries into shared multi-source sweeps
+//! ([`batched_root_distances_dispatch`]); a worker takes a prefetched
+//! array when one covers its root. Every kernel yields the same
+//! distances, so connectors do not depend on where they came from.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +43,8 @@ use std::time::Instant;
 
 use mwc_graph::hash::FxHashMap;
 use mwc_graph::traversal::bfs::{
-    canonical_parent, multi_source_distances, MsBfsWorkspace, PooledMsDeltaWorkspace,
-    PooledMsWorkspace, WorkspacePool, MS_BFS_LANES,
+    canonical_parent, multi_source_distances, MsBfsWorkspace, PooledDeltaWorkspace,
+    PooledMsDeltaWorkspace, PooledMsWorkspace, PooledWorkspace, WorkspacePool,
 };
 use mwc_graph::traversal::delta::multi_source_delta_distances;
 use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
@@ -102,35 +110,12 @@ pub struct WsqConfig {
     /// [`QueryOptions::deadline`](crate::engine::QueryOptions::deadline)
     /// rather than directly.
     pub deadline: Option<Instant>,
-    /// Route the solver's distance-only BFS runs (feasibility check,
-    /// per-root distances when [`WsqConfig::batch`] is off, `A(H, r)`
-    /// candidate evaluation) through the direction-optimizing kernel
-    /// ([`BfsWorkspace::run_auto`]
-    /// (mwc_graph::traversal::bfs::BfsWorkspace::run_auto)). Distances —
-    /// and therefore connectors — are bit-identical either way (pinned by
-    /// `kernel_toggle_yields_identical_connectors`); the flag exists so
-    /// the kernel bench and parity tests can hold everything else fixed.
-    /// BFS-tree parents are no longer scan-order artifacts: they are
-    /// derived from the distances by the deterministic
-    /// [`canonical_parent`] rule, so every kernel feeds `AdjustDistances`
-    /// the same trees.
-    pub kernel: bool,
-    /// Batch Algorithm 1's per-root sweep through the multi-source BFS
-    /// kernel: the `|Q|` root distance computations (line 1) and the
-    /// feasibility pass run as `⌈|Q|/64⌉` shared CSR sweeps
-    /// ([`MsBfsWorkspace`]) instead of one BFS per root, and the per-root
-    /// parent trees feeding `AdjustDistances` are reconstructed on demand
-    /// from the distance matrix ([`canonical_parent`]). Connectors are
-    /// **bit-identical** with batching on or off (pinned by
-    /// `batch_toggle_yields_identical_connectors` and the engine-level
-    /// parity tests); the flag exists for the `wsq_batched` bench section
-    /// and A/B parity testing.
-    pub batch: bool,
     /// Per-request trace context: when enabled the solver records
-    /// `feasibility`, `root_sweep` (with lane/sweep/candidate counters,
-    /// Steiner calls and reused trees, and accumulated Steiner,
-    /// `AdjustDistances` and `A(H, r)` time), and `evaluate` stage
-    /// spans. Disabled (the default) it costs one branch per stage.
+    /// `feasibility`, `root_sweep` (with root/candidate counters, root
+    /// distance arrays computed in the sweep, Steiner calls and reused
+    /// trees, and accumulated root-distance, Steiner, `AdjustDistances`
+    /// and `A(H, r)` time), and `evaluate` stage spans. Disabled (the
+    /// default) it costs one branch per stage.
     /// Typically set through
     /// [`QueryOptions::trace`](crate::engine::QueryOptions::trace).
     pub trace: TraceContext,
@@ -148,8 +133,6 @@ impl Default for WsqConfig {
             steiner: SteinerAlgorithm::default(),
             node_weighted_steiner: false,
             deadline: None,
-            kernel: true,
-            batch: true,
             trace: TraceContext::default(),
         }
     }
@@ -231,20 +214,18 @@ impl<'g> WienerSteiner<'g> {
         self.solve_pooled_shared(q, pool, None)
     }
 
-    /// Like [`WienerSteiner::solve_pooled`], but consuming per-root
-    /// distance arrays from `shared` when they are available — the
-    /// cross-request coalescing path, where one multi-source sweep served
-    /// the roots of *several* concurrent queries
+    /// Like [`WienerSteiner::solve_pooled`], but taking per-root distance
+    /// arrays from `shared` where it has them: the cross-request
+    /// coalescing path, where one multi-source sweep served the roots of
+    /// *several* concurrent queries
     /// ([`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)).
     ///
-    /// `shared` maps root vertices to distance arrays produced by the same
-    /// [`multi_source_distances`] kernel the solver would run itself; MS-BFS
-    /// lanes are independent, so the arrays are bit-identical regardless of
-    /// which other roots shared the sweep, and connectors are bit-identical
-    /// with or without `shared` (pinned by
-    /// `shared_root_distances_yield_identical_connectors`). Roots missing
-    /// from the map — or any batch the map does not fully cover — fall back
-    /// to the solver's own sweep.
+    /// Each sweep worker takes its root's array from `shared` when the map
+    /// covers that root and computes it in its own workspace otherwise.
+    /// Multi-source lanes are independent and match the single-source
+    /// kernels, so the arrays are bit-identical either way, and connectors
+    /// are bit-identical with or without `shared` (pinned by
+    /// `shared_root_distances_yield_identical_connectors`).
     pub fn solve_pooled_shared(
         &self,
         q: &[NodeId],
@@ -270,27 +251,16 @@ impl<'g> WienerSteiner<'g> {
             RootPolicy::AllVertices => g.nodes().collect(),
         };
 
-        let use_batch = self.config.batch && roots.len() > 1;
-        // Feasibility: all query vertices in one component, checked from
-        // q[0]. Under the batched QueryOnly sweep the check is folded
-        // into the first multi-source batch below (lane 0 *is* q[0], so
-        // it costs nothing); every other configuration pays one BFS here.
-        let feasibility_folded = use_batch && matches!(self.config.roots, RootPolicy::QueryOnly);
-        if !feasibility_folded {
+        // Feasibility: all query vertices in one component. QueryOnly
+        // roots are query vertices, so the sweep workers check each
+        // root's own array before any Steiner call; AllVertices roots may
+        // lie outside Q's component, so those solves search from q[0]
+        // here.
+        if self.config.roots == RootPolicy::AllVertices {
             let span = self.config.trace.span("feasibility");
-            let infeasible = if g.is_weighted() {
-                let mut ws = pool.lease_delta();
-                let dist = ws.run(g, q[0]);
-                q.iter().any(|&v| dist[v as usize] == INF_DIST)
-            } else {
-                let mut ws = pool.lease();
-                let dist = if self.config.kernel {
-                    ws.run_auto(g, q[0])
-                } else {
-                    ws.run(g, q[0])
-                };
-                q.iter().any(|&v| dist[v as usize] == INF_DIST)
-            };
+            let mut ws = RootDistWorkspace::lease(pool, g);
+            let dist = ws.run(g, q[0]);
+            let infeasible = q.iter().any(|&v| dist[v as usize] == INF_DIST);
             drop(span);
             if infeasible {
                 return Err(CoreError::QueryNotConnectable);
@@ -300,114 +270,36 @@ impl<'g> WienerSteiner<'g> {
         let mut candidates: Vec<CandidateRecord> = Vec::new();
         let mut best: Option<(CandidateRecord, Vec<NodeId>)> = None;
 
-        // Stage accounting for the `root_sweep` span: multi-source sweeps
-        // run locally (prefetch-covered batches run none), lanes packed
-        // into them, kernel BFS levels expanded, and Steiner and
-        // `AdjustDistances` time accumulated across sweep workers
-        // (reported as counters — the stages run interleaved on several
-        // threads, so child spans would overlap their siblings).
+        // Stage accounting for the `root_sweep` span: root distance arrays
+        // computed in the sweep (the rest came from a prefetch), and the
+        // time of that, Steiner, `AdjustDistances` and `A(H, r)`
+        // accumulated across sweep workers (reported as counters — the
+        // stages run interleaved on several threads, so child spans would
+        // overlap their siblings).
         let traced = self.config.trace.enabled();
         let sweep_start = traced.then(Instant::now);
-        let mut local_sweeps = 0u64;
-        let mut local_lanes = 0u64;
-        let mut kernel_levels_base = 0u64;
         let stage_acc = StageCounters::default();
         let counters = traced.then_some(&stage_acc);
-
-        // The candidate stream: identical root order (and therefore
-        // identical records) whether the per-root distances come from
-        // ⌈|roots|/64⌉ shared multi-source sweeps or one BFS per root.
-        let mut all: Vec<EvaluatedCandidate> = Vec::new();
-        let mut ms: Option<MsDistWorkspace<'_>> = None;
-        if use_batch {
-            // The multi-source workspace is leased lazily: when `shared`
-            // covers every batch (the fully coalesced case) no sweep runs
-            // here at all.
-            for (bi, batch) in roots.chunks(MS_BFS_LANES).enumerate() {
-                // Cooperative deadline between batches; the first batch
-                // always runs so a feasible connector is still produced.
-                if !all.is_empty() && past_deadline(&self.config) {
-                    break;
-                }
-                // Use the prefetched arrays only when they cover the whole
-                // batch — a partially covered batch recomputes everything,
-                // keeping the sweep accounting simple (in practice the
-                // coalescer prefetches all roots or none).
-                let dists: Vec<Arc<Vec<u32>>> = match shared {
-                    Some(map) if batch.iter().all(|r| map.contains_key(r)) => batch
-                        .iter()
-                        .map(|r| Arc::clone(map.get(r).expect("checked above")))
-                        .collect(),
-                    _ => {
-                        if ms.is_none() {
-                            let leased = MsDistWorkspace::lease(pool, g);
-                            // Pooled workspaces carry counters across
-                            // leases; report this solve's delta only.
-                            kernel_levels_base = leased.expanded();
-                            ms = Some(leased);
-                        }
-                        let ms = ms.as_mut().expect("leased above");
-                        local_sweeps += 1;
-                        local_lanes += batch.len() as u64;
-                        batched_root_distances_dispatch(g, batch, ms)
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect()
-                    }
-                };
-                if bi == 0 && feasibility_folded {
-                    // The check rides lane 0 of the sweep that just ran,
-                    // so the marginal cost — and the span — is ~zero.
-                    let span = self.config.trace.span("feasibility");
-                    let infeasible = q.iter().any(|&v| dists[0][v as usize] == INF_DIST);
-                    drop(span);
-                    if infeasible {
-                        return Err(CoreError::QueryNotConnectable);
-                    }
-                }
-                all.extend(self.sweep_roots(
-                    g,
-                    &q,
-                    batch,
-                    Some(&dists),
-                    &lambdas,
-                    pool,
-                    counters,
-                )?);
-            }
-        } else {
-            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, counters)?;
-        }
+        let mut all = self.sweep_roots(g, &q, &roots, shared, &lambdas, pool, counters)?;
         if let Some(t0) = sweep_start {
-            let kernel_levels = ms.as_ref().map_or(0, |w| w.expanded() - kernel_levels_base);
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
             self.config.trace.record_with(
                 "root_sweep",
                 t0,
                 Instant::now(),
                 vec![
                     ("roots", roots.len() as u64),
-                    ("sweeps", local_sweeps),
-                    ("lanes", local_lanes),
-                    ("kernel_levels", kernel_levels),
+                    ("root_distances", load(&stage_acc.root_distances)),
+                    ("root_distances_us", load(&stage_acc.root_distances_us)),
                     ("candidates", all.len() as u64),
-                    ("steiner_us", stage_acc.steiner_us.load(Ordering::Relaxed)),
-                    (
-                        "steiner_calls",
-                        stage_acc.steiner_calls.load(Ordering::Relaxed),
-                    ),
-                    (
-                        "steiner_reused",
-                        stage_acc.steiner_reused.load(Ordering::Relaxed),
-                    ),
-                    ("adjust_us", stage_acc.adjust_us.load(Ordering::Relaxed)),
-                    (
-                        "evaluate_a_us",
-                        stage_acc.evaluate_a_us.load(Ordering::Relaxed),
-                    ),
+                    ("steiner_us", load(&stage_acc.steiner_us)),
+                    ("steiner_calls", load(&stage_acc.steiner_calls)),
+                    ("steiner_reused", load(&stage_acc.steiner_reused)),
+                    ("adjust_us", load(&stage_acc.adjust_us)),
+                    ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
                 ],
             );
         }
-        drop(ms);
 
         let mut eval_span = self.config.trace.span("evaluate");
         let exact_evals = evaluate_exact(
@@ -450,18 +342,16 @@ impl<'g> WienerSteiner<'g> {
     }
 
     /// Fans the λ sweep for `roots` out across scoped worker threads
-    /// (§6.6's embarrassing root parallelism). `dists`, when present,
-    /// carries precomputed per-root distance arrays aligned with `roots`
-    /// (the batched path); chunk boundaries split both in lockstep, and
-    /// the merge keeps root order, so threading never changes the
-    /// candidate stream.
+    /// (§6.6's embarrassing root parallelism), one fixed chunk of roots
+    /// per worker; the merge keeps root order, so threading never changes
+    /// the candidate stream.
     #[allow(clippy::too_many_arguments)]
     fn sweep_roots(
         &self,
         g: &Graph,
         q: &[NodeId],
         roots: &[NodeId],
-        dists: Option<&[Arc<Vec<u32>>]>,
+        shared: Option<&SharedRootDists>,
         lambdas: &[f64],
         pool: &WorkspacePool,
         counters: Option<&StageCounters>,
@@ -475,18 +365,16 @@ impl<'g> WienerSteiner<'g> {
             1
         };
         if threads <= 1 {
-            return run_roots(g, &self.config, q, roots, dists, lambdas, pool, counters);
+            return run_roots(g, &self.config, q, roots, shared, lambdas, pool, counters);
         }
         let chunk = roots.len().div_ceil(threads);
         let results: Vec<Result<Vec<EvaluatedCandidate>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = roots
                 .chunks(chunk)
-                .enumerate()
-                .map(|(i, chunk_roots)| {
-                    let dists_chunk = dists.map(|d| &d[i * chunk..i * chunk + chunk_roots.len()]);
+                .map(|chunk_roots| {
                     let (q, lambdas, cfg) = (q, lambdas, &self.config);
                     scope.spawn(move || {
-                        run_roots(g, cfg, q, chunk_roots, dists_chunk, lambdas, pool, counters)
+                        run_roots(g, cfg, q, chunk_roots, shared, lambdas, pool, counters)
                     })
                 })
                 .collect();
@@ -504,12 +392,11 @@ impl<'g> WienerSteiner<'g> {
 }
 
 /// Distances from every root, batched through the multi-source BFS
-/// kernel: `⌈|roots|/64⌉` shared CSR sweeps, each serving up to
-/// [`MS_BFS_LANES`] roots at once, gathered into one per-root array each.
-/// Bit-identical to per-root [`BfsWorkspace::run`]
-/// (mwc_graph::traversal::bfs::BfsWorkspace::run) distances — this is
-/// Algorithm 1 line 1 as the batched `ws-q` path executes it, exposed so
-/// the `wsq_batched` bench section measures exactly the solver's code.
+/// kernel: `⌈|roots|/64⌉` shared CSR sweeps, each serving up to 64 roots
+/// at once, gathered into one per-root array each. Bit-identical to
+/// per-root [`BfsWorkspace::run`](mwc_graph::traversal::bfs::BfsWorkspace::run)
+/// distances — the unweighted kernel of the group prefetch, exposed so
+/// the `wsq_batched` bench section measures exactly that code.
 pub fn batched_root_distances(
     g: &Graph,
     roots: &[NodeId],
@@ -520,11 +407,11 @@ pub fn batched_root_distances(
 
 /// Pooled multi-source distance workspace, dispatched on the graph's
 /// weightedness: MS-BFS lanes for unweighted graphs, batched
-/// delta-stepping lanes ([`MsDeltaWorkspace`]
-/// (mwc_graph::traversal::delta::MsDeltaWorkspace)) for weighted ones.
-/// Both kernels produce per-root arrays bit-identical to their sequential
-/// references, so the batched solver and the engine's cross-request
-/// prefetch can share arrays regardless of which leased the workspace.
+/// delta-stepping lanes
+/// ([`MsDeltaWorkspace`](mwc_graph::traversal::delta::MsDeltaWorkspace))
+/// for weighted ones. Both kernels produce per-root arrays bit-identical
+/// to their sequential references, so the engine's cross-request
+/// prefetch hands sweep workers the arrays they would compute themselves.
 pub enum MsDistWorkspace<'p> {
     /// Unweighted graphs: 64-lane multi-source BFS.
     Bfs(PooledMsWorkspace<'p>),
@@ -541,24 +428,13 @@ impl<'p> MsDistWorkspace<'p> {
             MsDistWorkspace::Bfs(pool.lease_multi())
         }
     }
-
-    /// Cumulative work counter for tracing: BFS levels or delta-stepping
-    /// buckets expanded over the workspace's lifetime.
-    pub fn expanded(&self) -> u64 {
-        match self {
-            MsDistWorkspace::Bfs(ws) => ws.levels_expanded(),
-            MsDistWorkspace::Delta(ws) => ws.buckets_expanded(),
-        }
-    }
 }
 
 /// [`batched_root_distances`] with kernel dispatch: weighted graphs route
 /// through the batched delta-stepping kernel
 /// ([`multi_source_delta_distances`]), unweighted ones through MS-BFS.
-/// The solver's batched sweep and
 /// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)'s
-/// prefetch both go through here, so coalesced and uncoalesced solves run
-/// the same kernel on the same graph.
+/// prefetch goes through here.
 pub fn batched_root_distances_dispatch(
     g: &Graph,
     roots: &[NodeId],
@@ -571,8 +447,8 @@ pub fn batched_root_distances_dispatch(
 }
 
 /// Per-root distance arrays shared *across* queries: root vertex →
-/// distances-from-root, produced by the same [`multi_source_distances`]
-/// kernel the batched solver runs itself. Built by
+/// distances-from-root, produced by [`batched_root_distances_dispatch`].
+/// Built by
 /// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
 /// from the union of all coalesced queries' roots and consumed by
 /// [`WienerSteiner::solve_pooled_shared`]; the `Arc`s let many concurrent
@@ -693,10 +569,12 @@ pub(crate) fn better(rec: &CandidateRecord, cur: &CandidateRecord) -> bool {
     }
 }
 
-/// Stage time the sweep workers accumulate for a traced solve's
+/// Stage work the sweep workers accumulate for a traced solve's
 /// `root_sweep` span (statistics only, hence `Relaxed`).
 #[derive(Default)]
 struct StageCounters {
+    root_distances: AtomicU64,
+    root_distances_us: AtomicU64,
     steiner_us: AtomicU64,
     steiner_calls: AtomicU64,
     steiner_reused: AtomicU64,
@@ -709,15 +587,44 @@ fn past_deadline(cfg: &WsqConfig) -> bool {
     cfg.deadline.is_some_and(|d| Instant::now() >= d)
 }
 
+/// A sweep worker's single-source distance workspace, dispatched on the
+/// graph's weightedness: direction-optimizing BFS on unweighted graphs,
+/// delta-stepping on weighted ones. Each matches its multi-source twin
+/// lane for lane, so a worker's own arrays equal prefetched ones.
+enum RootDistWorkspace<'p> {
+    Bfs(PooledWorkspace<'p>),
+    Delta(PooledDeltaWorkspace<'p>),
+}
+
+impl<'p> RootDistWorkspace<'p> {
+    fn lease(pool: &'p WorkspacePool, g: &Graph) -> Self {
+        if g.is_weighted() {
+            RootDistWorkspace::Delta(pool.lease_delta())
+        } else {
+            RootDistWorkspace::Bfs(pool.lease())
+        }
+    }
+
+    /// Distances from `source` to every vertex.
+    fn run(&mut self, g: &Graph, source: NodeId) -> &[u32] {
+        match self {
+            RootDistWorkspace::Bfs(ws) => ws.run_auto(g, source),
+            RootDistWorkspace::Delta(ws) => ws.run(g, source),
+        }
+    }
+}
+
 /// Worker: full λ sweep for a chunk of roots, returning evaluated
 /// candidates.
 ///
-/// `dists`, when present, is the batched path's precomputed per-root
-/// distance slice (aligned with `roots`); otherwise each root pays one
-/// BFS here. Either way the BFS-tree parents feeding `AdjustDistances`
-/// are derived on demand from the distances by the deterministic
-/// [`canonical_parent`] rule — a pure function of the (kernel-invariant)
-/// distance array, so every configuration grafts identical paths.
+/// A root's distances come from `shared` when a prefetch covers it, and
+/// otherwise from this worker's own workspace, leased on the first root
+/// that needs it. Either way the BFS-tree parents feeding
+/// `AdjustDistances` are derived on demand from the distances by the
+/// deterministic [`canonical_parent`] rule — a pure function of the
+/// (kernel-invariant) distance array, so every source grafts identical
+/// paths. A query root whose array misses a query vertex fails the solve
+/// with [`CoreError::QueryNotConnectable`] before any Steiner call.
 ///
 /// λ ascends, so a λ at which the root's last Steiner call provably
 /// repeats gets a copy of that call's candidate under its own λ.
@@ -727,7 +634,7 @@ fn run_roots(
     cfg: &WsqConfig,
     q: &[NodeId],
     roots: &[NodeId],
-    dists: Option<&[Arc<Vec<u32>>]>,
+    shared: Option<&SharedRootDists>,
     lambdas: &[f64],
     pool: &WorkspacePool,
     counters: Option<&StageCounters>,
@@ -735,40 +642,45 @@ fn run_roots(
     let mut out: Vec<EvaluatedCandidate> = Vec::with_capacity(roots.len() * lambdas.len());
     // One Steiner workspace serves every (root, λ) call of this worker.
     let mut steiner_ws = SteinerWorkspace::new();
-    // Per-root distances come from the kernel matching the graph:
-    // delta-stepping on weighted graphs, BFS otherwise.
-    let mut ws = (!g.is_weighted()).then(|| pool.lease());
-    let mut delta = g.is_weighted().then(|| pool.lease_delta());
+    let mut own: Option<RootDistWorkspace<'_>> = None;
     let mut terminals: Vec<NodeId> = Vec::with_capacity(q.len() + 1);
-    for (i, &r) in roots.iter().enumerate() {
+    for &r in roots {
         // Cooperative deadline: stop sweeping further roots, but never
         // before this worker contributed at least one candidate.
         if !out.is_empty() && past_deadline(cfg) {
             break;
         }
-        let dist_r: &[u32] = match dists {
-            Some(d) => d[i].as_slice(),
-            None => match delta.as_mut() {
-                Some(dw) => dw.run(g, r),
-                None => {
-                    let ws = ws
-                        .as_mut()
-                        .expect("unweighted graphs lease a BFS workspace");
-                    if cfg.kernel {
-                        ws.run_auto(g, r)
-                    } else {
-                        ws.run(g, r)
-                    }
+        let dist_r: &[u32] = match shared.and_then(|map| map.get(&r)) {
+            Some(d) => d.as_slice(),
+            None => {
+                let t0 = counters.map(|_| Instant::now());
+                let ws = own.get_or_insert_with(|| RootDistWorkspace::lease(pool, g));
+                let d = ws.run(g, r);
+                if let (Some(c), Some(t0)) = (counters, t0) {
+                    c.root_distances.fetch_add(1, Ordering::Relaxed);
+                    c.root_distances_us
+                        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                 }
-            },
+                d
+            }
         };
         // Terminals: Q ∪ {r} (identical to Q under RootPolicy::QueryOnly).
         terminals.clear();
         terminals.extend_from_slice(q);
-        if !q.contains(&r) {
-            if dist_r[q[0] as usize] == INF_DIST {
-                continue; // root in a different component: useless
+        if q.binary_search(&r).is_ok() {
+            // A query root reaches all of Q exactly when Q lies in one
+            // component. AllVertices solves checked that up front; a
+            // QueryOnly solve's check on q[0] is its `feasibility` span.
+            let span = (r == q[0] && cfg.roots == RootPolicy::QueryOnly)
+                .then(|| cfg.trace.span("feasibility"));
+            let infeasible = q.iter().any(|&v| dist_r[v as usize] == INF_DIST);
+            drop(span);
+            if infeasible {
+                return Err(CoreError::QueryNotConnectable);
             }
+        } else if dist_r[q[0] as usize] == INF_DIST {
+            continue; // root in a different component: useless
+        } else {
             terminals.push(r);
         }
         // The root's last Steiner call: its candidate's index in `out`,
@@ -821,7 +733,7 @@ fn run_roots(
             };
             let nodes = final_tree.nodes;
             let t0 = counters.map(|_| Instant::now());
-            let a_value = evaluate_a(g, &nodes, r, pool, cfg.kernel)?;
+            let a_value = evaluate_a(g, &nodes, r, pool)?;
             if let (Some(c), Some(t0)) = (counters, t0) {
                 c.evaluate_a_us
                     .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -850,7 +762,6 @@ pub(crate) fn evaluate_a(
     nodes: &[NodeId],
     r: NodeId,
     pool: &WorkspacePool,
-    kernel: bool,
 ) -> Result<u64> {
     let sub = g.induced(nodes)?;
     let r_local = sub.to_local(r).expect("root belongs to its candidate");
@@ -860,11 +771,7 @@ pub(crate) fn evaluate_a(
         ws.last_run_distance_sum()
     } else {
         let mut ws = pool.lease();
-        if kernel {
-            ws.run_auto(sub.graph(), r_local);
-        } else {
-            ws.run(sub.graph(), r_local);
-        }
+        ws.run_auto(sub.graph(), r_local);
         ws.last_run_distance_sum()
     };
     debug_assert_eq!(
@@ -1076,76 +983,87 @@ mod tests {
         assert_eq!(sol.connector.vertices(), &[2, 3, 4]);
     }
 
+    /// A group prefetch of `roots`, built as `QueryEngine::solve_group`
+    /// builds it.
+    fn prefetch(g: &Graph, roots: &[NodeId]) -> SharedRootDists {
+        let pool = WorkspacePool::new();
+        let mut ws = MsDistWorkspace::lease(&pool, g);
+        let arrays = batched_root_distances_dispatch(g, roots, &mut ws);
+        roots
+            .iter()
+            .copied()
+            .zip(arrays.into_iter().map(Arc::new))
+            .collect()
+    }
+
+    /// `solve_pooled_shared` over a prefetch of every root against plain
+    /// per-root `solve`, each in parallel and in sequence: connectors, W,
+    /// candidate counts and the winning `(root, λ)` must all agree with a
+    /// sequential per-root solve. Returns that reference.
+    fn assert_prefetch_parity(g: &Graph, q: &[NodeId], roots: RootPolicy) -> WsqSolution {
+        let all_roots: Vec<NodeId> = match roots {
+            RootPolicy::QueryOnly => normalize_query(g, q).unwrap(),
+            RootPolicy::AllVertices => g.nodes().collect(),
+        };
+        let shared = prefetch(g, &all_roots);
+        let pool = WorkspacePool::new();
+        let solver = |parallel: bool| {
+            WienerSteiner::with_config(
+                g,
+                WsqConfig {
+                    roots,
+                    parallel,
+                    ..WsqConfig::default()
+                },
+            )
+        };
+        let reference = solver(false).solve(q).unwrap();
+        for parallel in [false, true] {
+            let own = solver(parallel).solve(q).unwrap();
+            let prefetched = solver(parallel)
+                .solve_pooled_shared(q, &pool, Some(&shared))
+                .unwrap();
+            for sol in [own, prefetched] {
+                assert_eq!(
+                    sol.connector.vertices(),
+                    reference.connector.vertices(),
+                    "parallel={parallel} {q:?}"
+                );
+                assert_eq!(sol.wiener_index, reference.wiener_index);
+                assert_eq!(sol.num_candidates, reference.num_candidates);
+                assert_eq!(
+                    (sol.best_root, sol.best_lambda.to_bits()),
+                    (reference.best_root, reference.best_lambda.to_bits())
+                );
+            }
+        }
+        reference
+    }
+
     #[test]
     fn batch_toggle_yields_identical_connectors() {
-        // The multi-source batched root sweep changes how distances are
-        // produced, never what they are — and parents are a pure function
-        // of distances — so connectors must be bit-identical with
-        // batching on or off.
+        // A prefetch changes where root distances come from, never what
+        // they are — and parents are a pure function of distances — so
+        // connectors must be bit-identical to per-root sweeps.
         let mut rng = rand::rngs::StdRng::seed_from_u64(73);
         let g = mwc_graph::generators::barabasi_albert(600, 3, &mut rng);
         for _ in 0..5 {
             let size = rng.gen_range(2..=6usize);
             let q: Vec<NodeId> = (0..size).map(|_| rng.gen_range(0..600)).collect();
-            let on = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    batch: true,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            let off = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    batch: false,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            assert_eq!(on.connector.vertices(), off.connector.vertices(), "{q:?}");
-            assert_eq!(on.wiener_index, off.wiener_index);
-            assert_eq!(on.num_candidates, off.num_candidates);
-            assert_eq!(
-                (on.best_root, on.best_lambda),
-                (off.best_root, off.best_lambda)
-            );
+            assert_prefetch_parity(&g, &q, RootPolicy::QueryOnly);
         }
     }
 
     #[test]
     fn batch_parity_holds_with_all_vertices_roots() {
-        // AllVertices spans multiple 64-lane batches on the karate club +
-        // margin graph; the standalone feasibility path and the per-batch
-        // sweeps must agree with the per-root path.
+        // AllVertices roots span three 64-lane prefetch sweeps, and the
+        // solve keeps its standalone feasibility search.
         let g = mwc_graph::generators::barabasi_albert(
             150,
             2,
             &mut rand::rngs::StdRng::seed_from_u64(79),
         );
-        let q = vec![3u32, 77, 149];
-        let mk = |batch: bool| {
-            WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    roots: RootPolicy::AllVertices,
-                    batch,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap()
-        };
-        let on = mk(true);
-        let off = mk(false);
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-        assert_eq!(on.num_candidates, off.num_candidates);
+        assert_prefetch_parity(&g, &[3, 77, 149], RootPolicy::AllVertices);
     }
 
     #[test]
@@ -1168,7 +1086,7 @@ mod tests {
         // The coalescing path hands the solver distance arrays computed by
         // a multi-source sweep over the union of *several* queries' roots.
         // Lanes are independent, so the connector must be bit-identical to
-        // the solver computing its own sweeps.
+        // the solver computing its own distances.
         let mut rng = rand::rngs::StdRng::seed_from_u64(89);
         let g = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
         let mut ms = MsBfsWorkspace::new();
@@ -1208,44 +1126,95 @@ mod tests {
         }
     }
 
+    /// The `root_sweep` span of a traced solve of `q`, and how many
+    /// `feasibility` spans the solve emitted.
+    fn traced_sweep(
+        g: &Graph,
+        q: &[NodeId],
+        parallel: bool,
+        shared: Option<&SharedRootDists>,
+    ) -> (crate::trace::SpanRecord, usize) {
+        use crate::trace::{TraceRecorder, NO_PARENT};
+        let recorder = TraceRecorder::new();
+        let cfg = WsqConfig {
+            parallel,
+            trace: TraceContext::attached(recorder.clone(), NO_PARENT),
+            ..WsqConfig::default()
+        };
+        let own = WienerSteiner::new(g).solve(q).unwrap();
+        let sol = WienerSteiner::with_config(g, cfg)
+            .solve_pooled_shared(q, &WorkspacePool::new(), shared)
+            .unwrap();
+        assert_eq!(own.connector.vertices(), sol.connector.vertices());
+        assert_eq!(own.wiener_index, sol.wiener_index);
+        assert_eq!(own.num_candidates, sol.num_candidates);
+        let spans = recorder.finish();
+        let feasibility = spans.iter().filter(|s| s.name == "feasibility").count();
+        let sweep = spans.into_iter().find(|s| s.name == "root_sweep").unwrap();
+        (sweep, feasibility)
+    }
+
     #[test]
     fn partially_covered_shared_map_falls_back_to_own_sweep() {
         let g = karate_club();
         let q = vec![11u32, 24, 25, 29];
-        // A map missing one of the roots: the batch recomputes, results
-        // unchanged.
-        let mut ms = MsBfsWorkspace::new();
-        let partial: SharedRootDists = batched_root_distances(&g, &[11, 24], &mut ms)
-            .into_iter()
-            .map(Arc::new)
-            .zip([11u32, 24])
-            .map(|(d, r)| (r, d))
-            .collect();
-        let solver = WienerSteiner::new(&g);
-        let pool = WorkspacePool::new();
-        let own = solver.solve_pooled(&q, &pool).unwrap();
-        let shared = solver
-            .solve_pooled_shared(&q, &pool, Some(&partial))
-            .unwrap();
-        assert_eq!(own.connector.vertices(), shared.connector.vertices());
-        assert_eq!(own.wiener_index, shared.wiener_index);
+        let counter = |sweep: &crate::trace::SpanRecord, name: &str| {
+            sweep.counters.iter().find(|(k, _)| *k == name).map(|c| c.1)
+        };
+        // A map missing two of the roots: the sweep computes exactly those
+        // two itself, and the results are unchanged.
+        let partial = prefetch(&g, &[11, 24]);
+        for parallel in [false, true] {
+            for (shared, computed) in [(None, 4), (Some(&partial), 2)] {
+                let (sweep, feasibility) = traced_sweep(&g, &q, parallel, shared);
+                assert_eq!(counter(&sweep, "roots"), Some(4));
+                assert_eq!(counter(&sweep, "root_distances"), Some(computed));
+                assert!(counter(&sweep, "root_distances_us").is_some());
+                assert_eq!(feasibility, 1, "one feasibility span per solve");
+            }
+        }
     }
 
     #[test]
-    fn infeasible_query_is_rejected_with_batching_on_and_off() {
-        let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        for batch in [true, false] {
-            let solver = WienerSteiner::with_config(
-                &split,
-                WsqConfig {
-                    batch,
-                    ..WsqConfig::default()
-                },
-            );
-            assert!(matches!(
-                solver.solve(&[0, 3]),
-                Err(CoreError::QueryNotConnectable)
-            ));
+    fn infeasible_query_is_rejected_in_every_sweep_shape() {
+        // Components {0, 1, 2} and {3, 4, 5}; Q = {0, 1, 4} spans both.
+        use crate::trace::{TraceRecorder, NO_PARENT};
+        let edges = [(0u32, 1u32), (1, 2), (3, 4), (4, 5)];
+        let unweighted = Graph::from_edges(6, &edges).unwrap();
+        let weighted =
+            Graph::from_weighted_edges(6, &edges.map(|(u, v)| (u, v, u + v + 1))).unwrap();
+        let q = [0u32, 1, 4];
+        for g in [&unweighted, &weighted] {
+            let partial = prefetch(g, &[1]);
+            for roots in [RootPolicy::QueryOnly, RootPolicy::AllVertices] {
+                for parallel in [false, true] {
+                    for shared in [None, Some(&partial)] {
+                        let recorder = TraceRecorder::new();
+                        let solver = WienerSteiner::with_config(
+                            g,
+                            WsqConfig {
+                                roots,
+                                parallel,
+                                trace: TraceContext::attached(recorder.clone(), NO_PARENT),
+                                ..WsqConfig::default()
+                            },
+                        );
+                        let got = solver.solve_pooled_shared(&q, &WorkspacePool::new(), shared);
+                        let shape = format!(
+                            "{roots:?} parallel={parallel} prefetched={}",
+                            shared.is_some()
+                        );
+                        assert!(
+                            matches!(got, Err(CoreError::QueryNotConnectable)),
+                            "{shape}"
+                        );
+                        // Rejected before the sweep finished, so only the
+                        // feasibility span was recorded.
+                        let names: Vec<_> = recorder.finish().iter().map(|s| s.name).collect();
+                        assert_eq!(names, ["feasibility"], "{shape}");
+                    }
+                }
+            }
         }
     }
 
@@ -1266,65 +1235,18 @@ mod tests {
     #[test]
     fn weighted_solves_are_toggle_invariant() {
         // On weighted graphs every distance comes from delta-stepping
-        // (batched or single-source) — and delta-stepping is pinned
-        // bit-identical to Dijkstra — so batching, parallelism, and
-        // coalesced shared distances must all leave the connector fixed.
+        // (batched in the prefetch, single-source in the sweep workers) —
+        // and delta-stepping is pinned bit-identical to Dijkstra — so
+        // parallelism and prefetched distances must leave the connector
+        // fixed.
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let base = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
         let g = weighted_version(&base, 9);
         for _ in 0..4 {
             let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..400)).collect();
-            let reference = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    batch: false,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            for (batch, parallel) in [(true, false), (true, true), (false, true)] {
-                let sol = WienerSteiner::with_config(
-                    &g,
-                    WsqConfig {
-                        batch,
-                        parallel,
-                        ..WsqConfig::default()
-                    },
-                )
-                .solve(&q)
-                .unwrap();
-                assert_eq!(
-                    sol.connector.vertices(),
-                    reference.connector.vertices(),
-                    "batch={batch} parallel={parallel} {q:?}"
-                );
-                assert_eq!(sol.wiener_index, reference.wiener_index);
-                assert_eq!(sol.num_candidates, reference.num_candidates);
-            }
-            // The coalescing path: shared arrays from the weighted batched
-            // kernel, exactly as solve_group prefetches them.
-            let q_norm = normalize_query(&g, &q).unwrap();
-            let pool = WorkspacePool::new();
-            let mut ws = MsDistWorkspace::lease(&pool, &g);
-            let arrays = batched_root_distances_dispatch(&g, &q_norm, &mut ws);
-            drop(ws);
-            let shared: SharedRootDists = q_norm
-                .iter()
-                .copied()
-                .zip(arrays.into_iter().map(Arc::new))
-                .collect();
-            let coalesced = WienerSteiner::new(&g)
-                .solve_pooled_shared(&q, &pool, Some(&shared))
-                .unwrap();
-            assert_eq!(
-                coalesced.connector.vertices(),
-                reference.connector.vertices()
-            );
-            assert_eq!(coalesced.wiener_index, reference.wiener_index);
+            let reference = assert_prefetch_parity(&g, &q, RootPolicy::QueryOnly);
             // The reported Wiener index is the weighted one.
-            assert!(reference.connector.contains_all(&q_norm));
+            assert!(reference.connector.contains_all(&q));
             assert_eq!(
                 reference.wiener_index,
                 reference.connector.wiener_index(&g).unwrap()
@@ -1346,40 +1268,6 @@ mod tests {
             let u = WienerSteiner::new(&base).solve(&q).unwrap();
             assert_eq!(w.connector.vertices(), u.connector.vertices(), "{q:?}");
             assert_eq!(w.wiener_index, u.wiener_index);
-        }
-    }
-
-    #[test]
-    fn kernel_toggle_yields_identical_connectors() {
-        // The direction-optimizing kernel only changes scan order, never
-        // distances — connectors must be bit-identical with it on or off.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        let g = mwc_graph::generators::barabasi_albert(500, 3, &mut rng);
-        for _ in 0..5 {
-            let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..500)).collect();
-            let on = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    kernel: true,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            let off = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    kernel: false,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            assert_eq!(on.connector.vertices(), off.connector.vertices(), "{q:?}");
-            assert_eq!(on.wiener_index, off.wiener_index);
-            assert_eq!(on.num_candidates, off.num_candidates);
         }
     }
 }

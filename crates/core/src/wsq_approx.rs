@@ -51,11 +51,6 @@ pub struct ApproxWsqConfig {
     /// Exact-Wiener evaluation threshold (Remark 1; see
     /// [`crate::WsqConfig::wiener_exact_threshold`]).
     pub wiener_exact_threshold: usize,
-    /// Route distance-only BFS runs (feasibility, `A(H, r)` evaluation)
-    /// through the direction-optimizing kernel; see
-    /// [`crate::WsqConfig::kernel`]. Results are bit-identical either
-    /// way.
-    pub kernel: bool,
     /// Allow internal parallelism (currently: the multi-source parallel
     /// Wiener evaluation of Remark-1 survivors). The engine clears this
     /// inside `solve_group` workers so solvers do not nest one thread
@@ -66,8 +61,7 @@ pub struct ApproxWsqConfig {
     /// ([`LandmarkOracle::estimate_all_multi`]) instead of `|Q|` separate
     /// sweeps — each landmark row is folded into every root while
     /// cache-hot. Estimates (and therefore connectors) are identical
-    /// either way; the flag mirrors [`crate::WsqConfig::batch`] for A/B
-    /// parity testing.
+    /// either way; the flag exists for A/B parity testing.
     pub batch: bool,
 }
 
@@ -79,7 +73,6 @@ impl Default for ApproxWsqConfig {
             strategy: LandmarkStrategy::HighestDegree,
             steiner: SteinerAlgorithm::default(),
             wiener_exact_threshold: 4096,
-            kernel: true,
             parallel: true,
             batch: true,
         }
@@ -178,11 +171,7 @@ pub fn solve_with_oracle(
     // Feasibility stays exact: one BFS, not one per root.
     {
         let mut ws = pool.lease();
-        let dist = if config.kernel {
-            ws.run_auto(g, q[0])
-        } else {
-            ws.run(g, q[0])
-        };
+        let dist = ws.run_auto(g, q[0]);
         if q.iter().any(|&v| dist[v as usize] == INF_DIST) {
             return Err(CoreError::QueryNotConnectable);
         }
@@ -273,7 +262,7 @@ fn candidates(
             let (tree, repeats) =
                 lambda_steiner_with(&mut steiner_ws, config.steiner, g, q, lambda, m)?;
             let nodes = tree.nodes;
-            let a_value = evaluate_a(g, &nodes, r, pool, config.kernel)?;
+            let a_value = evaluate_a(g, &nodes, r, pool)?;
             last = Some((all.len(), repeats));
             all.push((
                 CandidateRecord {

@@ -152,18 +152,24 @@ proptest! {
         prop_assert_eq!(once, normalize_query(&g, &reversed).unwrap());
     }
 
-    /// Batched vs per-root `ws-q` parity on the paper's evaluation
-    /// families (ER / BA / SBM): routing Algorithm 1's root sweep
-    /// through the multi-source kernel — with parent trees reconstructed
-    /// on demand from the distance matrix — must produce bit-identical
-    /// connectors, objective values, and candidate counts.
+    /// Prefetched vs per-root `ws-q` parity on the paper's evaluation
+    /// families (ER / BA / SBM): root distances from a group prefetch's
+    /// multi-source sweep — with parent trees reconstructed on demand
+    /// from each array — must produce the connectors, objective values,
+    /// candidate counts and winning roots of per-root sweeps, in
+    /// parallel and in sequence.
     #[test]
     fn wsq_batched_matches_per_root_on_families(
         (family, seed) in (0usize..3, any::<u64>()),
         q_seed in any::<u64>(),
     ) {
-        use mwc_core::wsq::{WienerSteiner, WsqConfig};
+        use mwc_core::wsq::{
+            batched_root_distances_dispatch, normalize_query, MsDistWorkspace, SharedRootDists,
+            WienerSteiner, WsqConfig,
+        };
+        use mwc_graph::traversal::bfs::WorkspacePool;
         use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 120 + (seed % 80) as usize;
         let raw = match family {
@@ -180,8 +186,8 @@ proptest! {
                 .graph
             }
         };
-        // Query inside one component so both paths solve (parity on the
-        // rejection path is covered by unit tests).
+        // Query inside one component so both paths solve (the rejection
+        // path is covered by unit tests).
         let (g, _) = mwc_graph::connectivity::largest_component_graph(&raw).unwrap();
         prop_assume!(g.num_nodes() >= 8);
         let mut qrng = rand::rngs::StdRng::seed_from_u64(q_seed);
@@ -189,20 +195,24 @@ proptest! {
         let q: Vec<NodeId> = (0..size)
             .map(|_| qrng.gen_range(0..g.num_nodes() as NodeId))
             .collect();
-        let solve = |batch: bool| {
-            WienerSteiner::with_config(
-                &g,
-                WsqConfig { batch, parallel: false, ..WsqConfig::default() },
-            )
-            .solve(&q)
-            .unwrap()
+        let roots = normalize_query(&g, &q).unwrap();
+        let pool = WorkspacePool::new();
+        let arrays = batched_root_distances_dispatch(&g, &roots, &mut MsDistWorkspace::lease(&pool, &g));
+        let shared: SharedRootDists = roots.iter().copied().zip(arrays.into_iter().map(Arc::new)).collect();
+        let solver = |parallel: bool| {
+            WienerSteiner::with_config(&g, WsqConfig { parallel, ..WsqConfig::default() })
         };
-        let on = solve(true);
-        let off = solve(false);
-        prop_assert_eq!(on.connector.vertices(), off.connector.vertices());
-        prop_assert_eq!(on.wiener_index, off.wiener_index);
-        prop_assert_eq!(on.num_candidates, off.num_candidates);
-        prop_assert_eq!(on.best_root, off.best_root);
+        let reference = solver(false).solve(&q).unwrap();
+        for parallel in [false, true] {
+            let own = solver(parallel).solve(&q).unwrap();
+            let prefetched = solver(parallel).solve_pooled_shared(&q, &pool, Some(&shared)).unwrap();
+            for sol in [own, prefetched] {
+                prop_assert_eq!(sol.connector.vertices(), reference.connector.vertices());
+                prop_assert_eq!(sol.wiener_index, reference.wiener_index);
+                prop_assert_eq!(sol.num_candidates, reference.num_candidates);
+                prop_assert_eq!(sol.best_root, reference.best_root);
+            }
+        }
     }
 
     /// Coalesced-group parity: packing heterogeneous concurrent queries

@@ -332,7 +332,7 @@ pub struct MsBfsWorkspace {
     n: usize,
     /// Cumulative sweeps executed over this workspace's lifetime
     /// (pooled workspaces carry these across leases; readers report
-    /// deltas — the request-tracing layer's kernel counters).
+    /// deltas).
     sweeps_run: u64,
     /// Cumulative BFS levels expanded across all sweeps.
     levels_total: u64,
@@ -455,8 +455,8 @@ impl MsBfsWorkspace {
     }
 
     /// Cumulative sweeps executed over this workspace's lifetime.
-    /// Monotonic across pooled leases; consumers (the tracing layer's
-    /// `root_sweep` counters) report deltas around their own use.
+    /// Monotonic across pooled leases; readers report deltas around
+    /// their own use.
     pub fn sweeps_run(&self) -> u64 {
         self.sweeps_run
     }
@@ -598,7 +598,7 @@ pub fn canonical_parents(g: &Graph, dist: &[u32]) -> Vec<NodeId> {
 /// `⌈|sources|/64⌉` multi-source sweeps and gathered into one per-source
 /// array each (via the one-pass [`MsBfsWorkspace::all_lane_distances`]
 /// transpose). Bit-identical to per-source [`BfsWorkspace::run`] — the
-/// shared building block of the batched `ws-q` root sweep and the
+/// shared building block of the `ws-q` group prefetch and the
 /// batched [`LandmarkOracle`](crate::oracle::LandmarkOracle) build.
 pub fn multi_source_distances(
     g: &Graph,
@@ -666,8 +666,8 @@ impl WorkspacePool {
     }
 
     /// Borrows a multi-source workspace; creates one if none is free.
-    /// The batched `ws-q` root sweep leases one per solve instead of
-    /// reallocating the lane-mask and distance-matrix buffers per query.
+    /// The `ws-q` group prefetch leases one per group instead of
+    /// reallocating the lane-mask and distance-matrix buffers per group.
     pub fn lease_multi(&self) -> PooledMsWorkspace<'_> {
         let ws = self
             .free_multi

@@ -145,7 +145,7 @@ impl DeltaWorkspace {
 
     /// [`Self::run`] with an explicit `Δ` (clamped to ≥ 1, rounded down
     /// to a power of two, and raised under extreme weight skew so the
-    /// bucket array stays bounded — see [`tune_delta`]) — the knob the
+    /// bucket array stays bounded — see `tune_delta`) — the knob the
     /// parity proptests sweep (`Δ ∈ {1, mean, large}`).
     pub fn run_with_delta(&mut self, g: &Graph, source: NodeId, delta: u32) -> &[u32] {
         let n = g.num_nodes();
@@ -386,7 +386,7 @@ impl MsDeltaWorkspace {
     /// [`Self::run`] with an explicit `Δ` (clamped to ≥ 1, rounded down
     /// to a power of two so bucket indexing is a shift, and raised under
     /// extreme weight skew so the `n × buckets` pending matrix stays
-    /// within a fixed budget — see [`tune_delta`]).
+    /// within a fixed budget — see `tune_delta`).
     pub fn run_with_delta(&mut self, g: &Graph, sources: &[NodeId], delta: u32) {
         assert!(
             !sources.is_empty() && sources.len() <= MS_BFS_LANES,

@@ -2,11 +2,10 @@
 //!
 //! A serving process holds many graphs (the paper's deployments are
 //! per-dataset: a social graph, a PPI network, …) and answers queries
-//! against any of them by name. The catalog owns one
-//! [`OwnedEngine`](mwc_core::OwnedEngine) per graph — built when the
-//! graph is loaded, so the per-graph state (BFS workspace pool, degree
-//! vector, landmark oracle, solve cache) is amortized across every
-//! request the server will ever answer for it.
+//! against any of them by name. The catalog owns one [`OwnedEngine`]
+//! per graph — built when the graph is loaded, so the per-graph state
+//! (BFS workspace pool, landmark oracle, solve cache) is amortized
+//! across every request the server will ever answer for it.
 //!
 //! # Degree-ordered serving layout
 //!

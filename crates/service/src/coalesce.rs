@@ -1,10 +1,10 @@
 //! Cross-request solve coalescing: a per-graph batch scheduler between
 //! the worker pool and [`CatalogEntry`].
 //!
-//! PRs 3–4 made per-root BFS sweeps cheap *within* one request by packing
-//! roots into the 64-lane multi-source kernel — but a busy server's lanes
-//! are mostly empty, because each request fills lanes only from its own
-//! query. This module fills them from *each other's*: solve requests for
+//! The 64-lane multi-source kernel pays off only with its lanes full, and
+//! one request's query fills a handful of them, so a lone solve computes
+//! its roots' distances one by one in its sweep workers. This module
+//! fills the lanes from *each other's* queries: solve requests for
 //! the same graph that arrive within a short flush window are gathered
 //! into one [`CatalogEntry::solve_group`] execution, whose engine-side
 //! prefetch unions every request's roots into shared `MsBfsWorkspace`

@@ -5,7 +5,7 @@
 //! that took `< 2^i` µs), so a quantile is read by walking at most 40
 //! buckets — no per-request allocation, no sorting, bounded error of at
 //! most one octave. The `stats` protocol command serializes a
-//! [`MetricsSnapshot`] of all of this.
+//! [`Metrics::snapshot`] of all of this.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

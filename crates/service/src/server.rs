@@ -25,8 +25,8 @@
 //!
 //! [`ServerConfig::transport`] selects the transport; both speak the
 //! identical wire protocol (the loopback suites run bit-identically
-//! under either — CI pins this). The epoll loop lives in
-//! [`crate::event_loop`], over the tiny syscall shim in `net`.
+//! under either — CI pins this). The epoll loop lives in the private
+//! `event_loop` module, over the tiny syscall shim in `net`.
 //!
 //! Properties this shape buys:
 //!
@@ -37,7 +37,8 @@
 //!   answerable *while* the server sheds load — exactly when you need it.
 //! * **End-to-end deadlines** — `deadline_ms` starts counting when the
 //!   request is read; queue wait is charged against it, and the residue
-//!   becomes the solver's cooperative [`QueryOptions`] deadline. A
+//!   becomes the solver's cooperative
+//!   [`QueryOptions`](mwc_core::QueryOptions) deadline. A
 //!   request that expires in the queue is failed without starting.
 //! * **One executor** — a coalescing window and a wire `batch` both run
 //!   through [`CatalogEntry::solve_group`], which answers identical

@@ -80,9 +80,9 @@ fn traced_solve_returns_pipeline_span_tree() {
     // and direct paths differ only in an optional `coalesce_wait` between
     // admission and the engine stages, so order is checked on the stages'
     // first occurrences rather than on fixed child indices. `feasibility`
-    // is checked for presence and containment only: ws-q folds the
-    // feasibility batches into the shared multi-source sweeps, so its
-    // span can start inside `root_sweep`'s window.)
+    // is checked for presence and containment only: ws-q checks it on
+    // the first root's distance array inside the sweep, so its span
+    // starts inside `root_sweep`'s window.)
     let expected = [
         "admission",
         "cache_lookup",
@@ -118,11 +118,14 @@ fn traced_solve_returns_pipeline_span_tree() {
         dur_us(root)
     );
 
-    // Kernel counters surface on the sweep span; the fresh solve misses
-    // the cache.
+    // Distance counters surface on the sweep span: a lone fresh solve has
+    // no group prefetch, so its sweep computes every root's distances
+    // itself. It also misses the cache.
     let sweep = child(root, "root_sweep").unwrap();
-    assert!(counter(sweep, "roots").unwrap() >= 1);
-    assert!(counter(sweep, "lanes").is_some());
+    let roots = counter(sweep, "roots").unwrap();
+    assert!(roots >= 1);
+    assert_eq!(counter(sweep, "root_distances"), Some(roots));
+    assert!(counter(sweep, "root_distances_us").is_some());
     // Every (root, λ) candidate comes from a Steiner call or is a copy of
     // the root's last call, reused at a larger λ where that run provably
     // repeats; Steiner time is accumulated across the sweep workers.

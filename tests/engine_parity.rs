@@ -163,14 +163,17 @@ fn cache_on_and_off_reports_agree_for_every_registered_solver() {
     assert!(stats.hits >= (names.len() * queries.len()) as u64);
 }
 
-/// Engine-level batching parity: `ws-q` with the multi-source batched
-/// root sweep on vs off returns identical `Connector`s for 100 random
-/// queries — on a graph large enough that both the batched and the
-/// direction-optimizing code paths genuinely engage. The batched sweep
-/// is a kernel choice, never a semantic one.
+/// Engine-level batching parity: one `solve_group` of 100 random `ws-q`
+/// queries, whose prefetch packs their roots into shared multi-source
+/// sweeps, returns the connectors of 100 lone `solve_with` calls, whose
+/// sweep workers compute every root's distances themselves — on a graph
+/// large enough that both the prefetch and the direction-optimizing BFS
+/// genuinely engage. Where root distances come from is a kernel choice,
+/// never a semantic one.
 #[test]
 fn wsq_batching_on_and_off_return_identical_connectors_for_100_queries() {
     use rand::{Rng, SeedableRng};
+    use wiener_connector::core::GroupQuery;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C4);
     let g = wiener_connector::graph::generators::barabasi_albert(500, 3, &mut rng);
     let queries: Vec<Vec<NodeId>> = (0..100)
@@ -186,15 +189,18 @@ fn wsq_batching_on_and_off_return_identical_connectors_for_100_queries() {
             q
         })
         .collect();
-    let mut on_engine = QueryEngine::new(&g);
-    let mut off_engine = QueryEngine::new(&g);
-    on_engine.set_batch_enabled(true);
-    off_engine.set_batch_enabled(false);
-    let opts = QueryOptions::default();
-    let on = on_engine.solve_batch("ws-q", &queries, &opts);
-    let off = off_engine.solve_batch("ws-q", &queries, &opts);
-    for ((q, a), b) in queries.iter().zip(&on).zip(&off) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+    let group: Vec<GroupQuery> = queries
+        .iter()
+        .map(|q| GroupQuery::new("ws-q", q.clone(), QueryOptions::default()))
+        .collect();
+    let on = QueryEngine::new(&g).solve_group(&group);
+    assert!(on.stats.shared_sweeps >= 1, "the group prefetched no roots");
+    let off_engine = QueryEngine::new(&g);
+    for (q, a) in queries.iter().zip(&on.results) {
+        let a = a.as_ref().unwrap();
+        let b = off_engine
+            .solve_with("ws-q", q, &QueryOptions::default())
+            .unwrap();
         assert_eq!(
             a.connector.vertices(),
             b.connector.vertices(),
