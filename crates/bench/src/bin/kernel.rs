@@ -36,11 +36,12 @@
 //! 8. **sequential vs batched weighted oracle** (`weighted_oracle`) —
 //!    the `oracle_build` comparison on the weighted graph, where both
 //!    sides dispatch to the delta-stepping kernels;
-//! 9. **Mehlhorn Steiner call vs BFS** (`steiner`) — p50 of one
-//!    ws-q-reweighted [`mehlhorn_steiner_with`] call (every `(root, λ)`
-//!    pair of a |Q| = 8 query, one workspace, as a root sweep runs them)
-//!    against p50 of one BFS on the same graph. `speedup` is bfs/steiner,
-//!    a scale-invariant ratio the regression gate can hold on any host.
+//! 9. **Mehlhorn Steiner call vs BFS** (`steiner`) — p50 of one ws-q
+//!    Steiner call, [`lambda_steiner_with`] with the root's distance array
+//!    as potentials (every `(root, λ)` pair of a |Q| = 8 query, one
+//!    workspace, as a root sweep runs them) against p50 of one BFS on the
+//!    same graph. `speedup` is bfs/steiner, a scale-invariant ratio the
+//!    regression gate can hold on any host.
 //!
 //! ```text
 //! cargo run --release -p mwc-bench --bin kernel -- \
@@ -56,8 +57,9 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use mwc_bench::{Scale, Timer};
+use mwc_core::steiner::{lambda_steiner_with, SteinerAlgorithm};
 use mwc_core::wsq::{batched_root_distances, lambda_grid};
-use mwc_core::{mehlhorn_steiner_with, QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
+use mwc_core::{QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
 use mwc_graph::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, WorkspacePool, MS_BFS_LANES};
 use mwc_graph::NodeId;
@@ -355,7 +357,8 @@ fn main() {
 
     // 9. One ws-q Steiner call vs one BFS on the same graph. The Steiner
     //    side times every (root, λ) call of a |Q| = 8 query through one
-    //    workspace; the BFS side times one BFS per root, as often.
+    //    workspace, as the engine makes it; the BFS side times one BFS per
+    //    root, as often.
     let steiner_q: Vec<NodeId> = wsq_roots[..STEINER_QUERY].to_vec();
     let lambdas = lambda_grid(n, WsqConfig::default().beta);
     let root_dists: Vec<Vec<u32>> = steiner_q.iter().map(|&r| ws.run(&g, r).to_vec()).collect();
@@ -365,12 +368,11 @@ fn main() {
     for _ in 0..gate_reps {
         for dist_r in &root_dists {
             for &lambda in &lambdas {
-                let weight = |u: NodeId, v: NodeId| {
-                    lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda
-                };
+                let alg = SteinerAlgorithm::Mehlhorn;
                 let t = Instant::now();
-                let tree = mehlhorn_steiner_with(&mut steiner_ws, &g, &steiner_q, weight)
-                    .expect("a BA graph is connected");
+                let tree =
+                    lambda_steiner_with(&mut steiner_ws, alg, &g, &steiner_q, lambda, dist_r)
+                        .expect("a BA graph is connected");
                 steiner_lat.push(t.elapsed().as_secs_f64() * 1e3);
                 std::hint::black_box(tree);
             }

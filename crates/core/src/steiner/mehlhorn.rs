@@ -20,16 +20,15 @@
 //! 6. repeated deletion of non-terminal leaves.
 //!
 //! The result is a tree spanning the terminals with total weight at most
-//! `2 (1 - 1/|Q|)` times optimal. Edge weights are supplied as a closure so
-//! the reweighted graph `G_{r,λ}` of Lemma 4 never has to be materialized.
+//! `2 (1 - 1/|Q|)` times optimal. Edge weights come from a closure, or for
+//! ws-q from per-vertex potentials, so the reweighted graph `G_{r,λ}` of
+//! Lemma 4 never has to be materialized.
 //!
 //! Ties are broken exactly, so the tree is a pure function of the graph,
-//! the terminal set and the weight closure:
-//! - vertices settle in `(distance, id)` order. The queue is a monotone
-//!   radix queue over the f64 bit patterns of the distances (for
-//!   non-negative floats, bit order is numeric order), and its lowest
-//!   bucket — the vertices at exactly the current distance — drains in id
-//!   order, zero-weight arrivals included;
+//! the terminal set and the edge costs:
+//! - vertices settle in `(distance, id)` order: once a distance is the
+//!   smallest queued, the queue hands its vertices over in id order,
+//!   zero-weight arrivals included;
 //! - a vertex keeps the first strictly shorter offer, so its Voronoi
 //!   region is that of the first settled neighbour that reached it;
 //! - per terminal pair the crossing edge minimizing `(w, u, v)`
@@ -40,18 +39,53 @@
 //! `(root, λ)` candidate, so a root sweep holds one workspace for all of
 //! its calls and no per-call `O(|V|)` allocation or reset remains.
 //!
+//! # Two queues, one Voronoi loop
+//!
+//! The Voronoi loop (steps 1–2) is one function, generic over its queue,
+//! and both queues settle vertices in the same `(distance, id)` order, so
+//! the queue never changes a tree or a certificate.
+//! - The *radix queue* serves every run: a monotone radix queue over the
+//!   f64 bit patterns of the distances (for non-negative floats, bit order
+//!   is numeric order) with intrusive-list decrease-key. Its lowest bucket
+//!   holds the vertices at the current distance; vertices that reach that
+//!   distance while it drains, over zero-weight edges, merge into it
+//!   through a small heap.
+//! - The *bucket ring* serves ws-q's runs at `λ = 2^t` whose every edge
+//!   weighs at most 1024 units of `2^−|t|`. An edge costs `λ + m/λ` with
+//!   `m = max(p(u), p(v))` over per-vertex potentials `p`
+//!   ([`lambda_steiner_with`](super::lambda_steiner_with)), so it weighs
+//!   at most `C = 4^t + p_max` units for `t ≥ 0` and `C = 1 + 4^−t·p_max`
+//!   for `t < 0`, with `p_max` the largest potential. `INF_DIST` counts at
+//!   face value, so a root that leaves vertices unreachable never
+//!   qualifies. Every key is then a whole number of units below `n·C`,
+//!   far under 2^53 (a distance sums fewer than `n` edges), so every f64
+//!   addition, and the conversion of a key to an integer, is exact. The
+//!   ring is Dial's: `C + 1` intrusive lists, the list of a key being its
+//!   units mod `C + 1`. Every queued key lies within `C` units above the
+//!   current one, so no two share a list. Every edge weighs at least one
+//!   unit, so the ring has no late arrivals: once a key is the current
+//!   one, nothing can still join its list.
+//!
+//! Both queues order a key's vertices through one helper: a small or
+//! sparse key is sorted, a larger one is set in an `n`-bit id bitmap that
+//! is scanned upwards and cleared as it drains.
+//!
+//! Edge costs read the potentials from each vertex's label, which the
+//! adjacency scan reads anyway: a call copies them in when it starts.
+//! Parents and list links sit in a second array that only relaxations
+//! write, so scanning a neighbour is one random read.
+//!
 //! # Which larger λ repeat a ws-q run
 //!
-//! ws-q's instance `G_{r,λ}` costs edge `(u, v)` at `λ + m/λ` for an
-//! integer `m = m(u, v)` ([`lambda_steiner_with`](super::lambda_steiner_with)),
-//! so a path of `k` edges costs `kλ + M/λ`, `M` the sum of its `m`. Every
-//! key the run compares is such a sum: settled and tentative distances,
-//! crossing offers and their floors, and the weights both MSTs sort. A run
-//! at `λ = 2^t` keeps the hop count `k` of each label and reads
-//! `M = key·λ − k·λ²` back from the key. Besides its tree it returns
-//! [`Repeats`]: the larger λ' at which the same call makes every decision
-//! the same way, so that `nodes` and `edges` repeat (`total_weight` does
-//! not, and ws-q never reads it).
+//! ws-q's instance `G_{r,λ}` costs edge `(u, v)` at `λ + m/λ` for the
+//! integer `m = max(p(u), p(v))`, so a path of `k` edges costs
+//! `kλ + M/λ`, `M` the sum of its `m`. Every key the run compares is such
+//! a sum: settled and tentative distances, crossing offers and their
+//! floors, and the weights both MSTs sort. A run at `λ = 2^t` keeps the
+//! hop count `k` of each label and reads `M = key·λ − k·λ²` back from the
+//! key. Besides its tree it returns [`Repeats`]: the larger λ' at which
+//! the same call makes every decision the same way, so that `nodes` and
+//! `edges` repeat (`total_weight` does not, and ws-q never reads it).
 //!
 //! *One decision.* A comparison the run makes has a winner `X ≤ Y` at λ.
 //! At λ', `Y − X = (Δk·λ'² + ΔM)/λ'` with `Δk = k_Y − k_X` and
@@ -83,12 +117,14 @@
 //!
 //! *Exactness.* The argument needs every key to be an exact f64, at λ and
 //! at λ'. A key sums `k ≤ 2h + 1` edges, `h` the largest label hop count,
-//! with `M ≤ k·m_max`, `m_max` the largest `m` the run met. At
-//! `λ' = 2^{t'} ≥ 1` it is the integer `kλ'² + M` times `2^{-t'}`, exact
-//! while `(2h + 1)·(λ'² + m_max) < 2^53`, which caps the certificate; the
-//! run at λ itself must pass the same test (below 1, in units of λ). Hop
-//! counts are kept in 16 bits, and a run whose labels saturate them
-//! certifies nothing. So do runs at any other λ: [`Repeats::NONE`].
+//! with `M ≤ k·m_max`, `m_max` the largest potential of a settled vertex
+//! (the run costs only edges whose endpoints both settle, so this is the
+//! largest `m` it meets). At `λ' = 2^{t'} ≥ 1` it is the integer
+//! `kλ'² + M` times `2^{-t'}`, exact while `(2h + 1)·(λ'² + m_max) < 2^53`,
+//! which caps the certificate; the run at λ itself must pass the same test
+//! (below 1, in units of λ). Hop counts are kept in 16 bits, and a run
+//! whose labels saturate them certifies nothing. So do runs at any other
+//! λ: [`Repeats::NONE`].
 //!
 //! A change that lets a key decide anything other than through such a
 //! comparison (rounding it, say) must add its decision to the certificate.
@@ -185,32 +221,166 @@ const SETTLED: u8 = u8::MAX;
 /// `i ≥ 1` keys whose highest bit differing from it is bit `i − 1`.
 const BUCKETS: usize = 65;
 
+/// Largest edge weight, in units, at which a run takes the bucket ring.
+const RING_MAX: u64 = 1024;
+
+/// Keys with at least this many vertices may drain through the id bitmap.
+const BITMAP_MIN: usize = 64;
+
 /// Terminal count up to which the crossing table is a dense `|T|×|T|`
 /// array (24 bytes an entry, 384 KiB at the limit); larger terminal sets
 /// fall back to a hash map so a huge query cannot allocate `|T|²`.
 const DENSE_CROSSING_TERMINALS: usize = 128;
 
-/// One vertex's Voronoi and queue state. Valid only while `stamp` equals
-/// the workspace generation; any other stamp reads as "not reached yet".
+/// What the adjacency scan reads of a vertex. Valid only while `stamp`
+/// equals the workspace generation, any other stamp reading as "not
+/// reached yet"; `pot` is rewritten by every potential-costed call.
 #[derive(Debug, Clone, Copy, Default)]
-struct VertexState {
+struct Label {
     dist: f64,
-    /// Next hop toward the nearest terminal ([`NO_NODE`] at a terminal).
-    parent: NodeId,
+    /// The vertex's potential: an edge costs through the larger of its
+    /// endpoints' potentials.
+    pot: u32,
     /// Index of the nearest terminal in the sorted terminal list.
     source: u32,
     stamp: u32,
-    /// Neighbours in the vertex's radix bucket list while it is queued.
-    prev: NodeId,
-    next: NodeId,
     /// Edges on the parent path to the nearest terminal, saturating.
     hops: u16,
     /// Radix bucket while queued, [`SETTLED`] once popped.
     slot: u8,
 }
 
-// `hops` rides in what was padding: the state stays half a cache line.
-const _: () = assert!(std::mem::size_of::<VertexState>() == 32);
+const _: () = assert!(std::mem::size_of::<Label>() == 24);
+
+/// What only a relaxation writes: the Voronoi parent and the vertex's
+/// links in its queue bucket list. Valid while its label is.
+#[derive(Debug, Clone, Copy, Default)]
+struct Links {
+    /// Next hop toward the nearest terminal ([`NO_NODE`] at a terminal).
+    parent: NodeId,
+    prev: NodeId,
+    next: NodeId,
+}
+
+/// The vertices of one key, handed out in ascending id order. A small or
+/// sparse key is sorted; a larger one is set in an id bitmap that is
+/// scanned upwards and cleared as it drains, so the bitmap is all zero
+/// between keys.
+#[derive(Debug, Default)]
+struct KeyDrain {
+    /// Filled unordered; after [`order`](Self::order), either sorted by
+    /// descending id (popped from the back) or empty.
+    list: Vec<NodeId>,
+    /// One bit per vertex id.
+    bits: Vec<u64>,
+    /// Words `word..end` of `bits` may hold set bits.
+    word: usize,
+    end: usize,
+}
+
+impl KeyDrain {
+    fn clear(&mut self) {
+        self.list.clear();
+        self.bits[self.word..self.end].fill(0);
+        (self.word, self.end) = (0, 0);
+    }
+
+    /// Orders the vertices pushed onto `list`: through the bitmap when it
+    /// spans no more words than there are vertices, by sorting otherwise.
+    fn order(&mut self) {
+        if self.list.len() >= BITMAP_MIN {
+            let (lo, hi) = self
+                .list
+                .iter()
+                .fold((NodeId::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            let (lo, hi) = (lo as usize / 64, hi as usize / 64 + 1);
+            if hi - lo <= self.list.len() {
+                if self.bits.len() < hi {
+                    self.bits.resize(hi, 0);
+                }
+                for &v in &self.list {
+                    self.bits[v as usize / 64] |= 1 << (v % 64);
+                }
+                self.list.clear();
+                (self.word, self.end) = (lo, hi);
+                return;
+            }
+        }
+        self.list.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// The smallest id not handed out yet.
+    fn peek(&mut self) -> Option<NodeId> {
+        if let Some(&v) = self.list.last() {
+            return Some(v);
+        }
+        while self.word < self.end {
+            let w = self.bits[self.word];
+            if w != 0 {
+                return Some((self.word * 64) as NodeId + w.trailing_zeros());
+            }
+            self.word += 1;
+        }
+        None
+    }
+
+    fn pop(&mut self) -> Option<NodeId> {
+        if let Some(v) = self.list.pop() {
+            return Some(v);
+        }
+        let v = self.peek()?;
+        let w = &mut self.bits[self.word];
+        *w &= *w - 1;
+        Some(v)
+    }
+}
+
+/// The Voronoi loop's priority queue: pops vertices in `(dist, id)` order
+/// and marks each [`SETTLED`]. The loop writes a vertex's label before
+/// queueing it.
+trait VoronoiQueue {
+    /// Empties the queue and opens key 0 with `terms`.
+    fn start(&mut self, terms: &[NodeId]);
+
+    /// Queues `v` at `key`.
+    fn insert(&mut self, labels: &mut [Label], links: &mut [Links], v: NodeId, key: f64);
+
+    /// Re-files the queued `v` after its key dropped from `old` to `key`.
+    fn decrease(
+        &mut self,
+        labels: &mut [Label],
+        links: &mut [Links],
+        v: NodeId,
+        old: f64,
+        key: f64,
+    );
+
+    fn pop(&mut self, labels: &mut [Label], links: &mut [Links]) -> Option<NodeId>;
+}
+
+/// Unlinks `v` from the intrusive list whose head is `head`.
+fn unlink(links: &mut [Links], head: &mut NodeId, v: NodeId) {
+    let Links { prev, next, .. } = links[v as usize];
+    if prev == NO_NODE {
+        *head = next;
+    } else {
+        links[prev as usize].next = next;
+    }
+    if next != NO_NODE {
+        links[next as usize].prev = prev;
+    }
+}
+
+/// Pushes `v` onto the intrusive list whose head is `head`.
+fn push_front(links: &mut [Links], head: &mut NodeId, v: NodeId) {
+    let l = &mut links[v as usize];
+    l.prev = NO_NODE;
+    l.next = *head;
+    if *head != NO_NODE {
+        links[*head as usize].prev = v;
+    }
+    *head = v;
+}
 
 /// Radix bucket of `key` relative to the last popped key `last ≤ key`.
 fn bucket_of(key: u64, last: u64) -> u8 {
@@ -218,10 +388,9 @@ fn bucket_of(key: u64, last: u64) -> u8 {
 }
 
 /// Monotone radix queue over f64 bit patterns with decrease-key. Buckets
-/// `1..=64` are intrusive doubly linked lists threaded through
-/// [`VertexState::prev`]/[`next`](VertexState::next), so the queue holds
-/// each vertex once and needs no memory beyond the state array. Bucket 0
-/// keeps exact `(key, id)` pop order.
+/// `1..=64` are intrusive doubly linked lists threaded through [`Links`],
+/// so the queue holds each vertex once and needs no memory beyond the
+/// per-vertex arrays. Bucket 0 keeps exact `(key, id)` pop order.
 #[derive(Debug)]
 struct RadixQueue {
     /// Bit pattern of the last popped key; every queued key is ≥ it.
@@ -233,9 +402,8 @@ struct RadixQueue {
     /// decreased out of the bucket can leave it below every remaining key,
     /// which only costs an extra refill round.
     mins: [u64; BUCKETS],
-    /// Bucket 0 as filled by a refill, sorted by descending id so `pop`
-    /// takes the smallest from the back.
-    ready: Vec<NodeId>,
+    /// Bucket 0 as filled by a refill.
+    ready: KeyDrain,
     /// Bucket-0 arrivals after the refill (zero-weight edges), merged with
     /// `ready` in id order.
     late: BinaryHeap<Reverse<NodeId>>,
@@ -247,81 +415,23 @@ impl Default for RadixQueue {
             last: 0,
             heads: [NO_NODE; BUCKETS],
             mins: [u64::MAX; BUCKETS],
-            ready: Vec::new(),
+            ready: KeyDrain::default(),
             late: BinaryHeap::new(),
         }
     }
 }
 
 impl RadixQueue {
-    /// Empties the queue and rewinds it to key `0.0`.
-    fn reset(&mut self) {
-        self.last = 0f64.to_bits();
-        self.heads = [NO_NODE; BUCKETS];
-        self.mins = [u64::MAX; BUCKETS];
-        self.ready.clear();
-        self.late.clear();
-    }
-
-    /// Queues `v`, whose current distance has bit pattern `key`.
-    fn insert(&mut self, states: &mut [VertexState], v: NodeId, key: u64) {
+    /// Files `v`, whose key has bit pattern `key`.
+    fn file(&mut self, labels: &mut [Label], links: &mut [Links], v: NodeId, key: u64) {
         let b = bucket_of(key, self.last);
+        labels[v as usize].slot = b;
         if b == 0 {
-            states[v as usize].slot = 0;
             self.late.push(Reverse(v));
             return;
         }
-        let head = self.heads[b as usize];
         self.mins[b as usize] = self.mins[b as usize].min(key);
-        let s = &mut states[v as usize];
-        s.slot = b;
-        s.prev = NO_NODE;
-        s.next = head;
-        if head != NO_NODE {
-            states[head as usize].prev = v;
-        }
-        self.heads[b as usize] = v;
-    }
-
-    /// Re-files the queued `v` after its distance dropped to bit pattern
-    /// `key`. A queued vertex is never in bucket 0 here: bucket 0 holds
-    /// the minimum key, and a relaxation never goes below it.
-    fn decrease(&mut self, states: &mut [VertexState], v: NodeId, key: u64) {
-        let VertexState {
-            prev, next, slot, ..
-        } = states[v as usize];
-        debug_assert!(slot != 0 && slot != SETTLED);
-        if bucket_of(key, self.last) == slot {
-            self.mins[slot as usize] = self.mins[slot as usize].min(key);
-            return;
-        }
-        if prev == NO_NODE {
-            self.heads[slot as usize] = next;
-        } else {
-            states[prev as usize].next = next;
-        }
-        if next != NO_NODE {
-            states[next as usize].prev = prev;
-        }
-        self.insert(states, v, key);
-    }
-
-    /// Pops the queued vertex with the smallest `(dist, id)` and marks it
-    /// settled.
-    fn pop(&mut self, states: &mut [VertexState]) -> Option<NodeId> {
-        while self.ready.is_empty() && self.late.is_empty() {
-            if !self.refill(states) {
-                return None;
-            }
-        }
-        let v = match (self.ready.last(), self.late.peek()) {
-            (Some(&r), Some(&Reverse(l))) if l < r => self.late.pop().map(|Reverse(l)| l),
-            (Some(_), _) => self.ready.pop(),
-            (None, _) => self.late.pop().map(|Reverse(l)| l),
-        }
-        .expect("bucket 0 is non-empty");
-        states[v as usize].slot = SETTLED;
-        Some(v)
+        push_front(links, &mut self.heads[b as usize], v);
     }
 
     /// Advances `last` to the lowest non-empty bucket's lower bound and
@@ -329,7 +439,7 @@ impl RadixQueue {
     /// bucket spreads over the lower buckets. The bound shares every bit
     /// above the bucket's with the old `last`, so higher buckets stay
     /// valid. Returns `false` when the queue is empty.
-    fn refill(&mut self, states: &mut [VertexState]) -> bool {
+    fn refill(&mut self, labels: &mut [Label], links: &mut [Links]) -> bool {
         let Some(i) = (1..BUCKETS).find(|&i| self.heads[i] != NO_NODE) else {
             return false;
         };
@@ -339,18 +449,161 @@ impl RadixQueue {
         self.last = min;
         let mut v = head;
         while v != NO_NODE {
-            let next = states[v as usize].next;
-            let key = states[v as usize].dist.to_bits();
+            let next = links[v as usize].next;
+            let key = labels[v as usize].dist.to_bits();
             if key == min {
-                states[v as usize].slot = 0;
-                self.ready.push(v);
+                labels[v as usize].slot = 0;
+                self.ready.list.push(v);
             } else {
-                self.insert(states, v, key);
+                self.file(labels, links, v, key);
             }
             v = next;
         }
-        self.ready.sort_unstable_by(|a, b| b.cmp(a));
+        self.ready.order();
         true
+    }
+}
+
+impl VoronoiQueue for RadixQueue {
+    fn start(&mut self, terms: &[NodeId]) {
+        self.last = 0f64.to_bits();
+        self.heads = [NO_NODE; BUCKETS];
+        self.mins = [u64::MAX; BUCKETS];
+        self.ready.clear();
+        self.late.clear();
+        self.ready.list.extend_from_slice(terms);
+        self.ready.order();
+    }
+
+    fn insert(&mut self, labels: &mut [Label], links: &mut [Links], v: NodeId, key: f64) {
+        self.file(labels, links, v, key.to_bits());
+    }
+
+    /// A queued vertex is never in bucket 0 here: bucket 0 holds the
+    /// minimum key, and a relaxation never goes below it.
+    fn decrease(&mut self, labels: &mut [Label], links: &mut [Links], v: NodeId, _: f64, key: f64) {
+        let key = key.to_bits();
+        let slot = labels[v as usize].slot;
+        debug_assert!(slot != 0 && slot != SETTLED);
+        if bucket_of(key, self.last) == slot {
+            self.mins[slot as usize] = self.mins[slot as usize].min(key);
+            return;
+        }
+        unlink(links, &mut self.heads[slot as usize], v);
+        self.file(labels, links, v, key);
+    }
+
+    fn pop(&mut self, labels: &mut [Label], links: &mut [Links]) -> Option<NodeId> {
+        let v = loop {
+            match (self.ready.peek(), self.late.peek().map(|l| l.0)) {
+                (Some(r), Some(l)) if l < r => break self.late.pop().map(|l| l.0),
+                (Some(_), _) => break self.ready.pop(),
+                (None, Some(_)) => break self.late.pop().map(|l| l.0),
+                (None, None) => {
+                    if !self.refill(labels, links) {
+                        return None;
+                    }
+                }
+            }
+        }
+        .expect("bucket 0 is non-empty");
+        labels[v as usize].slot = SETTLED;
+        Some(v)
+    }
+}
+
+/// Dial's bucket ring for keys that are whole numbers of a unit: `span + 1`
+/// intrusive lists threaded through [`Links`], list `k mod (span + 1)`
+/// holding the vertices at key `k` units. Every queued key lies within
+/// `span` units above the current one (the heaviest edge weighs `span`),
+/// so no two queued keys share a list, and every edge weighs at least one
+/// unit, so a key's list is complete once it is the current key.
+#[derive(Debug, Default)]
+struct RingQueue {
+    heads: Vec<NodeId>,
+    /// Units per key: a key is `key · scale` units.
+    scale: f64,
+    /// The current key, in units, and its list.
+    cur: u64,
+    at: usize,
+    /// The current key's vertices, taken off its list.
+    ready: KeyDrain,
+}
+
+impl RingQueue {
+    /// Sizes the ring for edges of at most `span` units of `1/scale`.
+    fn reset(&mut self, span: usize, scale: f64) {
+        self.heads.clear();
+        self.heads.resize(span + 1, NO_NODE);
+        self.scale = scale;
+    }
+
+    /// The list of `key`, a queued key, so at most `span` units above the
+    /// current one: one wrap at most.
+    fn list_of(&self, key: f64) -> usize {
+        // `key` is a whole number of units below 2^52, so adding 2^52 puts
+        // that number in the mantissa bits exactly: cheaper than `as u64`,
+        // whose saturating conversion is a dozen instructions and a branch.
+        const SHIFT: f64 = (1u64 << 52) as f64;
+        let units = key * self.scale;
+        debug_assert!(units.fract() == 0.0 && units < SHIFT);
+        let units = (units + SHIFT).to_bits() - SHIFT.to_bits();
+        let at = self.at + (units - self.cur) as usize;
+        if at < self.heads.len() {
+            at
+        } else {
+            at - self.heads.len()
+        }
+    }
+}
+
+impl VoronoiQueue for RingQueue {
+    fn start(&mut self, terms: &[NodeId]) {
+        (self.cur, self.at) = (0, 0);
+        self.ready.clear();
+        self.ready.list.extend_from_slice(terms);
+        self.ready.order();
+    }
+
+    fn insert(&mut self, _: &mut [Label], links: &mut [Links], v: NodeId, key: f64) {
+        let at = self.list_of(key);
+        push_front(links, &mut self.heads[at], v);
+    }
+
+    fn decrease(&mut self, _: &mut [Label], links: &mut [Links], v: NodeId, old: f64, key: f64) {
+        let from = self.list_of(old);
+        unlink(links, &mut self.heads[from], v);
+        let at = self.list_of(key);
+        push_front(links, &mut self.heads[at], v);
+    }
+
+    fn pop(&mut self, labels: &mut [Label], links: &mut [Links]) -> Option<NodeId> {
+        loop {
+            if let Some(v) = self.ready.pop() {
+                labels[v as usize].slot = SETTLED;
+                return Some(v);
+            }
+            // The next key is within one turn of the ring, or none is
+            // queued.
+            let mut turn = 0..self.heads.len();
+            loop {
+                turn.next()?;
+                self.cur += 1;
+                self.at += 1;
+                if self.at == self.heads.len() {
+                    self.at = 0;
+                }
+                if self.heads[self.at] != NO_NODE {
+                    break;
+                }
+            }
+            let mut v = std::mem::replace(&mut self.heads[self.at], NO_NODE);
+            while v != NO_NODE {
+                self.ready.list.push(v);
+                v = links[v as usize].next;
+            }
+            self.ready.order();
+        }
     }
 }
 
@@ -406,17 +659,20 @@ impl CrossingTable {
 
     /// Offers the crossing edge between the settled vertices `x` and `y`
     /// of Voronoi regions `a` and `b`, each given as `(id, distance,
-    /// hops)`. Its weight is at least `floor = d(x) + d(y)` (f64 addition
-    /// of a non-negative term never rounds below the other operand), so
-    /// when the held edge already weighs less than `floor` the offer cannot
-    /// win and its weight is never evaluated, unless `costs` needs it to
-    /// record the decision.
+    /// hops)`, the larger of their potentials being `m`. Its weight is at
+    /// least `floor = d(x) + d(y)` (f64 addition of a non-negative term
+    /// never rounds below the other operand), so when the held edge
+    /// already weighs less than `floor` the offer cannot win and its
+    /// weight is never evaluated, unless `costs` needs it to record the
+    /// decision. Inlined into the Voronoi loop, which measured faster.
+    #[inline(always)]
     fn offer<C: Costs>(
         &mut self,
         costs: &mut C,
         (a, b): (u32, u32),
         x: (NodeId, f64, u16),
         y: (NodeId, f64, u16),
+        m: u32,
     ) {
         let (a, b) = (a.min(b), a.max(b));
         let ((u, du, ku), (v, dv, kv)) = if x.0 < y.0 { (x, y) } else { (y, x) };
@@ -426,7 +682,7 @@ impl CrossingTable {
             self.sparse.entry((a, b)).or_insert(Crossing::NONE)
         };
         let hops = ku as u32 + kv as u32 + 1;
-        let weigh = |costs: &mut C| du + costs.cost(u, v) + dv;
+        let weigh = |costs: &mut C| du + costs.cost(u, v, m) + dv;
         if held.u != NO_NODE && held.w < du + dv {
             if C::CERTIFIES && held.hops > hops {
                 let w = weigh(costs);
@@ -478,15 +734,25 @@ impl CrossingTable {
 
 /// Where a Mehlhorn run gets its edge costs, and what it records about
 /// its own decisions: [`Plain`] wraps a weight closure and records
-/// nothing; [`Dyadic`] is ws-q's `λ + m/λ` at `λ = 2^t` and certifies.
+/// nothing; [`Dyadic`] is ws-q's `λ + m/λ` at `λ = 2^t` over per-vertex
+/// potentials, and certifies.
 trait Costs {
     /// Whether the run reports its decisions.
     const CERTIFIES: bool;
 
-    fn cost(&mut self, u: NodeId, v: NodeId) -> f64;
+    /// Writes the run's potentials into `labels`, and returns the bucket
+    /// ring's span and scale when the run qualifies for the ring.
+    fn prepare(&self, _labels: &mut [Label]) -> Option<(usize, f64)> {
+        None
+    }
 
-    /// A vertex whose label has `hops` edges settled.
-    fn settled(&mut self, _hops: u16) {}
+    /// The cost of edge `(u, v)`, the larger of whose endpoints'
+    /// potentials is `m` (meaningless in a run without potentials).
+    fn cost(&mut self, u: NodeId, v: NodeId, m: u32) -> f64;
+
+    /// A vertex whose label has `hops` edges and whose potential is `pot`
+    /// settled.
+    fn settled(&mut self, _hops: u16, _pot: u32) {}
 
     /// A decision: the key `win.0`, a path sum of `win.1` edges, beat
     /// `lose.0` of `lose.1` edges, `win.0 ≤ lose.0` (a tie won on ids).
@@ -500,14 +766,14 @@ impl<W: Fn(NodeId, NodeId) -> f64> Costs for Plain<W> {
     const CERTIFIES: bool = false;
 
     #[inline]
-    fn cost(&mut self, u: NodeId, v: NodeId) -> f64 {
+    fn cost(&mut self, u: NodeId, v: NodeId, _: u32) -> f64 {
         (self.0)(u, v)
     }
 }
 
-/// `λ + m(u, v)/λ` at `λ = 2^t`, collecting the run's certificate.
-struct Dyadic<M> {
-    m: M,
+/// `λ + max(p(u), p(v))/λ` at `λ = 2^t`, collecting the run's certificate.
+struct Dyadic<'p> {
+    potentials: &'p [u32],
     t: i32,
     lambda: f64,
     /// `1/λ`, exact, so `m · inv_lambda` is bit for bit `m / λ`.
@@ -515,16 +781,18 @@ struct Dyadic<M> {
     lambda_sq: f64,
     /// Largest λ'² every decision so far allows.
     lim: u64,
-    /// Largest label hop count and edge `m` met, for the exactness cap.
+    /// Largest hop count and potential of a settled vertex, for the
+    /// exactness cap. Both endpoints of every edge the run costs settle,
+    /// so `m_max` bounds every `m` the run meets.
     hops_max: u16,
     m_max: u32,
 }
 
-impl<M> Dyadic<M> {
-    fn new(m: M, t: i32) -> Self {
+impl<'p> Dyadic<'p> {
+    fn new(potentials: &'p [u32], t: i32) -> Self {
         let lambda = 2f64.powi(t);
         Dyadic {
-            m,
+            potentials,
             t,
             lambda,
             inv_lambda: 2f64.powi(-t),
@@ -580,19 +848,40 @@ impl<M> Dyadic<M> {
     }
 }
 
-impl<M: Fn(NodeId, NodeId) -> u32> Costs for Dyadic<M> {
+/// The heaviest edge of a run at `λ = 2^t` whose potentials are at most
+/// `p_max`, in units of `2^−|t|`, when it is at most [`RING_MAX`].
+fn ring_span(t: i32, p_max: u32) -> Option<usize> {
+    let quarter = 4u64.checked_pow(t.unsigned_abs())?;
+    let span = if t >= 0 {
+        quarter + u64::from(p_max)
+    } else {
+        1 + quarter.checked_mul(u64::from(p_max))?
+    };
+    (span <= RING_MAX).then_some(span as usize)
+}
+
+impl Costs for Dyadic<'_> {
     const CERTIFIES: bool = true;
 
+    fn prepare(&self, labels: &mut [Label]) -> Option<(usize, f64)> {
+        let mut p_max = 0;
+        for (label, &p) in labels.iter_mut().zip(self.potentials) {
+            label.pot = p;
+            p_max = p_max.max(p);
+        }
+        let span = ring_span(self.t, p_max)?;
+        Some((span, 2f64.powi(self.t.abs())))
+    }
+
     #[inline]
-    fn cost(&mut self, u: NodeId, v: NodeId) -> f64 {
-        let m = (self.m)(u, v);
-        self.m_max = self.m_max.max(m);
+    fn cost(&mut self, _: NodeId, _: NodeId, m: u32) -> f64 {
         self.lambda + m as f64 * self.inv_lambda
     }
 
     #[inline]
-    fn settled(&mut self, hops: u16) {
+    fn settled(&mut self, hops: u16, pot: u32) {
         self.hops_max = self.hops_max.max(hops);
+        self.m_max = self.m_max.max(pot);
     }
 
     #[inline]
@@ -640,16 +929,22 @@ pub(crate) fn dyadic_exponent(lambda: f64) -> Option<i32> {
 /// Per-vertex state is generation-stamped, so a call costs no `O(|V|)`
 /// clear; buffers grow to the largest graph seen and serve graphs of any
 /// size after that. Hold one per thread for a run of calls (a root sweep)
-/// and drop it afterwards — it keeps about 36 bytes per vertex of the
-/// largest graph it served.
+/// and drop it afterwards. It keeps about 40 bytes per vertex of the
+/// largest graph it served: a 24-byte label (distance, potential, source,
+/// stamp, hops, queue slot), 12 bytes of parent and list links, a 4-byte
+/// expansion stamp, and a bit in each queue's id bitmap.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
-    states: Vec<VertexState>,
+    labels: Vec<Label>,
+    links: Vec<Links>,
     /// `covered[v] == generation` marks `v` as part of the expanded
     /// subgraph (step 4) of the current call.
     covered: Vec<u32>,
     generation: u32,
-    queue: RadixQueue,
+    radix: RadixQueue,
+    ring: RingQueue,
+    /// Calls whose Voronoi loop ran on `ring`.
+    ring_calls: u64,
     crossing: CrossingTable,
     terms: Vec<NodeId>,
     term_edges: Vec<WeightedEdge>,
@@ -661,6 +956,13 @@ impl SteinerWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// How many calls on this workspace grew their Voronoi regions on the
+    /// integer bucket ring rather than the radix queue (see the module
+    /// doc), since it was created.
+    pub fn ring_calls(&self) -> u64 {
+        self.ring_calls
     }
 
     /// Jumps the stamp generation to just before it wraps, so tests can
@@ -675,104 +977,18 @@ impl SteinerWorkspace {
     /// Opens a call on a graph of `n` vertices: grows the per-vertex
     /// arrays and bumps the generation, clearing every stamp on wrap.
     fn begin(&mut self, n: usize) -> u32 {
-        if self.states.len() < n {
-            self.states.resize(n, VertexState::default());
+        if self.labels.len() < n {
+            self.labels.resize(n, Label::default());
+            self.links.resize(n, Links::default());
             self.covered.resize(n, 0);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            self.states.iter_mut().for_each(|s| s.stamp = 0);
+            self.labels.iter_mut().for_each(|s| s.stamp = 0);
             self.covered.fill(0);
             self.generation = 1;
         }
         self.generation
-    }
-
-    /// Steps 1–2: grows the Voronoi regions of `self.terms` and fills the
-    /// crossing table as each crossing edge's second endpoint settles.
-    fn voronoi<C: Costs>(&mut self, g: &Graph, costs: &mut C, gen: u32) {
-        let SteinerWorkspace {
-            states,
-            queue,
-            crossing,
-            terms,
-            ..
-        } = self;
-        queue.reset();
-        crossing.reset(terms.len());
-        // Terminals enter bucket 0 at distance 0; `ready` pops from the
-        // back, so push them in descending id order.
-        for (i, &t) in terms.iter().enumerate().rev() {
-            states[t as usize] = VertexState {
-                dist: 0.0,
-                parent: NO_NODE,
-                source: i as u32,
-                stamp: gen,
-                prev: NO_NODE,
-                next: NO_NODE,
-                hops: 0,
-                slot: 0,
-            };
-            queue.ready.push(t);
-        }
-        while let Some(u) = queue.pop(states) {
-            let VertexState {
-                dist: du,
-                source: su,
-                hops: ku,
-                ..
-            } = states[u as usize];
-            costs.settled(ku);
-            let kv_new = ku.saturating_add(1);
-            for &v in g.neighbors(u) {
-                let sv = states[v as usize];
-                if sv.stamp == gen && sv.slot == SETTLED {
-                    // Both endpoints settled: `(u, v)`'s distances are
-                    // final, so a crossing edge is complete now, and each
-                    // label has beaten the other endpoint's offer (a
-                    // parent's offer is the label, one hop short).
-                    if C::CERTIFIES && ku.abs_diff(sv.hops) > 1 {
-                        let (ku, kv) = (ku as u32, sv.hops as u32);
-                        if ku > kv {
-                            let offer = sv.dist + costs.cost(v, u);
-                            costs.decided((du, ku), (offer, kv + 1));
-                        } else {
-                            let offer = du + costs.cost(u, v);
-                            costs.decided((sv.dist, kv), (offer, ku + 1));
-                        }
-                    }
-                    if sv.source != su {
-                        crossing.offer(costs, (su, sv.source), (u, du, ku), (v, sv.dist, sv.hops));
-                    }
-                    continue;
-                }
-                let w = costs.cost(u, v);
-                debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-                let cand = du + w;
-                if sv.stamp == gen {
-                    if cand < sv.dist {
-                        let s = &mut states[v as usize];
-                        s.dist = cand;
-                        s.parent = u;
-                        s.source = su;
-                        s.hops = kv_new;
-                        queue.decrease(states, v, cand.to_bits());
-                    }
-                } else if cand < f64::INFINITY {
-                    states[v as usize] = VertexState {
-                        dist: cand,
-                        parent: u,
-                        source: su,
-                        stamp: gen,
-                        prev: NO_NODE,
-                        next: NO_NODE,
-                        hops: kv_new,
-                        slot: 0,
-                    };
-                    queue.insert(states, v, cand.to_bits());
-                }
-            }
-        }
     }
 
     /// Step 4: the union of the graph paths `s(u) ⇝ u — v ⇝ s(v)` behind
@@ -781,7 +997,7 @@ impl SteinerWorkspace {
     /// rest of its path to a terminal is in the subgraph already.
     fn expand(&mut self, term_mst: &[WeightedEdge], gen: u32) {
         let SteinerWorkspace {
-            states,
+            links,
             covered,
             crossing,
             terms,
@@ -802,7 +1018,7 @@ impl SteinerWorkspace {
                 while covered[cur as usize] != gen {
                     covered[cur as usize] = gen;
                     sub_nodes.push(cur);
-                    let p = states[cur as usize].parent;
+                    let p = links[cur as usize].parent;
                     debug_assert!(p != NO_NODE, "only terminals lack a parent");
                     sub_edges.push((cur.min(p), cur.max(p)));
                     cur = p;
@@ -810,6 +1026,87 @@ impl SteinerWorkspace {
             }
         }
         sub_nodes.sort_unstable();
+    }
+}
+
+/// Steps 1–2: grows the Voronoi regions of `terms` on `queue` and fills
+/// the crossing table as each crossing edge's second endpoint settles.
+#[allow(clippy::too_many_arguments)]
+fn voronoi<C: Costs, Q: VoronoiQueue>(
+    g: &Graph,
+    terms: &[NodeId],
+    labels: &mut [Label],
+    links: &mut [Links],
+    crossing: &mut CrossingTable,
+    queue: &mut Q,
+    costs: &mut C,
+    gen: u32,
+) {
+    crossing.reset(terms.len());
+    for (i, &t) in terms.iter().enumerate() {
+        let label = &mut labels[t as usize];
+        (label.dist, label.source, label.stamp) = (0.0, i as u32, gen);
+        (label.hops, label.slot) = (0, 0);
+        links[t as usize].parent = NO_NODE;
+    }
+    queue.start(terms);
+    while let Some(u) = queue.pop(labels, links) {
+        let Label {
+            dist: du,
+            pot: pu,
+            source: su,
+            hops: ku,
+            ..
+        } = labels[u as usize];
+        costs.settled(ku, pu);
+        let kv_new = ku.saturating_add(1);
+        for &v in g.neighbors(u) {
+            let lv = labels[v as usize];
+            let m = pu.max(lv.pot);
+            if lv.stamp == gen && lv.slot == SETTLED {
+                // Both endpoints settled: `(u, v)`'s distances are final,
+                // so a crossing edge is complete now, and each label has
+                // beaten the other endpoint's offer (a parent's offer is
+                // the label, one hop short).
+                if C::CERTIFIES && ku.abs_diff(lv.hops) > 1 {
+                    let (ku, kv) = (ku as u32, lv.hops as u32);
+                    if ku > kv {
+                        let offer = lv.dist + costs.cost(v, u, m);
+                        costs.decided((du, ku), (offer, kv + 1));
+                    } else {
+                        let offer = du + costs.cost(u, v, m);
+                        costs.decided((lv.dist, kv), (offer, ku + 1));
+                    }
+                }
+                if lv.source != su {
+                    let (x, y) = ((u, du, ku), (v, lv.dist, lv.hops));
+                    crossing.offer(costs, (su, lv.source), x, y, m);
+                }
+                continue;
+            }
+            let w = costs.cost(u, v, m);
+            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
+            let cand = du + w;
+            if lv.stamp == gen {
+                if cand < lv.dist {
+                    let label = &mut labels[v as usize];
+                    (label.dist, label.source, label.hops) = (cand, su, kv_new);
+                    links[v as usize].parent = u;
+                    queue.decrease(labels, links, v, lv.dist, cand);
+                }
+            } else if cand < f64::INFINITY {
+                labels[v as usize] = Label {
+                    dist: cand,
+                    pot: lv.pot,
+                    source: su,
+                    stamp: gen,
+                    hops: kv_new,
+                    slot: 0,
+                };
+                links[v as usize].parent = u;
+                queue.insert(labels, links, v, cand);
+            }
+        }
     }
 }
 
@@ -845,21 +1142,19 @@ where
     mehlhorn_run(ws, g, terminals, &mut Plain(weight))
 }
 
-/// [`mehlhorn_steiner_with`] under ws-q's cost `λ + m(u, v)/λ` at
-/// `λ = 2^t`, certifying as it runs: the tree, and the larger λ at which
-/// the same call repeats it (see the module doc). The tree equals
-/// `mehlhorn_steiner_with`'s under the closure `λ + m(u, v) as f64 / λ`.
-pub(crate) fn mehlhorn_dyadic<M>(
+/// [`mehlhorn_steiner_with`] under ws-q's cost `λ + max(p(u), p(v))/λ` at
+/// `λ = 2^t`, `p` the per-vertex `potentials`, certifying as it runs: the
+/// tree, and the larger λ at which the same call repeats it (see the
+/// module doc). The tree equals `mehlhorn_steiner_with`'s under that cost
+/// as a closure.
+pub(crate) fn mehlhorn_dyadic(
     ws: &mut SteinerWorkspace,
     g: &Graph,
     terminals: &[NodeId],
     t: i32,
-    m: M,
-) -> Result<(SteinerTree, Repeats)>
-where
-    M: Fn(NodeId, NodeId) -> u32,
-{
-    let mut costs = Dyadic::new(m, t);
+    potentials: &[u32],
+) -> Result<(SteinerTree, Repeats)> {
+    let mut costs = Dyadic::new(potentials, t);
     let tree = mehlhorn_run(ws, g, terminals, &mut costs)?;
     Ok((tree, costs.repeats()))
 }
@@ -885,9 +1180,28 @@ fn mehlhorn_run<C: Costs>(
         return Ok(SteinerTree::singleton(ws.terms[0]));
     }
 
-    // Steps 1–2: Voronoi partition and the crossing table, in one pass.
-    let gen = ws.begin(g.num_nodes());
-    ws.voronoi(g, costs, gen);
+    // Steps 1–2: Voronoi partition and the crossing table, in one pass,
+    // on the ring when the run's keys are small whole numbers of a unit.
+    let n = g.num_nodes();
+    let gen = ws.begin(n);
+    let SteinerWorkspace {
+        labels,
+        links,
+        radix,
+        ring,
+        ring_calls,
+        crossing,
+        terms,
+        ..
+    } = ws;
+    let (labels, links) = (&mut labels[..n], &mut links[..n]);
+    if let Some((span, scale)) = costs.prepare(labels) {
+        *ring_calls += 1;
+        ring.reset(span, scale);
+        voronoi(g, terms, labels, links, crossing, ring, costs, gen);
+    } else {
+        voronoi(g, terms, labels, links, crossing, radix, costs, gen);
+    }
 
     // Step 3: MST over the terminal distance graph.
     ws.term_edges.clear();
@@ -910,11 +1224,12 @@ fn mehlhorn_run<C: Costs>(
 
     // Steps 5–6: MST of the expanded subgraph, then leaf pruning (shared
     // with Kou–Markowsky–Berman, which ends identically).
+    let labels = &ws.labels;
     Ok(mst_then_prune(
         &ws.terms,
         &ws.sub_nodes,
         &ws.sub_edges,
-        |u, v| costs.cost(u, v),
+        |u, v| costs.cost(u, v, labels[u as usize].pot.max(labels[v as usize].pot)),
     ))
 }
 
@@ -922,6 +1237,7 @@ fn mehlhorn_run<C: Costs>(
 mod tests {
     use super::*;
     use mwc_graph::generators::{karate::karate_club, structured};
+    use mwc_graph::INF_DIST;
     use rand::SeedableRng;
 
     const UNIT: fn(NodeId, NodeId) -> f64 = |_, _| 1.0;
@@ -1046,34 +1362,123 @@ mod tests {
     #[test]
     fn radix_queue_pops_in_key_then_id_order() {
         // Keys with shared, crossing and equal bit prefixes, pushed out of
-        // order, plus a zero-weight arrival while bucket 0 drains.
-        let keys = [3.5, 0.25, 7.0, 3.5, 1e9, 0.25, 2.0, 3.5];
-        let mut states = vec![VertexState::default(); keys.len() + 1];
+        // order, plus zero-weight arrivals while bucket 0 drains. Key 5.0
+        // holds 99 vertices, enough to drain through the id bitmap.
+        let mut keys = vec![3.5, 0.25, 7.0, 3.5, 1e9, 0.25, 2.0, 3.5, f64::NAN];
+        keys.extend((9..=108).map(|_| 5.0));
+        let mut labels = vec![Label::default(); keys.len()];
+        let mut links = vec![Links::default(); keys.len()];
         let mut q = RadixQueue::default();
-        q.reset();
-        for (v, &k) in keys.iter().enumerate() {
-            states[v].dist = k;
-            q.insert(&mut states, v as NodeId, f64::to_bits(k));
+        q.start(&[]);
+        for (v, &k) in keys.iter().enumerate().rev() {
+            if v != 8 && v != 20 {
+                labels[v].dist = k;
+                q.insert(&mut labels, &mut links, v as NodeId, k);
+            }
         }
         // Decrease 1e9 → 0.5 and 7.0 → 3.5 (ties with vertices 0, 3, 7),
         // and 2.0 → 1.0, which leaves its old bucket's bound below every
         // key still filed there.
         for (v, k) in [(4, 0.5), (2, 3.5), (6, 1.0)] {
-            states[v as usize].dist = k;
-            q.decrease(&mut states, v, f64::to_bits(k));
+            let old = labels[v as usize].dist;
+            labels[v as usize].dist = k;
+            q.decrease(&mut labels, &mut links, v, old, k);
         }
         let mut order = Vec::new();
-        while let Some(v) = q.pop(&mut states) {
-            if v == 3 {
-                // Vertex 8 arrives at the current key through a zero-weight
-                // edge and must still pop in id order.
-                states[8].dist = 3.5;
-                q.insert(&mut states, 8, 3.5f64.to_bits());
+        while let Some(v) = q.pop(&mut labels, &mut links) {
+            // Vertices 8 and 20 arrive at the current key through
+            // zero-weight edges and must still pop in id order.
+            let late = match v {
+                3 => Some((8, 3.5)),
+                9 => {
+                    assert!(q.ready.list.is_empty() && q.ready.word < q.ready.end);
+                    None
+                }
+                30 => Some((20, 5.0)),
+                _ => None,
+            };
+            if let Some((w, k)) = late {
+                labels[w as usize].dist = k;
+                q.insert(&mut labels, &mut links, w, k);
             }
             order.push(v);
         }
-        assert_eq!(order, vec![1, 5, 4, 6, 0, 2, 3, 7, 8]);
-        assert!(order.iter().all(|&v| states[v as usize].slot == SETTLED));
+        let mut expect = vec![1, 5, 4, 6, 0, 2, 3, 7, 8];
+        expect.extend((9..=30).filter(|&v| v != 20));
+        expect.push(20);
+        expect.extend(31..=108);
+        assert_eq!(order, expect);
+        assert!(order.iter().all(|&v| labels[v as usize].slot == SETTLED));
+        assert!(q.ready.bits.iter().all(|&w| w == 0), "the bitmap drained");
+    }
+
+    #[test]
+    fn ring_queue_pops_in_key_then_id_order() {
+        // Keys in units of 1/4 and edges of at most 3 units: four lists,
+        // so keys 1.0 and 1.5 reuse the lists of keys 0 and 0.5. Lists
+        // hold their vertices newest first; key 1.5 holds 70 vertices,
+        // enough to drain through the id bitmap.
+        let mut labels = vec![Label::default(); 80];
+        let mut links = vec![Links::default(); 80];
+        let mut q = RingQueue::default();
+        q.reset(3, 4.0);
+        q.start(&[7, 2]);
+        let mut order = Vec::new();
+        while let Some(v) = q.pop(&mut labels, &mut links) {
+            let filed: Vec<(NodeId, f64)> = match v {
+                2 => vec![(9, 0.75), (3, 0.5), (4, 0.5)],
+                3 => vec![(5, 1.25), (1, 1.0)],
+                4 => vec![(6, 1.25)],
+                1 => (10..80).rev().map(|w| (w, 1.5)).collect(),
+                _ => Vec::new(),
+            };
+            for (w, k) in filed {
+                labels[w as usize].dist = k;
+                q.insert(&mut labels, &mut links, w, k);
+            }
+            if v == 4 {
+                // 5 drops into the list of 1's key, after 1.
+                labels[5].dist = 1.0;
+                q.decrease(&mut labels, &mut links, 5, 1.25, 1.0);
+            }
+            order.push(v);
+        }
+        let mut expect = vec![2, 7, 3, 4, 9, 1, 5, 6];
+        expect.extend(10..80);
+        assert_eq!(order, expect);
+        assert!(order.iter().all(|&v| labels[v as usize].slot == SETTLED));
+    }
+
+    #[test]
+    fn ring_takes_runs_whose_edges_weigh_at_most_1024_units() {
+        // C = 4^t + p_max for t ≥ 0, 1 + 4^−t·p_max for t < 0.
+        assert_eq!(ring_span(0, 1023), Some(1024));
+        assert_eq!(ring_span(0, 1024), None);
+        assert_eq!(ring_span(2, 1008), Some(1024));
+        assert_eq!(ring_span(-1, 255), Some(1021));
+        assert_eq!(ring_span(-1, 256), None);
+        assert_eq!(ring_span(-40, 0), None);
+        assert_eq!(ring_span(0, INF_DIST), None);
+        // Through a run: the counter, and the tree of the closure path.
+        let g = structured::grid(5, 5, false);
+        let terms = [0, 24, 12, 4];
+        for (t, p_max, ring) in [
+            (0, 1023, true),
+            (0, 1024, false),
+            (2, 1008, true),
+            (-1, 256, false),
+            (1, INF_DIST, false),
+        ] {
+            let mut potentials: Vec<u32> = (0..25).map(|v| v % 4 + 1).collect();
+            potentials[13] = p_max;
+            let mut ws = SteinerWorkspace::new();
+            let (tree, _) = mehlhorn_dyadic(&mut ws, &g, &terms, t, &potentials).unwrap();
+            assert_eq!(ws.ring_calls(), u64::from(ring), "t = {t}, p_max = {p_max}");
+            let lambda = 2f64.powi(t);
+            let m = |u: NodeId, v: NodeId| potentials[u as usize].max(potentials[v as usize]);
+            let expect = mehlhorn_steiner(&g, &terms, |u, v| lambda + m(u, v) as f64 / lambda);
+            assert_eq!(tree, expect.unwrap(), "t = {t}, p_max = {p_max}");
+        }
     }
 
     #[test]
@@ -1087,12 +1492,12 @@ mod tests {
         for terms in [3, DENSE_CROSSING_TERMINALS + 1] {
             t.reset(terms);
             for (a, b, x, y) in [(2, 0, 12, 9), (0, 2, 7, 20), (0, 2, 30, 7)] {
-                t.offer(&mut costs, (a, b), (x, 0.0, 0), (y, 0.0, 0));
+                t.offer(&mut costs, (a, b), (x, 0.0, 0), (y, 0.0, 0), 0);
             }
             // Floors at or below the held weight are evaluated; one above
             // it never calls the weight.
-            t.offer(&mut costs, (0, 2), (1, 2.0, 0), (2, 2.0, 0));
-            t.offer(&mut costs, (0, 2), (0, 2.0, 0), (1, 2.5, 0));
+            t.offer(&mut costs, (0, 2), (1, 2.0, 0), (2, 2.0, 0), 0);
+            t.offer(&mut costs, (0, 2), (0, 2.0, 0), (1, 2.5, 0), 0);
             let c = t.get(0, 2);
             assert_eq!((c.w, c.u, c.v), (4.0, 7, 20), "terms = {terms}");
             let mut edges = Vec::new();
@@ -1103,10 +1508,10 @@ mod tests {
 
     #[test]
     fn decisions_bound_the_certificate() {
-        let m = |_: NodeId, _: NodeId| 0;
+        let no_potentials: &[u32] = &[];
         // At λ = 1 a 2-edge key 2 (M = 0) beat a 1-edge key 41 (M = 40):
         // it keeps winning while λ'² < 40, so up to λ' = 4.
-        let mut d = Dyadic::new(m, 0);
+        let mut d = Dyadic::new(no_potentials, 0);
         d.decided((2.0, 2), (41.0, 1));
         d.decided((41.0, 1), (50.0, 3)); // fewer hops: no bound
         let covered: Vec<f64> = [0.5, 1.0, 2.0, 3.0, 4.0, 8.0]
@@ -1119,12 +1524,12 @@ mod tests {
         assert_eq!(d.repeats().max_sq, 0);
         // λ = 1/2: keys are k/2 + 2M; 3-edge 1.5 (M = 0) beat 1-edge 4.5
         // (M = 2), so λ'² < 1 and nothing larger repeats.
-        let mut d = Dyadic::new(m, -1);
+        let mut d = Dyadic::new(no_potentials, -1);
         d.decided((1.5, 3), (4.5, 1));
         assert!(!d.repeats().covers(1.0));
         // Without bounds the exactness cap rules: (2·h + 1)·(λ'² + m_max)
         // must stay below 2^53.
-        let mut d = Dyadic::new(m, 0);
+        let mut d = Dyadic::new(no_potentials, 0);
         d.hops_max = 3;
         d.m_max = 1 << 30;
         let cap = (((1u64 << 53) - 1) / 7) - (1 << 30);
@@ -1134,7 +1539,7 @@ mod tests {
         d.hops_max = u16::MAX;
         assert_eq!(d.repeats(), Repeats::NONE);
         // Only powers of two ≥ 1 above the run's λ are ever covered.
-        let d = Dyadic::new(m, 1);
+        let d = Dyadic::new(no_potentials, 1);
         let r = d.repeats();
         assert!(r.covers(4.0) && !r.covers(2.0) && !r.covers(1.0) && !r.covers(6.0));
         for lambda in [f64::INFINITY, f64::NAN, -4.0, 0.0] {

@@ -85,32 +85,36 @@ where
 }
 
 /// Algorithm 1's per-`(root, λ)` instance `G_{r,λ}` (Lemma 4): a Steiner
-/// tree for `terminals` under the edge cost `λ + m(u, v)/λ`, where `m` is a
-/// symmetric integer per edge (ws-q's `max(d_G(r, u), d_G(r, v))`).
+/// tree for `terminals` under the edge cost `λ + max(p(u), p(v))/λ`, where
+/// `p = potentials` holds an integer per vertex (ws-q's `d_G(r, ·)`).
 ///
 /// Also returns the larger λ at which the same call provably returns the
 /// same `nodes` and `edges`, so a sweep over an ascending λ grid can reuse
 /// the tree there. Only Mehlhorn runs at `λ = 2^t` certify anything (the
 /// proof is in the [`mehlhorn`] module doc); the other algorithms and λ
 /// return [`Repeats::NONE`]. Trees equal [`steiner_tree_with`]'s under the
-/// closure `λ + m(u, v) as f64 / λ`.
-pub fn lambda_steiner_with<M>(
+/// closure `λ + max(p(u), p(v)) as f64 / λ`.
+///
+/// # Panics
+///
+/// If `potentials` does not hold exactly one value per vertex of `g`.
+pub fn lambda_steiner_with(
     ws: &mut SteinerWorkspace,
     algorithm: SteinerAlgorithm,
     g: &Graph,
     terminals: &[NodeId],
     lambda: f64,
-    m: M,
-) -> Result<(SteinerTree, Repeats)>
-where
-    M: Fn(NodeId, NodeId) -> u32,
-{
+    potentials: &[u32],
+) -> Result<(SteinerTree, Repeats)> {
+    assert_eq!(potentials.len(), g.num_nodes(), "one potential per vertex");
     match dyadic_exponent(lambda) {
         Some(t) if algorithm == SteinerAlgorithm::Mehlhorn => {
-            mehlhorn_dyadic(ws, g, terminals, t, m)
+            mehlhorn_dyadic(ws, g, terminals, t, potentials)
         }
         _ => {
-            let weight = |u: NodeId, v: NodeId| lambda + m(u, v) as f64 / lambda;
+            let weight = |u: NodeId, v: NodeId| {
+                lambda + potentials[u as usize].max(potentials[v as usize]) as f64 / lambda
+            };
             let tree = steiner_tree_with(ws, algorithm, g, terminals, weight)?;
             Ok((tree, Repeats::NONE))
         }

@@ -112,10 +112,10 @@ pub struct WsqConfig {
     pub deadline: Option<Instant>,
     /// Per-request trace context: when enabled the solver records
     /// `feasibility`, `root_sweep` (with root/candidate counters, root
-    /// distance arrays computed in the sweep, Steiner calls and reused
-    /// trees, and accumulated root-distance, Steiner, `AdjustDistances`
-    /// and `A(H, r)` time), and `evaluate` stage spans. Disabled (the
-    /// default) it costs one branch per stage.
+    /// distance arrays computed in the sweep, Steiner calls, those run on
+    /// the bucket ring, and reused trees, and accumulated root-distance,
+    /// Steiner, `AdjustDistances` and `A(H, r)` time), and `evaluate`
+    /// stage spans. Disabled (the default) it costs one branch per stage.
     /// Typically set through
     /// [`QueryOptions::trace`](crate::engine::QueryOptions::trace).
     pub trace: TraceContext,
@@ -294,6 +294,7 @@ impl<'g> WienerSteiner<'g> {
                     ("candidates", all.len() as u64),
                     ("steiner_us", load(&stage_acc.steiner_us)),
                     ("steiner_calls", load(&stage_acc.steiner_calls)),
+                    ("steiner_ring", load(&stage_acc.steiner_ring)),
                     ("steiner_reused", load(&stage_acc.steiner_reused)),
                     ("adjust_us", load(&stage_acc.adjust_us)),
                     ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
@@ -577,6 +578,7 @@ struct StageCounters {
     root_distances_us: AtomicU64,
     steiner_us: AtomicU64,
     steiner_calls: AtomicU64,
+    steiner_ring: AtomicU64,
     steiner_reused: AtomicU64,
     adjust_us: AtomicU64,
     evaluate_a_us: AtomicU64,
@@ -711,8 +713,7 @@ fn run_roots(
                 (klein_ravi(g, &terminals, node_cost)?, Repeats::NONE)
             } else {
                 // Lemma 4's edge cost λ + max(d_G(r, u), d_G(r, v))/λ.
-                let m = |u: NodeId, v: NodeId| dist_r[u as usize].max(dist_r[v as usize]);
-                lambda_steiner_with(&mut steiner_ws, cfg.steiner, g, &terminals, lambda, m)?
+                lambda_steiner_with(&mut steiner_ws, cfg.steiner, g, &terminals, lambda, dist_r)?
             };
             if let (Some(c), Some(t0)) = (counters, t0) {
                 c.steiner_us
@@ -750,6 +751,10 @@ fn run_roots(
                 nodes,
             ));
         }
+    }
+    if let Some(c) = counters {
+        c.steiner_ring
+            .fetch_add(steiner_ws.ring_calls(), Ordering::Relaxed);
     }
     Ok(out)
 }

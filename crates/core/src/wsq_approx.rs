@@ -233,6 +233,7 @@ fn candidates(
     let mut all: Vec<EvaluatedCandidate> = Vec::new();
     // One Steiner workspace serves the whole (root, λ) loop.
     let mut steiner_ws = SteinerWorkspace::new();
+    let mut potentials: Vec<u32> = Vec::with_capacity(g.num_nodes());
     for (ri, &r) in q.iter().enumerate() {
         let per_root;
         let dist_r: &[u32] = match &root_dists {
@@ -242,16 +243,10 @@ fn candidates(
                 &per_root
             }
         };
-        let m = |u: NodeId, v: NodeId| {
-            // Unreachable vertices never appear on used paths (the
-            // feasibility check passed); saturate defensively.
-            let d = dist_r[u as usize].max(dist_r[v as usize]);
-            if d == INF_DIST {
-                n
-            } else {
-                d
-            }
-        };
+        // Unreachable vertices never appear on used paths (the
+        // feasibility check passed); saturate defensively.
+        potentials.clear();
+        potentials.extend(dist_r.iter().map(|&d| if d == INF_DIST { n } else { d }));
         // The root's last Steiner call: its candidate's index in `all`,
         // and the larger λ at which it repeats.
         let mut last: Option<(usize, Repeats)> = None;
@@ -260,7 +255,7 @@ fn candidates(
                 continue;
             }
             let (tree, repeats) =
-                lambda_steiner_with(&mut steiner_ws, config.steiner, g, q, lambda, m)?;
+                lambda_steiner_with(&mut steiner_ws, config.steiner, g, q, lambda, &potentials)?;
             let nodes = tree.nodes;
             let a_value = evaluate_a(g, &nodes, r, pool)?;
             last = Some((all.len(), repeats));
@@ -437,10 +432,18 @@ mod tests {
                 let mut grid: Vec<EvaluatedCandidate> = Vec::new();
                 for &r in &q {
                     let est = oracle.estimate_all(r);
-                    let m = |u: NodeId, v: NodeId| match est[u as usize].max(est[v as usize]) {
-                        INF_DIST => g.num_nodes() as u32,
-                        d => d,
-                    };
+                    let potentials: Vec<u32> = est
+                        .iter()
+                        .map(|&d| {
+                            if d == INF_DIST {
+                                g.num_nodes() as u32
+                            } else {
+                                d
+                            }
+                        })
+                        .collect();
+                    let m =
+                        |u: NodeId, v: NodeId| potentials[u as usize].max(potentials[v as usize]);
                     let mut ws = SteinerWorkspace::new();
                     let mut last: Option<Repeats> = None;
                     for lambda in lambda_grid(g.num_nodes(), config.beta) {
@@ -460,7 +463,8 @@ mod tests {
                         } else {
                             let alg = SteinerAlgorithm::Mehlhorn;
                             let (_, rep) =
-                                lambda_steiner_with(&mut ws, alg, &g, &q, lambda, m).unwrap();
+                                lambda_steiner_with(&mut ws, alg, &g, &q, lambda, &potentials)
+                                    .unwrap();
                             last = Some(rep);
                         }
                     }

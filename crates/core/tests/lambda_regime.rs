@@ -150,9 +150,15 @@ fn check_root_sweep(
                 continue;
             }
         }
-        let (tree, repeats) =
-            lambda_steiner_with(&mut ws, SteinerAlgorithm::Mehlhorn, g, terminals, lambda, m)
-                .unwrap();
+        let (tree, repeats) = lambda_steiner_with(
+            &mut ws,
+            SteinerAlgorithm::Mehlhorn,
+            g,
+            terminals,
+            lambda,
+            dist_r,
+        )
+        .unwrap();
         prop_assert_eq!(
             &tree,
             &fresh,
@@ -480,14 +486,14 @@ fn other_grids_and_subroutines_reuse_nothing() {
         assert_eq!(calls, candidates, "{what}");
     }
     let dist_r = distances_from(&g, q[0]);
-    let m = |u: NodeId, v: NodeId| dist_r[u as usize].max(dist_r[v as usize]);
     let mut ws = SteinerWorkspace::new();
     for (algorithm, lambda) in [
         (SteinerAlgorithm::Mehlhorn, 1.5),
         (SteinerAlgorithm::KouMarkowskyBerman, 1.0),
         (SteinerAlgorithm::TakahashiMatsuyama, 1.0),
     ] {
-        let (_, repeats) = lambda_steiner_with(&mut ws, algorithm, &g, &q, lambda, m).unwrap();
+        let (_, repeats) =
+            lambda_steiner_with(&mut ws, algorithm, &g, &q, lambda, &dist_r).unwrap();
         assert_eq!(repeats, Repeats::NONE, "{algorithm:?} at λ {lambda}");
     }
 }
@@ -535,7 +541,7 @@ fn certificates_stop_where_keys_stop_being_exact() {
         for t in 14..=26 {
             let lambda = (1u64 << t) as f64;
             let (tree, repeats) =
-                lambda_steiner_with(&mut ws, SteinerAlgorithm::Mehlhorn, &g, &q, lambda, m)
+                lambda_steiner_with(&mut ws, SteinerAlgorithm::Mehlhorn, &g, &q, lambda, &level)
                     .unwrap();
             for t_next in t + 1..=27 {
                 let next = (1u64 << t_next) as f64;
@@ -570,10 +576,18 @@ fn certificates_stop_where_keys_stop_being_exact() {
 #[test]
 fn crossing_decisions_bound_the_run() {
     let g = Graph::from_edges(5, &[(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]).unwrap();
-    let m = |u: NodeId, v: NodeId| if u == 2 || v == 2 { 10 } else { 1 };
+    let potentials = [1, 1, 10, 1, 1];
+    let m = |u: NodeId, v: NodeId| potentials[u as usize].max(potentials[v as usize]);
     let mut ws = SteinerWorkspace::new();
-    let (tree, repeats) =
-        lambda_steiner_with(&mut ws, SteinerAlgorithm::Mehlhorn, &g, &[0, 1], 1.0, m).unwrap();
+    let (tree, repeats) = lambda_steiner_with(
+        &mut ws,
+        SteinerAlgorithm::Mehlhorn,
+        &g,
+        &[0, 1],
+        1.0,
+        &potentials,
+    )
+    .unwrap();
     assert_eq!(tree.nodes, vec![0, 1, 3, 4]);
     let covered: Vec<f64> = [2.0, 4.0, 8.0, 16.0]
         .into_iter()
@@ -597,11 +611,19 @@ fn saturated_hop_counts_certify_nothing() {
     let n = 70_000u32;
     let edges: Vec<(NodeId, NodeId)> = (0..n - 1).map(|v| (v, v + 1)).collect();
     let g = Graph::from_edges(n as usize, &edges).unwrap();
-    let m = |u: NodeId, v: NodeId| u.max(v);
+    let potentials: Vec<u32> = (0..n).collect();
     let mut ws = SteinerWorkspace::new();
-    let (tree, repeats) =
-        lambda_steiner_with(&mut ws, SteinerAlgorithm::Mehlhorn, &g, &[0, 1], 1.0, m).unwrap();
+    let (tree, repeats) = lambda_steiner_with(
+        &mut ws,
+        SteinerAlgorithm::Mehlhorn,
+        &g,
+        &[0, 1],
+        1.0,
+        &potentials,
+    )
+    .unwrap();
     assert_eq!(repeats, Repeats::NONE);
-    let fresh = mehlhorn_steiner(&g, &[0, 1], |u: NodeId, v: NodeId| 1.0 + m(u, v) as f64).unwrap();
+    let fresh =
+        mehlhorn_steiner(&g, &[0, 1], |u: NodeId, v: NodeId| 1.0 + u.max(v) as f64).unwrap();
     assert_eq!(tree, fresh);
 }

@@ -1,16 +1,20 @@
 //! Parity suite for the workspace-based Mehlhorn Steiner layer.
 //!
 //! `mehlhorn_steiner_with` settles vertices through a radix queue, fills
-//! the crossing table at settlement and expands paths over stamped arrays.
-//! None of that may change an answer: every test here pins its trees —
-//! vertex set, edge list and the bit pattern of `total_weight` — and its
-//! errors against [`reference::mehlhorn_steiner`], the binary-heap
-//! implementation with a separate crossing-edge scan and hash-set
-//! expansion that it replaced.
+//! the crossing table at settlement and expands paths over stamped arrays;
+//! ws-q's certifying `lambda_steiner_with` reads its costs from per-vertex
+//! potentials and settles on an integer bucket ring when every edge is a
+//! small whole number of units. None of that may change an answer: every
+//! test here pins its trees — vertex set, edge list and the bit pattern of
+//! `total_weight` — and its errors against [`reference::mehlhorn_steiner`],
+//! the binary-heap implementation with a separate crossing-edge scan and
+//! hash-set expansion that it replaced.
 
 use proptest::prelude::*;
 
-use mwc_core::steiner::{mehlhorn_steiner_with, SteinerTree, SteinerWorkspace};
+use mwc_core::steiner::{
+    lambda_steiner_with, mehlhorn_steiner_with, SteinerAlgorithm, SteinerTree, SteinerWorkspace,
+};
 use mwc_core::wsq::lambda_grid;
 use mwc_core::{Result, WsqConfig};
 use mwc_graph::traversal::bfs::bfs_distances;
@@ -273,10 +277,39 @@ where
     Ok(())
 }
 
+/// ws-q's reweighting `λ + max(d_r(u), d_r(v))/λ` on one instance, as a
+/// closure through `mehlhorn_steiner_with` and with `dist_r` as potentials
+/// through `lambda_steiner_with`, both against the reference.
+fn check_wsq(
+    ws: &mut SteinerWorkspace,
+    g: &Graph,
+    terms: &[NodeId],
+    dist_r: &[u32],
+    lambda: f64,
+    what: &str,
+) -> std::result::Result<(), TestCaseError> {
+    let weight =
+        |u: NodeId, v: NodeId| lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda;
+    let expect = reference::mehlhorn_steiner(g, terms, weight);
+    let got = mehlhorn_steiner_with(ws, g, terms, weight);
+    let certified = lambda_steiner_with(ws, SteinerAlgorithm::Mehlhorn, g, terms, lambda, dist_r)
+        .map(|(tree, _)| tree);
+    for (path, got) in [("closure", got), ("potentials", certified)] {
+        prop_assert!(
+            same(&got, &expect),
+            "{what} ({path}), terminals {terms:?}: got {got:?}, reference {expect:?}"
+        );
+        if let Ok(t) = &got {
+            prop_assert!(t.validate(), "{what} ({path}): not a tree");
+        }
+    }
+    Ok(())
+}
+
 /// Every weight closure of the suite on one `(graph, terminals)` instance:
 /// unit (maximal ties), zero, integer edge weights, and the ws-q
 /// reweighting `λ + max(d_r(u), d_r(v))/λ` from every terminal root over
-/// the whole λ grid.
+/// the whole λ grid, through both of its paths.
 fn check_all_weights(
     ws: &mut SteinerWorkspace,
     g: &Graph,
@@ -295,10 +328,14 @@ fn check_all_weights(
     for &r in &roots {
         let dist_r = distances_from(g, r);
         for lambda in lambda_grid(g.num_nodes(), WsqConfig::default().beta) {
-            let weight = |u: NodeId, v: NodeId| {
-                lambda + dist_r[u as usize].max(dist_r[v as usize]) as f64 / lambda
-            };
-            check(ws, g, terms, weight, &format!("ws-q root {r} λ {lambda}"))?;
+            check_wsq(
+                ws,
+                g,
+                terms,
+                &dist_r,
+                lambda,
+                &format!("ws-q root {r} λ {lambda}"),
+            )?;
         }
     }
     Ok(())
@@ -363,6 +400,9 @@ fn single_duplicate_and_disconnected_terminals() {
     ] {
         check_all_weights(&mut ws, &g, &terms).unwrap();
     }
+    // Every root leaves the other component unreachable, and an
+    // `INF_DIST` potential keeps a run off the bucket ring.
+    assert_eq!(ws.ring_calls(), 0);
 }
 
 #[test]
@@ -385,6 +425,7 @@ fn one_workspace_across_many_sizes_and_a_generation_wrap() {
             check_all_weights(&mut ws, &g, &terms).unwrap();
         }
     }
+    assert!(ws.ring_calls() > 0, "no run took the bucket ring");
 }
 
 #[test]
@@ -395,7 +436,5 @@ fn large_terminal_sets_use_the_sparse_crossing_table() {
     let terms: Vec<NodeId> = (0..400).step_by(2).collect();
     check(&mut ws, &g, &terms, |_, _| 1.0, "unit").unwrap();
     let dist_r = distances_from(&g, terms[0]);
-    let weight =
-        |u: NodeId, v: NodeId| 2.0 + dist_r[u as usize].max(dist_r[v as usize]) as f64 / 2.0;
-    check(&mut ws, &g, &terms, weight, "ws-q").unwrap();
+    check_wsq(&mut ws, &g, &terms, &dist_r, 2.0, "ws-q").unwrap();
 }
