@@ -70,10 +70,10 @@ use crate::exact::{exact_minimum, shortest_path_connector, ExactConfig};
 use crate::local_search::{refine, LocalSearchConfig};
 use crate::trace::TraceContext;
 use crate::wsq::{
-    batched_root_distances_dispatch, MsDistWorkspace, RootPolicy, SharedRootDists, WienerSteiner,
-    WsqConfig, WsqSolution,
+    batched_root_distances_dispatch, DistanceSource, MsDistWorkspace, RootPolicy, SharedRootDists,
+    WienerSteiner, WsqConfig, WsqSolution,
 };
-use crate::wsq_approx::{solve_with_oracle, ApproxWsqConfig};
+use crate::wsq_approx::ApproxWsqConfig;
 
 /// Per-query knobs, built fluently:
 /// `QueryOptions::new().deadline(d).max_connector_size(n)`.
@@ -95,11 +95,14 @@ impl QueryOptions {
     }
 
     /// Caps the wall-clock time of each query. The deadline is
-    /// *cooperative*: solvers that support it (`ws-q`, `ws-q+ls`) stop
-    /// sweeping `(root, λ)` candidates once it passes and select among
-    /// those already evaluated, so a feasible connector is still returned
-    /// — only the approximation guarantee weakens. Solvers without
-    /// internal checkpoints ignore it.
+    /// *cooperative*: the solvers built on ws-q's root sweep (`ws-q`,
+    /// `ws-q+ls`, `ws-q-approx`) stop sweeping `(root, λ)` candidates once
+    /// it passes and select among those already evaluated, so a feasible
+    /// connector is still returned — only the approximation guarantee
+    /// weakens; `ws-q+ls` also bounds its local search by it. `exact` and
+    /// the `mwc-baselines` solvers (`st`, `cps`, `ppr`, `ctp`,
+    /// `greedy-wiener`) have no internal checkpoints and run to
+    /// completion.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -666,10 +669,7 @@ impl ConnectorSolver for WsqSolver {
     }
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
-        let mut cfg = self.config.clone();
-        cfg.deadline = ctx.deadline();
-        cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.trace = ctx.options().trace_context().clone();
+        let cfg = per_query(self.config.clone(), ctx);
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
             ctx.workspace_pool(),
@@ -681,6 +681,15 @@ impl ConnectorSolver for WsqSolver {
     fn coalesce_roots(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Option<Vec<NodeId>> {
         wsq_coalesce_roots(&self.config, ctx, q)
     }
+}
+
+/// `cfg` as one query runs it: the context's deadline and trace, and no
+/// sweep threads of its own inside a [`QueryEngine::solve_group`] worker.
+fn per_query(mut cfg: WsqConfig, ctx: &QueryContext<'_>) -> WsqConfig {
+    cfg.deadline = ctx.deadline();
+    cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
+    cfg.trace = ctx.options().trace_context().clone();
+    cfg
 }
 
 /// Shared [`ConnectorSolver::coalesce_roots`] answer for the solvers built
@@ -703,7 +712,9 @@ fn wsq_coalesce_roots(
 
 /// `"ws-q-approx"` — Algorithm 1 on landmark-estimated distances (§6.6),
 /// using the engine's shared [`LandmarkOracle`] so the `k` oracle BFS
-/// traversals are paid once per graph, not once per solver.
+/// traversals are paid once per graph, not once per solver. It runs
+/// `ws-q`'s root sweep, so it honors [`QueryOptions::deadline`] and
+/// records the same trace spans.
 #[derive(Debug, Clone, Default)]
 pub struct ApproxWsqSolver {
     /// Configuration applied to every query. `landmarks` and `strategy`
@@ -719,14 +730,11 @@ impl ConnectorSolver for ApproxWsqSolver {
     }
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
-        let mut cfg = self.config.clone();
-        cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        let sol = solve_with_oracle(
-            ctx.graph(),
-            ctx.landmark_oracle(),
-            &cfg,
+        let cfg = per_query(self.config.sweep_config(), ctx);
+        let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
             ctx.workspace_pool(),
+            DistanceSource::Landmarks(ctx.landmark_oracle()),
         )?;
         Ok(SolveReport::from_wsq(self.name(), sol))
     }
@@ -748,10 +756,7 @@ impl ConnectorSolver for LocalSearchSolver {
     }
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
-        let mut cfg = self.wsq.clone();
-        cfg.deadline = ctx.deadline();
-        cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.trace = ctx.options().trace_context().clone();
+        let cfg = per_query(self.wsq.clone(), ctx);
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
             ctx.workspace_pool(),
@@ -1700,15 +1705,17 @@ mod tests {
         let engine = QueryEngine::new(&g);
         let q = [11u32, 24, 25, 29];
         let opts = QueryOptions::new().deadline(Duration::ZERO);
-        let report = engine.solve_with("ws-q", &q, &opts).unwrap();
-        assert!(report.connector.contains_all(&q));
-        assert_eq!(
-            report.wiener_index,
-            report.connector.wiener_index(&g).unwrap()
-        );
-        // The expired deadline cut the sweep short.
-        let full = engine.solve("ws-q", &q).unwrap();
-        assert!(report.candidates <= full.candidates);
+        for solver in ["ws-q", "ws-q-approx"] {
+            let report = engine.solve_with(solver, &q, &opts).unwrap();
+            assert!(report.connector.contains_all(&q));
+            assert_eq!(
+                report.wiener_index,
+                report.connector.wiener_index(&g).unwrap()
+            );
+            // The expired deadline cut the sweep short.
+            let full = engine.solve(solver, &q).unwrap();
+            assert!(report.candidates < full.candidates, "{solver}");
+        }
     }
 
     #[test]

@@ -35,6 +35,11 @@
 //! ([`batched_root_distances_dispatch`]); a worker takes a prefetched
 //! array when one covers its root. Every kernel yields the same
 //! distances, so connectors do not depend on where they came from.
+//!
+//! The same sweep serves `ws-q-approx` ([`crate::wsq_approx`]), whose
+//! workers read each root's distances as landmark estimates instead. That
+//! sweep skips `AdjustDistances`, which needs exact distances, and checks
+//! feasibility once up front with an exact search from `q[0]`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mwc_graph::hash::FxHashMap;
+use mwc_graph::oracle::LandmarkOracle;
 use mwc_graph::traversal::bfs::{
     canonical_parent, multi_source_distances, MsBfsWorkspace, PooledDeltaWorkspace,
     PooledMsDeltaWorkspace, PooledMsWorkspace, PooledWorkspace, WorkspacePool,
@@ -232,6 +238,17 @@ impl<'g> WienerSteiner<'g> {
         pool: &WorkspacePool,
         shared: Option<&SharedRootDists>,
     ) -> Result<WsqSolution> {
+        self.solve_from(q, pool, DistanceSource::Exact(shared))
+    }
+
+    /// Algorithm 1 with each root's distances taken from `source`: the
+    /// one solve path behind `ws-q`, `ws-q+ls` and `ws-q-approx`.
+    pub(crate) fn solve_from(
+        &self,
+        q: &[NodeId],
+        pool: &WorkspacePool,
+        source: DistanceSource<'_>,
+    ) -> Result<WsqSolution> {
         let g = self.graph;
         let q = normalize_query(g, q)?;
         if q.len() == 1 {
@@ -245,18 +262,11 @@ impl<'g> WienerSteiner<'g> {
             });
         }
 
-        let lambdas = lambda_grid(g.num_nodes(), self.config.beta);
-        let roots: Vec<NodeId> = match self.config.roots {
-            RootPolicy::QueryOnly => q.clone(),
-            RootPolicy::AllVertices => g.nodes().collect(),
-        };
-
-        // Feasibility: all query vertices in one component. QueryOnly
-        // roots are query vertices, so the sweep workers check each
-        // root's own array before any Steiner call; AllVertices roots may
-        // lie outside Q's component, so those solves search from q[0]
-        // here.
-        if self.config.roots == RootPolicy::AllVertices {
+        // Feasibility: all query vertices in one component. Where the
+        // sweep workers check each query root's exact array (see
+        // `checks_each_root`), that is their job; every other solve
+        // searches from q[0] here.
+        if !checks_each_root(&self.config, source) {
             let span = self.config.trace.span("feasibility");
             let mut ws = RootDistWorkspace::lease(pool, g);
             let dist = ws.run(g, q[0]);
@@ -269,38 +279,7 @@ impl<'g> WienerSteiner<'g> {
 
         let mut candidates: Vec<CandidateRecord> = Vec::new();
         let mut best: Option<(CandidateRecord, Vec<NodeId>)> = None;
-
-        // Stage accounting for the `root_sweep` span: root distance arrays
-        // computed in the sweep (the rest came from a prefetch), and the
-        // time of that, Steiner, `AdjustDistances` and `A(H, r)`
-        // accumulated across sweep workers (reported as counters — the
-        // stages run interleaved on several threads, so child spans would
-        // overlap their siblings).
-        let traced = self.config.trace.enabled();
-        let sweep_start = traced.then(Instant::now);
-        let stage_acc = StageCounters::default();
-        let counters = traced.then_some(&stage_acc);
-        let mut all = self.sweep_roots(g, &q, &roots, shared, &lambdas, pool, counters)?;
-        if let Some(t0) = sweep_start {
-            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            self.config.trace.record_with(
-                "root_sweep",
-                t0,
-                Instant::now(),
-                vec![
-                    ("roots", roots.len() as u64),
-                    ("root_distances", load(&stage_acc.root_distances)),
-                    ("root_distances_us", load(&stage_acc.root_distances_us)),
-                    ("candidates", all.len() as u64),
-                    ("steiner_us", load(&stage_acc.steiner_us)),
-                    ("steiner_calls", load(&stage_acc.steiner_calls)),
-                    ("steiner_ring", load(&stage_acc.steiner_ring)),
-                    ("steiner_reused", load(&stage_acc.steiner_reused)),
-                    ("adjust_us", load(&stage_acc.adjust_us)),
-                    ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
-                ],
-            );
-        }
+        let mut all = self.root_sweep(&q, pool, source)?;
 
         let mut eval_span = self.config.trace.span("evaluate");
         let exact_evals = evaluate_exact(
@@ -342,6 +321,55 @@ impl<'g> WienerSteiner<'g> {
         })
     }
 
+    /// The `root_sweep` stage of a feasible, normalized query: every
+    /// `(root, λ)` candidate with its `A(H, r)`, in root then λ order, with
+    /// no exact W yet.
+    pub(crate) fn root_sweep(
+        &self,
+        q: &[NodeId],
+        pool: &WorkspacePool,
+        source: DistanceSource<'_>,
+    ) -> Result<Vec<EvaluatedCandidate>> {
+        let g = self.graph;
+        let lambdas = lambda_grid(g.num_nodes(), self.config.beta);
+        let roots: Vec<NodeId> = match self.config.roots {
+            RootPolicy::QueryOnly => q.to_vec(),
+            RootPolicy::AllVertices => g.nodes().collect(),
+        };
+        // Stage accounting for the `root_sweep` span: root distance arrays
+        // computed in the sweep (the rest came from a prefetch), and the
+        // time of that, Steiner, `AdjustDistances` and `A(H, r)`
+        // accumulated across sweep workers (reported as counters — the
+        // stages run interleaved on several threads, so child spans would
+        // overlap their siblings).
+        let traced = self.config.trace.enabled();
+        let sweep_start = traced.then(Instant::now);
+        let stage_acc = StageCounters::default();
+        let counters = traced.then_some(&stage_acc);
+        let all = self.sweep_roots(g, q, &roots, source, &lambdas, pool, counters)?;
+        if let Some(t0) = sweep_start {
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            self.config.trace.record_with(
+                "root_sweep",
+                t0,
+                Instant::now(),
+                vec![
+                    ("roots", roots.len() as u64),
+                    ("root_distances", load(&stage_acc.root_distances)),
+                    ("root_distances_us", load(&stage_acc.root_distances_us)),
+                    ("candidates", all.len() as u64),
+                    ("steiner_us", load(&stage_acc.steiner_us)),
+                    ("steiner_calls", load(&stage_acc.steiner_calls)),
+                    ("steiner_ring", load(&stage_acc.steiner_ring)),
+                    ("steiner_reused", load(&stage_acc.steiner_reused)),
+                    ("adjust_us", load(&stage_acc.adjust_us)),
+                    ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
+                ],
+            );
+        }
+        Ok(all)
+    }
+
     /// Fans the λ sweep for `roots` out across scoped worker threads
     /// (§6.6's embarrassing root parallelism), one fixed chunk of roots
     /// per worker; the merge keeps root order, so threading never changes
@@ -352,7 +380,7 @@ impl<'g> WienerSteiner<'g> {
         g: &Graph,
         q: &[NodeId],
         roots: &[NodeId],
-        shared: Option<&SharedRootDists>,
+        source: DistanceSource<'_>,
         lambdas: &[f64],
         pool: &WorkspacePool,
         counters: Option<&StageCounters>,
@@ -366,7 +394,7 @@ impl<'g> WienerSteiner<'g> {
             1
         };
         if threads <= 1 {
-            return run_roots(g, &self.config, q, roots, shared, lambdas, pool, counters);
+            return run_roots(g, &self.config, q, roots, source, lambdas, pool, counters);
         }
         let chunk = roots.len().div_ceil(threads);
         let results: Vec<Result<Vec<EvaluatedCandidate>>> = std::thread::scope(|scope| {
@@ -375,7 +403,7 @@ impl<'g> WienerSteiner<'g> {
                 .map(|chunk_roots| {
                     let (q, lambdas, cfg) = (q, lambdas, &self.config);
                     scope.spawn(move || {
-                        run_roots(g, cfg, q, chunk_roots, shared, lambdas, pool, counters)
+                        run_roots(g, cfg, q, chunk_roots, source, lambdas, pool, counters)
                     })
                 })
                 .collect();
@@ -456,6 +484,29 @@ pub fn batched_root_distances_dispatch(
 /// solves read one array without copying.
 pub type SharedRootDists = HashMap<NodeId, Arc<Vec<u32>>>;
 
+/// Where a root sweep's workers get each root's distances `d(r, ·)`
+/// (Algorithm 1 line 1).
+#[derive(Clone, Copy)]
+pub(crate) enum DistanceSource<'a> {
+    /// Exact distances: the root's array from a group prefetch when the
+    /// map covers it, and otherwise one the worker computes itself.
+    Exact(Option<&'a SharedRootDists>),
+    /// Landmark estimates (§6.6), `INF_DIST` saturated at `|V|`, for
+    /// query roots only. Every estimate in a component without a landmark
+    /// is `INF_DIST`, so they say nothing about feasibility, and they give
+    /// no exact BFS tree for `AdjustDistances`.
+    Landmarks(&'a LandmarkOracle),
+}
+
+/// Whether the sweep workers check feasibility on each query root's
+/// exact array, rather than the solve searching from `q[0]` up front.
+/// `AllVertices` roots may lie outside Q's component, and a landmark
+/// estimate cannot tell an unreachable vertex from a landmark-free
+/// component.
+fn checks_each_root(cfg: &WsqConfig, source: DistanceSource<'_>) -> bool {
+    cfg.roots == RootPolicy::QueryOnly && matches!(source, DistanceSource::Exact(_))
+}
+
 /// Convenience entry point with default configuration.
 pub fn minimum_wiener_connector(g: &Graph, q: &[NodeId]) -> Result<WsqSolution> {
     WienerSteiner::new(g).solve(q)
@@ -494,7 +545,7 @@ pub(crate) type EvaluatedCandidate = (CandidateRecord, Vec<NodeId>);
 /// Appends the root's last Steiner candidate again, under `lambda`, when
 /// the call behind it (`last`: the candidate's index in `out` and the
 /// call's certificate) provably repeats there. Returns whether it did.
-pub(crate) fn reuse_candidate(
+fn reuse_candidate(
     out: &mut Vec<EvaluatedCandidate>,
     last: Option<(usize, Repeats)>,
     lambda: f64,
@@ -561,7 +612,7 @@ pub(crate) fn evaluate_exact(
 
 /// Remark 1's selection order: exact values win over proxies (a mix
 /// compares through Lemma 1's bounds), and among proxies the smaller A.
-pub(crate) fn better(rec: &CandidateRecord, cur: &CandidateRecord) -> bool {
+fn better(rec: &CandidateRecord, cur: &CandidateRecord) -> bool {
     match (rec.wiener, cur.wiener) {
         (Some(a), Some(b)) => a < b,
         (Some(a), None) => a < cur.a_value,
@@ -619,14 +670,16 @@ impl<'p> RootDistWorkspace<'p> {
 /// Worker: full λ sweep for a chunk of roots, returning evaluated
 /// candidates.
 ///
-/// A root's distances come from `shared` when a prefetch covers it, and
-/// otherwise from this worker's own workspace, leased on the first root
-/// that needs it. Either way the BFS-tree parents feeding
+/// Under exact distances, a root's array comes from the prefetch when one
+/// covers it, and otherwise from this worker's own workspace, leased on
+/// the first root that needs it. Either way the BFS-tree parents feeding
 /// `AdjustDistances` are derived on demand from the distances by the
 /// deterministic [`canonical_parent`] rule — a pure function of the
 /// (kernel-invariant) distance array, so every source grafts identical
 /// paths. A query root whose array misses a query vertex fails the solve
-/// with [`CoreError::QueryNotConnectable`] before any Steiner call.
+/// with [`CoreError::QueryNotConnectable`] before any Steiner call. Under
+/// landmark estimates the worker computes every root's potentials itself
+/// and never runs `AdjustDistances`.
 ///
 /// λ ascends, so a λ at which the root's last Steiner call provably
 /// repeats gets a copy of that call's candidate under its own λ.
@@ -636,7 +689,7 @@ fn run_roots(
     cfg: &WsqConfig,
     q: &[NodeId],
     roots: &[NodeId],
-    shared: Option<&SharedRootDists>,
+    source: DistanceSource<'_>,
     lambdas: &[f64],
     pool: &WorkspacePool,
     counters: Option<&StageCounters>,
@@ -645,6 +698,9 @@ fn run_roots(
     // One Steiner workspace serves every (root, λ) call of this worker.
     let mut steiner_ws = SteinerWorkspace::new();
     let mut own: Option<RootDistWorkspace<'_>> = None;
+    let mut estimates: Vec<u32>;
+    let check_roots = checks_each_root(cfg, source);
+    let adjust = cfg.adjust && matches!(source, DistanceSource::Exact(_));
     let mut terminals: Vec<NodeId> = Vec::with_capacity(q.len() + 1);
     for &r in roots {
         // Cooperative deadline: stop sweeping further roots, but never
@@ -652,12 +708,28 @@ fn run_roots(
         if !out.is_empty() && past_deadline(cfg) {
             break;
         }
-        let dist_r: &[u32] = match shared.and_then(|map| map.get(&r)) {
+        let prefetched = match source {
+            DistanceSource::Exact(shared) => shared.and_then(|map| map.get(&r)),
+            DistanceSource::Landmarks(_) => None,
+        };
+        let dist_r: &[u32] = match prefetched {
             Some(d) => d.as_slice(),
             None => {
                 let t0 = counters.map(|_| Instant::now());
-                let ws = own.get_or_insert_with(|| RootDistWorkspace::lease(pool, g));
-                let d = ws.run(g, r);
+                let d = match source {
+                    DistanceSource::Exact(_) => own
+                        .get_or_insert_with(|| RootDistWorkspace::lease(pool, g))
+                        .run(g, r),
+                    DistanceSource::Landmarks(oracle) => {
+                        // INF_DIST fills every component without a
+                        // landmark; as a Steiner potential it saturates.
+                        estimates = oracle.estimate_all(r);
+                        for d in estimates.iter_mut().filter(|d| **d == INF_DIST) {
+                            *d = g.num_nodes() as u32;
+                        }
+                        &estimates
+                    }
+                };
                 if let (Some(c), Some(t0)) = (counters, t0) {
                     c.root_distances.fetch_add(1, Ordering::Relaxed);
                     c.root_distances_us
@@ -670,15 +742,16 @@ fn run_roots(
         terminals.clear();
         terminals.extend_from_slice(q);
         if q.binary_search(&r).is_ok() {
-            // A query root reaches all of Q exactly when Q lies in one
-            // component. AllVertices solves checked that up front; a
-            // QueryOnly solve's check on q[0] is its `feasibility` span.
-            let span = (r == q[0] && cfg.roots == RootPolicy::QueryOnly)
-                .then(|| cfg.trace.span("feasibility"));
-            let infeasible = q.iter().any(|&v| dist_r[v as usize] == INF_DIST);
-            drop(span);
-            if infeasible {
-                return Err(CoreError::QueryNotConnectable);
+            // A query root's exact array reaches all of Q exactly when Q
+            // lies in one component; the check on q[0] is the solve's
+            // `feasibility` span. Other solves checked up front.
+            if check_roots {
+                let span = (r == q[0]).then(|| cfg.trace.span("feasibility"));
+                let infeasible = q.iter().any(|&v| dist_r[v as usize] == INF_DIST);
+                drop(span);
+                if infeasible {
+                    return Err(CoreError::QueryNotConnectable);
+                }
             }
         } else if dist_r[q[0] as usize] == INF_DIST {
             continue; // root in a different component: useless
@@ -720,7 +793,7 @@ fn run_roots(
                     .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                 c.steiner_calls.fetch_add(1, Ordering::Relaxed);
             }
-            let final_tree = if cfg.adjust {
+            let final_tree = if adjust {
                 let t0 = counters.map(|_| Instant::now());
                 let adjusted =
                     adjust_distances_with(g, &tree, r, dist_r, |v| canonical_parent(g, dist_r, v));
@@ -759,15 +832,8 @@ fn run_roots(
     Ok(out)
 }
 
-/// Computes `A(G[S], r)` — one BFS inside the induced subgraph. Shared
-/// with the approximate solver (`wsq_approx`), which evaluates the same
-/// objective on its candidates.
-pub(crate) fn evaluate_a(
-    g: &Graph,
-    nodes: &[NodeId],
-    r: NodeId,
-    pool: &WorkspacePool,
-) -> Result<u64> {
+/// Computes `A(G[S], r)` — one BFS inside the induced subgraph.
+fn evaluate_a(g: &Graph, nodes: &[NodeId], r: NodeId, pool: &WorkspacePool) -> Result<u64> {
     let sub = g.induced(nodes)?;
     let r_local = sub.to_local(r).expect("root belongs to its candidate");
     let (sum, reached) = if sub.graph().is_weighted() {

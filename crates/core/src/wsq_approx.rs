@@ -10,9 +10,12 @@
 //!   per query vertex, `O(|Q| (|V| + |E|))` per solve) are replaced by
 //!   landmark estimates (`O(|Q| · k · |V|)` scans against a `k`-landmark
 //!   oracle built once per graph and shared across queries);
-//! * the `G_{r,λ}` reweighting, λ sweep, Steiner solves (with the same
-//!   reuse of a certified run across larger λ), and Remark 1 candidate
-//!   selection are unchanged;
+//! * everything else is `ws-q`'s own root sweep ([`crate::wsq`]): the
+//!   `G_{r,λ}` reweighting, the parallel λ sweep, the Steiner solves
+//!   with their certified reuse, the deadline, the trace spans and
+//!   Remark 1 candidate selection;
+//! * feasibility is one exact search from `q[0]`, since an estimate is
+//!   `INF_DIST` throughout any component without a landmark;
 //! * `AdjustDistances` is skipped — it needs an exact BFS tree from the
 //!   root, which is precisely what this variant avoids. The theoretical
 //!   guarantee consequently degrades from a constant factor to a
@@ -26,16 +29,12 @@
 
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
 use mwc_graph::traversal::bfs::WorkspacePool;
-use mwc_graph::{Graph, NodeId, INF_DIST};
+use mwc_graph::{Graph, NodeId};
 use rand::Rng;
 
-use crate::connector::Connector;
-use crate::error::{CoreError, Result};
-use crate::steiner::{lambda_steiner_with, Repeats, SteinerAlgorithm, SteinerWorkspace};
-use crate::wsq::{
-    better, evaluate_a, evaluate_exact, lambda_grid, normalize_query, reuse_candidate,
-    CandidateRecord, EvaluatedCandidate, WsqSolution,
-};
+use crate::error::Result;
+use crate::steiner::SteinerAlgorithm;
+use crate::wsq::{DistanceSource, WienerSteiner, WsqConfig, WsqSolution};
 
 /// Configuration of the approximate solver.
 #[derive(Debug, Clone)]
@@ -51,18 +50,11 @@ pub struct ApproxWsqConfig {
     /// Exact-Wiener evaluation threshold (Remark 1; see
     /// [`crate::WsqConfig::wiener_exact_threshold`]).
     pub wiener_exact_threshold: usize,
-    /// Allow internal parallelism (currently: the multi-source parallel
-    /// Wiener evaluation of Remark-1 survivors). The engine clears this
-    /// inside `solve_group` workers so solvers do not nest one thread
+    /// Allow internal parallelism: the root sweep's worker threads and the
+    /// parallel Wiener evaluation of Remark-1 survivors. The engine clears
+    /// this inside `solve_group` workers so solvers do not nest one thread
     /// pool per worker — same contract as [`crate::WsqConfig::parallel`].
     pub parallel: bool,
-    /// Batch the per-root landmark estimates: all `|Q|` root distance
-    /// vectors come from **one pass** over the oracle's `k × |V|` matrix
-    /// ([`LandmarkOracle::estimate_all_multi`]) instead of `|Q|` separate
-    /// sweeps — each landmark row is folded into every root while
-    /// cache-hot. Estimates (and therefore connectors) are identical
-    /// either way; the flag exists for A/B parity testing.
-    pub batch: bool,
 }
 
 impl Default for ApproxWsqConfig {
@@ -74,7 +66,21 @@ impl Default for ApproxWsqConfig {
             steiner: SteinerAlgorithm::default(),
             wiener_exact_threshold: 4096,
             parallel: true,
-            batch: true,
+        }
+    }
+}
+
+impl ApproxWsqConfig {
+    /// The `ws-q` sweep configuration this solver runs: query roots, no
+    /// `AdjustDistances`.
+    pub(crate) fn sweep_config(&self) -> WsqConfig {
+        WsqConfig {
+            beta: self.beta,
+            parallel: self.parallel,
+            wiener_exact_threshold: self.wiener_exact_threshold,
+            adjust: false,
+            steiner: self.steiner,
+            ..WsqConfig::default()
         }
     }
 }
@@ -133,152 +139,24 @@ impl<'g> ApproxWienerSteiner<'g> {
     /// estimated distances. Same contract as
     /// [`WienerSteiner::solve`](crate::WienerSteiner::solve).
     pub fn solve(&self, q: &[NodeId]) -> Result<WsqSolution> {
-        solve_with_oracle(
-            self.graph,
-            &self.oracle,
-            &self.config,
+        WienerSteiner::with_config(self.graph, self.config.sweep_config()).solve_from(
             q,
             &WorkspacePool::new(),
+            DistanceSource::Landmarks(&self.oracle),
         )
     }
-}
-
-/// Algorithm 1 with landmark-estimated distances, against a *borrowed*
-/// oracle and workspace pool.
-///
-/// This is the reusable core of [`ApproxWienerSteiner::solve`]; the
-/// [`QueryEngine`](crate::engine::QueryEngine) calls it directly so one
-/// oracle (built once per graph) and one buffer pool serve every query,
-/// instead of each solver instance owning copies.
-pub fn solve_with_oracle(
-    g: &Graph,
-    oracle: &LandmarkOracle,
-    config: &ApproxWsqConfig,
-    q: &[NodeId],
-    pool: &WorkspacePool,
-) -> Result<WsqSolution> {
-    let q = normalize_query(g, q)?;
-    if q.len() == 1 {
-        return Ok(WsqSolution {
-            connector: Connector::new_unchecked(g, q.clone()),
-            wiener_index: 0,
-            best_root: q[0],
-            best_lambda: 1.0,
-            num_candidates: 1,
-            trace: Vec::new(),
-        });
-    }
-    // Feasibility stays exact: one BFS, not one per root.
-    {
-        let mut ws = pool.lease();
-        let dist = ws.run_auto(g, q[0]);
-        if q.iter().any(|&v| dist[v as usize] == INF_DIST) {
-            return Err(CoreError::QueryNotConnectable);
-        }
-    }
-
-    let mut all = candidates(g, oracle, config, &q, pool)?;
-    // Remark 1 selection, identical to the exact solver: Lemma 1 rules
-    // out candidates with A > 2 · min A; the survivors get exact W.
-    evaluate_exact(
-        g,
-        &mut all,
-        config.wiener_exact_threshold,
-        config.parallel,
-        None,
-    )?;
-    let num_candidates = all.len();
-    let mut best: Option<EvaluatedCandidate> = None;
-    for (rec, nodes) in all {
-        if best.as_ref().is_none_or(|(cur, _)| better(&rec, cur)) {
-            best = Some((rec, nodes));
-        }
-    }
-    let (best_rec, best_nodes) = best.expect("candidates are always produced");
-    let connector = Connector::new_unchecked(g, best_nodes);
-    let wiener_index = match best_rec.wiener {
-        Some(w) => w,
-        // Same sequential contract as the candidate evaluations above.
-        None => connector.wiener_index_with(g, !config.parallel)?,
-    };
-    Ok(WsqSolution {
-        connector,
-        wiener_index,
-        best_root: best_rec.root,
-        best_lambda: best_rec.lambda,
-        num_candidates,
-        trace: Vec::new(),
-    })
-}
-
-/// The `(root, λ)` candidates of a feasible, normalized query: the
-/// Steiner tree under the estimated reweighting and its `A(H, r)`, in root
-/// then λ order, with no exact W yet.
-fn candidates(
-    g: &Graph,
-    oracle: &LandmarkOracle,
-    config: &ApproxWsqConfig,
-    q: &[NodeId],
-    pool: &WorkspacePool,
-) -> Result<Vec<EvaluatedCandidate>> {
-    let lambdas = lambda_grid(g.num_nodes(), config.beta);
-    // Batched root estimates: one pass over the landmark matrix serves
-    // every root (identical values to per-root `estimate_all` calls).
-    let root_dists = if config.batch {
-        Some(oracle.estimate_all_multi(q))
-    } else {
-        None
-    };
-    let n = g.num_nodes() as u32;
-    let mut all: Vec<EvaluatedCandidate> = Vec::new();
-    // One Steiner workspace serves the whole (root, λ) loop.
-    let mut steiner_ws = SteinerWorkspace::new();
-    let mut potentials: Vec<u32> = Vec::with_capacity(g.num_nodes());
-    for (ri, &r) in q.iter().enumerate() {
-        let per_root;
-        let dist_r: &[u32] = match &root_dists {
-            Some(d) => &d[ri],
-            None => {
-                per_root = oracle.estimate_all(r);
-                &per_root
-            }
-        };
-        // Unreachable vertices never appear on used paths (the
-        // feasibility check passed); saturate defensively.
-        potentials.clear();
-        potentials.extend(dist_r.iter().map(|&d| if d == INF_DIST { n } else { d }));
-        // The root's last Steiner call: its candidate's index in `all`,
-        // and the larger λ at which it repeats.
-        let mut last: Option<(usize, Repeats)> = None;
-        for &lambda in &lambdas {
-            if reuse_candidate(&mut all, last, lambda) {
-                continue;
-            }
-            let (tree, repeats) =
-                lambda_steiner_with(&mut steiner_ws, config.steiner, g, q, lambda, &potentials)?;
-            let nodes = tree.nodes;
-            let a_value = evaluate_a(g, &nodes, r, pool)?;
-            last = Some((all.len(), repeats));
-            all.push((
-                CandidateRecord {
-                    root: r,
-                    lambda,
-                    size: nodes.len(),
-                    a_value,
-                    wiener: None,
-                },
-                nodes,
-            ));
-        }
-    }
-    Ok(all)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wsq::{WienerSteiner, WsqConfig};
+    use crate::error::CoreError;
+    use crate::steiner::{lambda_steiner_with, Repeats, SteinerWorkspace};
+    use crate::wsq::{
+        evaluate_exact, lambda_grid, normalize_query, CandidateRecord, EvaluatedCandidate,
+    };
     use mwc_graph::generators::karate::karate_club;
+    use mwc_graph::INF_DIST;
     use rand::SeedableRng;
 
     #[test]
@@ -370,33 +248,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_toggle_yields_identical_connectors() {
-        // Batched landmark estimates are the same min over the same
-        // terms, so candidate trees — and connectors — must not move.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let g = mwc_graph::generators::barabasi_albert(300, 3, &mut rng);
-        let mk = |batch: bool| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-            ApproxWienerSteiner::build(
-                &g,
-                ApproxWsqConfig {
-                    batch,
-                    parallel: false,
-                    ..ApproxWsqConfig::default()
-                },
-                &mut rng,
-            )
-        };
-        let on = mk(true);
-        let off = mk(false);
-        use rand::Rng;
-        for _ in 0..5 {
-            let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..300)).collect();
-            let a = on.solve(&q).unwrap();
-            let b = off.solve(&q).unwrap();
-            assert_eq!(a.connector.vertices(), b.connector.vertices(), "{q:?}");
-            assert_eq!(a.wiener_index, b.wiener_index);
-        }
+    fn component_without_a_landmark_is_still_solved() {
+        // BA(100, 3) plus the path 100–105 as a second component: all 16
+        // highest-degree landmarks land in the BA part, so every estimate
+        // from a path vertex is INF_DIST, which must not read as
+        // infeasible.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let ba = mwc_graph::generators::barabasi_albert(100, 3, &mut rng);
+        let mut edges: Vec<(NodeId, NodeId)> = ba.edges().collect();
+        edges.extend((100..105).map(|v| (v, v + 1)));
+        let g = Graph::from_edges(106, &edges).unwrap();
+        let solver = ApproxWienerSteiner::build(&g, ApproxWsqConfig::default(), &mut rng);
+        assert_eq!(solver.oracle().num_landmarks(), 16);
+        assert!(solver.oracle().landmarks().iter().all(|&l| l < 100));
+        let sol = solver.solve(&[100, 103, 105]).unwrap();
+        assert_eq!(sol.connector.vertices(), &[100, 101, 102, 103, 104, 105]);
+        assert_eq!(sol.wiener_index, 35);
+        assert!(matches!(
+            solver.solve(&[0, 104]),
+            Err(CoreError::QueryNotConnectable)
+        ));
     }
 
     #[test]
@@ -477,7 +348,9 @@ mod tests {
                     }
                 }
                 let pool = WorkspacePool::new();
-                let mut got = candidates(&g, &oracle, &config, &q, &pool).unwrap();
+                let mut got = WienerSteiner::with_config(&g, config.sweep_config())
+                    .root_sweep(&q, &pool, DistanceSource::Landmarks(&oracle))
+                    .unwrap();
                 evaluate_exact(&g, &mut got, config.wiener_exact_threshold, false, None).unwrap();
                 let key = |(rec, nodes): &EvaluatedCandidate| {
                     let r = (rec.root, rec.lambda.to_bits(), rec.size, rec.a_value);

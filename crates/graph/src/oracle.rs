@@ -181,50 +181,6 @@ impl LandmarkOracle {
         out[source as usize] = 0;
         out
     }
-
-    /// [`Self::estimate_all`] for a batch of sources in **one pass** over
-    /// the landmark matrix: each `O(|V|)` landmark row is loaded once and
-    /// folded into every source's output while it is cache-hot, instead
-    /// of `|sources|` separate sweeps through the whole `k × |V|` matrix.
-    /// Results are identical to per-source [`Self::estimate_all`] calls
-    /// (same min over the same terms); the batched `ws-q-approx` root
-    /// loop is the intended caller.
-    pub fn estimate_all_multi(&self, sources: &[NodeId]) -> Vec<Vec<u32>> {
-        let n = self.dist.first().map_or(0, |row| row.len());
-        let mut outs: Vec<Vec<u32>> = sources.iter().map(|_| vec![INF_DIST; n]).collect();
-        // Landmark sources are exact: their own row, verbatim.
-        let exact: Vec<Option<usize>> = sources
-            .iter()
-            .map(|&s| self.landmarks.iter().position(|&l| l == s))
-            .collect();
-        for (row, out) in exact.iter().zip(outs.iter_mut()) {
-            if let Some(i) = row {
-                out.clone_from(&self.dist[*i]);
-            }
-        }
-        for row in &self.dist {
-            for ((&s, out), ex) in sources.iter().zip(outs.iter_mut()).zip(&exact) {
-                if ex.is_some() {
-                    continue;
-                }
-                let ds = row[s as usize];
-                if ds == INF_DIST {
-                    continue;
-                }
-                for (o, &dv) in out.iter_mut().zip(row.iter()) {
-                    if dv != INF_DIST {
-                        *o = (*o).min(ds.saturating_add(dv));
-                    }
-                }
-            }
-        }
-        for ((&s, out), ex) in sources.iter().zip(outs.iter_mut()).zip(&exact) {
-            if ex.is_none() {
-                out[s as usize] = 0;
-            }
-        }
-        outs
-    }
 }
 
 /// Picks the `k` landmark vertices for `strategy` (clamped to `|V|`,
@@ -437,27 +393,6 @@ mod tests {
                 assert_eq!(batched.dist, sequential.dist, "{strategy:?} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn estimate_all_multi_matches_per_source() {
-        let g = karate_club();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let oracle = LandmarkOracle::build(&g, 5, LandmarkStrategy::HighestDegree, &mut rng);
-        // Mix of landmark sources, plain sources, and duplicates.
-        let landmark = oracle.landmarks()[0];
-        let sources = vec![0u32, landmark, 7, 7, 33];
-        let multi = oracle.estimate_all_multi(&sources);
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(multi[i], oracle.estimate_all(s), "source {s}");
-        }
-        // Disconnected graphs propagate INF_DIST identically.
-        let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let o = LandmarkOracle::build(&split, 2, LandmarkStrategy::FarthestFirst, &mut rng);
-        let multi = o.estimate_all_multi(&[0, 2]);
-        assert_eq!(multi[0], o.estimate_all(0));
-        assert_eq!(multi[1], o.estimate_all(2));
     }
 
     #[test]

@@ -45,106 +45,126 @@ fn counter(node: &Json, key: &str) -> Option<u64> {
     node.get("counters")?.get(key)?.as_u64()
 }
 
-/// The traced-solve contract: the inline tree carries a trace id, drops
-/// nothing, roots at `solve`, and its children are the pipeline stages
-/// in submission order with durations that sum to at most the root's.
-/// Tracing must not perturb the answer.
+/// The traced-solve contract, for ws-q and for ws-q-approx, which runs
+/// the same root sweep on landmark estimates: the inline tree carries a
+/// trace id, drops nothing, roots at `solve`, and its children are the
+/// pipeline stages in submission order with durations that sum to at most
+/// the root's. Tracing must not perturb the answer.
 #[test]
 fn traced_solve_returns_pipeline_span_tree() {
     let handle = start_server(ServerConfig::default());
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let q: &[NodeId] = &[11, 24, 25, 29];
 
-    // Traced solve first: the cold miss exercises the full pipeline
-    // (a later repeat would short-circuit at `cache_lookup`).
-    let (traced, tree) = client
-        .solve_traced("karate", "ws-q", q, None, None, false)
-        .unwrap();
-    let plain = client
-        .solve_opts("karate", "ws-q", q, None, None, true)
-        .unwrap();
-    assert_eq!(plain.connector, traced.connector, "tracing changed answer");
-    assert_eq!(plain.wiener_index, traced.wiener_index);
+    for solver in ["ws-q", "ws-q-approx"] {
+        // Traced solve first: the cold miss exercises the full pipeline
+        // (a later repeat would short-circuit at `cache_lookup`).
+        let (traced, tree) = client
+            .solve_traced("karate", solver, q, None, None, false)
+            .unwrap();
+        let plain = client
+            .solve_opts("karate", solver, q, None, None, true)
+            .unwrap();
+        assert_eq!(plain.connector, traced.connector, "tracing changed answer");
+        assert_eq!(plain.wiener_index, traced.wiener_index);
 
-    let tree = tree.expect("trace:true returns an inline tree");
-    let trace_id = tree.get("trace_id").and_then(Json::as_str).unwrap();
-    assert_eq!(trace_id.len(), 16, "server-pinned id is 16 hex: {trace_id}");
-    assert!(trace_id.chars().all(|c| c.is_ascii_hexdigit()));
-    assert_eq!(tree.get("dropped").and_then(Json::as_u64), Some(0));
+        let tree = tree.expect("trace:true returns an inline tree");
+        let trace_id = tree.get("trace_id").and_then(Json::as_str).unwrap();
+        assert_eq!(trace_id.len(), 16, "server-pinned id is 16 hex: {trace_id}");
+        assert!(trace_id.chars().all(|c| c.is_ascii_hexdigit()));
+        assert_eq!(tree.get("dropped").and_then(Json::as_u64), Some(0));
 
-    let root = tree.get("root").unwrap();
-    assert_eq!(name(root), "solve");
-    assert_eq!(start_us(root), 0, "root starts at the request origin");
+        let root = tree.get("root").unwrap();
+        assert_eq!(name(root), "solve");
+        assert_eq!(start_us(root), 0, "root starts at the request origin");
 
-    // Every expected stage is present, in pipeline order. (The coalesced
-    // and direct paths differ only in an optional `coalesce_wait` between
-    // admission and the engine stages, so order is checked on the stages'
-    // first occurrences rather than on fixed child indices. `feasibility`
-    // is checked for presence and containment only: ws-q checks it on
-    // the first root's distance array inside the sweep, so its span
-    // starts inside `root_sweep`'s window.)
-    let expected = [
-        "admission",
-        "cache_lookup",
-        "root_sweep",
-        "evaluate",
-        "serialize",
-    ];
-    let mut last = 0u64;
-    for stage in expected {
-        let span =
-            child(root, stage).unwrap_or_else(|| panic!("stage {stage} missing from {tree}"));
+        // Every expected stage is present, in pipeline order. (The
+        // coalesced and direct paths differ only in an optional
+        // `coalesce_wait` between admission and the engine stages, so
+        // order is checked on the stages' first occurrences rather than
+        // on fixed child indices. `feasibility` is checked for presence
+        // and containment only: ws-q checks it on the first root's
+        // distance array inside the sweep, so its span starts inside
+        // `root_sweep`'s window.)
+        let expected = [
+            "admission",
+            "cache_lookup",
+            "root_sweep",
+            "evaluate",
+            "serialize",
+        ];
+        let mut last = 0u64;
+        for stage in expected {
+            let span = child(root, stage)
+                .unwrap_or_else(|| panic!("{solver}: stage {stage} missing from {tree}"));
+            assert!(
+                start_us(span) >= last,
+                "{solver}: {stage} starts at {} before the previous stage at {last}",
+                start_us(span)
+            );
+            last = start_us(span);
+            assert!(
+                start_us(span) + dur_us(span) <= start_us(root) + dur_us(root),
+                "{solver}: {stage} extends past its parent"
+            );
+        }
+        let feas = child(root, "feasibility")
+            .unwrap_or_else(|| panic!("{solver}: stage feasibility missing from {tree}"));
+        assert!(start_us(feas) + dur_us(feas) <= start_us(root) + dur_us(root));
+
+        // Sibling stages of a traced solve never overlap, so their
+        // durations sum to at most the root's.
+        let sum: u64 = children(root).iter().map(dur_us).sum();
         assert!(
-            start_us(span) >= last,
-            "{stage} starts at {} before the previous stage at {last}",
-            start_us(span)
+            sum <= dur_us(root),
+            "{solver}: children sum {sum}us > root {}us",
+            dur_us(root)
         );
-        last = start_us(span);
-        assert!(
-            start_us(span) + dur_us(span) <= start_us(root) + dur_us(root),
-            "{stage} extends past its parent"
+        // ws-q-approx checks feasibility with an exact search before the
+        // sweep, so none of its stages overlap at all.
+        if solver == "ws-q-approx" {
+            let mut spans: Vec<&Json> = children(root).iter().collect();
+            spans.sort_by_key(|s| start_us(s));
+            for pair in spans.windows(2) {
+                assert!(
+                    start_us(pair[0]) + dur_us(pair[0]) <= start_us(pair[1]),
+                    "{solver}: {} overlaps {} in {tree}",
+                    name(pair[0]),
+                    name(pair[1])
+                );
+            }
+        }
+
+        // Distance counters surface on the sweep span: a lone fresh solve
+        // has no group prefetch, so its sweep computes every root's
+        // distances (ws-q) or landmark estimates (ws-q-approx) itself. It
+        // also misses the cache.
+        let sweep = child(root, "root_sweep").unwrap();
+        let roots = counter(sweep, "roots").unwrap();
+        assert!(roots >= 1);
+        assert_eq!(counter(sweep, "root_distances"), Some(roots), "{solver}");
+        assert!(counter(sweep, "root_distances_us").is_some());
+        // Every (root, λ) candidate comes from a Steiner call or is a copy
+        // of the root's last call, reused at a larger λ where that run
+        // provably repeats; Steiner time is accumulated across the sweep
+        // workers, and some of the calls may run on the bucket ring.
+        let steiner_calls = counter(sweep, "steiner_calls").unwrap();
+        assert!(steiner_calls >= 1);
+        let steiner_ring = counter(sweep, "steiner_ring").unwrap();
+        assert!(steiner_ring <= steiner_calls);
+        let steiner_reused = counter(sweep, "steiner_reused").unwrap();
+        assert_eq!(
+            Some(steiner_calls + steiner_reused),
+            counter(sweep, "candidates"),
+            "{solver}"
+        );
+        assert!(counter(sweep, "steiner_us").is_some());
+        assert!(counter(sweep, "evaluate_a_us").is_some());
+        assert_eq!(
+            counter(child(root, "cache_lookup").unwrap(), "hit"),
+            Some(0)
         );
     }
-    let feas = child(root, "feasibility")
-        .unwrap_or_else(|| panic!("stage feasibility missing from {tree}"));
-    assert!(start_us(feas) + dur_us(feas) <= start_us(root) + dur_us(root));
-
-    // Sibling stages of a traced solve never overlap, so their durations
-    // sum to at most the root's.
-    let sum: u64 = children(root).iter().map(dur_us).sum();
-    assert!(
-        sum <= dur_us(root),
-        "children sum {sum}us > root {}us",
-        dur_us(root)
-    );
-
-    // Distance counters surface on the sweep span: a lone fresh solve has
-    // no group prefetch, so its sweep computes every root's distances
-    // itself. It also misses the cache.
-    let sweep = child(root, "root_sweep").unwrap();
-    let roots = counter(sweep, "roots").unwrap();
-    assert!(roots >= 1);
-    assert_eq!(counter(sweep, "root_distances"), Some(roots));
-    assert!(counter(sweep, "root_distances_us").is_some());
-    // Every (root, λ) candidate comes from a Steiner call or is a copy of
-    // the root's last call, reused at a larger λ where that run provably
-    // repeats; Steiner time is accumulated across the sweep workers, and
-    // some of the calls may run on the bucket ring.
-    let steiner_calls = counter(sweep, "steiner_calls").unwrap();
-    assert!(steiner_calls >= 1);
-    let steiner_ring = counter(sweep, "steiner_ring").unwrap();
-    assert!(steiner_ring <= steiner_calls);
-    let steiner_reused = counter(sweep, "steiner_reused").unwrap();
-    assert_eq!(
-        Some(steiner_calls + steiner_reused),
-        counter(sweep, "candidates")
-    );
-    assert!(counter(sweep, "steiner_us").is_some());
-    assert!(counter(sweep, "evaluate_a_us").is_some());
-    assert_eq!(
-        counter(child(root, "cache_lookup").unwrap(), "hit"),
-        Some(0)
-    );
 
     // An untraced solve stays untraced: no tree rides along.
     let raw = client
