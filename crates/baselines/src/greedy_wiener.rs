@@ -111,8 +111,14 @@ pub fn greedy_wiener_with_config(
                 .filter(|&v| dist[v as usize] != INF_DIST)
                 .map(|v| sub.to_global(v))
                 .collect();
-            mwc_graph::wiener::wiener_index_of_subset(g, &solution)?
-                .expect("component is connected")
+            // Hop-connected, yet a weighted distance may saturate at
+            // INF_DIST and read as unreachable.
+            mwc_graph::wiener::wiener_index_of_subset(g, &solution)?.ok_or_else(|| {
+                CoreError::UnsupportedInstance {
+                    what: "greedy-wiener: a weighted distance in the solution saturates u32"
+                        .to_string(),
+                }
+            })?
         }
     };
     loop {
@@ -179,6 +185,20 @@ mod tests {
     fn infeasible_errors() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(greedy_wiener(&g, &[0, 3]).is_err());
+    }
+
+    #[test]
+    fn saturating_weighted_distances_are_an_error() {
+        // Q's hop component is the whole path, but d(0, 5) = 5·(2^30 − 1)
+        // saturates u32, so no exact W exists.
+        let w = mwc_graph::MAX_EDGE_WEIGHT;
+        let edges: Vec<(NodeId, NodeId, u32)> = (0..5).map(|v| (v, v + 1, w)).collect();
+        let g = Graph::from_weighted_edges(6, &edges).unwrap();
+        let err = greedy_wiener(&g, &[0, 5]).unwrap_err();
+        assert!(
+            matches!(err, CoreError::UnsupportedInstance { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

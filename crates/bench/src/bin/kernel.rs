@@ -26,16 +26,16 @@
 //!    64 hub landmarks built by `k` sequential BFS runs
 //!    ([`LandmarkOracle::build_sequential`]) against the one-sweep
 //!    multi-source build ([`LandmarkOracle::build`]);
-//! 7. **per-source Dijkstra vs batched delta-stepping**
-//!    (`delta_stepping`) — the same 64 sources on the weighted twin of
-//!    the bench graph (`wba:` hash weights), 64 pooled
-//!    [`DijkstraWorkspace`](mwc_graph::traversal::dijkstra::DijkstraWorkspace)
-//!    runs against one
-//!    [`MsDeltaWorkspace`](mwc_graph::traversal::delta::MsDeltaWorkspace)
-//!    bucket sweep, distances asserted bit-identical before timing;
-//! 8. **sequential vs batched weighted oracle** (`weighted_oracle`) —
-//!    the `oracle_build` comparison on the weighted graph, where both
-//!    sides dispatch to the delta-stepping kernels;
+//! 7. **binary-heap vs radix-heap Dijkstra** (`delta_stepping`, a name
+//!    kept from the kernel it used to time) — the same 64 sources on the
+//!    weighted twin of the bench graph (`wba:` hash weights), 64
+//!    [`DijkstraWorkspace`] runs against 64 pooled
+//!    [`RadixWorkspace`](mwc_graph::traversal::radix::RadixWorkspace)
+//!    runs, distances asserted identical before timing;
+//! 8. **sequential vs production weighted oracle** (`weighted_oracle`) —
+//!    the `oracle_build` comparison on the weighted graph: per-landmark
+//!    binary-heap Dijkstra ([`LandmarkOracle::build_sequential`]) against
+//!    per-landmark radix-heap Dijkstra ([`LandmarkOracle::build`]);
 //! 9. **Mehlhorn Steiner call vs BFS** (`steiner`) — p50 of one ws-q
 //!    Steiner call, [`lambda_steiner_with`] with the root's distance array
 //!    as potentials (every `(root, λ)` pair of a |Q| = 8 query, one
@@ -62,6 +62,7 @@ use mwc_core::wsq::{batched_root_distances, lambda_grid};
 use mwc_core::{QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
 use mwc_graph::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, WorkspacePool, MS_BFS_LANES};
+use mwc_graph::traversal::dijkstra::DijkstraWorkspace;
 use mwc_graph::NodeId;
 use mwc_service::Json;
 use rand::{Rng, SeedableRng};
@@ -294,47 +295,47 @@ fn main() {
         batched_build_ms,
     );
 
-    // 7. Per-source Dijkstra vs batched delta-stepping on the weighted
-    //    twin of the bench graph (same topology, `wba:` hash weights).
-    //    Both sides lease through the WorkspacePool, like the serving
-    //    path does; distances are pinned bit-identical before timing so
-    //    the speedup can never come from a wrong answer.
+    // 7. Binary-heap vs radix-heap Dijkstra on the weighted twin of the
+    //    bench graph (same topology, `wba:` hash weights). The radix side
+    //    leases through the WorkspacePool, like the serving path does;
+    //    distances are pinned identical before timing so the speedup can
+    //    never come from a wrong answer.
     let wspec = format!("wba:{n}x{k}");
     let wg = mwc_service::GraphSource::parse(&wspec)
         .expect("valid wba spec")
         .build()
         .expect("deterministic weighted build");
     let pool = WorkspacePool::new();
+    let mut dij = DijkstraWorkspace::new();
     {
-        let mut dij = pool.lease_dijkstra();
-        let mut msd = pool.lease_multi_delta();
-        msd.run(&wg, &sources);
-        for (lane, &s) in sources.iter().enumerate() {
+        let mut radix = pool.lease_radix();
+        for &s in &sources {
             assert_eq!(
-                msd.lane_distances(lane),
+                radix.run(&wg, s),
                 dij.run(&wg, s),
-                "delta-stepping lane {lane} disagrees with Dijkstra from {s}"
+                "radix heap disagrees with Dijkstra from {s}"
             );
         }
     }
     let per_source_dijkstra_ms = best_of(gate_reps, || {
-        let mut dij = pool.lease_dijkstra();
         for &s in &sources {
             dij.run(&wg, s);
         }
     });
-    let batched_delta_ms = best_of(gate_reps, || {
-        let mut msd = pool.lease_multi_delta();
-        msd.run(&wg, &sources);
+    let per_source_radix_ms = best_of(gate_reps, || {
+        let mut radix = pool.lease_radix();
+        for &s in &sources {
+            radix.run(&wg, s);
+        }
     });
     let delta_cmp = comparison(
         "weighted:delta_stepping",
         per_source_dijkstra_ms,
-        batched_delta_ms,
+        per_source_radix_ms,
     );
 
-    // 8. Sequential vs batched oracle construction on the weighted
-    //    graph — both sides dispatch to the delta-stepping kernels.
+    // 8. Sequential vs production oracle construction on the weighted
+    //    graph: per-landmark binary-heap against radix-heap Dijkstra.
     let wseq_build_ms = best_of(gate_reps, || {
         let mut r = rand::rngs::StdRng::seed_from_u64(args.seed);
         LandmarkOracle::build_sequential(

@@ -390,7 +390,7 @@ mod tests {
             total_weight: 3.0,
         };
         assert!(tree.validate());
-        let mut ws = mwc_graph::traversal::delta::DeltaWorkspace::new();
+        let mut ws = mwc_graph::traversal::radix::RadixWorkspace::new();
         let dist: Vec<u32> = ws.run(&g, 0).to_vec();
         assert_eq!(dist, vec![0, 1, 2, 12, 10]);
         let out = adjust_distances_with(&g, &tree, 0, &dist, |v| {

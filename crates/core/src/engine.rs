@@ -605,9 +605,11 @@ impl<'e> QueryContext<'e> {
     }
 
     /// The shared landmark distance oracle (§6.6), built on first use with
-    /// the engine's deterministic seed and cached for its lifetime.
+    /// the engine's deterministic seed and cached for its lifetime. The
+    /// solve that builds it records an `oracle_build` span.
     pub fn landmark_oracle(&self) -> &'e LandmarkOracle {
         self.shared.oracle.get_or_init(|| {
+            let _span = self.options.trace_context().span("oracle_build");
             let mut rng = rand::rngs::StdRng::seed_from_u64(self.shared.oracle_seed);
             LandmarkOracle::build(
                 self.graph,

@@ -9,14 +9,14 @@
 //!   (Problem 4, Lemma 3).
 
 use mwc_graph::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, MS_BFS_LANES};
-use mwc_graph::traversal::delta::{DeltaWorkspace, MsDeltaWorkspace};
+use mwc_graph::traversal::radix::RadixWorkspace;
 use mwc_graph::{Graph, NodeId};
 
 use crate::error::{CoreError, Result};
 
 /// `A(G[S], r)`: `|S| · Σ_{u ∈ S} d_{G[S]}(u, r)` with distances measured
 /// inside the induced subgraph, computed by the direction-optimizing
-/// distance kernel.
+/// BFS kernel, or the radix-heap Dijkstra on weighted graphs.
 ///
 /// Errors if `r ∉ S`; returns `None` if `G[S]` is disconnected (the
 /// objective is infinite).
@@ -28,7 +28,7 @@ pub fn objective_a(g: &Graph, vertices: &[NodeId], r: NodeId) -> Result<Option<u
         });
     };
     let (sum, reached) = if sub.graph().is_weighted() {
-        let mut ws = DeltaWorkspace::new();
+        let mut ws = RadixWorkspace::new();
         ws.run(sub.graph(), r_local);
         ws.last_run_distance_sum()
     } else {
@@ -45,9 +45,10 @@ pub fn objective_a(g: &Graph, vertices: &[NodeId], r: NodeId) -> Result<Option<u
 /// `A(H) = min_r A(H, r)` over all vertices of the induced subgraph,
 /// returning `(argmin, value)`. `None` if disconnected.
 ///
-/// The `|S|` single-source sweeps are batched through the multi-source
-/// BFS kernel (64 roots per CSR sweep), so evaluating every root costs a
-/// handful of passes over the subgraph instead of `|S|`.
+/// On unweighted graphs the `|S|` single-source sweeps are batched
+/// through the multi-source BFS kernel (64 roots per CSR sweep), so
+/// evaluating every root costs a handful of passes over the subgraph
+/// instead of `|S|`. Weighted graphs run one radix-heap Dijkstra per root.
 pub fn objective_a_best_root(g: &Graph, vertices: &[NodeId]) -> Result<Option<(NodeId, u64)>> {
     let sub = g.induced(vertices)?;
     let k = sub.num_nodes();
@@ -55,24 +56,22 @@ pub fn objective_a_best_root(g: &Graph, vertices: &[NodeId]) -> Result<Option<(N
         return Err(CoreError::EmptyQuery);
     }
     let weighted = sub.graph().is_weighted();
-    let mut bfs = (!weighted).then(MsBfsWorkspace::new);
-    let mut delta = weighted.then(MsDeltaWorkspace::new);
+    // Both allocate on first use; only the graph's kernel ever runs.
+    let mut bfs = MsBfsWorkspace::new();
+    let mut radix = RadixWorkspace::new();
     let mut best: Option<(NodeId, u64)> = None;
     for batch_lo in (0..k).step_by(MS_BFS_LANES) {
         let batch_hi = (batch_lo + MS_BFS_LANES).min(k);
         let sources: Vec<NodeId> = (batch_lo as NodeId..batch_hi as NodeId).collect();
-        if let Some(ws) = delta.as_mut() {
-            ws.run(sub.graph(), &sources);
-        } else if let Some(ws) = bfs.as_mut() {
-            ws.run(sub.graph(), &sources);
+        if !weighted {
+            bfs.run(sub.graph(), &sources);
         }
         for (lane, &local) in sources.iter().enumerate() {
-            let (sum, reached) = match delta.as_ref() {
-                Some(ws) => ws.distance_sum(lane),
-                None => bfs
-                    .as_ref()
-                    .expect("one kernel is leased")
-                    .distance_sum(lane),
+            let (sum, reached) = if weighted {
+                radix.run(sub.graph(), local);
+                radix.last_run_distance_sum()
+            } else {
+                bfs.distance_sum(lane)
             };
             if reached != k {
                 return Ok(None);

@@ -28,13 +28,14 @@
 //! root loop parallelizes embarrassingly; [`WsqConfig::parallel`] does
 //! exactly that with scoped threads. Each sweep worker also computes its
 //! own roots' distances `d_G(r, ·)` (line 1) in one pooled workspace:
-//! direction-optimizing BFS, or delta-stepping on weighted graphs. Only a
-//! [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
-//! prefetch computes them ahead of the sweep, packing the roots of many
-//! queries into shared multi-source sweeps
-//! ([`batched_root_distances_dispatch`]); a worker takes a prefetched
-//! array when one covers its root. Every kernel yields the same
-//! distances, so connectors do not depend on where they came from.
+//! direction-optimizing BFS, or radix-heap Dijkstra on weighted graphs.
+//! Only a [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
+//! prefetch computes them ahead of the sweep
+//! ([`batched_root_distances_dispatch`]): on unweighted graphs it packs
+//! the roots of many queries into shared multi-source sweeps, on weighted
+//! ones it runs the same single-source kernel root by root. A worker takes
+//! a prefetched array when one covers its root. Every kernel yields the
+//! same distances, so connectors do not depend on where they came from.
 //!
 //! The same sweep serves `ws-q-approx` ([`crate::wsq_approx`]), whose
 //! workers read each root's distances as landmark estimates instead. That
@@ -49,10 +50,9 @@ use std::time::Instant;
 use mwc_graph::hash::FxHashMap;
 use mwc_graph::oracle::LandmarkOracle;
 use mwc_graph::traversal::bfs::{
-    canonical_parent, multi_source_distances, MsBfsWorkspace, PooledDeltaWorkspace,
-    PooledMsDeltaWorkspace, PooledMsWorkspace, PooledWorkspace, WorkspacePool,
+    canonical_parent, multi_source_distances, MsBfsWorkspace, PooledMsWorkspace,
+    PooledRadixWorkspace, PooledWorkspace, WorkspacePool,
 };
-use mwc_graph::traversal::delta::multi_source_delta_distances;
 use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
 
 use crate::adjust::adjust_distances_with;
@@ -434,34 +434,35 @@ pub fn batched_root_distances(
     multi_source_distances(g, roots, ws)
 }
 
-/// Pooled multi-source distance workspace, dispatched on the graph's
-/// weightedness: MS-BFS lanes for unweighted graphs, batched
-/// delta-stepping lanes
-/// ([`MsDeltaWorkspace`](mwc_graph::traversal::delta::MsDeltaWorkspace))
-/// for weighted ones. Both kernels produce per-root arrays bit-identical
-/// to their sequential references, so the engine's cross-request
-/// prefetch hands sweep workers the arrays they would compute themselves.
+/// Pooled prefetch distance workspace, dispatched on the graph's
+/// weightedness: MS-BFS lanes for unweighted graphs, the single-source
+/// radix-heap Dijkstra
+/// ([`RadixWorkspace`](mwc_graph::traversal::radix::RadixWorkspace)) for
+/// weighted ones. Both produce per-root arrays equal to the sweep
+/// workers' own, so the engine's cross-request prefetch hands workers the
+/// arrays they would compute themselves.
 pub enum MsDistWorkspace<'p> {
-    /// Unweighted graphs: 64-lane multi-source BFS.
-    Bfs(PooledMsWorkspace<'p>),
-    /// Weighted graphs: 64-lane multi-source delta-stepping.
-    Delta(PooledMsDeltaWorkspace<'p>),
+    /// Unweighted graphs: 64-lane multi-source BFS (boxed: its per-lane
+    /// aggregates make it the large variant).
+    Bfs(Box<PooledMsWorkspace<'p>>),
+    /// Weighted graphs: one radix-heap Dijkstra per root.
+    Radix(PooledRadixWorkspace<'p>),
 }
 
 impl<'p> MsDistWorkspace<'p> {
     /// Leases the kernel matching `g` from `pool`.
     pub fn lease(pool: &'p WorkspacePool, g: &Graph) -> Self {
         if g.is_weighted() {
-            MsDistWorkspace::Delta(pool.lease_multi_delta())
+            MsDistWorkspace::Radix(pool.lease_radix())
         } else {
-            MsDistWorkspace::Bfs(pool.lease_multi())
+            MsDistWorkspace::Bfs(Box::new(pool.lease_multi()))
         }
     }
 }
 
-/// [`batched_root_distances`] with kernel dispatch: weighted graphs route
-/// through the batched delta-stepping kernel
-/// ([`multi_source_delta_distances`]), unweighted ones through MS-BFS.
+/// [`batched_root_distances`] with kernel dispatch: unweighted graphs
+/// route through MS-BFS, weighted ones through one radix-heap Dijkstra
+/// per root.
 /// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)'s
 /// prefetch goes through here.
 pub fn batched_root_distances_dispatch(
@@ -471,7 +472,7 @@ pub fn batched_root_distances_dispatch(
 ) -> Vec<Vec<u32>> {
     match ws {
         MsDistWorkspace::Bfs(ms) => multi_source_distances(g, roots, ms),
-        MsDistWorkspace::Delta(ms) => multi_source_delta_distances(g, roots, ms),
+        MsDistWorkspace::Radix(ws) => roots.iter().map(|&r| ws.run(g, r).to_vec()).collect(),
     }
 }
 
@@ -642,17 +643,17 @@ fn past_deadline(cfg: &WsqConfig) -> bool {
 
 /// A sweep worker's single-source distance workspace, dispatched on the
 /// graph's weightedness: direction-optimizing BFS on unweighted graphs,
-/// delta-stepping on weighted ones. Each matches its multi-source twin
-/// lane for lane, so a worker's own arrays equal prefetched ones.
+/// radix-heap Dijkstra on weighted ones. Each yields the arrays the group
+/// prefetch would, so a worker's own arrays equal prefetched ones.
 enum RootDistWorkspace<'p> {
     Bfs(PooledWorkspace<'p>),
-    Delta(PooledDeltaWorkspace<'p>),
+    Radix(PooledRadixWorkspace<'p>),
 }
 
 impl<'p> RootDistWorkspace<'p> {
     fn lease(pool: &'p WorkspacePool, g: &Graph) -> Self {
         if g.is_weighted() {
-            RootDistWorkspace::Delta(pool.lease_delta())
+            RootDistWorkspace::Radix(pool.lease_radix())
         } else {
             RootDistWorkspace::Bfs(pool.lease())
         }
@@ -662,7 +663,7 @@ impl<'p> RootDistWorkspace<'p> {
     fn run(&mut self, g: &Graph, source: NodeId) -> &[u32] {
         match self {
             RootDistWorkspace::Bfs(ws) => ws.run_auto(g, source),
-            RootDistWorkspace::Delta(ws) => ws.run(g, source),
+            RootDistWorkspace::Radix(ws) => ws.run(g, source),
         }
     }
 }
@@ -832,12 +833,13 @@ fn run_roots(
     Ok(out)
 }
 
-/// Computes `A(G[S], r)` — one BFS inside the induced subgraph.
+/// Computes `A(G[S], r)` — one BFS (radix-heap Dijkstra when weighted)
+/// inside the induced subgraph.
 fn evaluate_a(g: &Graph, nodes: &[NodeId], r: NodeId, pool: &WorkspacePool) -> Result<u64> {
     let sub = g.induced(nodes)?;
     let r_local = sub.to_local(r).expect("root belongs to its candidate");
     let (sum, reached) = if sub.graph().is_weighted() {
-        let mut ws = pool.lease_delta();
+        let mut ws = pool.lease_radix();
         ws.run(sub.graph(), r_local);
         ws.last_run_distance_sum()
     } else {
@@ -1305,11 +1307,10 @@ mod tests {
 
     #[test]
     fn weighted_solves_are_toggle_invariant() {
-        // On weighted graphs every distance comes from delta-stepping
-        // (batched in the prefetch, single-source in the sweep workers) —
-        // and delta-stepping is pinned bit-identical to Dijkstra — so
-        // parallelism and prefetched distances must leave the connector
-        // fixed.
+        // On weighted graphs every distance comes from the radix-heap
+        // Dijkstra (in the prefetch and in the sweep workers), which is
+        // pinned equal to binary-heap Dijkstra, so parallelism and
+        // prefetched distances must leave the connector fixed.
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let base = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
         let g = weighted_version(&base, 9);
@@ -1328,7 +1329,7 @@ mod tests {
     #[test]
     fn weight_one_graph_solves_like_its_unweighted_twin() {
         // A weighted graph whose weights are all 1 must produce exactly
-        // the unweighted solve: delta-stepping degenerates to BFS order.
+        // the unweighted solve: its distances are BFS distances.
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         let base = mwc_graph::generators::barabasi_albert(300, 2, &mut rng);
         let g1 = weighted_version(&base, 1);

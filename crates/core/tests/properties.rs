@@ -27,6 +27,20 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// The hash-weighted twin of `g`, weights in `1..=max_weight` (the
+/// service's `wba:` scheme).
+fn weighted_version(g: &Graph, max_weight: u32) -> Graph {
+    let edges: Vec<(NodeId, NodeId, u32)> = g
+        .edges()
+        .map(|(u, v)| {
+            let h = (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (v as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            (u, v, (h % max_weight as u64) as u32 + 1)
+        })
+        .collect();
+    Graph::from_weighted_edges(g.num_nodes(), &edges).unwrap()
+}
+
 fn pick_terminals(g: &Graph, seed: u64, max_k: usize) -> Vec<NodeId> {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -153,11 +167,12 @@ proptest! {
     }
 
     /// Prefetched vs per-root `ws-q` parity on the paper's evaluation
-    /// families (ER / BA / SBM): root distances from a group prefetch's
-    /// multi-source sweep — with parent trees reconstructed on demand
-    /// from each array — must produce the connectors, objective values,
-    /// candidate counts and winning roots of per-root sweeps, in
-    /// parallel and in sequence.
+    /// families (ER / BA / SBM) and on their hash-weighted twins: root
+    /// distances from a group prefetch (a multi-source sweep, or per-root
+    /// radix-heap Dijkstra when weighted) — with parent trees
+    /// reconstructed on demand from each array — must produce the
+    /// connectors, objective values, candidate counts and winning roots
+    /// of per-root sweeps, in parallel and in sequence.
     #[test]
     fn wsq_batched_matches_per_root_on_families(
         (family, seed) in (0usize..3, any::<u64>()),
@@ -196,21 +211,23 @@ proptest! {
             .map(|_| qrng.gen_range(0..g.num_nodes() as NodeId))
             .collect();
         let roots = normalize_query(&g, &q).unwrap();
-        let pool = WorkspacePool::new();
-        let arrays = batched_root_distances_dispatch(&g, &roots, &mut MsDistWorkspace::lease(&pool, &g));
-        let shared: SharedRootDists = roots.iter().copied().zip(arrays.into_iter().map(Arc::new)).collect();
-        let solver = |parallel: bool| {
-            WienerSteiner::with_config(&g, WsqConfig { parallel, ..WsqConfig::default() })
-        };
-        let reference = solver(false).solve(&q).unwrap();
-        for parallel in [false, true] {
-            let own = solver(parallel).solve(&q).unwrap();
-            let prefetched = solver(parallel).solve_pooled_shared(&q, &pool, Some(&shared)).unwrap();
-            for sol in [own, prefetched] {
-                prop_assert_eq!(sol.connector.vertices(), reference.connector.vertices());
-                prop_assert_eq!(sol.wiener_index, reference.wiener_index);
-                prop_assert_eq!(sol.num_candidates, reference.num_candidates);
-                prop_assert_eq!(sol.best_root, reference.best_root);
+        for g in [g.clone(), weighted_version(&g, 8)] {
+            let pool = WorkspacePool::new();
+            let arrays = batched_root_distances_dispatch(&g, &roots, &mut MsDistWorkspace::lease(&pool, &g));
+            let shared: SharedRootDists = roots.iter().copied().zip(arrays.into_iter().map(Arc::new)).collect();
+            let solver = |parallel: bool| {
+                WienerSteiner::with_config(&g, WsqConfig { parallel, ..WsqConfig::default() })
+            };
+            let reference = solver(false).solve(&q).unwrap();
+            for parallel in [false, true] {
+                let own = solver(parallel).solve(&q).unwrap();
+                let prefetched = solver(parallel).solve_pooled_shared(&q, &pool, Some(&shared)).unwrap();
+                for sol in [own, prefetched] {
+                    prop_assert_eq!(sol.connector.vertices(), reference.connector.vertices());
+                    prop_assert_eq!(sol.wiener_index, reference.wiener_index);
+                    prop_assert_eq!(sol.num_candidates, reference.num_candidates);
+                    prop_assert_eq!(sol.best_root, reference.best_root);
+                }
             }
         }
     }

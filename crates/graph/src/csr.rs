@@ -197,30 +197,6 @@ impl Graph {
         }
     }
 
-    /// Mean edge weight rounded down, at least 1 — the Δ auto-tuning
-    /// input of the delta-stepping kernel. Returns 1 on unweighted or
-    /// edgeless graphs.
-    pub fn mean_edge_weight(&self) -> u32 {
-        let Some(weights) = self.weights.as_ref() else {
-            return 1;
-        };
-        if weights.is_empty() {
-            return 1;
-        }
-        let total: u64 = weights.iter().map(|&w| w as u64).sum();
-        ((total / weights.len() as u64) as u32).max(1)
-    }
-
-    /// Maximum edge weight (1 on unweighted or edgeless graphs) — sizes
-    /// the delta-stepping kernel's cyclic bucket array.
-    pub fn max_edge_weight(&self) -> u32 {
-        self.weights
-            .as_ref()
-            .and_then(|ws| ws.iter().copied().max())
-            .unwrap_or(1)
-            .max(1)
-    }
-
     /// Iterates over vertices `0..num_nodes`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         0..self.num_nodes() as NodeId
@@ -372,8 +348,6 @@ mod tests {
         assert_eq!(g.neighbor_weights(2), None);
         assert_eq!(g.csr_weights(), None);
         assert_eq!(g.edge_weight(0, 1), 1);
-        assert_eq!(g.mean_edge_weight(), 1);
-        assert_eq!(g.max_edge_weight(), 1);
         let we: Vec<_> = g.weighted_edges().collect();
         assert_eq!(we, vec![(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)]);
     }
@@ -392,8 +366,6 @@ mod tests {
         // CSR-aligned weights match the sorted adjacency.
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
         assert_eq!(g.neighbor_weights(2).unwrap(), &[1, 9, 5]);
-        assert_eq!(g.mean_edge_weight(), (3 + 9 + 1 + 5) * 2 / 8);
-        assert_eq!(g.max_edge_weight(), 9);
         let we: Vec<_> = g.weighted_edges().collect();
         assert_eq!(we, vec![(0, 1, 3), (0, 2, 1), (1, 2, 9), (2, 3, 5)]);
     }

@@ -84,8 +84,17 @@ pub const INF_DIST: u32 = u32::MAX;
 /// anywhere near `u32::MAX` would make *connected* vertices report as
 /// disconnected after a single hop. Capping loader weights at a quarter
 /// of the headroom means at least four maximal-weight hops fit before
-/// saturation; path sums that still exceed [`INF_DIST`] saturate there
-/// and the far vertices are reported unreachable (the documented
-/// semantics of every weighted kernel, identical across Dijkstra and
-/// delta-stepping).
+/// saturation. A path sum that still reaches [`INF_DIST`] saturates
+/// there, and the far vertex reads as unreachable: the semantics of
+/// every weighted kernel, identical in
+/// [`RadixWorkspace`](traversal::radix::RadixWorkspace) and
+/// [`DijkstraWorkspace`](traversal::dijkstra::DijkstraWorkspace).
+///
+/// The cap bounds single weights, not path sums, so the serving catalog
+/// also checks each weighted graph at load: from one vertex `s` per
+/// connected component it runs the weighted kernel and refuses the graph
+/// when a vertex of that component reads [`INF_DIST`] or when
+/// `2 · ecc(s)`, a bound on every distance in the component, reaches
+/// [`INF_DIST`]. The bound is conservative: it can refuse a graph whose
+/// distances would all fit.
 pub const MAX_EDGE_WEIGHT: u32 = (1 << 30) - 1;

@@ -19,16 +19,15 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::traversal::bfs::{bfs_distances, multi_source_distances, MsBfsWorkspace};
-use crate::traversal::delta::{multi_source_delta_distances, DeltaWorkspace, MsDeltaWorkspace};
 use crate::traversal::dijkstra::DijkstraWorkspace;
+use crate::traversal::radix::RadixWorkspace;
 use crate::{Graph, NodeId, INF_DIST};
 
 /// Single-source distances dispatching on the graph's weight family —
-/// delta-stepping on weighted graphs, BFS otherwise.
+/// radix-heap Dijkstra on weighted graphs, BFS otherwise.
 fn single_source_distances(g: &Graph, source: NodeId) -> Vec<u32> {
     if g.is_weighted() {
-        let mut ws = DeltaWorkspace::new();
-        ws.run(g, source).to_vec()
+        RadixWorkspace::new().run(g, source).to_vec()
     } else {
         bfs_distances(g, source)
     }
@@ -76,13 +75,15 @@ impl LandmarkOracle {
     /// level per *batch* rather than once per landmark. Distances are
     /// bit-identical to [`Self::build_sequential`] (pinned by tests); the
     /// `oracle_build` section of `BENCH_kernel.json` records the speedup.
-    /// Weighted graphs swap the BFS sweeps for batched delta-stepping
-    /// ([`MsDeltaWorkspace`]) — same lane layout, distances bit-identical
-    /// to the per-landmark Dijkstra of [`Self::build_sequential`].
+    /// Weighted graphs run one radix-heap Dijkstra ([`RadixWorkspace`])
+    /// per landmark, whose distances equal the binary-heap Dijkstra of
+    /// [`Self::build_sequential`]; `weighted_oracle` in the same file
+    /// records that speedup.
     pub fn build<R: Rng>(g: &Graph, k: usize, strategy: LandmarkStrategy, rng: &mut R) -> Self {
         let landmarks = select_landmarks(g, k, strategy, rng);
         let dist = if g.is_weighted() {
-            multi_source_delta_distances(g, &landmarks, &mut MsDeltaWorkspace::new())
+            let mut ws = RadixWorkspace::new();
+            landmarks.iter().map(|&l| ws.run(g, l).to_vec()).collect()
         } else {
             multi_source_distances(g, &landmarks, &mut MsBfsWorkspace::new())
         };
@@ -90,9 +91,11 @@ impl LandmarkOracle {
     }
 
     /// Builds the oracle with one sequential BFS per landmark —
-    /// `O(k (|V| + |E|))`, the pre-batching construction path. Kept as
-    /// the parity reference and the baseline of the `oracle_build` bench
-    /// section; [`Self::build`] is the production path.
+    /// `O(k (|V| + |E|))`, the pre-batching construction path — or, on
+    /// weighted graphs, one binary-heap [`DijkstraWorkspace`] search per
+    /// landmark. Kept as the parity reference and the baseline of the
+    /// `oracle_build` and `weighted_oracle` bench sections;
+    /// [`Self::build`] is the production path.
     pub fn build_sequential<R: Rng>(
         g: &Graph,
         k: usize,

@@ -16,8 +16,12 @@
 //!   distances from up to [`MS_BFS_LANES`] sources in **one** CSR sweep,
 //!   tracking per-vertex lane membership in packed `u64` bitmasks so the
 //!   adjacency arrays are read once per level instead of once per source;
-//! * [`WorkspacePool`] — a thread-safe pool amortizing all of the above
-//!   across queries and worker threads.
+//! * [`WorkspacePool`] — a thread-safe pool amortizing all of the above,
+//!   and the weighted kernel's
+//!   [`RadixWorkspace`](super::radix::RadixWorkspace), across queries and
+//!   worker threads.
+
+use std::sync::Mutex;
 
 use crate::csr::Graph;
 use crate::{NodeId, INF_DIST, NO_NODE};
@@ -553,12 +557,12 @@ impl MsBfsWorkspace {
 /// Any tight in-neighbor is a valid shortest-path-tree parent; picking
 /// the minimum relabeled id makes the choice a pure function of the
 /// distance array. That is what lets the batched solvers reconstruct
-/// parent trees from [`MsBfsWorkspace`]'s (or `MsDeltaWorkspace`'s)
-/// vertex-major matrix and still produce **bit-identical** connectors to
-/// the per-root path: per-source and multi-source distances agree, so
-/// this rule lands on the same parents no matter which kernel produced
-/// the distances. Weighted graphs dispatch on their stored weights, so
-/// `AdjustDistances` and the solvers work unchanged on either family.
+/// parent trees from [`MsBfsWorkspace`]'s vertex-major matrix and still
+/// produce **bit-identical** connectors to the per-root path: per-source
+/// and multi-source distances agree, so this rule lands on the same
+/// parents no matter which kernel produced the distances. Weighted graphs
+/// dispatch on their stored weights, so `AdjustDistances` and the solvers
+/// work unchanged on either family.
 #[inline]
 pub fn canonical_parent(g: &Graph, dist: &[u32], v: NodeId) -> NodeId {
     let dv = dist[v as usize];
@@ -620,111 +624,49 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<Vec<u32>> {
     multi_source_distances(g, sources, &mut MsBfsWorkspace::new())
 }
 
-/// A thread-safe pool of [`BfsWorkspace`]s, so per-graph engines can
-/// amortize the distance/parent/queue allocations across many queries and
-/// worker threads instead of reallocating per solve.
+/// A thread-safe pool of distance workspaces — [`BfsWorkspace`],
+/// [`MsBfsWorkspace`] and the weighted
+/// [`RadixWorkspace`](super::radix::RadixWorkspace) — so per-graph
+/// engines can amortize the distance/parent/queue allocations across many
+/// queries and worker threads instead of reallocating per solve.
 ///
-/// [`WorkspacePool::lease`] pops a free workspace (or creates one on
-/// demand); dropping the returned [`PooledWorkspace`] pushes it back. The
-/// pool never shrinks — its high-water mark is the peak number of
-/// concurrent leases, each holding `O(|V|)` words.
+/// Each `lease*` method pops a free workspace of its kind (or creates one
+/// on demand); dropping the returned [`Lease`] pushes it back. The pool
+/// never shrinks — its high-water mark is the peak number of concurrent
+/// leases, each holding `O(|V|)` words.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
-    free: std::sync::Mutex<Vec<BfsWorkspace>>,
+    free: Mutex<Vec<BfsWorkspace>>,
     /// Idle multi-source workspaces — pooled separately because their
     /// `O(lanes · |V|)` distance matrix dwarfs a single-source workspace.
-    free_multi: std::sync::Mutex<Vec<MsBfsWorkspace>>,
-    /// Idle integer-Dijkstra workspaces (the sequential weighted
-    /// reference); pooled so per-call heap + distance allocations are
-    /// amortized like every other kernel's.
-    free_dijkstra: std::sync::Mutex<Vec<super::dijkstra::DijkstraWorkspace>>,
-    /// Idle single-source delta-stepping workspaces.
-    free_delta: std::sync::Mutex<Vec<super::delta::DeltaWorkspace>>,
-    /// Idle multi-source delta-stepping workspaces (lane-width distance
-    /// matrices, like `free_multi`).
-    free_multi_delta: std::sync::Mutex<Vec<super::delta::MsDeltaWorkspace>>,
+    free_multi: Mutex<Vec<MsBfsWorkspace>>,
+    /// Idle weighted single-source workspaces.
+    free_radix: Mutex<Vec<super::radix::RadixWorkspace>>,
 }
 
 impl WorkspacePool {
-    /// An empty pool; workspaces are created lazily by [`Self::lease`].
+    /// An empty pool; workspaces are created lazily by the leases.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Borrows a workspace; creates one if none is free.
     pub fn lease(&self) -> PooledWorkspace<'_> {
-        let ws = self
-            .free
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
+        Lease::new(&self.free)
     }
 
     /// Borrows a multi-source workspace; creates one if none is free.
     /// The `ws-q` group prefetch leases one per group instead of
     /// reallocating the lane-mask and distance-matrix buffers per group.
     pub fn lease_multi(&self) -> PooledMsWorkspace<'_> {
-        let ws = self
-            .free_multi
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        PooledMsWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
+        Lease::new(&self.free_multi)
     }
 
-    /// Borrows an integer-Dijkstra workspace; creates one if none is
+    /// Borrows a weighted single-source workspace; creates one if none is
     /// free. The weighted dispatch paths lease this where the unweighted
     /// ones lease a [`BfsWorkspace`].
-    pub fn lease_dijkstra(&self) -> PooledDijkstraWorkspace<'_> {
-        let ws = self
-            .free_dijkstra
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        PooledDijkstraWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Borrows a single-source delta-stepping workspace; creates one if
-    /// none is free.
-    pub fn lease_delta(&self) -> PooledDeltaWorkspace<'_> {
-        let ws = self
-            .free_delta
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        PooledDeltaWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Borrows a multi-source delta-stepping workspace; creates one if
-    /// none is free — the weighted twin of [`Self::lease_multi`].
-    pub fn lease_multi_delta(&self) -> PooledMsDeltaWorkspace<'_> {
-        let ws = self
-            .free_multi_delta
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        PooledMsDeltaWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
+    pub fn lease_radix(&self) -> PooledRadixWorkspace<'_> {
+        Lease::new(&self.free_radix)
     }
 
     /// Number of currently idle (pooled) single-source workspaces.
@@ -739,185 +681,52 @@ impl WorkspacePool {
             .expect("workspace pool poisoned")
             .len()
     }
+}
 
-    /// Number of currently idle (pooled) Dijkstra workspaces.
-    pub fn idle_dijkstra(&self) -> usize {
-        self.free_dijkstra
+/// RAII lease from a [`WorkspacePool`]; derefs to the leased workspace
+/// and returns its buffers to the pool's free list on drop.
+#[derive(Debug)]
+pub struct Lease<'p, T> {
+    free: &'p Mutex<Vec<T>>,
+    ws: Option<T>,
+}
+
+/// A leased [`BfsWorkspace`].
+pub type PooledWorkspace<'p> = Lease<'p, BfsWorkspace>;
+/// A leased [`MsBfsWorkspace`].
+pub type PooledMsWorkspace<'p> = Lease<'p, MsBfsWorkspace>;
+/// A leased [`RadixWorkspace`](super::radix::RadixWorkspace).
+pub type PooledRadixWorkspace<'p> = Lease<'p, super::radix::RadixWorkspace>;
+
+impl<'p, T: Default> Lease<'p, T> {
+    /// Pops an idle workspace from `free`, or creates one.
+    fn new(free: &'p Mutex<Vec<T>>) -> Self {
+        let ws = free
             .lock()
             .expect("workspace pool poisoned")
-            .len()
-    }
-
-    /// Number of currently idle (pooled) delta-stepping workspaces.
-    pub fn idle_delta(&self) -> usize {
-        self.free_delta
-            .lock()
-            .expect("workspace pool poisoned")
-            .len()
-    }
-
-    /// Number of currently idle (pooled) multi-source delta-stepping
-    /// workspaces.
-    pub fn idle_multi_delta(&self) -> usize {
-        self.free_multi_delta
-            .lock()
-            .expect("workspace pool poisoned")
-            .len()
+            .pop()
+            .unwrap_or_default();
+        Lease { free, ws: Some(ws) }
     }
 }
 
-/// RAII lease from a [`WorkspacePool`]; derefs to [`BfsWorkspace`] and
-/// returns the buffers to the pool on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<BfsWorkspace>,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = BfsWorkspace;
-    fn deref(&self) -> &BfsWorkspace {
+impl<T> std::ops::Deref for Lease<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
         self.ws.as_ref().expect("workspace present until drop")
     }
 }
 
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut BfsWorkspace {
+impl<T> std::ops::DerefMut for Lease<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
         self.ws.as_mut().expect("workspace present until drop")
     }
 }
 
-impl Drop for PooledWorkspace<'_> {
+impl<T> Drop for Lease<'_, T> {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
-            if let Ok(mut free) = self.pool.free.lock() {
-                free.push(ws);
-            }
-        }
-    }
-}
-
-/// RAII lease from a [`WorkspacePool`]; derefs to [`MsBfsWorkspace`] and
-/// returns the buffers to the pool on drop.
-#[derive(Debug)]
-pub struct PooledMsWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<MsBfsWorkspace>,
-}
-
-impl std::ops::Deref for PooledMsWorkspace<'_> {
-    type Target = MsBfsWorkspace;
-    fn deref(&self) -> &MsBfsWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledMsWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut MsBfsWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledMsWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            if let Ok(mut free) = self.pool.free_multi.lock() {
-                free.push(ws);
-            }
-        }
-    }
-}
-
-/// RAII lease from a [`WorkspacePool`]; derefs to
-/// [`DijkstraWorkspace`](super::dijkstra::DijkstraWorkspace) and returns
-/// the buffers to the pool on drop.
-#[derive(Debug)]
-pub struct PooledDijkstraWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<super::dijkstra::DijkstraWorkspace>,
-}
-
-impl std::ops::Deref for PooledDijkstraWorkspace<'_> {
-    type Target = super::dijkstra::DijkstraWorkspace;
-    fn deref(&self) -> &Self::Target {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledDijkstraWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledDijkstraWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            if let Ok(mut free) = self.pool.free_dijkstra.lock() {
-                free.push(ws);
-            }
-        }
-    }
-}
-
-/// RAII lease from a [`WorkspacePool`]; derefs to
-/// [`DeltaWorkspace`](super::delta::DeltaWorkspace) and returns the
-/// buffers to the pool on drop.
-#[derive(Debug)]
-pub struct PooledDeltaWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<super::delta::DeltaWorkspace>,
-}
-
-impl std::ops::Deref for PooledDeltaWorkspace<'_> {
-    type Target = super::delta::DeltaWorkspace;
-    fn deref(&self) -> &Self::Target {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledDeltaWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledDeltaWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            if let Ok(mut free) = self.pool.free_delta.lock() {
-                free.push(ws);
-            }
-        }
-    }
-}
-
-/// RAII lease from a [`WorkspacePool`]; derefs to
-/// [`MsDeltaWorkspace`](super::delta::MsDeltaWorkspace) and returns the
-/// buffers to the pool on drop.
-#[derive(Debug)]
-pub struct PooledMsDeltaWorkspace<'p> {
-    pool: &'p WorkspacePool,
-    ws: Option<super::delta::MsDeltaWorkspace>,
-}
-
-impl std::ops::Deref for PooledMsDeltaWorkspace<'_> {
-    type Target = super::delta::MsDeltaWorkspace;
-    fn deref(&self) -> &Self::Target {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledMsDeltaWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledMsDeltaWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            if let Ok(mut free) = self.pool.free_multi_delta.lock() {
+            if let Ok(mut free) = self.free.lock() {
                 free.push(ws);
             }
         }

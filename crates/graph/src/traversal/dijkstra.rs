@@ -62,16 +62,16 @@ impl Ord for HeapKey {
     }
 }
 
-/// Reusable integer Dijkstra over the graph's own `u32` weights — the
-/// sequential parity/bench reference for the delta-stepping kernel
-/// (mirroring how `wiener_index_sequential` anchors the batched BFS path).
+/// Reusable binary-heap Dijkstra over the graph's own `u32` weights — the
+/// reference the weighted kernel
+/// ([`RadixWorkspace`](super::radix::RadixWorkspace)) is pinned against
+/// by tests and the `kernel` bench, and the per-landmark search of
+/// [`LandmarkOracle::build_sequential`](crate::oracle::LandmarkOracle::build_sequential).
 ///
 /// Buffers are recycled across runs: the distance array is reset
 /// *sparsely* through a touched list (only vertices the previous run
 /// reached are dirty) and the settled set is a generation-stamped array —
-/// no `O(|V|)` clear per run, the same trick `BfsWorkspace` uses. Pool
-/// instances through
-/// [`WorkspacePool::lease_dijkstra`](super::bfs::WorkspacePool::lease_dijkstra).
+/// no `O(|V|)` clear per run, the same trick `BfsWorkspace` uses.
 ///
 /// ```
 /// use mwc_graph::traversal::dijkstra::DijkstraWorkspace;

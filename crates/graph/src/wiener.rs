@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::csr::Graph;
 use crate::error::Result;
 use crate::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, MS_BFS_LANES};
-use crate::traversal::delta::{DeltaWorkspace, MsDeltaWorkspace};
-use crate::traversal::dijkstra::DijkstraWorkspace;
+use crate::traversal::radix::RadixWorkspace;
 use crate::NodeId;
 
 /// Below this many vertices, [`wiener_index`] stays on the sequential
@@ -20,18 +19,21 @@ use crate::NodeId;
 /// solvers evaluate (tens of vertices).
 const PARALLEL_WIENER_MIN_NODES: usize = 1024;
 
-/// Exact Wiener index via all-pairs BFS; `None` if the graph is
-/// disconnected (the Wiener index is conventionally infinite then).
+/// Exact Wiener index via all-pairs BFS (radix-heap Dijkstra on weighted
+/// graphs); `None` if the graph is disconnected (the Wiener index is
+/// conventionally infinite then).
 ///
-/// `O(|V| · (|V| + |E|))` total work. Small graphs (the solvers' candidate
-/// subgraphs) run the sequential per-source loop; above
-/// `PARALLEL_WIENER_MIN_NODES` vertices the sources are batched into
-/// 64-lane multi-source BFS sweeps distributed over scoped worker
-/// threads, so the CSR is streamed once per level per batch instead of
-/// once per source. For million-node inputs prefer [`wiener_index_sampled`];
-/// callers already running on a saturated thread pool (batch workers)
-/// should call [`wiener_index_sequential`] to avoid nesting pools — the
-/// solvers' `parallel` config flags do exactly that.
+/// `O(|V| · (|V| + |E|))` total work on unweighted graphs. Small graphs
+/// (the solvers' candidate subgraphs) run the sequential per-source loop;
+/// above `PARALLEL_WIENER_MIN_NODES` vertices the sources are split into
+/// batches of 64 distributed over scoped worker threads. An unweighted
+/// batch is one multi-source BFS sweep, so the CSR is streamed once per
+/// level per batch instead of once per source; a weighted batch runs one
+/// [`RadixWorkspace`] search per source. For million-node inputs prefer
+/// [`wiener_index_sampled`]; callers already running on a saturated
+/// thread pool (batch workers) should call [`wiener_index_sequential`] to
+/// avoid nesting pools — the solvers' `parallel` config flags do exactly
+/// that.
 pub fn wiener_index(g: &Graph) -> Option<u64> {
     let n = g.num_nodes();
     if n <= 1 {
@@ -62,28 +64,31 @@ pub fn wiener_index(g: &Graph) -> Option<u64> {
             .map(|my_batches| {
                 let disconnected = &disconnected;
                 scope.spawn(move || {
-                    // One batched workspace per worker; weighted graphs
-                    // run the delta-stepping twin (same lane layout,
-                    // distances bit-identical to per-source Dijkstra).
-                    let mut bfs = (!weighted).then(MsBfsWorkspace::new);
-                    let mut delta = weighted.then(MsDeltaWorkspace::new);
+                    // Workspaces allocate on first use, so the worker
+                    // pays only for the kernel its graph needs: one
+                    // 64-lane MS-BFS per batch, or one weighted search
+                    // per source.
+                    let mut bfs = MsBfsWorkspace::new();
+                    let mut radix = RadixWorkspace::new();
                     let mut total = 0u64;
                     for &(lo, hi) in my_batches {
                         // A disconnected verdict is global: stop early.
                         if disconnected.load(Ordering::Relaxed) {
                             return None;
                         }
-                        let sources: Vec<NodeId> = (lo..hi).collect();
-                        if let Some(ws) = delta.as_mut() {
-                            ws.run(g, &sources);
-                        } else if let Some(ws) = bfs.as_mut() {
-                            ws.run(g, &sources);
-                        }
-                        for lane in 0..sources.len() {
-                            let (sum, reached) = match delta.as_ref() {
-                                Some(ws) => ws.distance_sum(lane),
-                                None => bfs.as_ref().expect("bfs workspace").distance_sum(lane),
-                            };
+                        let sums: Vec<(u64, usize)> = if weighted {
+                            (lo..hi)
+                                .map(|s| {
+                                    radix.run(g, s);
+                                    radix.last_run_distance_sum()
+                                })
+                                .collect()
+                        } else {
+                            let sources: Vec<NodeId> = (lo..hi).collect();
+                            bfs.run(g, &sources);
+                            (0..sources.len()).map(|l| bfs.distance_sum(l)).collect()
+                        };
+                        for (sum, reached) in sums {
                             if reached != n {
                                 disconnected.store(true, Ordering::Relaxed);
                                 return None;
@@ -110,8 +115,8 @@ pub fn wiener_index(g: &Graph) -> Option<u64> {
 
 /// The sequential per-source all-pairs loop — the historical kernel, kept
 /// both as the small-`n` fast path and as the parity reference the
-/// property tests pin [`wiener_index`] against. Weighted graphs run
-/// per-source [`DijkstraWorkspace`] (the weighted parity anchor).
+/// property tests pin [`wiener_index`]'s batched BFS path against.
+/// Weighted graphs run per-source [`RadixWorkspace`].
 pub fn wiener_index_sequential(g: &Graph) -> Option<u64> {
     let n = g.num_nodes();
     if n <= 1 {
@@ -119,7 +124,7 @@ pub fn wiener_index_sequential(g: &Graph) -> Option<u64> {
     }
     let mut total = 0u64;
     if g.is_weighted() {
-        let mut ws = DijkstraWorkspace::new();
+        let mut ws = RadixWorkspace::new();
         for v in 0..n as NodeId {
             ws.run(g, v);
             let (sum, reached) = ws.last_run_distance_sum();
@@ -157,7 +162,7 @@ pub fn wiener_index_of_subset(g: &Graph, nodes: &[NodeId]) -> Result<Option<u64>
 /// `None` if some vertex is unreachable from `r`.
 pub fn distance_sum_from(g: &Graph, r: NodeId) -> Option<u64> {
     let (sum, reached) = if g.is_weighted() {
-        let mut ws = DeltaWorkspace::new();
+        let mut ws = RadixWorkspace::new();
         ws.run(g, r);
         ws.last_run_distance_sum()
     } else {
@@ -195,11 +200,11 @@ pub fn wiener_index_sampled<R: rand::Rng>(g: &Graph, samples: usize, rng: &mut R
         return wiener_index(g).map(|w| w as f64);
     }
     let mut bfs = (!g.is_weighted()).then(BfsWorkspace::new);
-    let mut delta = g.is_weighted().then(DeltaWorkspace::new);
+    let mut radix = g.is_weighted().then(RadixWorkspace::new);
     let mut total = 0.0f64;
     for _ in 0..samples.max(1) {
         let v = rng.gen_range(0..n as NodeId);
-        let (sum, reached) = if let Some(ws) = delta.as_mut() {
+        let (sum, reached) = if let Some(ws) = radix.as_mut() {
             ws.run(g, v);
             ws.last_run_distance_sum()
         } else {
@@ -220,9 +225,9 @@ pub fn wiener_index_sampled<R: rand::Rng>(g: &Graph, samples: usize, rng: &mut R
 /// graphs); `None` if `r` does not reach the whole graph.
 pub fn eccentricity(g: &Graph, r: NodeId) -> Option<u32> {
     let mut bfs = BfsWorkspace::new();
-    let mut delta = DeltaWorkspace::new();
+    let mut radix = RadixWorkspace::new();
     let dist = if g.is_weighted() {
-        delta.run(g, r)
+        radix.run(g, r)
     } else {
         bfs.run(g, r)
     };
@@ -384,7 +389,18 @@ mod tests {
         }
         let g = b.build();
         assert!(g.num_nodes() >= PARALLEL_WIENER_MIN_NODES);
-        assert_eq!(wiener_index(&g), wiener_index_sequential(&g));
+        // Both paths run the radix kernel; the reference is per-source
+        // binary-heap Dijkstra.
+        let mut dij = crate::traversal::dijkstra::DijkstraWorkspace::new();
+        let mut ordered_pairs = 0u64;
+        for v in 0..n as NodeId {
+            dij.run(&g, v);
+            let (sum, reached) = dij.last_run_distance_sum();
+            assert_eq!(reached, n);
+            ordered_pairs += sum;
+        }
+        assert_eq!(wiener_index(&g), Some(ordered_pairs / 2));
+        assert_eq!(wiener_index_sequential(&g), Some(ordered_pairs / 2));
     }
 
     #[test]

@@ -31,11 +31,13 @@ use mwc_baselines::full_engine_shared;
 use mwc_core::{
     CacheStats, Connector, GroupOutcome, GroupQuery, OwnedEngine, QueryOptions, SolveReport,
 };
+use mwc_graph::connectivity::connected_components;
 use mwc_graph::generators::barabasi_albert::barabasi_albert;
 use mwc_graph::generators::karate::karate_club;
 use mwc_graph::io::{read_edge_list, read_weighted_edge_list};
 use mwc_graph::permute::NodePermutation;
-use mwc_graph::{Graph, NodeId};
+use mwc_graph::traversal::radix::RadixWorkspace;
+use mwc_graph::{Graph, NodeId, INF_DIST};
 use rand::SeedableRng;
 
 use crate::error::{Result, ServiceError};
@@ -188,7 +190,20 @@ impl GraphSource {
     }
 
     /// Materializes the graph. Deterministic for every non-`file` source.
+    /// A weighted graph whose distances could saturate `u32` arithmetic
+    /// at [`INF_DIST`] is refused with [`ServiceError::BadSource`]: from
+    /// the lowest-id vertex `s` of each component, the weighted kernel
+    /// must reach the whole component with `2 · ecc(s) < INF_DIST`.
     pub fn build(&self) -> Result<Graph> {
+        let g = self.build_unchecked()?;
+        if g.is_weighted() {
+            refuse_saturating_distances(&g)
+                .map_err(|m| ServiceError::BadSource(format!("{self:?}: {m}")))?;
+        }
+        Ok(g)
+    }
+
+    fn build_unchecked(&self) -> Result<Graph> {
         match self {
             GraphSource::Karate => Ok(karate_club()),
             GraphSource::StandIn { name, scale } => {
@@ -228,6 +243,47 @@ impl GraphSource {
             }
         }
     }
+}
+
+/// Checks that every shortest-path distance of a weighted graph stays
+/// below [`INF_DIST`], where the `u32` distance kernels saturate and a
+/// connected vertex would read as unreachable. The loaders cap single
+/// weights at [`mwc_graph::MAX_EDGE_WEIGHT`], but not path sums.
+///
+/// From the lowest-id vertex `s` of each connected component (the vertex
+/// [`connected_components`] starts that component's search from), one
+/// radix-heap Dijkstra run must reach the whole component, and
+/// `2 · ecc(s)` must stay below [`INF_DIST`]: every distance in the
+/// component is at most `d(u, s) + d(s, v) ≤ 2 · ecc(s)`. The bound is
+/// conservative, so a graph whose distances would all fit can still be
+/// refused. Returns the reason on refusal.
+fn refuse_saturating_distances(g: &Graph) -> std::result::Result<(), String> {
+    let components = connected_components(g);
+    let label = |v: &NodeId| components.label[*v as usize];
+    // A stable sort keeps each component's lowest id first.
+    let mut by_component: Vec<NodeId> = g.nodes().collect();
+    by_component.sort_by_key(label);
+    let mut ws = RadixWorkspace::new();
+    for members in by_component.chunk_by(|a, b| label(a) == label(b)) {
+        let s = members[0];
+        let dist = ws.run(g, s);
+        let mut ecc = 0u32;
+        for &v in members {
+            if dist[v as usize] == INF_DIST {
+                return Err(format!(
+                    "the distance from vertex {s} to vertex {v} of its component saturates at {INF_DIST}"
+                ));
+            }
+            ecc = ecc.max(dist[v as usize]);
+        }
+        if 2 * ecc as u64 >= INF_DIST as u64 {
+            return Err(format!(
+                "distances in the component of vertex {s} may reach 2 · {ecc}, \
+                 at or above the saturation point {INF_DIST}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// FNV-1a digest of a graph's weighted edge list in the graph's own id
@@ -714,6 +770,57 @@ mod tests {
             report.wiener_index,
             report.connector.wiener_index(&unweighted_twin).unwrap()
         );
+    }
+
+    /// Writes `u v w` lines to a fresh file and returns its path.
+    fn weighted_edge_file(tag: &str, edges: &[(NodeId, NodeId, u32)]) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("mwc-{tag}-{}.txt", std::process::id()));
+        let text: String = edges
+            .iter()
+            .map(|(u, v, w)| format!("{u} {v} {w}\n"))
+            .collect();
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    #[test]
+    fn weighted_graphs_whose_distances_saturate_are_refused() {
+        let w = mwc_graph::MAX_EDGE_WEIGHT;
+        let catalog = Catalog::new();
+        // The path 0–1–…–5 at the largest weight: d(0, 5) = 5w saturates.
+        let path6: Vec<_> = (0..5).map(|v| (v, v + 1, w)).collect();
+        let file = weighted_edge_file("saturating-path6", &path6);
+        let err = catalog
+            .load("path6", &format!("wfile:{}", file.display()))
+            .unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(matches!(err, ServiceError::BadSource(_)), "{err:?}");
+        assert!(catalog.get("path6").is_err());
+
+        // Its three-vertex prefix fits: W({0, 1, 2}) = w + w + 2w.
+        let file = weighted_edge_file("saturating-path3", &path6[..2]);
+        let entry = catalog
+            .load("path3", &format!("wfile:{}", file.display()))
+            .unwrap();
+        std::fs::remove_file(&file).unwrap();
+        for solver in entry.solver_names() {
+            match entry.solve(solver, &[0, 2], &QueryOptions::default()) {
+                Ok(report) => {
+                    assert_eq!(report.wiener_index, 4_294_967_292, "{solver}");
+                    assert_eq!(report.connector.vertices(), &[0, 1, 2], "{solver}");
+                }
+                // `exact` counts hops and refuses every weighted graph.
+                Err(e) => assert!(
+                    solver == "exact"
+                        && matches!(e, mwc_core::CoreError::UnsupportedInstance { .. }),
+                    "{solver}: {e:?}"
+                ),
+            }
+        }
+
+        // 2 · ecc(s) is 0.70 of INF_DIST here: served.
+        let heavy = GraphSource::parse("wba:2000x3x1073741823").unwrap();
+        assert!(heavy.build().is_ok());
     }
 
     #[test]

@@ -174,6 +174,43 @@ fn traced_solve_returns_pipeline_span_tree() {
     handle.shutdown();
 }
 
+/// The first ws-q-approx solve on a graph builds the engine's landmark
+/// oracle inside the request: its trace shows that work as one
+/// `oracle_build` span, so the children still account for the solve. The
+/// oracle is cached, so a later solve has no such span.
+#[test]
+fn first_approx_solve_traces_the_oracle_build() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client.load("ba", "ba:20000x4").unwrap();
+    let q: &[NodeId] = &[3, 1500, 9000, 19999];
+
+    let (_, tree) = client
+        .solve_traced("ba", "ws-q-approx", q, None, None, true)
+        .unwrap();
+    let tree = tree.expect("trace:true returns an inline tree");
+    let root = tree.get("root").unwrap();
+    let builds = children(root)
+        .iter()
+        .filter(|c| name(c) == "oracle_build")
+        .count();
+    assert_eq!(builds, 1, "{tree}");
+    let covered: u64 = children(root).iter().map(dur_us).sum();
+    assert!(
+        covered as f64 >= 0.95 * dur_us(root) as f64,
+        "children cover {covered}us of {}us: {tree}",
+        dur_us(root)
+    );
+
+    let (_, tree) = client
+        .solve_traced("ba", "ws-q-approx", q, None, None, true)
+        .unwrap();
+    let tree = tree.expect("trace:true returns an inline tree");
+    let root = tree.get("root").unwrap();
+    assert!(child(root, "oracle_build").is_none(), "{tree}");
+    handle.shutdown();
+}
+
 /// With Q = {0, 33} on karate, each root's Steiner run at λ = 1/2
 /// provably repeats at every larger λ of the grid, so the sweep reuses
 /// those candidates instead of calling Steiner again, and the answer is
