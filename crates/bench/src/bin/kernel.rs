@@ -1,7 +1,7 @@
 //! `kernel` — micro-benchmark of the distance kernel, emitting
 //! `BENCH_kernel.json`.
 //!
-//! Nine comparisons, each isolating one layer of the kernel work:
+//! Ten comparisons, each isolating one layer of the kernel work:
 //!
 //! 1. **per-source vs multi-source BFS** — 64 single-source sweeps
 //!    against one 64-lane [`MsBfsWorkspace`] sweep (same sources);
@@ -39,9 +39,14 @@
 //! 9. **Mehlhorn Steiner call vs BFS** (`steiner`) — p50 of one ws-q
 //!    Steiner call, [`lambda_steiner_with`] with the root's distance array
 //!    as potentials (every `(root, λ)` pair of a |Q| = 8 query, one
-//!    workspace, as a root sweep runs them) against p50 of one BFS on the
+//!    workspace, each call afresh) against p50 of one BFS on the
 //!    same graph. `speedup` is bfs/steiner, a scale-invariant ratio the
-//!    regression gate can hold on any host.
+//!    regression gate can hold on any host;
+//! 10. **fresh vs repaired λ sweep** (`steiner_sweep`) — p50 of one
+//!     root's whole λ grid for section 9's query: a fresh
+//!     [`lambda_steiner_with`] call per λ against one [`LambdaSweep`],
+//!     which repairs the previous run at each larger λ. Trees are
+//!     asserted equal before timing.
 //!
 //! ```text
 //! cargo run --release -p mwc-bench --bin kernel -- \
@@ -57,7 +62,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use mwc_bench::{Scale, Timer};
-use mwc_core::steiner::{lambda_steiner_with, SteinerAlgorithm};
+use mwc_core::steiner::{lambda_steiner_with, LambdaSweep, SteinerAlgorithm};
 use mwc_core::wsq::{batched_root_distances, lambda_grid};
 use mwc_core::{QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
@@ -356,10 +361,10 @@ fn main() {
     });
     let weighted_oracle_cmp = comparison("weighted:oracle_build", wseq_build_ms, wbatched_build_ms);
 
-    // 9. One ws-q Steiner call vs one BFS on the same graph. The Steiner
-    //    side times every (root, λ) call of a |Q| = 8 query through one
-    //    workspace, as the engine makes it; the BFS side times one BFS per
-    //    root, as often.
+    // 9. One fresh ws-q Steiner call vs one BFS on the same graph. The
+    //    Steiner side times every (root, λ) call of a |Q| = 8 query through
+    //    one workspace, each run afresh (section 10 times the engine's
+    //    repairing sweep); the BFS side times one BFS per root, as often.
     let steiner_q: Vec<NodeId> = wsq_roots[..STEINER_QUERY].to_vec();
     let lambdas = lambda_grid(n, WsqConfig::default().beta);
     let root_dists: Vec<Vec<u32>> = steiner_q.iter().map(|&r| ws.run(&g, r).to_vec()).collect();
@@ -393,6 +398,50 @@ fn main() {
         "{:<28} mehlhorn p50 {mehlhorn_p50:>9.3} ms   bfs p50 {bfs_p50:>9.3} ms   speedup {:>5.2}x",
         "steiner:mehlhorn_vs_bfs",
         bfs_p50 / mehlhorn_p50
+    );
+
+    // 10. Each root's whole λ grid, fresh call per λ against the
+    //     repairing sweep, on one workspace each.
+    let alg = SteinerAlgorithm::Mehlhorn;
+    let mut fresh_ws = SteinerWorkspace::new();
+    for dist_r in &root_dists {
+        let mut sweep = LambdaSweep::new(&mut steiner_ws, alg, &g, &steiner_q, dist_r);
+        for &lambda in &lambdas {
+            let (fresh, _) =
+                lambda_steiner_with(&mut fresh_ws, alg, &g, &steiner_q, lambda, dist_r).unwrap();
+            let (swept, _) = sweep.solve(lambda).unwrap();
+            assert_eq!(
+                (&swept.nodes, &swept.edges),
+                (&fresh.nodes, &fresh.edges),
+                "the sweep's tree differs at λ = {lambda}"
+            );
+        }
+    }
+    let mut fresh_lat = Vec::new();
+    let mut sweep_lat = Vec::new();
+    for _ in 0..gate_reps {
+        for dist_r in &root_dists {
+            let t = Instant::now();
+            for &lambda in &lambdas {
+                let tree = lambda_steiner_with(&mut fresh_ws, alg, &g, &steiner_q, lambda, dist_r);
+                std::hint::black_box(tree.expect("a BA graph is connected"));
+            }
+            fresh_lat.push(t.elapsed().as_secs_f64() * 1e3);
+            let t = Instant::now();
+            let mut sweep = LambdaSweep::new(&mut steiner_ws, alg, &g, &steiner_q, dist_r);
+            for &lambda in &lambdas {
+                std::hint::black_box(sweep.solve(lambda).expect("a BA graph is connected"));
+            }
+            sweep_lat.push(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    fresh_lat.sort_by(|a, b| a.total_cmp(b));
+    sweep_lat.sort_by(|a, b| a.total_cmp(b));
+    let (fresh_p50, sweep_p50) = (quantile_ms(&fresh_lat, 0.5), quantile_ms(&sweep_lat, 0.5));
+    println!(
+        "{:<28} fresh p50 {fresh_p50:>9.3} ms   sweep p50 {sweep_p50:>9.3} ms   speedup {:>5.2}x",
+        "steiner:sweep_vs_fresh",
+        fresh_p50 / sweep_p50
     );
 
     // 4. Cache-cold vs cache-hot solve latency on a fixed query workload.
@@ -460,6 +509,16 @@ fn main() {
                 ("mehlhorn_p50_ms", Json::from(mehlhorn_p50)),
                 ("bfs_p50_ms", Json::from(bfs_p50)),
                 ("speedup", Json::from(bfs_p50 / mehlhorn_p50)),
+                ("query", Json::from(STEINER_QUERY)),
+                ("lambdas", Json::from(lambdas.len())),
+            ]),
+        ),
+        (
+            "steiner_sweep",
+            Json::obj([
+                ("fresh_p50_ms", Json::from(fresh_p50)),
+                ("sweep_p50_ms", Json::from(sweep_p50)),
+                ("speedup", Json::from(fresh_p50 / sweep_p50)),
                 ("query", Json::from(STEINER_QUERY)),
                 ("lambdas", Json::from(lambdas.len())),
             ]),

@@ -109,6 +109,11 @@ impl Connector {
     /// and a nested pool per large connector oversubscribes them. The
     /// value is identical either way (the property tests pin the two
     /// kernels against each other).
+    ///
+    /// Errors with `Graph(Disconnected)` when `G[S]` is disconnected, and
+    /// with [`CoreError::UnsupportedInstance`] when it is connected but a
+    /// distance inside it saturates `u32` (paths inside a connector can
+    /// outgrow every distance in the graph).
     pub fn wiener_index_with(&self, g: &Graph, prefer_sequential: bool) -> Result<u64> {
         let sub = self.induced(g)?;
         let w = if prefer_sequential {
@@ -116,7 +121,18 @@ impl Connector {
         } else {
             wiener::wiener_index(sub.graph())
         };
-        w.ok_or(CoreError::Graph(mwc_graph::GraphError::Disconnected))
+        match w {
+            Some(w) => Ok(w),
+            None if is_connected_subset(g, &self.vertices)? => {
+                Err(CoreError::UnsupportedInstance {
+                    what: format!(
+                        "a distance inside the {}-vertex connector saturates u32",
+                        self.vertices.len()
+                    ),
+                })
+            }
+            None => Err(CoreError::Graph(mwc_graph::GraphError::Disconnected)),
+        }
     }
 
     /// Sampled Wiener index estimate (see
@@ -204,6 +220,31 @@ mod tests {
             small.wiener_index_with(&g, true).unwrap(),
             small.wiener_index_with(&g, false).unwrap()
         );
+    }
+
+    #[test]
+    fn saturated_distances_inside_a_connector_are_refused_by_name() {
+        // Hub 0 joined to 1..=6 at weight 1: the graph's eccentricities
+        // are small, but inside {1, …, 6} the only route is the path of
+        // weight 2^30 − 1 edges, and d(1, 6) = 5·(2^30 − 1) saturates.
+        let heavy = mwc_graph::MAX_EDGE_WEIGHT;
+        let mut edges: Vec<(NodeId, NodeId, u32)> = (1..=6).map(|v| (0, v, 1)).collect();
+        edges.extend((1..6).map(|v| (v, v + 1, heavy)));
+        let g = Graph::from_weighted_edges(7, &edges).unwrap();
+        let c = Connector::new(&g, &[1, 2, 3, 4, 5, 6]).unwrap();
+        for sequential in [false, true] {
+            let err = c.wiener_index_with(&g, sequential).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::UnsupportedInstance { what } if what.contains("saturates")),
+                "{err:?}"
+            );
+        }
+        // A set that is not connected inside the graph stays `Disconnected`.
+        let split = Connector::from_vertices(vec![1, 3]);
+        assert!(matches!(
+            split.wiener_index(&g),
+            Err(CoreError::Graph(mwc_graph::GraphError::Disconnected))
+        ));
     }
 
     #[test]

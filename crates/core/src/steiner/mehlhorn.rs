@@ -37,7 +37,9 @@
 //!
 //! Buffers live in a [`SteinerWorkspace`]: Algorithm 1 calls this once per
 //! `(root, λ)` candidate, so a root sweep holds one workspace for all of
-//! its calls and no per-call `O(|V|)` allocation or reset remains.
+//! its calls and no per-call `O(|V|)` allocation or reset remains. The
+//! workspace also keeps a ws-q run for its repair at the next λ (last
+//! section).
 //!
 //! # Two queues, one Voronoi loop
 //!
@@ -100,20 +102,26 @@
 //! - Voronoi: a settled non-terminal `v` keeps as parent the neighbour `u`
 //!   minimizing `(d(u) + w(u, v), d(u), id(u))`. Each edge is checked once,
 //!   when its second endpoint settles (the branch that makes crossing
-//!   offers): each endpoint's label against the other endpoint's offer.
-//!   Two equal offer pairs come from senders with equal hop counts, whose
-//!   distances then order by `M` alone at every λ. Labels meeting these
-//!   conditions at λ' satisfy Bellman's equations there, so they are the
-//!   shortest-path labels, and the λ' run computes the same labels,
-//!   parents and sources.
-//! - Crossing table: every offer that lost to the held edge, floor-skipped
-//!   offers included (compared on their exact `(k, M)`), and every
-//!   replacement against what it replaced. By transitivity the final edge
-//!   is still each pair's `(w, u, v)` minimum at λ'.
+//!   offers): the label of the endpoint with more hops against the other
+//!   endpoint's offer, since only an offer of fewer hops can win at a
+//!   larger λ. Each label keeps its own bound (`Label::bound`, the
+//!   largest `t` with `λ' = 2^t` inside it; an exponent suffices on the
+//!   dyadic grid) and the neighbour that set it. Two equal offer pairs
+//!   come from senders with equal hop counts, whose distances then order
+//!   by `M` alone at every λ. Labels meeting these conditions at λ'
+//!   satisfy Bellman's equations there, so they are the shortest-path
+//!   labels, and the λ' run computes the same labels, parents and sources.
+//! - Crossing table: every crossing edge against its pair's final winner,
+//!   when the edge has fewer hops (the run keeps every crossing edge, see
+//!   below). The bound is then the exact condition for each pair's winner
+//!   to stay its `(w, u, v)` minimum at λ', a function of the run's labels
+//!   alone, whatever order the edges settled in.
 //! - Terminal MST: consecutive edges of Kruskal's sorted order.
 //!
-//! Expansion, the subgraph MST (single edges, which order by `m` alone)
-//! and pruning do not depend on λ.
+//! The crossing edges are checked last, and only while the other bounds
+//! still cover the next power of two: otherwise no bound they add can
+//! matter. Expansion, the subgraph MST (single edges, which order by `m`
+//! alone) and pruning do not depend on λ.
 //!
 //! *Exactness.* The argument needs every key to be an exact f64, at λ and
 //! at λ'. A key sums `k ≤ 2h + 1` edges, `h` the largest label hop count,
@@ -128,6 +136,60 @@
 //!
 //! A change that lets a key decide anything other than through such a
 //! comparison (rounding it, say) must add its decision to the certificate.
+//!
+//! # Repairing a run at the next λ
+//!
+//! Between two calls of a ws-q root sweep ([`LambdaSweep`](super::LambdaSweep))
+//! most labels keep their paths, so a call at a larger `λ' = 2^{t'}`,
+//! `0 ≤ t' ≤ 26`, repairs the previous exact run instead of growing every
+//! region again. The run keeps its labels, each label's bound and the
+//! neighbour that set it (in the settled label's free list link), and
+//! every crossing edge as its endpoints `(u, v)`, 8 bytes: its pair, hop
+//! count and `M` follow from the two labels.
+//! - *Upper bounds.* A label's path is still a path at λ': re-costed to
+//!   `kλ' + M/λ'` it bounds the new distance from above, and every
+//!   unchanged label is re-costed so (one pass over the labels).
+//! - *Seeds.* A label is beaten at λ' by an unchanged neighbour's offer
+//!   only if λ' exceeds its bound, since an offer of as many hops or more
+//!   cannot overtake it (see above). Such labels take the best offer of
+//!   their unchanged neighbours under the tie rule `(offer, d(u), id(u))`,
+//!   when it beats the label, and seed a Dijkstra; a neighbour relabelled
+//!   as a seed offers once it settles.
+//! - *Propagation.* The Dijkstra relaxes out of changed labels only, under
+//!   the same tie rule: a neighbour takes a strictly better offer, an
+//!   equal one from a sender earlier in `(d, id)` order, or the offer of
+//!   its own parent whenever that parent's label changed, so a change
+//!   reaches every descendant. A label no changed label offers better
+//!   keeps its old path, which is its lexicographic minimum already, so
+//!   the repaired labels are those a fresh run at λ' computes, bit for bit
+//!   (keys are exact, so no rounding tells the two apart).
+//! - *Bounds.* The Dijkstra's own scan of a settling label handles each
+//!   edge to a settled or unchanged neighbour; an edge to a neighbour
+//!   still queued is handled when that neighbour settles. A changed label
+//!   is bounded from scratch over the edges handled at its settling, and
+//!   later edges lower its bound as they are handled. An unchanged
+//!   neighbour's bound takes the changed label's new offer as a minimum,
+//!   unless the changed label had set it with a lower one, and then it is
+//!   recomputed at the end; so are seeds that kept their labels. A stale
+//!   bound can only be lower than the exact one, which adds seeds, never
+//!   misses one, and every bound the repair leaves is exact again, so the
+//!   certificate equals a fresh run's.
+//! - *Crossing edges.* The same scan adds the settling label's crossing
+//!   edges; one to a neighbour that changes later is dropped, as that
+//!   neighbour adds it again, and the edges a changed label had are
+//!   dropped. Every pair's winner is then the minimum over the kept edges
+//!   re-weighed at λ', with no pass over the graph's edges. Kruskal, the
+//!   certificate, expansion and the subgraph MST follow as in a fresh
+//!   run.
+//!
+//! The repair refuses, and the call runs afresh, when the previous call
+//! was not an exact dyadic Mehlhorn run, when λ' is not above it or
+//! outside `2^0 … 2^26`, or when keys would not be exact at λ' (the cap
+//! above, checked for the old labels before the repair and for the new
+//! ones after it: every key the repair forms sums old or settled labels
+//! and at most one edge). Non-dyadic λ, the other Steiner algorithms and
+//! the node-weighted ablation never keep a run, and
+//! [`lambda_steiner_with`](super::lambda_steiner_with) stays a fresh call.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -232,6 +294,9 @@ const BITMAP_MIN: usize = 64;
 /// fall back to a hash map so a huge query cannot allocate `|T|²`.
 const DENSE_CROSSING_TERMINALS: usize = 128;
 
+/// A label bound covering every `t ≤ 26`: nothing bounds the label.
+const FREE: i8 = 27;
+
 /// What the adjacency scan reads of a vertex. Valid only while `stamp`
 /// equals the workspace generation, any other stamp reading as "not
 /// reached yet"; `pot` is rewritten by every potential-costed call.
@@ -248,6 +313,11 @@ struct Label {
     hops: u16,
     /// Radix bucket while queued, [`SETTLED`] once popped.
     slot: u8,
+    /// In a certifying run: the largest `t ≤ 26` such that the label
+    /// still beats every neighbour's offer at `λ' = 2^t`, `−1` when no
+    /// `t ≥ 0` qualifies, [`FREE`] when no offer bounds it (see the module
+    /// doc's repair section).
+    bound: i8,
 }
 
 const _: () = assert!(std::mem::size_of::<Label>() == 24);
@@ -258,6 +328,9 @@ const _: () = assert!(std::mem::size_of::<Label>() == 24);
 struct Links {
     /// Next hop toward the nearest terminal ([`NO_NODE`] at a terminal).
     parent: NodeId,
+    /// While queued, the previous vertex of its bucket list; once settled
+    /// in a certifying run, the neighbour whose offer sets the label's
+    /// [`bound`](Label::bound), when it has one.
     prev: NodeId,
     next: NodeId,
 }
@@ -637,6 +710,34 @@ impl Crossing {
     }
 }
 
+/// One crossing edge `u < v` of a certifying run, kept for its repairs,
+/// which re-weigh it from its endpoints' labels.
+#[derive(Debug, Clone, Copy)]
+struct CrossEntry {
+    u: NodeId,
+    v: NodeId,
+}
+
+impl CrossEntry {
+    fn new(x: NodeId, y: NodeId) -> Self {
+        CrossEntry {
+            u: x.min(y),
+            v: x.max(y),
+        }
+    }
+
+    /// `(a, b, k, M)`: the edge joins regions `a < b` by a path of `k`
+    /// edges whose `m` sum to `M`, read from labels at the λ of `grid`.
+    #[inline]
+    fn resolve(&self, labels: &[Label], grid: &Grid) -> (u32, u32, u32, i64) {
+        let (lu, lv) = (labels[self.u as usize], labels[self.v as usize]);
+        let (a, b) = (lu.source.min(lv.source), lu.source.max(lv.source));
+        let k = lu.hops as u32 + lv.hops as u32;
+        let m = grid.m_of(lu.dist + lv.dist, k) + lu.pot.max(lv.pot) as i64;
+        (a, b, k + 1, m)
+    }
+}
+
 /// Cheapest crossing edge per terminal pair `(a, b)`, `a < b`.
 #[derive(Debug, Default)]
 struct CrossingTable {
@@ -657,14 +758,22 @@ impl CrossingTable {
         }
     }
 
+    fn held(&mut self, a: u32, b: u32) -> &mut Crossing {
+        if self.terms <= DENSE_CROSSING_TERMINALS {
+            &mut self.dense[a as usize * self.terms + b as usize]
+        } else {
+            self.sparse.entry((a, b)).or_insert(Crossing::NONE)
+        }
+    }
+
     /// Offers the crossing edge between the settled vertices `x` and `y`
     /// of Voronoi regions `a` and `b`, each given as `(id, distance,
     /// hops)`, the larger of their potentials being `m`. Its weight is at
     /// least `floor = d(x) + d(y)` (f64 addition of a non-negative term
     /// never rounds below the other operand), so when the held edge
     /// already weighs less than `floor` the offer cannot win and its
-    /// weight is never evaluated, unless `costs` needs it to record the
-    /// decision. Inlined into the Voronoi loop, which measured faster.
+    /// weight is never evaluated. Inlined into the Voronoi loop, which
+    /// measured faster.
     #[inline(always)]
     fn offer<C: Costs>(
         &mut self,
@@ -674,35 +783,27 @@ impl CrossingTable {
         y: (NodeId, f64, u16),
         m: u32,
     ) {
-        let (a, b) = (a.min(b), a.max(b));
         let ((u, du, ku), (v, dv, kv)) = if x.0 < y.0 { (x, y) } else { (y, x) };
-        let held = if self.terms <= DENSE_CROSSING_TERMINALS {
-            &mut self.dense[a as usize * self.terms + b as usize]
-        } else {
-            self.sparse.entry((a, b)).or_insert(Crossing::NONE)
-        };
-        let hops = ku as u32 + kv as u32 + 1;
-        let weigh = |costs: &mut C| du + costs.cost(u, v, m) + dv;
+        let held = self.held(a.min(b), a.max(b));
         if held.u != NO_NODE && held.w < du + dv {
-            if C::CERTIFIES && held.hops > hops {
-                let w = weigh(costs);
-                costs.decided((held.w, held.hops), (w, hops));
-            }
             return;
         }
         let c = Crossing {
-            w: weigh(costs),
+            w: du + costs.cost(u, v, m) + dv,
             u,
             v,
-            hops,
+            hops: ku as u32 + kv as u32 + 1,
         };
         if c.beats(held) {
-            if held.u != NO_NODE {
-                costs.decided((c.w, hops), (held.w, held.hops));
-            }
             *held = c;
-        } else {
-            costs.decided((held.w, held.hops), (c.w, hops));
+        }
+    }
+
+    /// Offers `c` for the pair `(a, b)`, `a < b`.
+    fn consider(&mut self, a: u32, b: u32, c: Crossing) {
+        let held = self.held(a, b);
+        if c.beats(held) {
+            *held = c;
         }
     }
 
@@ -737,7 +838,7 @@ impl CrossingTable {
 /// nothing; [`Dyadic`] is ws-q's `λ + m/λ` at `λ = 2^t` over per-vertex
 /// potentials, and certifies.
 trait Costs {
-    /// Whether the run reports its decisions.
+    /// Whether the run reports its decisions and keeps what a repair needs.
     const CERTIFIES: bool;
 
     /// Writes the run's potentials into `labels`, and returns the bucket
@@ -754,9 +855,26 @@ trait Costs {
     /// settled.
     fn settled(&mut self, _hops: u16, _pot: u32) {}
 
+    /// A label, `label.0` summing `label.1` edges, beat a neighbour's
+    /// offer with fewer edges: the label's [`bound`](Label::bound).
+    fn label_bound(&mut self, _label: (f64, u32), _offer: (f64, u32)) -> i8 {
+        FREE
+    }
+
     /// A decision: the key `win.0`, a path sum of `win.1` edges, beat
     /// `lose.0` of `lose.1` edges, `win.0 ≤ lose.0` (a tie won on ids).
     fn decided(&mut self, _win: (f64, u32), _lose: (f64, u32)) {}
+
+    /// The grid point the run's keys live on (certifying runs only).
+    fn grid(&self) -> Grid {
+        Grid::new(0)
+    }
+
+    /// Whether the decisions so far still let the certificate cover the
+    /// next power of two, so that further decisions matter.
+    fn open(&self) -> bool {
+        false
+    }
 }
 
 /// Costs from a closure; certifies nothing and costs nothing extra.
@@ -771,16 +889,93 @@ impl<W: Fn(NodeId, NodeId) -> f64> Costs for Plain<W> {
     }
 }
 
-/// `λ + max(p(u), p(v))/λ` at `λ = 2^t`, collecting the run's certificate.
-struct Dyadic<'p> {
-    potentials: &'p [u32],
+/// The grid point `λ = 2^t` and the exact arithmetic of its keys: a path
+/// of `k` edges whose `m` sum to `M` costs `kλ + M/λ`.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
     t: i32,
     lambda: f64,
     /// `1/λ`, exact, so `m · inv_lambda` is bit for bit `m / λ`.
     inv_lambda: f64,
     lambda_sq: f64,
-    /// Largest λ'² every decision so far allows.
+}
+
+impl Grid {
+    fn new(t: i32) -> Self {
+        let lambda = 2f64.powi(t);
+        Grid {
+            t,
+            lambda,
+            inv_lambda: 2f64.powi(-t),
+            lambda_sq: lambda * lambda,
+        }
+    }
+
+    #[inline]
+    fn cost(&self, m: u32) -> f64 {
+        self.lambda + m as f64 * self.inv_lambda
+    }
+
+    /// `M` of a key summing `hops` edges. Exact keys give it exactly; an
+    /// inexact run is refused by [`exact_cap`] whatever this returns.
+    #[inline]
+    fn m_of(&self, key: f64, hops: u32) -> i64 {
+        (key * self.lambda - hops as f64 * self.lambda_sq) as i64
+    }
+
+    /// The key of `k` edges whose `m` sum to `m`, exact when keys are.
+    #[inline]
+    fn key(&self, k: u32, m: i64) -> f64 {
+        k as f64 * self.lambda + m as f64 * self.inv_lambda
+    }
+}
+
+/// The largest λ'² at which a winner `(k, M)` with more edges than the
+/// loser still beats it strictly: `(k_win − k_lose)·λ'² < M_lose − M_win`.
+fn threshold(win: (u32, i64), lose: (u32, i64)) -> u64 {
+    let dm = lose.1.saturating_sub(win.1);
+    match win.0 - lose.0 {
+        _ if dm <= 0 => 0,
+        1 => (dm - 1) as u64,
+        dk => ((dm - 1) / i64::from(dk)) as u64,
+    }
+}
+
+/// The largest `t` with `4^t ≤ sq`, capped at [`FREE`]; `−1` for 0.
+fn exponent(sq: u64) -> i8 {
+    if sq == 0 {
+        -1
+    } else {
+        (((63 - sq.leading_zeros()) / 2) as i8).min(FREE)
+    }
+}
+
+/// The certificate's cap on λ'² where keys stop being exact, `None` when
+/// a run at `λ = 2^t` with these labels is not exact itself (see the
+/// module doc).
+fn exact_cap(t: i32, hops_max: u16, m_max: u32) -> Option<u64> {
+    const EXACT: u128 = 1 << 53;
+    if hops_max == u16::MAX || t.abs() > 26 {
+        return None;
+    }
+    let k = 2 * hops_max as u128 + 1;
+    let m = m_max as u128;
+    let here = if t >= 0 {
+        (1u128 << (2 * t)) + m
+    } else {
+        1 + (m << (-2 * t))
+    };
+    (k * here < EXACT).then(|| ((EXACT - 1) / k).saturating_sub(m) as u64)
+}
+
+/// `λ + max(p(u), p(v))/λ` at `λ = 2^t`, collecting the run's certificate.
+struct Dyadic<'p> {
+    potentials: &'p [u32],
+    grid: Grid,
+    /// Largest λ'² every crossing and Kruskal decision so far allows.
     lim: u64,
+    /// Smallest label bound.
+    labels_min: i8,
     /// Largest hop count and potential of a settled vertex, for the
     /// exactness cap. Both endpoints of every edge the run costs settle,
     /// so `m_max` bounds every `m` the run meets.
@@ -790,60 +985,38 @@ struct Dyadic<'p> {
 
 impl<'p> Dyadic<'p> {
     fn new(potentials: &'p [u32], t: i32) -> Self {
-        let lambda = 2f64.powi(t);
         Dyadic {
             potentials,
-            t,
-            lambda,
-            inv_lambda: 2f64.powi(-t),
-            lambda_sq: lambda * lambda,
+            grid: Grid::new(t),
             lim: u64::MAX,
+            labels_min: FREE,
             hops_max: 0,
             m_max: 0,
         }
     }
 
-    /// `M` of a key summing `hops` edges. Exact keys give it exactly; an
-    /// inexact run is refused by `repeats` whatever this returns.
-    fn m_of(&self, (key, hops): (f64, u32)) -> i64 {
-        (key * self.lambda - hops as f64 * self.lambda_sq) as i64
-    }
-
-    /// Bounds λ'² for a winner with more hops: it keeps winning strictly
-    /// while `(k_win − k_lose)·λ'² < M_lose − M_win`.
+    /// Bounds λ'² for a winner with more hops.
     #[cold]
     #[inline(never)]
     fn bound(&mut self, win: (f64, u32), lose: (f64, u32)) {
-        let dm = self.m_of(lose).saturating_sub(self.m_of(win));
-        let dk = i64::from(win.1 - lose.1);
-        self.lim = if dm > 0 {
-            self.lim.min(((dm - 1) / dk) as u64)
-        } else {
-            0
-        };
+        let (mw, ml) = (self.grid.m_of(win.0, win.1), self.grid.m_of(lose.0, lose.1));
+        self.lim = self.lim.min(threshold((win.1, mw), (lose.1, ml)));
     }
 
     /// The certificate: every bound recorded, capped where keys stop being
     /// exact.
     fn repeats(&self) -> Repeats {
-        const EXACT: u128 = 1 << 53;
-        if self.hops_max == u16::MAX || self.t.abs() > 26 {
+        let Some(cap) = exact_cap(self.grid.t, self.hops_max, self.m_max) else {
             return Repeats::NONE;
-        }
-        let k = 2 * self.hops_max as u128 + 1;
-        let m = self.m_max as u128;
-        let here = if self.t >= 0 {
-            (1u128 << (2 * self.t)) + m
-        } else {
-            1 + (m << (-2 * self.t))
         };
-        if k * here >= EXACT {
-            return Repeats::NONE;
-        }
-        let cap = ((EXACT - 1) / k).saturating_sub(m) as u64;
+        let labels = match self.labels_min {
+            FREE => u64::MAX,
+            e if e < 0 => 0,
+            e => 1 << (2 * e),
+        };
         Repeats {
-            t: self.t,
-            max_sq: self.lim.min(cap),
+            t: self.grid.t,
+            max_sq: self.lim.min(labels).min(cap),
         }
     }
 }
@@ -869,13 +1042,13 @@ impl Costs for Dyadic<'_> {
             label.pot = p;
             p_max = p_max.max(p);
         }
-        let span = ring_span(self.t, p_max)?;
-        Some((span, 2f64.powi(self.t.abs())))
+        let span = ring_span(self.grid.t, p_max)?;
+        Some((span, 2f64.powi(self.grid.t.abs())))
     }
 
     #[inline]
     fn cost(&mut self, _: NodeId, _: NodeId, m: u32) -> f64 {
-        self.lambda + m as f64 * self.inv_lambda
+        self.grid.cost(m)
     }
 
     #[inline]
@@ -884,11 +1057,31 @@ impl Costs for Dyadic<'_> {
         self.m_max = self.m_max.max(pot);
     }
 
+    #[cold]
+    #[inline(never)]
+    fn label_bound(&mut self, label: (f64, u32), offer: (f64, u32)) -> i8 {
+        let (ml, mo) = (
+            self.grid.m_of(label.0, label.1),
+            self.grid.m_of(offer.0, offer.1),
+        );
+        let e = exponent(threshold((label.1, ml), (offer.1, mo)));
+        self.labels_min = self.labels_min.min(e);
+        e
+    }
+
     #[inline]
     fn decided(&mut self, win: (f64, u32), lose: (f64, u32)) {
         if win.1 > lose.1 {
             self.bound(win, lose);
         }
+    }
+
+    fn grid(&self) -> Grid {
+        self.grid
+    }
+
+    fn open(&self) -> bool {
+        self.repeats().covers(2f64.powi(self.grid.t + 1))
     }
 }
 
@@ -929,27 +1122,77 @@ pub(crate) fn dyadic_exponent(lambda: f64) -> Option<i32> {
 /// Per-vertex state is generation-stamped, so a call costs no `O(|V|)`
 /// clear; buffers grow to the largest graph seen and serve graphs of any
 /// size after that. Hold one per thread for a run of calls (a root sweep)
-/// and drop it afterwards. It keeps about 40 bytes per vertex of the
+/// and drop it afterwards. It keeps about 36 bytes per vertex of the
 /// largest graph it served: a 24-byte label (distance, potential, source,
-/// stamp, hops, queue slot), 12 bytes of parent and list links, a 4-byte
-/// expansion stamp, and a bit in each queue's id bitmap.
+/// stamp, hops, queue slot, bound), 12 bytes of parent and list links,
+/// and a bit in each queue's id bitmap and in two marker bitmaps. A
+/// certifying run also keeps 8 bytes per crossing edge for its repairs,
+/// with room reserved for one per graph edge.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
     labels: Vec<Label>,
     links: Vec<Links>,
-    /// `covered[v] == generation` marks `v` as part of the expanded
-    /// subgraph (step 4) of the current call.
-    covered: Vec<u32>,
+    /// One bit per vertex, set while the expansion (step 4) covers it and
+    /// cleared when the expansion ends.
+    covered: Vec<u64>,
     generation: u32,
     radix: RadixQueue,
     ring: RingQueue,
     /// Calls whose Voronoi loop ran on `ring`.
     ring_calls: u64,
+    /// Calls answered by a repair.
+    repairs: u64,
+    /// Labels settled by fresh runs plus labels changed by repairs.
+    settled: u64,
     crossing: CrossingTable,
+    kept: Kept,
     terms: Vec<NodeId>,
     term_edges: Vec<WeightedEdge>,
     sub_nodes: Vec<NodeId>,
     sub_edges: Vec<(NodeId, NodeId)>,
+}
+
+/// What a certifying run keeps so that a call at a larger λ can repair it
+/// instead of running afresh (see the module doc), plus the repair's
+/// scratch buffers.
+#[derive(Debug, Default)]
+struct Kept {
+    /// Whether the labels of generation `gen` hold an exact run at
+    /// `λ = 2^t` over the workspace's `terms`, whose largest label hop
+    /// count is `hops_max` and largest settled potential `m_max`.
+    live: bool,
+    gen: u32,
+    t: i32,
+    hops_max: u16,
+    m_max: u32,
+    /// Every crossing edge of the run, once.
+    entries: Vec<CrossEntry>,
+    /// One bit per vertex whose label the current repair changed.
+    changed: Vec<u64>,
+    seeds: Vec<NodeId>,
+    popped: Vec<NodeId>,
+    recheck: Vec<NodeId>,
+    /// Labels per hop count, and per bound (offset by one).
+    hops: Vec<u32>,
+    bounds: [u32; FREE as usize + 2],
+}
+
+/// Sets bit `v` of a per-vertex bitmap; returns whether it was clear.
+fn mark(bits: &mut [u64], v: NodeId) -> bool {
+    let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+    let clear = bits[word] & bit == 0;
+    bits[word] |= bit;
+    clear
+}
+
+fn marked(bits: &[u64], v: NodeId) -> bool {
+    bits[v as usize / 64] & (1 << (v % 64)) != 0
+}
+
+/// Whether offer `a` beats offer `b`, each `(key, sender's distance,
+/// sender)`: Mehlhorn's Voronoi tie rule.
+fn wins(a: (f64, f64, NodeId), b: (f64, f64, NodeId)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && (a.1 < b.1 || (a.1 == b.1 && a.2 < b.2)))
 }
 
 impl SteinerWorkspace {
@@ -965,6 +1208,19 @@ impl SteinerWorkspace {
         self.ring_calls
     }
 
+    /// How many calls on this workspace a [`LambdaSweep`](super::LambdaSweep)
+    /// answered by repairing its previous run instead of running afresh,
+    /// since it was created.
+    pub fn repairs(&self) -> u64 {
+        self.repairs
+    }
+
+    /// Voronoi labels settled by fresh runs plus labels changed by
+    /// repairs on this workspace, since it was created.
+    pub fn voronoi_settled(&self) -> u64 {
+        self.settled
+    }
+
     /// Jumps the stamp generation to just before it wraps, so tests can
     /// exercise the wrap-around reset without four billion calls. Only
     /// ever moves the generation forward, which keeps every stale stamp
@@ -974,18 +1230,23 @@ impl SteinerWorkspace {
         self.generation = self.generation.max(u32::MAX - 2);
     }
 
+    /// Drops the kept run, so the next call runs afresh.
+    pub(crate) fn forget(&mut self) {
+        self.kept.live = false;
+    }
+
     /// Opens a call on a graph of `n` vertices: grows the per-vertex
     /// arrays and bumps the generation, clearing every stamp on wrap.
     fn begin(&mut self, n: usize) -> u32 {
         if self.labels.len() < n {
             self.labels.resize(n, Label::default());
             self.links.resize(n, Links::default());
-            self.covered.resize(n, 0);
+            self.covered.resize(n.div_ceil(64), 0);
+            self.kept.changed.resize(n.div_ceil(64), 0);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.labels.iter_mut().for_each(|s| s.stamp = 0);
-            self.covered.fill(0);
             self.generation = 1;
         }
         self.generation
@@ -995,7 +1256,7 @@ impl SteinerWorkspace {
     /// the terminal-MST edges, into `sub_nodes`/`sub_edges`. Each walk up
     /// the Voronoi parents stops at the first vertex already covered: the
     /// rest of its path to a terminal is in the subgraph already.
-    fn expand(&mut self, term_mst: &[WeightedEdge], gen: u32) {
+    fn expand(&mut self, term_mst: &[WeightedEdge]) {
         let SteinerWorkspace {
             links,
             covered,
@@ -1008,15 +1269,14 @@ impl SteinerWorkspace {
         sub_nodes.clear();
         sub_edges.clear();
         for &t in terms.iter() {
-            covered[t as usize] = gen;
+            mark(covered, t);
             sub_nodes.push(t);
         }
         for &(_, a, b) in term_mst {
             let Crossing { u, v, .. } = crossing.get(a, b);
             sub_edges.push((u, v));
             for mut cur in [u, v] {
-                while covered[cur as usize] != gen {
-                    covered[cur as usize] = gen;
+                while mark(covered, cur) {
                     sub_nodes.push(cur);
                     let p = links[cur as usize].parent;
                     debug_assert!(p != NO_NODE, "only terminals lack a parent");
@@ -1025,32 +1285,377 @@ impl SteinerWorkspace {
                 }
             }
         }
+        for &v in sub_nodes.iter() {
+            covered[v as usize / 64] = 0;
+        }
         sub_nodes.sort_unstable();
+    }
+
+    /// Steps 3–6 once the crossing table holds each pair's winner: a
+    /// certifying run bounds every crossing edge against its pair's
+    /// winner and Kruskal's picks against their sorted order, then the
+    /// terminal MST expands, and the expanded subgraph's MST is pruned.
+    fn conclude<C: Costs>(&mut self, costs: &mut C) -> Result<SteinerTree> {
+        // Step 3: MST over the terminal distance graph.
+        self.term_edges.clear();
+        self.crossing.edges_into(&mut self.term_edges);
+        let (term_mst, _) = kruskal(self.terms.len(), &mut self.term_edges);
+        if term_mst.len() + 1 != self.terms.len() {
+            return Err(CoreError::QueryNotConnectable);
+        }
+        if C::CERTIFIES {
+            // Kruskal's picks follow from its sorted order.
+            for pair in self.term_edges.windows(2) {
+                let [(w0, a0, b0), (w1, a1, b1)] = [pair[0], pair[1]];
+                let (k0, k1) = (
+                    self.crossing.get(a0, b0).hops,
+                    self.crossing.get(a1, b1).hops,
+                );
+                costs.decided((w0, k0), (w1, k1));
+            }
+            // Each pair's winner keeps beating an edge of as many hops or
+            // more, so only fewer-hop edges bound it. Once the certificate
+            // covers no larger power of two, no bound can matter.
+            if costs.open() {
+                let grid = costs.grid();
+                for e in &self.kept.entries {
+                    let (a, b, k, m) = e.resolve(&self.labels, &grid);
+                    let held = self.crossing.get(a, b);
+                    if k < held.hops {
+                        costs.decided((held.w, held.hops), (grid.key(k, m), k));
+                    }
+                }
+            }
+        }
+
+        // Step 4: expand each terminal-MST edge into its graph path.
+        self.expand(&term_mst);
+
+        // Steps 5–6: MST of the expanded subgraph, then leaf pruning (shared
+        // with Kou–Markowsky–Berman, which ends identically).
+        let labels = &self.labels;
+        Ok(mst_then_prune(
+            &self.terms,
+            &self.sub_nodes,
+            &self.sub_edges,
+            |u, v| costs.cost(u, v, labels[u as usize].pot.max(labels[v as usize].pot)),
+        ))
+    }
+
+    /// The kept run repaired to `λ = 2^t`: the tree and certificate a
+    /// fresh call there returns (see the module doc). `None` when no run
+    /// is kept, `t` is not above its λ or outside `0..=26`, or keys would
+    /// not be exact; the caller then runs afresh.
+    pub(crate) fn repair(&mut self, g: &Graph, t: i32) -> Option<Result<(SteinerTree, Repeats)>> {
+        let kept = &self.kept;
+        let open = kept.live && kept.gen == self.generation;
+        if !open || t <= kept.t || !(0..=26).contains(&t) {
+            return None;
+        }
+        exact_cap(t, kept.hops_max, kept.m_max)?;
+        let (old, grid) = (Grid::new(kept.t), Grid::new(t));
+        let (n, gen, terms) = (g.num_nodes(), self.generation, self.terms.len());
+        let SteinerWorkspace {
+            labels,
+            links,
+            radix,
+            crossing,
+            kept,
+            ..
+        } = self;
+        let (labels, links) = (&mut labels[..n], &mut links[..n]);
+        let Kept {
+            live,
+            t: kept_t,
+            hops_max: kept_hops,
+            m_max,
+            entries,
+            changed,
+            seeds,
+            popped,
+            recheck,
+            hops,
+            bounds,
+            ..
+        } = kept;
+
+        // Every label re-costed at λ is the cost of its old path, an upper
+        // bound. Those whose bound λ exceeds seed the repair.
+        hops.clear();
+        hops.resize(*kept_hops as usize + 2, 0);
+        *bounds = [0; FREE as usize + 2];
+        seeds.clear();
+        for (v, l) in labels.iter_mut().enumerate() {
+            if l.stamp != gen {
+                continue;
+            }
+            // `M = dλ − kλ²` and `kλ' + M/λ'`: every product scales by a
+            // power of two, and each result is an exact key or `M`.
+            let k = l.hops as f64;
+            let m = l.dist * old.lambda - k * old.lambda_sq;
+            l.dist = k * grid.lambda + m * grid.inv_lambda;
+            hops[l.hops as usize] += 1;
+            bounds[(l.bound + 1) as usize] += 1;
+            if l.bound < t as i8 {
+                seeds.push(v as NodeId);
+            }
+        }
+
+        // Each seed takes the best offer of its unchanged neighbours and
+        // is queued, if that offer beats its label; a seed relabelled
+        // before it offers when it settles. So every queued label is an
+        // old path plus one edge until the Dijkstra settles it.
+        radix.start(&[]);
+        for &v in seeds.iter() {
+            let lv = labels[v as usize];
+            let p = links[v as usize].parent;
+            let held = (
+                lv.dist,
+                lv.dist - grid.cost(labels[p as usize].pot.max(lv.pot)),
+                p,
+            );
+            let (mut best, mut from) = (held, lv);
+            for &u in g.neighbors(v) {
+                let lu = labels[u as usize];
+                let offer = (lu.dist + grid.cost(lu.pot.max(lv.pot)), lu.dist, u);
+                if lu.slot == SETTLED && wins(offer, best) {
+                    (best, from) = (offer, lu);
+                }
+            }
+            if best.2 != p {
+                relabel(labels, links, radix, hops, (v, best.2, best.0), &from);
+            }
+        }
+
+        // Dijkstra out of the changed labels only: a label no changed
+        // label offers better keeps its old path. As each label settles,
+        // the edges to its settled and unchanged neighbours are final (or
+        // final unless that neighbour changes later, which then handles
+        // the edge again): they bound labels and cross regions.
+        popped.clear();
+        recheck.clear();
+        let old_len = entries.len();
+        while let Some(v) = radix.pop(labels, links) {
+            popped.push(v);
+            mark(changed, v);
+            let lv = labels[v as usize];
+            let mv = grid.m_of(lv.dist, lv.hops as u32);
+            let (mut bound, mut by) = (FREE, NO_NODE);
+            for &x in g.neighbors(v) {
+                let lx = labels[x as usize];
+                let key = lv.dist + grid.cost(lv.pot.max(lx.pot));
+                if key <= lx.dist {
+                    let take = key < lx.dist || {
+                        let p = links[x as usize].parent;
+                        if p == v {
+                            // The parent changed: its child follows unless
+                            // nothing it copies changed.
+                            lx.source != lv.source || lx.hops != lv.hops.saturating_add(1)
+                        } else {
+                            let dp = lx.dist - grid.cost(labels[p as usize].pot.max(lx.pot));
+                            wins((key, lv.dist, v), (lx.dist, dp, p))
+                        }
+                    };
+                    if take {
+                        relabel(labels, links, radix, hops, (x, v, key), &lv);
+                        continue;
+                    }
+                }
+                if lx.slot != SETTLED {
+                    continue; // settles later and handles the edge then
+                }
+                let mx = || grid.m_of(lx.dist, lx.hops as u32);
+                let m = lv.pot.max(lx.pot) as i64;
+                let (kv, kx) = (lv.hops as u32, lx.hops as u32);
+                if kv > kx + 1 {
+                    let e = exponent(threshold((kv, mv), (kx + 1, mx() + m)));
+                    if e < bound {
+                        (bound, by) = (e, x);
+                    }
+                } else if kx > kv + 1 {
+                    // An unchanged label's bound is a minimum over its
+                    // neighbours' offers: a changed neighbour's new offer
+                    // lowers it in place, unless that neighbour set it,
+                    // and then the label is bounded again from scratch.
+                    let e = exponent(threshold((kx, mx()), (kv + 1, mv + m)));
+                    let set_by_v = links[x as usize].prev == v;
+                    if set_by_v && e > lx.bound {
+                        recheck.push(x);
+                    } else if set_by_v || e < lx.bound {
+                        set_bound(labels, links, bounds, x, (e, v));
+                    }
+                } else if links[x as usize].prev == v && lx.bound != FREE {
+                    recheck.push(x);
+                }
+                if lx.source != lv.source {
+                    // An edge to a label that may still change is kept
+                    // reversed, and dropped below if that label changed.
+                    let e = CrossEntry::new(v, x);
+                    entries.push(if marked(changed, x) {
+                        e
+                    } else {
+                        CrossEntry { u: e.v, v: e.u }
+                    });
+                }
+            }
+            set_bound(labels, links, bounds, v, (bound, by));
+        }
+        let hops_max = hops.iter().rposition(|&c| c > 0).unwrap_or(0) as u16;
+        if exact_cap(t, hops_max, *m_max).is_none() {
+            for &v in popped.iter() {
+                changed[v as usize / 64] = 0;
+            }
+            entries.truncate(old_len);
+            *live = false;
+            return None;
+        }
+        recheck.extend(seeds.iter().filter(|&&v| !marked(changed, v)));
+        for &v in recheck.iter() {
+            let lv = labels[v as usize];
+            let mv = grid.m_of(lv.dist, lv.hops as u32);
+            let (mut bound, mut by) = (FREE, NO_NODE);
+            for &u in g.neighbors(v) {
+                let lu = labels[u as usize];
+                if lv.hops as u32 > lu.hops as u32 + 1 {
+                    let mu = grid.m_of(lu.dist, lu.hops as u32) + lv.pot.max(lu.pot) as i64;
+                    let e = exponent(threshold((lv.hops as u32, mv), (lu.hops as u32 + 1, mu)));
+                    if e < bound {
+                        (bound, by) = (e, u);
+                    }
+                }
+            }
+            set_bound(labels, links, bounds, v, (bound, by));
+        }
+
+        // Each pair's winner among the crossing edges at λ: the unchanged
+        // labels' edges, re-weighed, and the changed labels' new ones.
+        // The old edges of changed labels go; so do new edges kept
+        // reversed whose other endpoint changed after the scan, as that
+        // endpoint handled the edge again.
+        let mut i = 0;
+        entries.retain_mut(|e| {
+            i += 1;
+            let stale = (marked(changed, e.u), marked(changed, e.v));
+            if i <= old_len {
+                return stale == (false, false);
+            }
+            if e.u > e.v {
+                (e.u, e.v) = (e.v, e.u);
+                return stale != (true, true);
+            }
+            true
+        });
+        for &v in popped.iter() {
+            changed[v as usize / 64] = 0;
+        }
+        crossing.reset(terms);
+        for e in entries.iter() {
+            let (a, b, k, m) = e.resolve(labels, &grid);
+            crossing.consider(
+                a,
+                b,
+                Crossing {
+                    w: grid.key(k, m),
+                    u: e.u,
+                    v: e.v,
+                    hops: k,
+                },
+            );
+        }
+
+        let labels_min = bounds
+            .iter()
+            .position(|&c| c > 0)
+            .map_or(FREE, |i| i as i8 - 1);
+        let mut costs = Dyadic {
+            labels_min,
+            hops_max,
+            m_max: *m_max,
+            ..Dyadic::new(&[], t)
+        };
+        (*kept_t, *kept_hops) = (t, hops_max);
+        self.repairs += 1;
+        self.settled += popped.len() as u64;
+        let tree = self.conclude(&mut costs);
+        Some(tree.map(|tree| (tree, costs.repeats())))
     }
 }
 
+/// Gives `v` the label that `u`, labelled `lu`, offers at `key`, and
+/// queues `v` there.
+fn relabel(
+    labels: &mut [Label],
+    links: &mut [Links],
+    queue: &mut RadixQueue,
+    hops: &mut Vec<u32>,
+    (v, u, key): (NodeId, NodeId, f64),
+    lu: &Label,
+) {
+    let old = labels[v as usize];
+    let k = lu.hops.saturating_add(1);
+    hops[old.hops as usize] -= 1;
+    if hops.len() <= k as usize {
+        hops.resize(k as usize + 1, 0);
+    }
+    hops[k as usize] += 1;
+    let l = &mut labels[v as usize];
+    (l.dist, l.source, l.hops) = (key, lu.source, k);
+    links[v as usize].parent = u;
+    if old.slot == SETTLED {
+        queue.insert(labels, links, v, key);
+    } else if key < old.dist {
+        queue.decrease(labels, links, v, old.dist, key);
+    }
+}
+
+/// Sets `v`'s label bound to `e`, set by the offer of `by`.
+fn set_bound(
+    labels: &mut [Label],
+    links: &mut [Links],
+    bounds: &mut [u32],
+    v: NodeId,
+    (e, by): (i8, NodeId),
+) {
+    let l = &mut labels[v as usize];
+    bounds[(l.bound + 1) as usize] -= 1;
+    bounds[(e + 1) as usize] += 1;
+    l.bound = e;
+    links[v as usize].prev = by;
+}
+
 /// Steps 1–2: grows the Voronoi regions of `terms` on `queue` and fills
-/// the crossing table as each crossing edge's second endpoint settles.
+/// the crossing table as each crossing edge's second endpoint settles. A
+/// certifying run also bounds each label and keeps every crossing edge.
+/// Returns how many labels settled.
 #[allow(clippy::too_many_arguments)]
 fn voronoi<C: Costs, Q: VoronoiQueue>(
     g: &Graph,
     terms: &[NodeId],
     labels: &mut [Label],
     links: &mut [Links],
+    kept: &mut Kept,
     crossing: &mut CrossingTable,
     queue: &mut Q,
     costs: &mut C,
     gen: u32,
-) {
+) -> u64 {
     crossing.reset(terms.len());
+    kept.entries.clear();
+    if C::CERTIFIES {
+        // Room for every edge at once: growing by doubling would hold two
+        // copies at a time.
+        kept.entries.reserve(g.num_edges());
+    }
     for (i, &t) in terms.iter().enumerate() {
         let label = &mut labels[t as usize];
         (label.dist, label.source, label.stamp) = (0.0, i as u32, gen);
-        (label.hops, label.slot) = (0, 0);
+        (label.hops, label.slot, label.bound) = (0, 0, FREE);
         links[t as usize].parent = NO_NODE;
     }
     queue.start(terms);
+    let mut settled = 0;
     while let Some(u) = queue.pop(labels, links) {
+        settled += 1;
         let Label {
             dist: du,
             pot: pu,
@@ -1067,20 +1672,28 @@ fn voronoi<C: Costs, Q: VoronoiQueue>(
                 // Both endpoints settled: `(u, v)`'s distances are final,
                 // so a crossing edge is complete now, and each label has
                 // beaten the other endpoint's offer (a parent's offer is
-                // the label, one hop short).
+                // the label, one hop short). Only an offer of fewer hops
+                // can win at a larger λ; it bounds the label.
                 if C::CERTIFIES && ku.abs_diff(lv.hops) > 1 {
-                    let (ku, kv) = (ku as u32, lv.hops as u32);
-                    if ku > kv {
+                    let (hi, lo, label, offer) = if ku > lv.hops {
                         let offer = lv.dist + costs.cost(v, u, m);
-                        costs.decided((du, ku), (offer, kv + 1));
+                        (u, v, (du, ku as u32), (offer, lv.hops as u32 + 1))
                     } else {
                         let offer = du + costs.cost(u, v, m);
-                        costs.decided((lv.dist, kv), (offer, ku + 1));
+                        (v, u, (lv.dist, lv.hops as u32), (offer, ku as u32 + 1))
+                    };
+                    let e = costs.label_bound(label, offer);
+                    if e < labels[hi as usize].bound {
+                        labels[hi as usize].bound = e;
+                        links[hi as usize].prev = lo;
                     }
                 }
                 if lv.source != su {
                     let (x, y) = ((u, du, ku), (v, lv.dist, lv.hops));
                     crossing.offer(costs, (su, lv.source), x, y, m);
+                    if C::CERTIFIES {
+                        kept.entries.push(CrossEntry::new(u, v));
+                    }
                 }
                 continue;
             }
@@ -1102,12 +1715,14 @@ fn voronoi<C: Costs, Q: VoronoiQueue>(
                     stamp: gen,
                     hops: kv_new,
                     slot: 0,
+                    bound: FREE,
                 };
                 links[v as usize].parent = u;
                 queue.insert(labels, links, v, cand);
             }
         }
     }
+    settled
 }
 
 /// Computes an approximately minimum Steiner tree for `terminals` in `g`
@@ -1146,7 +1761,7 @@ where
 /// `λ = 2^t`, `p` the per-vertex `potentials`, certifying as it runs: the
 /// tree, and the larger λ at which the same call repeats it (see the
 /// module doc). The tree equals `mehlhorn_steiner_with`'s under that cost
-/// as a closure.
+/// as a closure. An exact run stays kept in `ws` for a later repair.
 pub(crate) fn mehlhorn_dyadic(
     ws: &mut SteinerWorkspace,
     g: &Graph,
@@ -1156,6 +1771,11 @@ pub(crate) fn mehlhorn_dyadic(
 ) -> Result<(SteinerTree, Repeats)> {
     let mut costs = Dyadic::new(potentials, t);
     let tree = mehlhorn_run(ws, g, terminals, &mut costs)?;
+    if ws.terms.len() > 1 && exact_cap(t, costs.hops_max, costs.m_max).is_some() {
+        let kept = &mut ws.kept;
+        (kept.live, kept.gen, kept.t) = (true, ws.generation, t);
+        (kept.hops_max, kept.m_max) = (costs.hops_max, costs.m_max);
+    }
     Ok((tree, costs.repeats()))
 }
 
@@ -1166,6 +1786,7 @@ fn mehlhorn_run<C: Costs>(
     terminals: &[NodeId],
     costs: &mut C,
 ) -> Result<SteinerTree> {
+    ws.kept.live = false;
     ws.terms.clear();
     ws.terms.extend_from_slice(terminals);
     ws.terms.sort_unstable();
@@ -1190,47 +1811,21 @@ fn mehlhorn_run<C: Costs>(
         radix,
         ring,
         ring_calls,
+        settled,
         crossing,
+        kept,
         terms,
         ..
     } = ws;
     let (labels, links) = (&mut labels[..n], &mut links[..n]);
-    if let Some((span, scale)) = costs.prepare(labels) {
+    *settled += if let Some((span, scale)) = costs.prepare(labels) {
         *ring_calls += 1;
         ring.reset(span, scale);
-        voronoi(g, terms, labels, links, crossing, ring, costs, gen);
+        voronoi(g, terms, labels, links, kept, crossing, ring, costs, gen)
     } else {
-        voronoi(g, terms, labels, links, crossing, radix, costs, gen);
-    }
-
-    // Step 3: MST over the terminal distance graph.
-    ws.term_edges.clear();
-    ws.crossing.edges_into(&mut ws.term_edges);
-    let (term_mst, _) = kruskal(ws.terms.len(), &mut ws.term_edges);
-    if term_mst.len() + 1 != ws.terms.len() {
-        return Err(CoreError::QueryNotConnectable);
-    }
-    if C::CERTIFIES {
-        // Kruskal's picks follow from its sorted order.
-        for pair in ws.term_edges.windows(2) {
-            let [(w0, a0, b0), (w1, a1, b1)] = [pair[0], pair[1]];
-            let (k0, k1) = (ws.crossing.get(a0, b0).hops, ws.crossing.get(a1, b1).hops);
-            costs.decided((w0, k0), (w1, k1));
-        }
-    }
-
-    // Step 4: expand each terminal-MST edge into its graph path.
-    ws.expand(&term_mst, gen);
-
-    // Steps 5–6: MST of the expanded subgraph, then leaf pruning (shared
-    // with Kou–Markowsky–Berman, which ends identically).
-    let labels = &ws.labels;
-    Ok(mst_then_prune(
-        &ws.terms,
-        &ws.sub_nodes,
-        &ws.sub_edges,
-        |u, v| costs.cost(u, v, labels[u as usize].pot.max(labels[v as usize].pot)),
-    ))
+        voronoi(g, terms, labels, links, kept, crossing, radix, costs, gen)
+    };
+    ws.conclude(costs)
 }
 
 #[cfg(test)]
@@ -1547,6 +2142,28 @@ mod tests {
         }
         assert_eq!(dyadic_exponent(0.5), Some(-1));
         assert_eq!(dyadic_exponent(1.5), None);
+    }
+
+    #[test]
+    fn label_bounds_are_dyadic_exponents() {
+        // A 3-edge label with M = 0 against a 1-edge offer with M = 40
+        // wins while 2·λ'² < 40: λ'² ≤ 19, so up to λ' = 4 (t = 2).
+        assert_eq!(threshold((3, 0), (1, 40)), 19);
+        assert_eq!(exponent(19), 2);
+        assert_eq!(threshold((2, 5), (1, 5)), 0, "a tie at λ' = 0 wins nothing");
+        assert_eq!(exponent(0), -1);
+        assert_eq!((exponent(1), exponent(3), exponent(4)), (0, 0, 1));
+        assert_eq!(exponent(u64::MAX), FREE);
+        // A crossing edge reads its pair, hops and `M` from its labels,
+        // sums beyond 32 bits included.
+        let grid = Grid::new(1);
+        let mut labels = vec![Label::default(); 2];
+        (labels[0].dist, labels[0].hops, labels[0].source) = (grid.key(2, 1 << 33), 2, 3);
+        (labels[1].dist, labels[1].hops, labels[1].source) = (grid.key(1, 7), 1, 1);
+        (labels[0].pot, labels[1].pot) = (9, 4);
+        let entry = CrossEntry::new(1, 0);
+        assert_eq!((entry.u, entry.v), (0, 1));
+        assert_eq!(entry.resolve(&labels, &grid), (1, 3, 4, (1 << 33) + 16));
     }
 
     #[test]

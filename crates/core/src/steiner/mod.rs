@@ -121,6 +121,62 @@ pub fn lambda_steiner_with(
     }
 }
 
+/// ws-q's Steiner calls for one root, over an ascending λ grid: each call
+/// returns exactly what [`lambda_steiner_with`] returns there, tree and
+/// certificate. The first call runs Mehlhorn afresh; a later Mehlhorn call
+/// at a larger `λ = 2^t`, `0 ≤ t ≤ 26`, repairs the previous run instead,
+/// re-growing only the Voronoi labels the new λ changes (the proof is in
+/// the [`mehlhorn`] module doc). Every other call, and one whose keys
+/// would not stay exact, runs afresh.
+///
+/// The sweep borrows the workspace and drops whatever run it kept.
+pub struct LambdaSweep<'a> {
+    ws: &'a mut SteinerWorkspace,
+    algorithm: SteinerAlgorithm,
+    g: &'a Graph,
+    terminals: &'a [NodeId],
+    potentials: &'a [u32],
+}
+
+impl<'a> LambdaSweep<'a> {
+    /// A sweep of `lambda_steiner_with(ws, algorithm, g, terminals, λ,
+    /// potentials)` calls.
+    ///
+    /// # Panics
+    ///
+    /// If `potentials` does not hold exactly one value per vertex of `g`.
+    pub fn new(
+        ws: &'a mut SteinerWorkspace,
+        algorithm: SteinerAlgorithm,
+        g: &'a Graph,
+        terminals: &'a [NodeId],
+        potentials: &'a [u32],
+    ) -> Self {
+        assert_eq!(potentials.len(), g.num_nodes(), "one potential per vertex");
+        ws.forget();
+        LambdaSweep {
+            ws,
+            algorithm,
+            g,
+            terminals,
+            potentials,
+        }
+    }
+
+    /// The tree and certificate at `lambda`, repaired from the previous
+    /// call when that applies.
+    pub fn solve(&mut self, lambda: f64) -> Result<(SteinerTree, Repeats)> {
+        if self.algorithm == SteinerAlgorithm::Mehlhorn {
+            if let Some(repaired) = dyadic_exponent(lambda).and_then(|t| self.ws.repair(self.g, t))
+            {
+                return repaired;
+            }
+        }
+        let (g, terminals, potentials) = (self.g, self.terminals, self.potentials);
+        lambda_steiner_with(self.ws, self.algorithm, g, terminals, lambda, potentials)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

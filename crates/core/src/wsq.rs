@@ -20,8 +20,11 @@
 //! module doc). The grid is swept upwards, so each root copies its last
 //! candidate to every later λ in that range instead of running Steiner,
 //! `AdjustDistances` and `A(H, r)` again, and the exact Wiener index is
-//! computed once per distinct candidate. The candidate stream is
-//! bit-identical to the full grid's.
+//! computed once per distinct candidate. A root's Steiner calls go through
+//! one [`LambdaSweep`]: its first λ runs Mehlhorn afresh, and each larger
+//! power-of-two λ repairs the previous run, re-growing only the Voronoi
+//! labels the new λ changes, with trees and certificates bit-identical to
+//! fresh calls. The candidate stream is bit-identical to the full grid's.
 //!
 //! Theorem 4: the result is an `O(1)`-approximate minimum Wiener connector,
 //! in time `O(|Q| (|E| log|V| + |V| log²|V|))`. The paper's §6.6 notes the
@@ -58,9 +61,7 @@ use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
 use crate::adjust::adjust_distances_with;
 use crate::connector::Connector;
 use crate::error::{CoreError, Result};
-use crate::steiner::{
-    klein_ravi, lambda_steiner_with, Repeats, SteinerAlgorithm, SteinerWorkspace,
-};
+use crate::steiner::{klein_ravi, LambdaSweep, Repeats, SteinerAlgorithm, SteinerWorkspace};
 use crate::trace::TraceContext;
 
 /// Which vertices Algorithm 1 tries as the root `r`.
@@ -119,10 +120,11 @@ pub struct WsqConfig {
     /// Per-request trace context: when enabled the solver records
     /// `feasibility`, `root_sweep` (with root/candidate counters, root
     /// distance arrays computed in the sweep, Steiner calls, those run on
-    /// the bucket ring, and reused trees, and accumulated root-distance,
-    /// Steiner, `AdjustDistances` and `A(H, r)` time), and `evaluate`
-    /// stage spans. Disabled (the default) it costs one branch per stage.
-    /// Typically set through
+    /// the bucket ring and those answered by a repair, reused trees,
+    /// Voronoi labels settled or changed, accumulated root-distance,
+    /// Steiner, `AdjustDistances` and `A(H, r)` time, and the busiest and
+    /// idlest worker's wall time), and `evaluate` stage spans. Disabled
+    /// (the default) it costs one branch per stage. Typically set through
     /// [`QueryOptions::trace`](crate::engine::QueryOptions::trace).
     pub trace: TraceContext,
 }
@@ -344,7 +346,10 @@ impl<'g> WienerSteiner<'g> {
         // overlap their siblings).
         let traced = self.config.trace.enabled();
         let sweep_start = traced.then(Instant::now);
-        let stage_acc = StageCounters::default();
+        let stage_acc = StageCounters {
+            worker_busy_min_us: AtomicU64::new(u64::MAX),
+            ..StageCounters::default()
+        };
         let counters = traced.then_some(&stage_acc);
         let all = self.sweep_roots(g, q, &roots, source, &lambdas, pool, counters)?;
         if let Some(t0) = sweep_start {
@@ -361,9 +366,13 @@ impl<'g> WienerSteiner<'g> {
                     ("steiner_us", load(&stage_acc.steiner_us)),
                     ("steiner_calls", load(&stage_acc.steiner_calls)),
                     ("steiner_ring", load(&stage_acc.steiner_ring)),
+                    ("steiner_repaired", load(&stage_acc.steiner_repaired)),
                     ("steiner_reused", load(&stage_acc.steiner_reused)),
+                    ("voronoi_settled", load(&stage_acc.voronoi_settled)),
                     ("adjust_us", load(&stage_acc.adjust_us)),
                     ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
+                    ("worker_busy_max_us", load(&stage_acc.worker_busy_max_us)),
+                    ("worker_busy_min_us", load(&stage_acc.worker_busy_min_us)),
                 ],
             );
         }
@@ -393,19 +402,34 @@ impl<'g> WienerSteiner<'g> {
         } else {
             1
         };
+        // One worker's sweep, its busy time folded into the counters.
+        let worker = |chunk_roots: &[NodeId]| {
+            let t0 = counters.map(|_| Instant::now());
+            let out = run_roots(
+                g,
+                &self.config,
+                q,
+                chunk_roots,
+                source,
+                lambdas,
+                pool,
+                counters,
+            );
+            if let (Some(c), Some(t0)) = (counters, t0) {
+                let busy = t0.elapsed().as_micros() as u64;
+                c.worker_busy_max_us.fetch_max(busy, Ordering::Relaxed);
+                c.worker_busy_min_us.fetch_min(busy, Ordering::Relaxed);
+            }
+            out
+        };
         if threads <= 1 {
-            return run_roots(g, &self.config, q, roots, source, lambdas, pool, counters);
+            return worker(roots);
         }
         let chunk = roots.len().div_ceil(threads);
         let results: Vec<Result<Vec<EvaluatedCandidate>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = roots
                 .chunks(chunk)
-                .map(|chunk_roots| {
-                    let (q, lambdas, cfg) = (q, lambdas, &self.config);
-                    scope.spawn(move || {
-                        run_roots(g, cfg, q, chunk_roots, source, lambdas, pool, counters)
-                    })
-                })
+                .map(|chunk_roots| scope.spawn(move || worker(chunk_roots)))
                 .collect();
             handles
                 .into_iter()
@@ -631,9 +655,14 @@ struct StageCounters {
     steiner_us: AtomicU64,
     steiner_calls: AtomicU64,
     steiner_ring: AtomicU64,
+    steiner_repaired: AtomicU64,
     steiner_reused: AtomicU64,
+    voronoi_settled: AtomicU64,
     adjust_us: AtomicU64,
     evaluate_a_us: AtomicU64,
+    /// Wall time of the busiest and the idlest sweep worker.
+    worker_busy_max_us: AtomicU64,
+    worker_busy_min_us: AtomicU64,
 }
 
 /// Whether the configured deadline (if any) has passed.
@@ -760,8 +789,10 @@ fn run_roots(
             terminals.push(r);
         }
         // The root's last Steiner call: its candidate's index in `out`,
-        // and the larger λ at which it repeats.
+        // and the larger λ at which it repeats. The sweep repairs that
+        // call's run at the next λ it is asked for.
         let mut last: Option<(usize, Repeats)> = None;
+        let mut sweep = LambdaSweep::new(&mut steiner_ws, cfg.steiner, g, &terminals, dist_r);
         for &lambda in lambdas {
             if !out.is_empty() && past_deadline(cfg) {
                 break;
@@ -787,7 +818,7 @@ fn run_roots(
                 (klein_ravi(g, &terminals, node_cost)?, Repeats::NONE)
             } else {
                 // Lemma 4's edge cost λ + max(d_G(r, u), d_G(r, v))/λ.
-                lambda_steiner_with(&mut steiner_ws, cfg.steiner, g, &terminals, lambda, dist_r)?
+                sweep.solve(lambda)?
             };
             if let (Some(c), Some(t0)) = (counters, t0) {
                 c.steiner_us
@@ -829,6 +860,10 @@ fn run_roots(
     if let Some(c) = counters {
         c.steiner_ring
             .fetch_add(steiner_ws.ring_calls(), Ordering::Relaxed);
+        c.steiner_repaired
+            .fetch_add(steiner_ws.repairs(), Ordering::Relaxed);
+        c.voronoi_settled
+            .fetch_add(steiner_ws.voronoi_settled(), Ordering::Relaxed);
     }
     Ok(out)
 }

@@ -158,6 +158,18 @@ fn traced_solve_returns_pipeline_span_tree() {
             counter(sweep, "candidates"),
             "{solver}"
         );
+        // Repairs count among the calls; a repair settles only the
+        // labels it changes, so repaired sweeps settle fewer labels than
+        // fresh calls on the whole graph would.
+        let steiner_repaired = counter(sweep, "steiner_repaired").unwrap();
+        assert!(steiner_repaired <= steiner_calls, "{solver}");
+        let settled = counter(sweep, "voronoi_settled").unwrap();
+        let karate_n = 34;
+        if steiner_repaired > 0 {
+            assert!(settled < karate_n * steiner_calls, "{solver}: {settled}");
+        }
+        let busy_max = counter(sweep, "worker_busy_max_us").unwrap();
+        assert!(counter(sweep, "worker_busy_min_us").unwrap() <= busy_max);
         assert!(counter(sweep, "steiner_us").is_some());
         assert!(counter(sweep, "evaluate_a_us").is_some());
         assert_eq!(
