@@ -68,10 +68,11 @@ use crate::connector::Connector;
 use crate::error::{CoreError, Result};
 use crate::exact::{exact_minimum, shortest_path_connector, ExactConfig};
 use crate::local_search::{refine, LocalSearchConfig};
+use crate::steiner::SteinerPool;
 use crate::trace::TraceContext;
 use crate::wsq::{
-    batched_root_distances_dispatch, DistanceSource, MsDistWorkspace, RootPolicy, SharedRootDists,
-    WienerSteiner, WsqConfig, WsqSolution,
+    batched_root_distances_dispatch, DistanceSource, MsDistWorkspace, Pools, RootPolicy,
+    SharedRootDists, WienerSteiner, WsqConfig, WsqSolution,
 };
 use crate::wsq_approx::ApproxWsqConfig;
 
@@ -507,6 +508,7 @@ impl SolveCache {
 #[derive(Debug)]
 struct SharedState {
     pool: WorkspacePool,
+    steiner: SteinerPool,
     betweenness: OnceLock<Vec<f64>>,
     oracle: OnceLock<LandmarkOracle>,
     landmarks: usize,
@@ -595,6 +597,14 @@ impl<'e> QueryContext<'e> {
         &self.shared.pool
     }
 
+    /// The engine's distance and Steiner buffer pools, for ws-q's sweeps.
+    pub(crate) fn pools(&self) -> Pools<'e> {
+        Pools {
+            dist: &self.shared.pool,
+            steiner: &self.shared.steiner,
+        }
+    }
+
     /// Exact betweenness centrality of every vertex, computed on first use
     /// and cached for the engine's lifetime. `O(|V||E|)` — on large graphs
     /// prefer sampling outside the engine.
@@ -672,10 +682,10 @@ impl ConnectorSolver for WsqSolver {
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
         let cfg = per_query(self.config.clone(), ctx);
-        let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
+        let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
-            ctx.workspace_pool(),
-            ctx.shared_root_distances(),
+            ctx.pools(),
+            DistanceSource::Exact(ctx.shared_root_distances()),
         )?;
         Ok(SolveReport::from_wsq(self.name(), sol))
     }
@@ -735,7 +745,7 @@ impl ConnectorSolver for ApproxWsqSolver {
         let cfg = per_query(self.config.sweep_config(), ctx);
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
-            ctx.workspace_pool(),
+            ctx.pools(),
             DistanceSource::Landmarks(ctx.landmark_oracle()),
         )?;
         Ok(SolveReport::from_wsq(self.name(), sol))
@@ -759,10 +769,10 @@ impl ConnectorSolver for LocalSearchSolver {
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
         let cfg = per_query(self.wsq.clone(), ctx);
-        let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
+        let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
-            ctx.workspace_pool(),
-            ctx.shared_root_distances(),
+            ctx.pools(),
+            DistanceSource::Exact(ctx.shared_root_distances()),
         )?;
         let candidates = sol.num_candidates as u64;
         let (connector, wiener_index) = if ctx.deadline_exceeded() {
@@ -1069,6 +1079,7 @@ impl<'g> QueryEngine<'g> {
             solvers: Vec::new(),
             shared: SharedState {
                 pool: WorkspacePool::new(),
+                steiner: SteinerPool::default(),
                 betweenness: OnceLock::new(),
                 oracle: OnceLock::new(),
                 landmarks: approx_defaults.landmarks,

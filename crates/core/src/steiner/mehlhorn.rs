@@ -115,7 +115,11 @@
 //!   when the edge has fewer hops (the run keeps every crossing edge, see
 //!   below). The bound is then the exact condition for each pair's winner
 //!   to stay its `(w, u, v)` minimum at λ', a function of the run's labels
-//!   alone, whatever order the edges settled in.
+//!   alone, whatever order the edges settled in. The edges of one pair
+//!   `a < b` and hop count `k` form a group whose keys are all
+//!   `kλ + M/λ`: its least `(M, u, v)` is its least `(w, u, v)` at every
+//!   λ, and of its bounds the tightest, so the check reads one minimum
+//!   per group.
 //! - Terminal MST: consecutive edges of Kruskal's sorted order.
 //!
 //! The crossing edges are checked last, and only while the other bounds
@@ -144,8 +148,10 @@
 //! `0 ≤ t' ≤ 26`, repairs the previous exact run instead of growing every
 //! region again. The run keeps its labels, each label's bound and the
 //! neighbour that set it (in the settled label's free list link), and
-//! every crossing edge as its endpoints `(u, v)`, 8 bytes: its pair, hop
-//! count and `M` follow from the two labels.
+//! every crossing edge, filed where it completes in the settle loop as a
+//! 12-byte member `(u, v, next)` of its group `(a, b, k)`, which caches
+//! its least `(M, u, v)`: its pair, hop count and `M` follow from the two
+//! labels. A pair's winner at any λ is the least of its groups' minima.
 //! - *Upper bounds.* A label's path is still a path at λ': re-costed to
 //!   `kλ' + M/λ'` it bounds the new distance from above, and every
 //!   unchanged label is re-costed so (one pass over the labels).
@@ -174,13 +180,24 @@
 //!   bound can only be lower than the exact one, which adds seeds, never
 //!   misses one, and every bound the repair leaves is exact again, so the
 //!   certificate equals a fresh run's.
-//! - *Crossing edges.* The same scan adds the settling label's crossing
-//!   edges; one to a neighbour that changes later is dropped, as that
-//!   neighbour adds it again, and the edges a changed label had are
-//!   dropped. Every pair's winner is then the minimum over the kept edges
-//!   re-weighed at λ', with no pass over the graph's edges. Kruskal, the
-//!   certificate, expansion and the subgraph MST follow as in a fresh
-//!   run.
+//! - *Crossing edges.* The same scan files each crossing edge of the
+//!   settling label in its group, from the labels as they stand, lowering
+//!   the group's minimum when it beats it. A neighbour that changes later
+//!   files the edge again. An edge whose label changed stays a member of
+//!   its old group until that group is rescanned: a rescan resolves each
+//!   member from the current labels, frees those that no longer resolve
+//!   to the group, and recomputes the minimum. Once the labels are final,
+//!   a group is rescanned only if its minimum no longer resolves to it
+//!   with the same `M` (an endpoint changed, or it was filed before its
+//!   other endpoint changed). Otherwise that minimum is the least: every
+//!   unchanged member kept its `M`, every changed one was filed with its
+//!   final `M`, and a removal cannot lower a minimum. Pair winners, and
+//!   the certificate's crossing part, then read one minimum per group,
+//!   with no pass over the kept edges. Filing takes freed entries first;
+//!   storage reserved for one entry per graph edge is compacted (every
+//!   group rescanned) only when full, and grows when that frees under a
+//!   quarter of it. Kruskal, expansion and the subgraph MST follow as in
+//!   a fresh run.
 //!
 //! The repair refuses, and the call runs afresh, when the previous call
 //! was not an exact dyadic Mehlhorn run, when λ' is not above it or
@@ -690,6 +707,8 @@ struct Crossing {
     v: NodeId,
     /// Edges on the terminal-to-terminal path `w` sums.
     hops: u32,
+    /// In a certifying run, the pair's group filed last (a hint).
+    group: u32,
 }
 
 impl Crossing {
@@ -698,6 +717,7 @@ impl Crossing {
         u: NO_NODE,
         v: NO_NODE,
         hops: 0,
+        group: END,
     };
 
     /// Whether `self` replaces `held`: lexicographically smaller
@@ -710,31 +730,249 @@ impl Crossing {
     }
 }
 
-/// One crossing edge `u < v` of a certifying run, kept for its repairs,
-/// which re-weigh it from its endpoints' labels.
+/// No entry or group: the end of an entry list, or no group hint.
+const END: u32 = u32::MAX;
+
+/// One crossing edge `u < v` of a certifying run, kept for its repairs as
+/// a member of its [`Group`].
 #[derive(Debug, Clone, Copy)]
 struct CrossEntry {
     u: NodeId,
     v: NodeId,
+    /// The group's next member, or the next free entry.
+    next: u32,
 }
 
 impl CrossEntry {
-    fn new(x: NodeId, y: NodeId) -> Self {
-        CrossEntry {
-            u: x.min(y),
-            v: x.max(y),
-        }
-    }
-
     /// `(a, b, k, M)`: the edge joins regions `a < b` by a path of `k`
     /// edges whose `m` sum to `M`, read from labels at the λ of `grid`.
     #[inline]
     fn resolve(&self, labels: &[Label], grid: &Grid) -> (u32, u32, u32, i64) {
         let (lu, lv) = (labels[self.u as usize], labels[self.v as usize]);
         let (a, b) = (lu.source.min(lv.source), lu.source.max(lv.source));
-        let k = lu.hops as u32 + lv.hops as u32;
-        let m = grid.m_of(lu.dist + lv.dist, k) + lu.pot.max(lv.pot) as i64;
-        (a, b, k + 1, m)
+        let (k, m) = grid.crossing((lu.dist, lu.hops), (lv.dist, lv.hops), lu.pot.max(lv.pot));
+        (a, b, k, m)
+    }
+}
+
+/// A crossing edge's `(M, u, v)`, packed so that one integer comparison
+/// orders it (`M ≥ 0` in an exact run): filing an edge updates a minimum
+/// without a branch, which measured faster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Least(u128);
+
+impl Least {
+    /// No edge; its `u` is [`NO_NODE`].
+    const NONE: Least = Least(u128::MAX);
+
+    fn new(m: i64, u: NodeId, v: NodeId) -> Self {
+        Least((m as u64 as u128) << 64 | (u as u128) << 32 | v as u128)
+    }
+
+    fn m(self) -> i64 {
+        (self.0 >> 64) as i64
+    }
+
+    fn u(self) -> NodeId {
+        (self.0 >> 32) as NodeId
+    }
+
+    fn v(self) -> NodeId {
+        self.0 as NodeId
+    }
+}
+
+/// The kept crossing edges of one terminal pair `a < b` with `k` hops.
+/// Each key among them is `kλ + M/λ`, so their least `(M, u, v)` is their
+/// least `(w, u, v)` at every λ.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    a: u32,
+    b: u32,
+    k: u32,
+    /// The member filed last; the others follow through
+    /// [`CrossEntry::next`].
+    last: u32,
+    /// The members' least `(M, u, v)`, [`Least::NONE`] when none resolves
+    /// here.
+    least: Least,
+    /// `least` as the current repair found it.
+    was: Least,
+}
+
+/// A certifying run's crossing edges filed by [`Group`], plus the work its
+/// repairs did on them (see the module doc). Each crossing edge is a
+/// member of the group it resolves to under the current labels; members
+/// that resolve elsewhere are left behind by repairs and dropped when
+/// their group is rescanned.
+#[derive(Debug)]
+struct Groups {
+    list: Vec<Group>,
+    /// Each group's index in `list` by `(a, b, k)`.
+    index: FxHashMap<(u32, u32, u32), u32>,
+    entries: Vec<CrossEntry>,
+    /// The first entry no group holds, the rest linked through
+    /// [`CrossEntry::next`].
+    free: u32,
+    /// Entries filed or rescanned by repairs, groups rescanned, minima a
+    /// repair kept as they were, and compactions, since the workspace's
+    /// creation.
+    reweighed: u64,
+    rescans: u64,
+    minima_kept: u64,
+    compactions: u64,
+}
+
+impl Default for Groups {
+    fn default() -> Self {
+        Groups {
+            list: Vec::new(),
+            index: FxHashMap::default(),
+            entries: Vec::new(),
+            free: END,
+            reweighed: 0,
+            rescans: 0,
+            minima_kept: 0,
+            compactions: 0,
+        }
+    }
+}
+
+impl Groups {
+    /// Empties the groups for a fresh run on a graph of `edges` edges, with
+    /// room for every edge at once: the storage is reserved once and
+    /// compacted only when full, as growing it by doubling would hold two
+    /// copies at a time.
+    fn start(&mut self, edges: usize) {
+        self.list.clear();
+        self.index.clear();
+        self.entries.clear();
+        self.entries.reserve(edges);
+        self.free = END;
+    }
+
+    /// The index of group `(a, b, k)`, created empty if new. `hint`, the
+    /// pair's group filed last, spares the lookup when it matches (edges
+    /// of one hop count come in runs), and is updated.
+    #[inline]
+    fn group(&mut self, hint: &mut u32, (a, b, k): (u32, u32, u32)) -> u32 {
+        if *hint != END && self.list[*hint as usize].k == k {
+            return *hint;
+        }
+        if let Some(&gi) = self.index.get(&(a, b, k)) {
+            *hint = gi;
+            return gi;
+        }
+        let gi = self.list.len() as u32;
+        *hint = gi;
+        self.index.insert((a, b, k), gi);
+        self.list.push(Group {
+            a,
+            b,
+            k,
+            last: END,
+            least: Least::NONE,
+            was: Least::NONE,
+        });
+        gi
+    }
+
+    /// Files the edge `u < v`, whose `M` is `m`, in group `gi`.
+    #[inline]
+    fn file(&mut self, gi: u32, (u, v): (NodeId, NodeId), m: i64) {
+        let group = &mut self.list[gi as usize];
+        let e = CrossEntry {
+            u,
+            v,
+            next: group.last,
+        };
+        if self.free == END {
+            group.last = self.entries.len() as u32;
+            self.entries.push(e);
+        } else {
+            group.last = self.free;
+            self.free = self.entries[self.free as usize].next;
+            self.entries[group.last as usize] = e;
+        }
+        group.least = group.least.min(Least::new(m, u, v));
+    }
+
+    /// Whether filing one more entry would grow the storage.
+    fn full(&self) -> bool {
+        self.free == END && self.entries.len() == self.entries.capacity()
+    }
+
+    /// Notes each group's minimum as a repair begins.
+    fn note_minima(&mut self) {
+        for g in &mut self.list {
+            g.was = g.least;
+        }
+    }
+
+    /// Recomputes group `gi`'s minimum from the members that still resolve
+    /// to it, freeing the others: a member's label change can only move it
+    /// out of the group or leave a copy of an edge filed again. Returns
+    /// how many entries it freed.
+    fn rescan(&mut self, gi: usize, labels: &[Label], grid: &Grid) -> usize {
+        let Group { a, b, k, .. } = self.list[gi];
+        let (mut least, mut freed) = (Least::NONE, 0);
+        let (mut prev, mut at) = (END, self.list[gi].last);
+        while at != END {
+            let e = self.entries[at as usize];
+            self.reweighed += 1;
+            let (ea, eb, ek, m) = e.resolve(labels, grid);
+            if (ea, eb, ek) == (a, b, k) {
+                least = least.min(Least::new(m, e.u, e.v));
+                prev = at;
+            } else {
+                match prev {
+                    END => self.list[gi].last = e.next,
+                    p => self.entries[p as usize].next = e.next,
+                }
+                self.entries[at as usize].next = self.free;
+                self.free = at;
+                freed += 1;
+            }
+            at = e.next;
+        }
+        self.list[gi].least = least;
+        self.rescans += 1;
+        freed
+    }
+
+    /// Rescans every group, making room; grows the storage when that frees
+    /// less than a quarter of it, so compactions stay rare.
+    fn compact(&mut self, labels: &[Label], grid: &Grid) {
+        self.compactions += 1;
+        let freed: usize = (0..self.list.len())
+            .map(|gi| self.rescan(gi, labels, grid))
+            .sum();
+        if freed < self.entries.len() / 4 {
+            self.entries.reserve(self.entries.len());
+        }
+    }
+
+    /// Once the labels are final, rescans each group whose minimum no
+    /// longer resolves to it with the same `M`, and counts the minima kept
+    /// as they were. Every member's current value was filed or is
+    /// unchanged, so a minimum that still resolves is the least.
+    fn check_minima(&mut self, labels: &[Label], grid: &Grid) {
+        for gi in 0..self.list.len() {
+            let g = self.list[gi];
+            if g.least == Least::NONE {
+                continue;
+            }
+            let e = CrossEntry {
+                u: g.least.u(),
+                v: g.least.v(),
+                next: END,
+            };
+            if e.resolve(labels, grid) != (g.a, g.b, g.k, g.least.m()) {
+                self.rescan(gi, labels, grid);
+            } else if g.least == g.was {
+                self.minima_kept += 1;
+            }
+        }
     }
 }
 
@@ -772,8 +1010,8 @@ impl CrossingTable {
     /// least `floor = d(x) + d(y)` (f64 addition of a non-negative term
     /// never rounds below the other operand), so when the held edge
     /// already weighs less than `floor` the offer cannot win and its
-    /// weight is never evaluated. Inlined into the Voronoi loop, which
-    /// measured faster.
+    /// weight is never evaluated. Returns the pair's slot. Inlined into
+    /// the Voronoi loop, which measured faster.
     #[inline(always)]
     fn offer<C: Costs>(
         &mut self,
@@ -782,28 +1020,41 @@ impl CrossingTable {
         x: (NodeId, f64, u16),
         y: (NodeId, f64, u16),
         m: u32,
-    ) {
+    ) -> &mut Crossing {
         let ((u, du, ku), (v, dv, kv)) = if x.0 < y.0 { (x, y) } else { (y, x) };
         let held = self.held(a.min(b), a.max(b));
         if held.u != NO_NODE && held.w < du + dv {
-            return;
+            return held;
         }
         let c = Crossing {
             w: du + costs.cost(u, v, m) + dv,
             u,
             v,
             hops: ku as u32 + kv as u32 + 1,
+            group: held.group,
         };
         if c.beats(held) {
             *held = c;
         }
+        held
     }
 
-    /// Offers `c` for the pair `(a, b)`, `a < b`.
-    fn consider(&mut self, a: u32, b: u32, c: Crossing) {
-        let held = self.held(a, b);
-        if c.beats(held) {
-            *held = c;
+    /// Resets the table to `terms` terminals and makes each pair's winner
+    /// the least of its groups' minima at the λ of `grid`.
+    fn reweigh(&mut self, terms: usize, groups: &[Group], grid: &Grid) {
+        self.reset(terms);
+        for g in groups.iter().filter(|g| g.least != Least::NONE) {
+            let c = Crossing {
+                w: grid.key(g.k, g.least.m()),
+                u: g.least.u(),
+                v: g.least.v(),
+                hops: g.k,
+                group: END,
+            };
+            let held = self.held(g.a, g.b);
+            if c.beats(held) {
+                *held = c;
+            }
         }
     }
 
@@ -828,7 +1079,8 @@ impl CrossingTable {
                 }
             }
         } else {
-            out.extend(self.sparse.iter().map(|(&(a, b), c)| (c.w, a, b)));
+            let won = self.sparse.iter().filter(|(_, c)| c.u != NO_NODE);
+            out.extend(won.map(|(&(a, b), c)| (c.w, a, b)));
         }
     }
 }
@@ -927,6 +1179,14 @@ impl Grid {
     #[inline]
     fn key(&self, k: u32, m: i64) -> f64 {
         k as f64 * self.lambda + m as f64 * self.inv_lambda
+    }
+
+    /// `(k, M)` of the crossing edge between labels `x` and `y`, each
+    /// `(distance, hops)`, the larger of whose potentials is `m`.
+    #[inline]
+    fn crossing(&self, x: (f64, u16), y: (f64, u16), m: u32) -> (u32, i64) {
+        let k = x.1 as u32 + y.1 as u32;
+        (k + 1, self.m_of(x.0 + y.0, k) + m as i64)
     }
 }
 
@@ -1121,13 +1381,14 @@ pub(crate) fn dyadic_exponent(lambda: f64) -> Option<i32> {
 ///
 /// Per-vertex state is generation-stamped, so a call costs no `O(|V|)`
 /// clear; buffers grow to the largest graph seen and serve graphs of any
-/// size after that. Hold one per thread for a run of calls (a root sweep)
-/// and drop it afterwards. It keeps about 36 bytes per vertex of the
+/// size after that. Hold one per thread for a run of calls (a root sweep),
+/// or pool it across runs. It keeps about 36 bytes per vertex of the
 /// largest graph it served: a 24-byte label (distance, potential, source,
 /// stamp, hops, queue slot, bound), 12 bytes of parent and list links,
 /// and a bit in each queue's id bitmap and in two marker bitmaps. A
-/// certifying run also keeps 8 bytes per crossing edge for its repairs,
-/// with room reserved for one per graph edge.
+/// certifying run also keeps 12 bytes per crossing edge for its repairs,
+/// with room reserved for one per graph edge, and 48 bytes per group of
+/// them.
 #[derive(Debug, Default)]
 pub struct SteinerWorkspace {
     labels: Vec<Label>,
@@ -1165,8 +1426,8 @@ struct Kept {
     t: i32,
     hops_max: u16,
     m_max: u32,
-    /// Every crossing edge of the run, once.
-    entries: Vec<CrossEntry>,
+    /// The run's crossing edges.
+    groups: Groups,
     /// One bit per vertex whose label the current repair changed.
     changed: Vec<u64>,
     seeds: Vec<NodeId>,
@@ -1221,6 +1482,21 @@ impl SteinerWorkspace {
         self.settled
     }
 
+    /// Crossing edges that repairs on this workspace filed or rescanned,
+    /// since it was created.
+    pub(crate) fn crossing_reweighed(&self) -> u64 {
+        self.kept.groups.reweighed
+    }
+
+    /// What repairs on this workspace did to its crossing-edge groups
+    /// since it was created (see the module doc): groups rescanned, cached
+    /// minima kept as they were, and compactions of the full storage.
+    #[doc(hidden)]
+    pub fn group_work(&self) -> (u64, u64, u64) {
+        let g = &self.kept.groups;
+        (g.rescans, g.minima_kept, g.compactions)
+    }
+
     /// Jumps the stamp generation to just before it wraps, so tests can
     /// exercise the wrap-around reset without four billion calls. Only
     /// ever moves the generation forward, which keeps every stale stamp
@@ -1233,6 +1509,18 @@ impl SteinerWorkspace {
     /// Drops the kept run, so the next call runs afresh.
     pub(crate) fn forget(&mut self) {
         self.kept.live = false;
+    }
+
+    /// Drops the kept run and frees its crossing edges, which the next
+    /// fresh run reserves again, keeping the per-vertex arrays: for a
+    /// workspace that waits idle in a pool, where memory it holds cannot
+    /// serve anything else.
+    pub(crate) fn trim(&mut self) {
+        self.kept.live = false;
+        let groups = &mut self.kept.groups;
+        (groups.list, groups.entries) = (Vec::new(), Vec::new());
+        groups.index = FxHashMap::default();
+        groups.free = END;
     }
 
     /// Opens a call on a graph of `n` vertices: grows the per-vertex
@@ -1314,15 +1602,23 @@ impl SteinerWorkspace {
                 costs.decided((w0, k0), (w1, k1));
             }
             // Each pair's winner keeps beating an edge of as many hops or
-            // more, so only fewer-hop edges bound it. Once the certificate
-            // covers no larger power of two, no bound can matter.
+            // more, so only fewer-hop edges bound it, and of a group only
+            // its minimum, whose bound is the tightest. Once the
+            // certificate covers no larger power of two, no bound can
+            // matter.
             if costs.open() {
                 let grid = costs.grid();
-                for e in &self.kept.entries {
-                    let (a, b, k, m) = e.resolve(&self.labels, &grid);
-                    let held = self.crossing.get(a, b);
-                    if k < held.hops {
-                        costs.decided((held.w, held.hops), (grid.key(k, m), k));
+                for g in self
+                    .kept
+                    .groups
+                    .list
+                    .iter()
+                    .filter(|g| g.least != Least::NONE)
+                {
+                    let held = self.crossing.get(g.a, g.b);
+                    if g.k < held.hops {
+                        let m = g.least.m();
+                        costs.decided((held.w, held.hops), (grid.key(g.k, m), g.k));
                     }
                 }
             }
@@ -1369,7 +1665,7 @@ impl SteinerWorkspace {
             t: kept_t,
             hops_max: kept_hops,
             m_max,
-            entries,
+            groups,
             changed,
             seeds,
             popped,
@@ -1434,7 +1730,7 @@ impl SteinerWorkspace {
         // the edge again): they bound labels and cross regions.
         popped.clear();
         recheck.clear();
-        let old_len = entries.len();
+        groups.note_minima();
         while let Some(v) = radix.pop(labels, links) {
             popped.push(v);
             mark(changed, v);
@@ -1488,14 +1784,17 @@ impl SteinerWorkspace {
                     recheck.push(x);
                 }
                 if lx.source != lv.source {
-                    // An edge to a label that may still change is kept
-                    // reversed, and dropped below if that label changed.
-                    let e = CrossEntry::new(v, x);
-                    entries.push(if marked(changed, x) {
-                        e
-                    } else {
-                        CrossEntry { u: e.v, v: e.u }
-                    });
+                    // Filed from the labels as they stand: if `x` changes
+                    // later, it files the edge again, and minima are
+                    // checked once the labels are final.
+                    let (a, b) = (lv.source.min(lx.source), lv.source.max(lx.source));
+                    let (k, mk) = grid.crossing((lv.dist, lv.hops), (lx.dist, lx.hops), m as u32);
+                    let gi = groups.group(&mut crossing.held(a, b).group, (a, b, k));
+                    if groups.full() {
+                        groups.compact(labels, &grid);
+                    }
+                    groups.file(gi, (v.min(x), v.max(x)), mk);
+                    groups.reweighed += 1;
                 }
             }
             set_bound(labels, links, bounds, v, (bound, by));
@@ -1505,7 +1804,6 @@ impl SteinerWorkspace {
             for &v in popped.iter() {
                 changed[v as usize / 64] = 0;
             }
-            entries.truncate(old_len);
             *live = false;
             return None;
         }
@@ -1527,41 +1825,15 @@ impl SteinerWorkspace {
             set_bound(labels, links, bounds, v, (bound, by));
         }
 
-        // Each pair's winner among the crossing edges at λ: the unchanged
-        // labels' edges, re-weighed, and the changed labels' new ones.
-        // The old edges of changed labels go; so do new edges kept
-        // reversed whose other endpoint changed after the scan, as that
-        // endpoint handled the edge again.
-        let mut i = 0;
-        entries.retain_mut(|e| {
-            i += 1;
-            let stale = (marked(changed, e.u), marked(changed, e.v));
-            if i <= old_len {
-                return stale == (false, false);
-            }
-            if e.u > e.v {
-                (e.u, e.v) = (e.v, e.u);
-                return stale != (true, true);
-            }
-            true
-        });
+        // Every crossing edge of a changed label joined its group as that
+        // label settled. A group whose minimum no longer resolves to it
+        // (an endpoint changed, or it was filed before its other endpoint
+        // changed) is rescanned; pair winners follow from the minima.
+        groups.check_minima(labels, &grid);
         for &v in popped.iter() {
             changed[v as usize / 64] = 0;
         }
-        crossing.reset(terms);
-        for e in entries.iter() {
-            let (a, b, k, m) = e.resolve(labels, &grid);
-            crossing.consider(
-                a,
-                b,
-                Crossing {
-                    w: grid.key(k, m),
-                    u: e.u,
-                    v: e.v,
-                    hops: k,
-                },
-            );
-        }
+        crossing.reweigh(terms, &groups.list, &grid);
 
         let labels_min = bounds
             .iter()
@@ -1625,8 +1897,8 @@ fn set_bound(
 
 /// Steps 1–2: grows the Voronoi regions of `terms` on `queue` and fills
 /// the crossing table as each crossing edge's second endpoint settles. A
-/// certifying run also bounds each label and keeps every crossing edge.
-/// Returns how many labels settled.
+/// certifying run also bounds each label and files every crossing edge in
+/// its group. Returns how many labels settled.
 #[allow(clippy::too_many_arguments)]
 fn voronoi<C: Costs, Q: VoronoiQueue>(
     g: &Graph,
@@ -1640,12 +1912,10 @@ fn voronoi<C: Costs, Q: VoronoiQueue>(
     gen: u32,
 ) -> u64 {
     crossing.reset(terms.len());
-    kept.entries.clear();
     if C::CERTIFIES {
-        // Room for every edge at once: growing by doubling would hold two
-        // copies at a time.
-        kept.entries.reserve(g.num_edges());
+        kept.groups.start(g.num_edges());
     }
+    let grid = costs.grid();
     for (i, &t) in terms.iter().enumerate() {
         let label = &mut labels[t as usize];
         (label.dist, label.source, label.stamp) = (0.0, i as u32, gen);
@@ -1690,9 +1960,12 @@ fn voronoi<C: Costs, Q: VoronoiQueue>(
                 }
                 if lv.source != su {
                     let (x, y) = ((u, du, ku), (v, lv.dist, lv.hops));
-                    crossing.offer(costs, (su, lv.source), x, y, m);
+                    let pair = crossing.offer(costs, (su, lv.source), x, y, m);
                     if C::CERTIFIES {
-                        kept.entries.push(CrossEntry::new(u, v));
+                        let (a, b) = (su.min(lv.source), su.max(lv.source));
+                        let (k, mk) = grid.crossing((du, ku), (lv.dist, lv.hops), m);
+                        let gi = kept.groups.group(&mut pair.group, (a, b, k));
+                        kept.groups.file(gi, (u.min(v), u.max(v)), mk);
                     }
                 }
                 continue;
@@ -2161,9 +2434,59 @@ mod tests {
         (labels[0].dist, labels[0].hops, labels[0].source) = (grid.key(2, 1 << 33), 2, 3);
         (labels[1].dist, labels[1].hops, labels[1].source) = (grid.key(1, 7), 1, 1);
         (labels[0].pot, labels[1].pot) = (9, 4);
-        let entry = CrossEntry::new(1, 0);
-        assert_eq!((entry.u, entry.v), (0, 1));
+        let entry = CrossEntry {
+            u: 0,
+            v: 1,
+            next: END,
+        };
         assert_eq!(entry.resolve(&labels, &grid), (1, 3, 4, (1 << 33) + 16));
+        // A group's least packs `(M, u, v)` into one ordered integer.
+        let least = Least::new(1 << 33, 7, 9);
+        assert_eq!((least.m(), least.u(), least.v()), (1 << 33, 7, 9));
+        assert!(least < Least::new(1 << 33, 8, 0) && least < Least::NONE);
+        assert_eq!(Least::NONE.u(), NO_NODE);
+    }
+
+    #[test]
+    fn full_group_storage_compacts_and_reuses_freed_entries() {
+        // Vertices 0 and 2 in region 0, 1 and 3 in region 1, hop count 0
+        // and potential v, at λ = 1: edge (u, v) joins the pair (0, 1) in
+        // one hop with M = max(u, v).
+        let grid = Grid::new(0);
+        let mut labels = vec![Label::default(); 4];
+        for (v, l) in labels.iter_mut().enumerate() {
+            (l.source, l.pot) = (v as u32 % 2, v as u32);
+        }
+        let file = |groups: &mut Groups, labels: &[Label], (u, v): (NodeId, NodeId)| {
+            let (a, b, k, m) = CrossEntry { u, v, next: END }.resolve(labels, &grid);
+            let gi = groups.group(&mut { END }, (a, b, k));
+            groups.file(gi, (u, v), m);
+        };
+        let mut groups = Groups::default();
+        groups.start(4);
+        for e in [(0, 1), (0, 3), (1, 2), (2, 3)] {
+            file(&mut groups, &labels, e);
+        }
+        assert_eq!(groups.list[0].least, Least::new(1, 0, 1));
+        assert!(groups.full(), "capacity {}", groups.entries.capacity());
+        // Vertex 3 joins region 0: its two edges no longer cross, and a
+        // compaction frees them for the next filings.
+        labels[3].source = 0;
+        groups.compact(&labels, &grid);
+        file(&mut groups, &labels, (1, 3));
+        assert_eq!((groups.entries.len(), groups.entries.capacity()), (4, 4));
+        assert!(!groups.full(), "one freed entry is left");
+        // Vertex 0 joins region 1: a rescan finds the new least.
+        labels[0].source = 1;
+        assert_eq!(groups.rescan(0, &labels, &grid), 1);
+        assert_eq!(groups.list[0].least, Least::new(2, 1, 2));
+        // A compaction that frees under a quarter grows the storage.
+        file(&mut groups, &labels, (0, 2));
+        file(&mut groups, &labels, (0, 3));
+        assert!(groups.full());
+        groups.compact(&labels, &grid);
+        assert!(groups.entries.capacity() >= 8);
+        assert_eq!((groups.rescans, groups.compactions), (3, 2));
     }
 
     #[test]

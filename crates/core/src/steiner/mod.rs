@@ -25,6 +25,8 @@ pub use mst::{kruskal, WeightedEdge};
 pub use takahashi::takahashi_matsuyama;
 pub use unionfind::UnionFind;
 
+use std::sync::Mutex;
+
 use mwc_graph::{Graph, NodeId};
 
 use crate::error::Result;
@@ -174,6 +176,51 @@ impl<'a> LambdaSweep<'a> {
         }
         let (g, terminals, potentials) = (self.g, self.terminals, self.potentials);
         lambda_steiner_with(self.ws, self.algorithm, g, terminals, lambda, potentials)
+    }
+}
+
+/// Idle [`SteinerWorkspace`]s of an engine's root sweeps, so that a
+/// sweep worker takes grown buffers instead of growing new ones each solve.
+#[derive(Debug, Default)]
+pub(crate) struct SteinerPool(Mutex<Vec<SteinerWorkspace>>);
+
+impl SteinerPool {
+    /// Takes an idle workspace, or a new one; dropping the lease returns
+    /// it.
+    pub(crate) fn lease(&self) -> SteinerLease<'_> {
+        let idle = self.0.lock().expect("workspace pool poisoned").pop();
+        SteinerLease {
+            pool: self,
+            ws: idle.unwrap_or_default(),
+        }
+    }
+}
+
+/// A [`SteinerWorkspace`] leased from a [`SteinerPool`].
+pub(crate) struct SteinerLease<'p> {
+    pool: &'p SteinerPool,
+    ws: SteinerWorkspace,
+}
+
+impl std::ops::Deref for SteinerLease<'_> {
+    type Target = SteinerWorkspace;
+    fn deref(&self) -> &SteinerWorkspace {
+        &self.ws
+    }
+}
+
+impl std::ops::DerefMut for SteinerLease<'_> {
+    fn deref_mut(&mut self) -> &mut SteinerWorkspace {
+        &mut self.ws
+    }
+}
+
+impl Drop for SteinerLease<'_> {
+    fn drop(&mut self) {
+        self.ws.trim();
+        if let Ok(mut idle) = self.pool.0.lock() {
+            idle.push(std::mem::take(&mut self.ws));
+        }
     }
 }
 

@@ -61,7 +61,9 @@ use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
 use crate::adjust::adjust_distances_with;
 use crate::connector::Connector;
 use crate::error::{CoreError, Result};
-use crate::steiner::{klein_ravi, LambdaSweep, Repeats, SteinerAlgorithm, SteinerWorkspace};
+use crate::steiner::{
+    klein_ravi, LambdaSweep, Repeats, SteinerAlgorithm, SteinerPool, SteinerWorkspace,
+};
 use crate::trace::TraceContext;
 
 /// Which vertices Algorithm 1 tries as the root `r`.
@@ -240,7 +242,11 @@ impl<'g> WienerSteiner<'g> {
         pool: &WorkspacePool,
         shared: Option<&SharedRootDists>,
     ) -> Result<WsqSolution> {
-        self.solve_from(q, pool, DistanceSource::Exact(shared))
+        let pools = Pools {
+            dist: pool,
+            steiner: &SteinerPool::default(),
+        };
+        self.solve_from(q, pools, DistanceSource::Exact(shared))
     }
 
     /// Algorithm 1 with each root's distances taken from `source`: the
@@ -248,7 +254,7 @@ impl<'g> WienerSteiner<'g> {
     pub(crate) fn solve_from(
         &self,
         q: &[NodeId],
-        pool: &WorkspacePool,
+        pools: Pools<'_>,
         source: DistanceSource<'_>,
     ) -> Result<WsqSolution> {
         let g = self.graph;
@@ -270,7 +276,7 @@ impl<'g> WienerSteiner<'g> {
         // searches from q[0] here.
         if !checks_each_root(&self.config, source) {
             let span = self.config.trace.span("feasibility");
-            let mut ws = RootDistWorkspace::lease(pool, g);
+            let mut ws = RootDistWorkspace::lease(pools.dist, g);
             let dist = ws.run(g, q[0]);
             let infeasible = q.iter().any(|&v| dist[v as usize] == INF_DIST);
             drop(span);
@@ -281,7 +287,7 @@ impl<'g> WienerSteiner<'g> {
 
         let mut candidates: Vec<CandidateRecord> = Vec::new();
         let mut best: Option<(CandidateRecord, Vec<NodeId>)> = None;
-        let mut all = self.root_sweep(&q, pool, source)?;
+        let mut all = self.root_sweep(&q, pools, source)?;
 
         let mut eval_span = self.config.trace.span("evaluate");
         let exact_evals = evaluate_exact(
@@ -329,7 +335,7 @@ impl<'g> WienerSteiner<'g> {
     pub(crate) fn root_sweep(
         &self,
         q: &[NodeId],
-        pool: &WorkspacePool,
+        pools: Pools<'_>,
         source: DistanceSource<'_>,
     ) -> Result<Vec<EvaluatedCandidate>> {
         let g = self.graph;
@@ -340,10 +346,10 @@ impl<'g> WienerSteiner<'g> {
         };
         // Stage accounting for the `root_sweep` span: root distance arrays
         // computed in the sweep (the rest came from a prefetch), and the
-        // time of that, Steiner, `AdjustDistances` and `A(H, r)`
-        // accumulated across sweep workers (reported as counters — the
-        // stages run interleaved on several threads, so child spans would
-        // overlap their siblings).
+        // time of that, Steiner, `AdjustDistances`, `A(H, r)` and the
+        // induced subgraphs it runs on, accumulated across sweep workers
+        // (reported as counters — the stages run interleaved on several
+        // threads, so child spans would overlap their siblings).
         let traced = self.config.trace.enabled();
         let sweep_start = traced.then(Instant::now);
         let stage_acc = StageCounters {
@@ -351,7 +357,7 @@ impl<'g> WienerSteiner<'g> {
             ..StageCounters::default()
         };
         let counters = traced.then_some(&stage_acc);
-        let all = self.sweep_roots(g, q, &roots, source, &lambdas, pool, counters)?;
+        let all = self.sweep_roots(g, q, &roots, source, &lambdas, pools, counters)?;
         if let Some(t0) = sweep_start {
             let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
             self.config.trace.record_with(
@@ -369,8 +375,10 @@ impl<'g> WienerSteiner<'g> {
                     ("steiner_repaired", load(&stage_acc.steiner_repaired)),
                     ("steiner_reused", load(&stage_acc.steiner_reused)),
                     ("voronoi_settled", load(&stage_acc.voronoi_settled)),
+                    ("crossing_reweighed", load(&stage_acc.crossing_reweighed)),
                     ("adjust_us", load(&stage_acc.adjust_us)),
                     ("evaluate_a_us", load(&stage_acc.evaluate_a_us)),
+                    ("induced_us", load(&stage_acc.induced_us)),
                     ("worker_busy_max_us", load(&stage_acc.worker_busy_max_us)),
                     ("worker_busy_min_us", load(&stage_acc.worker_busy_min_us)),
                 ],
@@ -391,7 +399,7 @@ impl<'g> WienerSteiner<'g> {
         roots: &[NodeId],
         source: DistanceSource<'_>,
         lambdas: &[f64],
-        pool: &WorkspacePool,
+        pools: Pools<'_>,
         counters: Option<&StageCounters>,
     ) -> Result<Vec<EvaluatedCandidate>> {
         let threads = if self.config.parallel {
@@ -412,7 +420,7 @@ impl<'g> WienerSteiner<'g> {
                 chunk_roots,
                 source,
                 lambdas,
-                pool,
+                pools,
                 counters,
             );
             if let (Some(c), Some(t0)) = (counters, t0) {
@@ -498,6 +506,15 @@ pub fn batched_root_distances_dispatch(
         MsDistWorkspace::Bfs(ms) => multi_source_distances(g, roots, ms),
         MsDistWorkspace::Radix(ws) => roots.iter().map(|&r| ws.run(g, r).to_vec()).collect(),
     }
+}
+
+/// Where a solve leases its buffers: distance workspaces from `dist`, and
+/// the Steiner workspace each sweep worker holds for its roots' calls from
+/// `steiner`.
+#[derive(Clone, Copy)]
+pub(crate) struct Pools<'p> {
+    pub(crate) dist: &'p WorkspacePool,
+    pub(crate) steiner: &'p SteinerPool,
 }
 
 /// Per-root distance arrays shared *across* queries: root vertex →
@@ -658,8 +675,11 @@ struct StageCounters {
     steiner_repaired: AtomicU64,
     steiner_reused: AtomicU64,
     voronoi_settled: AtomicU64,
+    crossing_reweighed: AtomicU64,
     adjust_us: AtomicU64,
     evaluate_a_us: AtomicU64,
+    /// The part of `evaluate_a_us` spent building induced subgraphs.
+    induced_us: AtomicU64,
     /// Wall time of the busiest and the idlest sweep worker.
     worker_busy_max_us: AtomicU64,
     worker_busy_min_us: AtomicU64,
@@ -721,12 +741,22 @@ fn run_roots(
     roots: &[NodeId],
     source: DistanceSource<'_>,
     lambdas: &[f64],
-    pool: &WorkspacePool,
+    pools: Pools<'_>,
     counters: Option<&StageCounters>,
 ) -> Result<Vec<EvaluatedCandidate>> {
     let mut out: Vec<EvaluatedCandidate> = Vec::with_capacity(roots.len() * lambdas.len());
-    // One Steiner workspace serves every (root, λ) call of this worker.
-    let mut steiner_ws = SteinerWorkspace::new();
+    // One Steiner workspace serves every (root, λ) call of this worker;
+    // its counters run since its creation, so the trace takes deltas.
+    let mut steiner_ws = pools.steiner.lease();
+    let work = |ws: &SteinerWorkspace| {
+        [
+            ws.ring_calls(),
+            ws.repairs(),
+            ws.voronoi_settled(),
+            ws.crossing_reweighed(),
+        ]
+    };
+    let before = work(&steiner_ws);
     let mut own: Option<RootDistWorkspace<'_>> = None;
     let mut estimates: Vec<u32>;
     let check_roots = checks_each_root(cfg, source);
@@ -748,7 +778,7 @@ fn run_roots(
                 let t0 = counters.map(|_| Instant::now());
                 let d = match source {
                     DistanceSource::Exact(_) => own
-                        .get_or_insert_with(|| RootDistWorkspace::lease(pool, g))
+                        .get_or_insert_with(|| RootDistWorkspace::lease(pools.dist, g))
                         .run(g, r),
                     DistanceSource::Landmarks(oracle) => {
                         // INF_DIST fills every component without a
@@ -838,12 +868,7 @@ fn run_roots(
                 tree
             };
             let nodes = final_tree.nodes;
-            let t0 = counters.map(|_| Instant::now());
-            let a_value = evaluate_a(g, &nodes, r, pool)?;
-            if let (Some(c), Some(t0)) = (counters, t0) {
-                c.evaluate_a_us
-                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-            }
+            let a_value = evaluate_a(g, &nodes, r, pools.dist, counters)?;
             last = Some((out.len(), repeats));
             out.push((
                 CandidateRecord {
@@ -858,20 +883,36 @@ fn run_roots(
         }
     }
     if let Some(c) = counters {
-        c.steiner_ring
-            .fetch_add(steiner_ws.ring_calls(), Ordering::Relaxed);
-        c.steiner_repaired
-            .fetch_add(steiner_ws.repairs(), Ordering::Relaxed);
-        c.voronoi_settled
-            .fetch_add(steiner_ws.voronoi_settled(), Ordering::Relaxed);
+        let after = work(&steiner_ws);
+        let sums = [
+            &c.steiner_ring,
+            &c.steiner_repaired,
+            &c.voronoi_settled,
+            &c.crossing_reweighed,
+        ];
+        for ((sum, a), b) in sums.into_iter().zip(after).zip(before) {
+            sum.fetch_add(a - b, Ordering::Relaxed);
+        }
     }
     Ok(out)
 }
 
 /// Computes `A(G[S], r)` — one BFS (radix-heap Dijkstra when weighted)
-/// inside the induced subgraph.
-fn evaluate_a(g: &Graph, nodes: &[NodeId], r: NodeId, pool: &WorkspacePool) -> Result<u64> {
+/// inside the induced subgraph — timing it and the subgraph's
+/// construction into `counters`.
+fn evaluate_a(
+    g: &Graph,
+    nodes: &[NodeId],
+    r: NodeId,
+    pool: &WorkspacePool,
+    counters: Option<&StageCounters>,
+) -> Result<u64> {
+    let t0 = counters.map(|_| Instant::now());
     let sub = g.induced(nodes)?;
+    if let (Some(c), Some(t0)) = (counters, t0) {
+        c.induced_us
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    }
     let r_local = sub.to_local(r).expect("root belongs to its candidate");
     let (sum, reached) = if sub.graph().is_weighted() {
         let mut ws = pool.lease_radix();
@@ -887,6 +928,10 @@ fn evaluate_a(g: &Graph, nodes: &[NodeId], r: NodeId, pool: &WorkspacePool) -> R
         sub.num_nodes(),
         "candidate must induce a connected subgraph"
     );
+    if let (Some(c), Some(t0)) = (counters, t0) {
+        c.evaluate_a_us
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    }
     Ok(sum * sub.num_nodes() as u64)
 }
 

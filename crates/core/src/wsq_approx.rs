@@ -33,8 +33,8 @@ use mwc_graph::{Graph, NodeId};
 use rand::Rng;
 
 use crate::error::Result;
-use crate::steiner::SteinerAlgorithm;
-use crate::wsq::{DistanceSource, WienerSteiner, WsqConfig, WsqSolution};
+use crate::steiner::{SteinerAlgorithm, SteinerPool};
+use crate::wsq::{DistanceSource, Pools, WienerSteiner, WsqConfig, WsqSolution};
 
 /// Configuration of the approximate solver.
 #[derive(Debug, Clone)]
@@ -139,9 +139,13 @@ impl<'g> ApproxWienerSteiner<'g> {
     /// estimated distances. Same contract as
     /// [`WienerSteiner::solve`](crate::WienerSteiner::solve).
     pub fn solve(&self, q: &[NodeId]) -> Result<WsqSolution> {
+        let pools = Pools {
+            dist: &WorkspacePool::new(),
+            steiner: &SteinerPool::default(),
+        };
         WienerSteiner::with_config(self.graph, self.config.sweep_config()).solve_from(
             q,
-            &WorkspacePool::new(),
+            pools,
             DistanceSource::Landmarks(&self.oracle),
         )
     }
@@ -347,9 +351,12 @@ mod tests {
                             mwc_graph::wiener::wiener_index(g.induced(nodes).unwrap().graph());
                     }
                 }
-                let pool = WorkspacePool::new();
+                let pools = Pools {
+                    dist: &WorkspacePool::new(),
+                    steiner: &SteinerPool::default(),
+                };
                 let mut got = WienerSteiner::with_config(&g, config.sweep_config())
-                    .root_sweep(&q, &pool, DistanceSource::Landmarks(&oracle))
+                    .root_sweep(&q, pools, DistanceSource::Landmarks(&oracle))
                     .unwrap();
                 evaluate_exact(&g, &mut got, config.wiener_exact_threshold, false, None).unwrap();
                 let key = |(rec, nodes): &EvaluatedCandidate| {

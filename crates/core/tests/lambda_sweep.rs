@@ -286,3 +286,49 @@ fn any_lambda_order_and_degenerate_queries() {
     let potentials = distances_from(&split, 0);
     check_sweep(&mut ws, &split, &[0, 4], &potentials, &[0.5, 1.0, 2.0]).unwrap();
 }
+
+/// The repairs' crossing-edge groups are exercised both ways: some repair
+/// rescans a group whose minimum lost an endpoint, and some keeps a
+/// cached minimum as it was.
+#[test]
+fn repairs_rescan_some_groups_and_keep_other_minima() {
+    let mut ws = SteinerWorkspace::new();
+    for seed in 0..6u64 {
+        let g = family_graph(
+            seed as usize % 3,
+            200,
+            seed,
+            [1, 9][seed as usize % 2],
+            true,
+        );
+        let Some(q) = pick_query(&g, seed, 6) else {
+            continue;
+        };
+        check_instance(&mut ws, &g, &q, q[0]).unwrap();
+    }
+    let (rescans, kept, _) = ws.group_work();
+    assert!(
+        rescans > 0 && kept > 0,
+        "{rescans} rescans, {kept} minima kept"
+    );
+}
+
+/// More than 128 terminals: repairs run on the hash-map crossing table.
+/// A few roots per graph keep the run short.
+#[test]
+fn large_terminal_sets_repair_on_the_hash_map_table() {
+    let mut ws = SteinerWorkspace::new();
+    let mut repaired = 0;
+    for (family, seed, max_weight) in [(1, 1, 1), (0, 2, 1), (2, 3, 9), (1, 4, 64)] {
+        let g = family_graph(family, 600, seed, max_weight, seed % 2 == 0);
+        let q = pick_query(&g, seed, 170).unwrap();
+        assert!(q.len() > 128, "family {family}: |Q| = {}", q.len());
+        for &r in &q[..3] {
+            let potentials = distances_from(&g, r);
+            let lambdas = lambda_grid(g.num_nodes(), 1.0);
+            repaired += check_sweep(&mut ws, &g, &q, &potentials, &lambdas).unwrap();
+        }
+    }
+    assert!(repaired > 20, "{repaired} repairs");
+    assert!(ws.group_work().0 > 0, "no group rescanned");
+}

@@ -168,10 +168,16 @@ fn traced_solve_returns_pipeline_span_tree() {
         if steiner_repaired > 0 {
             assert!(settled < karate_n * steiner_calls, "{solver}: {settled}");
         }
+        // Only repairs file or rescan crossing edges.
+        let reweighed = counter(sweep, "crossing_reweighed").unwrap();
+        if steiner_repaired == 0 {
+            assert_eq!(reweighed, 0, "{solver}");
+        }
         let busy_max = counter(sweep, "worker_busy_max_us").unwrap();
         assert!(counter(sweep, "worker_busy_min_us").unwrap() <= busy_max);
         assert!(counter(sweep, "steiner_us").is_some());
         assert!(counter(sweep, "evaluate_a_us").is_some());
+        assert!(counter(sweep, "induced_us").is_some());
         assert_eq!(
             counter(child(root, "cache_lookup").unwrap(), "hit"),
             Some(0)
