@@ -1,9 +1,10 @@
 //! Figure 5 extension — approximate-distance ws-q (the §6.6 direction).
 //!
 //! Compares the exact solver against [`ApproxWienerSteiner`] (landmark
-//! oracle distances, DESIGN.md §7) on Barabási–Albert graphs of growing
-//! size: per-query runtime once the oracle is built, the one-off oracle
-//! build time, and the solution-quality ratio `W_approx / W_exact`.
+//! oracle distances; see the `mwc_core::wsq_approx` module doc) on
+//! Barabási–Albert graphs of growing size: per-query runtime once the
+//! oracle is built, the one-off oracle build time, and the
+//! solution-quality ratio `W_approx / W_exact`.
 //!
 //! The exact solver pays `|Q|` full-graph BFS runs per query; the
 //! approximate solver pays `k` BFS runs once, then only `O(k·|V|)` scans

@@ -18,8 +18,8 @@
 //!    BFS work Algorithm 1 pays before its λ sweeps for a |Q| = 16
 //!    query: a standalone feasibility BFS plus one distance+parent BFS
 //!    per root (the pre-batching solver) against
-//!    [`batched_root_distances`], the unweighted kernel of the engine's
-//!    group prefetch (⌈|Q|/64⌉ shared CSR sweeps; feasibility rides
+//!    [`multi_source_distances`], the 64-lane kernel gathered into one
+//!    array per root (⌈|Q|/64⌉ shared CSR sweeps; feasibility rides
 //!    lane 0, and parents are derived on demand from the distances, so
 //!    the batched side pays neither up front);
 //! 6. **sequential vs batched oracle construction** (`oracle_build`) —
@@ -63,10 +63,12 @@ use std::time::Instant;
 
 use mwc_bench::{Scale, Timer};
 use mwc_core::steiner::{lambda_steiner_with, LambdaSweep, SteinerAlgorithm};
-use mwc_core::wsq::{batched_root_distances, lambda_grid};
+use mwc_core::wsq::lambda_grid;
 use mwc_core::{QueryEngine, QueryOptions, SteinerWorkspace, WsqConfig};
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
-use mwc_graph::traversal::bfs::{BfsWorkspace, MsBfsWorkspace, WorkspacePool, MS_BFS_LANES};
+use mwc_graph::traversal::bfs::{
+    multi_source_distances, BfsWorkspace, MsBfsWorkspace, WorkspacePool, MS_BFS_LANES,
+};
 use mwc_graph::traversal::dijkstra::DijkstraWorkspace;
 use mwc_graph::NodeId;
 use mwc_service::Json;
@@ -244,9 +246,9 @@ fn main() {
     //    pays in BFS before the λ sweeps, for a |Q| = 16 query. The
     //    baseline is the pre-batching solver's work — one standalone
     //    feasibility BFS from q[0] plus one distance+parent BFS per root;
-    //    the kernel side is the group prefetch's own helper (shared
-    //    multi-source sweeps plus the per-root gather — feasibility rides
-    //    lane 0 for free, and parent trees are derived on demand later).
+    //    the kernel side is shared multi-source sweeps plus the per-root
+    //    gather (feasibility rides lane 0 for free, and parent trees are
+    //    derived on demand later).
     let wsq_roots: Vec<NodeId> = {
         let mut roots: Vec<NodeId> = Vec::new();
         while roots.len() < WSQ_BATCH_ROOTS {
@@ -270,7 +272,7 @@ fn main() {
         }
     });
     let batched_ms = best_of(gate_reps, || {
-        batched_root_distances(&g, &wsq_roots, &mut msws);
+        multi_source_distances(&g, &wsq_roots, &mut msws);
     });
     let wsq_cmp = comparison("wsq:batched_root_sweep", per_root_ms, batched_ms);
 

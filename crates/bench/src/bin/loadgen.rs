@@ -32,17 +32,17 @@
 //!                       a small fixed query pool, once with cross-request
 //!                       coalescing off and once with it on; solve caches
 //!                       are disabled on both runs so the speedup measures
-//!                       shared MS-BFS sweeps and in-window dedup, not
-//!                       cache replay. Merges a `contend` section (with
-//!                       `speedup`, per-run p50/p99, and the server's mean
-//!                       lane occupancy) into BENCH_service.json.
+//!                       in-window dedup and job batching, not cache
+//!                       replay. Merges a `contend` section (with
+//!                       `speedup`, per-run p50/p99, and the coalescing
+//!                       run's `stats` counters) into BENCH_service.json.
 //!   --contend-window-us N
 //!                       coalescing flush window for the "on" run (default
 //!                       10000 — deliberately larger than the server's
 //!                       300µs default, sized so windows fill against the
 //!                       multi-ms contended ws-q solves being batched;
-//!                       the 64-lane trigger still closes windows early
-//!                       under real pile-ups)
+//!                       the 64-unit work budget still closes windows
+//!                       early under real pile-ups)
 //!
 //!   --trace-overhead    tracing-cost comparison: the same closed-loop
 //!                       workload against one in-process server (solve
@@ -243,9 +243,8 @@ fn parse_cli() -> Args {
             // thread pools — so the comparison isolates tier scaling.
             vec!["cps".into()]
         } else if args.contend {
-            // ws-q exposes its BFS roots for coalescing, so the contended
-            // comparison exercises cross-request lane sharing, not just
-            // in-window dedup.
+            // ws-q: multi-ms solves, so windows fill and identical
+            // requests pile up for in-window dedup.
             vec!["ws-q".into()]
         } else {
             vec!["ws-q".into(), "ws-q-approx".into(), "st".into()]
@@ -1206,11 +1205,6 @@ fn contend_main(args: &Args) {
     let (rps_off, off) = contend_totals(secs_off, &samples_off);
     let (rps_on, mut on) = contend_totals(secs_on, &samples_on);
     let speedup = if rps_off > 0.0 { rps_on / rps_off } else { 0.0 };
-    let lane_occupancy = coalesce
-        .as_ref()
-        .and_then(|c| c.get("lane_occupancy_mean"))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
     if let (Json::Obj(m), Some(c)) = (&mut on, coalesce) {
         m.insert("coalesce".into(), c);
     }
@@ -1230,7 +1224,7 @@ fn contend_main(args: &Args) {
             totals.get("p99_ms").and_then(Json::as_f64).unwrap_or(0.0),
         );
     }
-    println!("speedup: {speedup:.2}x, mean lane occupancy: {lane_occupancy:.3}");
+    println!("speedup: {speedup:.2}x");
 
     let contend = Json::obj([
         (
@@ -1271,7 +1265,6 @@ fn contend_main(args: &Args) {
         ),
         ("coalesce_off", off),
         ("coalesce_on", on),
-        ("lane_occupancy_mean", Json::from(lane_occupancy)),
         ("speedup", Json::from(speedup)),
     ]);
 
@@ -1291,8 +1284,7 @@ fn contend_main(args: &Args) {
         .expect("write output");
     file.write_all(b"\n").expect("write output");
     eprintln!(
-        "loadgen --contend: off {rps_off:.1} r/s, on {rps_on:.1} r/s, speedup {speedup:.2}x, \
-         lane occupancy {lane_occupancy:.3} → {}",
+        "loadgen --contend: off {rps_off:.1} r/s, on {rps_on:.1} r/s, speedup {speedup:.2}x → {}",
         args.out
     );
 }

@@ -123,12 +123,11 @@ pub fn adjust_distances(
 /// function instead of a materialized array.
 ///
 /// This is the entry point `ws-q`'s root sweep uses: its distance
-/// kernels (single-source in the sweep workers, multi-source in a group
-/// prefetch) produce per-root *distance* arrays only, and parents are
-/// derived on demand by
+/// kernels (BFS, or radix-heap Dijkstra on weighted graphs) produce
+/// per-root *distance* arrays only, and parents are derived on demand by
 /// [`canonical_parent`](mwc_graph::traversal::bfs::canonical_parent)
 /// (lowest-id neighbor one level closer) — a pure function of the
-/// distances, so batched and per-root solves graft identical paths. Any
+/// distances, so every kernel grafts identical paths. Any
 /// shortest-path-tree parent function preserves Lemma 2; the canonical
 /// rule additionally makes the output deterministic across kernels.
 pub fn adjust_distances_with<P: Fn(NodeId) -> NodeId>(

@@ -54,13 +54,14 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
-use mwc_graph::traversal::bfs::{WorkspacePool, MS_BFS_LANES};
+use mwc_graph::traversal::bfs::WorkspacePool;
 use mwc_graph::{centrality, Graph, GraphError, NodeId};
 use rand::SeedableRng;
 
@@ -70,10 +71,7 @@ use crate::exact::{exact_minimum, shortest_path_connector, ExactConfig};
 use crate::local_search::{refine, LocalSearchConfig};
 use crate::steiner::SteinerPool;
 use crate::trace::TraceContext;
-use crate::wsq::{
-    batched_root_distances_dispatch, DistanceSource, MsDistWorkspace, Pools, RootPolicy,
-    SharedRootDists, WienerSteiner, WsqConfig, WsqSolution,
-};
+use crate::wsq::{DistanceSource, Pools, WienerSteiner, WsqConfig, WsqSolution};
 use crate::wsq_approx::ApproxWsqConfig;
 
 /// Per-query knobs, built fluently:
@@ -525,7 +523,6 @@ pub struct QueryContext<'e> {
     options: QueryOptions,
     deadline: Option<Instant>,
     prefer_sequential: bool,
-    shared_roots: Option<Arc<SharedRootDists>>,
 }
 
 impl<'e> QueryContext<'e> {
@@ -542,25 +539,7 @@ impl<'e> QueryContext<'e> {
             options,
             deadline,
             prefer_sequential,
-            shared_roots: None,
         }
-    }
-
-    /// Attaches prefetched per-root distance arrays (the
-    /// [`QueryEngine::solve_group`] coalescing path).
-    fn with_shared_roots(mut self, shared_roots: Option<Arc<SharedRootDists>>) -> Self {
-        self.shared_roots = shared_roots;
-        self
-    }
-
-    /// Per-root distance arrays prefetched by a cross-query coalesced
-    /// sweep, when this solve is part of one ([`QueryEngine::solve_group`]).
-    /// Solvers with per-root distance sweeps (`ws-q`, `ws-q+ls`) take
-    /// these instead of computing the covered roots themselves; results
-    /// are bit-identical either way because multi-source lanes are
-    /// independent.
-    pub fn shared_root_distances(&self) -> Option<&SharedRootDists> {
-        self.shared_roots.as_deref()
     }
 
     /// `true` when the engine is already parallelizing *across* queries
@@ -648,22 +627,6 @@ pub trait ConnectorSolver: Send + Sync {
     /// query, out-of-range vertices, or query vertices spanning multiple
     /// components; otherwise returns a connector containing the query.
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport>;
-
-    /// The root vertices whose full BFS distance arrays this solver would
-    /// compute for `q` — or `None` when it runs no per-root sweeps (the
-    /// default). [`QueryEngine::solve_group`] unions these across the
-    /// queries of one coalesced window and prefetches them through shared
-    /// [`MsBfsWorkspace`](mwc_graph::traversal::bfs::MsBfsWorkspace)
-    /// sweeps; a solver that answers here must then consume
-    /// [`QueryContext::shared_root_distances`] in its `solve`.
-    ///
-    /// Implementations must return roots whose prefetched distances leave
-    /// the result **bit-identical** to an uncoalesced solve — for the
-    /// `ws-q` family that holds because MS-BFS lane distances do not
-    /// depend on lane composition.
-    fn coalesce_roots(&self, _ctx: &QueryContext<'_>, _q: &[NodeId]) -> Option<Vec<NodeId>> {
-        None
-    }
 }
 
 /// `"ws-q"` — the paper's Algorithm 1 ([`WienerSteiner`]) behind the
@@ -685,13 +648,9 @@ impl ConnectorSolver for WsqSolver {
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
             ctx.pools(),
-            DistanceSource::Exact(ctx.shared_root_distances()),
+            DistanceSource::Exact,
         )?;
         Ok(SolveReport::from_wsq(self.name(), sol))
-    }
-
-    fn coalesce_roots(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Option<Vec<NodeId>> {
-        wsq_coalesce_roots(&self.config, ctx, q)
     }
 }
 
@@ -702,24 +661,6 @@ fn per_query(mut cfg: WsqConfig, ctx: &QueryContext<'_>) -> WsqConfig {
     cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
     cfg.trace = ctx.options().trace_context().clone();
     cfg
-}
-
-/// Shared [`ConnectorSolver::coalesce_roots`] answer for the solvers built
-/// on [`WienerSteiner`]: under `QueryOnly` roots the per-root distance
-/// arrays are exactly the normalized query vertices' distances, so those
-/// are what a coalesced window can prefetch. `AllVertices` roots and
-/// single-vertex queries decline.
-fn wsq_coalesce_roots(
-    cfg: &WsqConfig,
-    ctx: &QueryContext<'_>,
-    q: &[NodeId],
-) -> Option<Vec<NodeId>> {
-    if cfg.roots != RootPolicy::QueryOnly {
-        return None;
-    }
-    crate::wsq::normalize_query(ctx.graph(), q)
-        .ok()
-        .filter(|qn| qn.len() > 1)
 }
 
 /// `"ws-q-approx"` — Algorithm 1 on landmark-estimated distances (§6.6),
@@ -772,7 +713,7 @@ impl ConnectorSolver for LocalSearchSolver {
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_from(
             q,
             ctx.pools(),
-            DistanceSource::Exact(ctx.shared_root_distances()),
+            DistanceSource::Exact,
         )?;
         let candidates = sol.num_candidates as u64;
         let (connector, wiener_index) = if ctx.deadline_exceeded() {
@@ -798,10 +739,6 @@ impl ConnectorSolver for LocalSearchSolver {
             candidates,
             optimal: None,
         })
-    }
-
-    fn coalesce_roots(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Option<Vec<NodeId>> {
-        wsq_coalesce_roots(&self.wsq, ctx, q)
     }
 }
 
@@ -887,13 +824,6 @@ pub struct GroupStats {
     pub deduped: u64,
     /// Distinct solver executions the window ran.
     pub executed: u64,
-    /// Shared multi-source sweeps run for the window's prefetched roots.
-    pub shared_sweeps: u64,
-    /// Lanes occupied across those sweeps (≤ 64 × `shared_sweeps`; the
-    /// ratio is the window's lane occupancy).
-    pub shared_lanes: u64,
-    /// Distinct roots whose distances were prefetched and shared.
-    pub shared_roots: u64,
 }
 
 impl GroupStats {
@@ -903,9 +833,6 @@ impl GroupStats {
         self.cache_hits += other.cache_hits;
         self.deduped += other.deduped;
         self.executed += other.executed;
-        self.shared_sweeps += other.shared_sweeps;
-        self.shared_lanes += other.shared_lanes;
-        self.shared_roots += other.shared_roots;
     }
 }
 
@@ -915,27 +842,9 @@ impl GroupStats {
 pub struct GroupOutcome {
     /// One result per input query, in input order.
     pub results: Vec<Result<SolveReport>>,
-    /// What the window shared, deduplicated, and executed.
+    /// What the window answered from the cache, deduplicated, and
+    /// executed.
     pub stats: GroupStats,
-}
-
-/// Most bytes of distance arrays one [`QueryEngine::solve_group`]
-/// prefetches. The arrays (one `u32` per vertex per root) live until the
-/// group ends, so the budget bounds a group's memory however many queries
-/// it carries; a sweep's lane matrix is no larger than its arrays.
-const GROUP_PREFETCH_BYTES: usize = 64 << 20;
-
-/// Most distinct roots one [`QueryEngine::solve_group`] prefetches on a
-/// graph of `n` vertices: two full multi-source sweeps, fewer when their
-/// arrays would pass [`GROUP_PREFETCH_BYTES`], and none when fewer than
-/// two fit (one root has nothing to share a sweep with).
-fn group_prefetch_roots(n: usize) -> usize {
-    let cap = (GROUP_PREFETCH_BYTES / (4 * n.max(1))).min(2 * MS_BFS_LANES);
-    if cap < 2 {
-        0
-    } else {
-        cap
-    }
 }
 
 /// One distinct execution of a [`QueryEngine::solve_group`]: the solver,
@@ -989,6 +898,22 @@ fn duplicate_error(e: &CoreError) -> CoreError {
             size: *size,
             budget: *budget,
         },
+        CoreError::SolverPanicked { solver, message } => CoreError::SolverPanicked {
+            solver: solver.clone(),
+            message: message.clone(),
+        },
+    }
+}
+
+/// The message of a caught panic: its `&str` or `String` payload, as
+/// `panic!` builds them.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
     }
 }
 
@@ -1314,7 +1239,7 @@ impl<'g> QueryEngine<'g> {
     /// [`Self::solve_batch`] and `mwc_service`'s per-graph coalescer and
     /// wire `batch`.
     ///
-    /// Three passes:
+    /// Two passes:
     ///
     /// 1. **Admission** — per query: resolve the solver (unknown names
     ///    error in place), canonicalize, consult the solve cache (see
@@ -1322,23 +1247,18 @@ impl<'g> QueryEngine<'g> {
     ///    remainder: queries with identical `(solver, canonical query,
     ///    size budget)` share one execution (deadline-bearing queries are
     ///    never shared — their results depend on wall-clock luck).
-    /// 2. **Prefetch** — when more than one execution remains, union the
-    ///    jobs' [`ConnectorSolver::coalesce_roots`] answers, in job order,
-    ///    up to 128 distinct roots (two sweeps; fewer where their arrays
-    ///    would pass 64 MiB), and run the union through shared 64-lane
-    ///    multi-source sweeps, so root distance work that would run once
-    ///    per root and query runs once per group with packed lanes. A job
-    ///    whose roots do not fit under the cap is left out whole and
-    ///    computes its roots' distances in its own sweep workers; the cap
-    ///    bounds the distance arrays a group holds until it ends.
-    /// 3. **Execute** — scoped workers (the calling thread among them)
+    /// 2. **Execute** — scoped workers (the calling thread among them)
     ///    each take the next job from a shared counter, with sequential
     ///    solver internals when several jobs run at once; results fan back
-    ///    out to every member in input order.
+    ///    out to every member in input order. Each job runs exactly the
+    ///    solve a lone [`Self::solve_with`] call would, its ws-q sweep
+    ///    computing its own roots' distances. A job whose solver panics
+    ///    answers its members with [`CoreError::SolverPanicked`]; the
+    ///    other jobs and the engine carry on.
     ///
     /// Results are **bit-identical** to per-query [`Self::solve_with`]
-    /// calls (multi-source lanes are independent; pinned by the group
-    /// parity tests and the service-level coalescer suite).
+    /// calls (pinned by the group parity tests and the service-level
+    /// coalescer suite).
     pub fn solve_group(&self, queries: &[GroupQuery]) -> GroupOutcome {
         let start = Instant::now();
         let mut stats = GroupStats {
@@ -1394,43 +1314,7 @@ impl<'g> QueryEngine<'g> {
         }
         stats.executed = jobs.len() as u64;
 
-        // Pass 2: prefetch the capped union of the jobs' roots through
-        // shared multi-source batches. Only worth it when executions can
-        // actually share lanes; a lone job's sweep workers compute their
-        // own roots' distances.
-        let mut shared: Option<Arc<SharedRootDists>> = None;
-        if jobs.len() > 1 {
-            let cap = group_prefetch_roots(self.graph.get().num_nodes());
-            let mut roots: BTreeSet<NodeId> = BTreeSet::new();
-            for job in &jobs {
-                let s = self.solver(job.solver).expect("resolved in pass 1");
-                let ctx =
-                    QueryContext::new(self.graph.get(), &self.shared, job.options.clone(), false);
-                if let Some(r) = s.coalesce_roots(&ctx, &job.canonical) {
-                    let fresh = r.iter().filter(|v| !roots.contains(v)).count();
-                    if roots.len() + fresh <= cap {
-                        roots.extend(r);
-                    }
-                }
-            }
-            if roots.len() > 1 {
-                let roots: Vec<NodeId> = roots.into_iter().collect();
-                let mut ms = MsDistWorkspace::lease(&self.shared.pool, self.graph.get());
-                let mut map = SharedRootDists::with_capacity(roots.len());
-                for batch in roots.chunks(MS_BFS_LANES) {
-                    let arrays = batched_root_distances_dispatch(self.graph.get(), batch, &mut ms);
-                    stats.shared_sweeps += 1;
-                    stats.shared_lanes += batch.len() as u64;
-                    for (&r, d) in batch.iter().zip(arrays) {
-                        map.insert(r, Arc::new(d));
-                    }
-                }
-                stats.shared_roots = map.len() as u64;
-                shared = Some(Arc::new(map));
-            }
-        }
-
-        // Pass 3: execute and fan out. Workers pull jobs from a shared
+        // Pass 2: execute and fan out. Workers pull jobs from a shared
         // counter, so a run of slow jobs cannot pin one worker's fixed
         // share of the group; solver internals stay sequential when
         // several jobs run concurrently.
@@ -1438,11 +1322,8 @@ impl<'g> QueryEngine<'g> {
             .map(|p| p.get())
             .unwrap_or(1)
             .min(jobs.len().max(1));
-        let shared = shared.as_ref();
         let results: Vec<Result<SolveReport>> = if threads <= 1 {
-            jobs.iter()
-                .map(|job| self.solve_prefetched(job, shared, false))
-                .collect()
+            jobs.iter().map(|job| self.solve_job(job, false)).collect()
         } else {
             // Relaxed: the counter only hands out job indices; results
             // come back through `join`.
@@ -1452,7 +1333,7 @@ impl<'g> QueryEngine<'g> {
                 loop {
                     let j = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(j) else { break done };
-                    done.push((j, self.solve_prefetched(job, shared, true)));
+                    done.push((j, self.solve_job(job, true)));
                 }
             };
             let mut out: Vec<Option<Result<SolveReport>>> = Vec::new();
@@ -1500,15 +1381,11 @@ impl<'g> QueryEngine<'g> {
 
     /// One job of a [`Self::solve_group`], with the cache lookup already
     /// done by the group's admission pass (`cache_insert` carries its
-    /// verdict) and the prefetched root distances attached to the
-    /// context: solve, stamp `seconds` with the job's own wall time,
-    /// enforce the size budget, and cache the report.
-    fn solve_prefetched(
-        &self,
-        job: &GroupJob<'_>,
-        shared: Option<&Arc<SharedRootDists>>,
-        prefer_sequential: bool,
-    ) -> Result<SolveReport> {
+    /// verdict): solve, stamp `seconds` with the job's own wall time,
+    /// enforce the size budget, and cache the report. A panic in the
+    /// solver becomes [`CoreError::SolverPanicked`]; the workspace pools
+    /// drop whatever the unwinding solve had leased.
+    fn solve_job(&self, job: &GroupJob<'_>, prefer_sequential: bool) -> Result<SolveReport> {
         let start = Instant::now();
         let s = self.solver(job.solver)?;
         let ctx = QueryContext::new(
@@ -1516,9 +1393,14 @@ impl<'g> QueryEngine<'g> {
             &self.shared,
             job.options.clone(),
             prefer_sequential,
-        )
-        .with_shared_roots(shared.cloned());
-        let mut report = s.solve(&ctx, &job.canonical)?;
+        );
+        let solved = std::panic::catch_unwind(AssertUnwindSafe(|| s.solve(&ctx, &job.canonical)));
+        let mut report = solved.unwrap_or_else(|payload| {
+            Err(CoreError::SolverPanicked {
+                solver: job.solver.to_string(),
+                message: panic_message(payload.as_ref()),
+            })
+        })?;
         report.seconds = start.elapsed().as_secs_f64();
         if let Some(budget) = job.options.size_budget() {
             if report.connector.len() > budget {
@@ -2038,10 +1920,6 @@ mod tests {
             assert_eq!(coalesced.candidates, direct.candidates);
             assert_eq!(coalesced.optimal, direct.optimal);
         }
-        // Multiple multi-root ws-q jobs in one window: the prefetch ran
-        // and packed every distinct root into shared sweeps.
-        assert!(outcome.stats.shared_sweeps >= 1);
-        assert!(outcome.stats.shared_roots > 2);
         assert_eq!(outcome.stats.requests, queries.len() as u64);
         assert_eq!(outcome.stats.executed, queries.len() as u64);
     }
@@ -2134,14 +2012,13 @@ mod tests {
         let empty = engine.solve_group(&[]);
         assert!(empty.results.is_empty());
         assert_eq!(empty.stats, GroupStats::default());
-        // A lone query runs without a prefetch (there is nothing to
-        // share lanes with) and matches the direct call.
+        // A lone query runs as one job and matches the direct call.
         let lone = engine.solve_group(&[GroupQuery::new(
             "ws-q",
             vec![11, 24, 25, 29],
             QueryOptions::new().no_cache(),
         )]);
-        assert_eq!(lone.stats.shared_sweeps, 0);
+        assert_eq!(lone.stats.executed, 1);
         let direct = engine
             .solve_with("ws-q", &[11, 24, 25, 29], &QueryOptions::new().no_cache())
             .unwrap();
@@ -2152,27 +2029,21 @@ mod tests {
     }
 
     #[test]
-    fn solve_group_caps_its_prefetch_and_matches_per_query_solves() {
+    fn large_solve_group_matches_per_query_solves() {
         use mwc_graph::generators::barabasi_albert::barabasi_albert;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xCA9);
         let g = barabasi_albert(1500, 3, &mut rng);
         let engine = QueryEngine::new(&g);
-        // 40 disjoint |Q| = 4 queries: 160 distinct roots, more than the
-        // cap, so the jobs past it compute their own roots' distances.
+        // 40 disjoint |Q| = 4 queries: many more jobs than workers, each
+        // computing its own 4 roots' distances.
         let queries: Vec<GroupQuery> = (0..40u32)
             .map(|i| {
                 let q = (0..4u32).map(|k| (i * 37 + k * 373) % 1500).collect();
                 GroupQuery::new("ws-q", q, QueryOptions::new().no_cache())
             })
             .collect();
-        let cap = group_prefetch_roots(g.num_nodes());
-        let distinct: BTreeSet<NodeId> = queries.iter().flat_map(|gq| gq.q.clone()).collect();
-        assert!(distinct.len() > cap);
         let outcome = engine.solve_group(&queries);
         assert_eq!(outcome.stats.executed, queries.len() as u64);
-        assert!(outcome.stats.shared_roots > 0);
-        assert!(outcome.stats.shared_roots <= cap as u64);
-        assert!(outcome.stats.shared_sweeps <= 2);
         for (gq, result) in queries.iter().zip(&outcome.results) {
             let grouped = result.as_ref().expect("connected BA query");
             let direct = engine.solve_with("ws-q", &gq.q, &gq.options).unwrap();
@@ -2182,20 +2053,161 @@ mod tests {
         }
     }
 
-    #[test]
-    fn group_prefetch_cap_is_a_byte_budget() {
-        // Two full sweeps while 128 arrays fit in 64 MiB (every graph up
-        // to 131 072 vertices), then as many as fit.
-        assert_eq!(group_prefetch_roots(34), 2 * MS_BFS_LANES);
-        assert_eq!(group_prefetch_roots(20_000), 2 * MS_BFS_LANES);
-        assert_eq!(group_prefetch_roots(200_000), 83);
-        assert_eq!(group_prefetch_roots(1_000_000), 16);
-        for n in [20_000, 200_000, 1_000_000] {
-            assert!(group_prefetch_roots(n) * 4 * n <= GROUP_PREFETCH_BYTES);
+    /// A solver registered under another name, so that one engine can
+    /// serve two configurations of it.
+    struct Renamed<S>(&'static str, S);
+
+    impl<S: ConnectorSolver> ConnectorSolver for Renamed<S> {
+        fn name(&self) -> &str {
+            self.0
         }
-        // Where not even two arrays fit, nothing is prefetched.
-        assert_eq!(group_prefetch_roots(GROUP_PREFETCH_BYTES / 8), 2);
-        assert_eq!(group_prefetch_roots(GROUP_PREFETCH_BYTES / 8 + 1), 0);
+
+        fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
+            self.1.solve(ctx, q)
+        }
+    }
+
+    /// `g` with hash weights in `1..=max_weight` (the `wba:` scheme).
+    fn weighted_twin(g: &Graph, max_weight: u32) -> Graph {
+        let edges: Vec<(NodeId, NodeId, u32)> = g
+            .edges()
+            .map(|(u, v)| {
+                let h = (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (v as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+                (u, v, (h % max_weight as u64) as u32 + 1)
+            })
+            .collect();
+        Graph::from_weighted_edges(g.num_nodes(), &edges).unwrap()
+    }
+
+    #[test]
+    fn solve_group_matches_lone_solves_on_every_job_shape() {
+        use crate::wsq::RootPolicy;
+        use mwc_graph::generators::barabasi_albert::barabasi_albert;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A9E);
+        let ba = barabasi_albert(80, 2, &mut rng);
+        // A second component, a path of six vertices, makes a query that
+        // spans both infeasible.
+        let mut edges: Vec<(NodeId, NodeId)> = ba.edges().collect();
+        edges.extend((80..85).map(|v| (v, v + 1)));
+        let unweighted = Graph::from_edges(86, &edges).unwrap();
+        let weighted = weighted_twin(&unweighted, 9);
+        let engine = |g| {
+            let mut engine = QueryEngine::new(g);
+            let all_roots = WsqConfig {
+                roots: RootPolicy::AllVertices,
+                ..WsqConfig::default()
+            };
+            engine.register(Box::new(Renamed(
+                "ws-q-all",
+                WsqSolver { config: all_roots },
+            )));
+            engine
+        };
+        let opts = QueryOptions::new().no_cache();
+        let queries: Vec<GroupQuery> = [
+            ("ws-q", vec![3, 40, 77]),
+            ("ws-q", vec![3, 40, 61]),    // shares two roots with the first
+            ("ws-q", vec![77, 3, 40, 3]), // duplicate of the first
+            ("ws-q", vec![5, 82]),        // spans both components
+            ("ws-q", vec![82, 5]),        // duplicate of the infeasible one
+            ("ws-q+ls", vec![3, 61]),     // another solver on shared roots
+            ("ws-q-all", vec![3, 40, 79]), // every vertex a root
+            ("ws-q-all", vec![81, 85]),   // every vertex, most unreachable
+        ]
+        .into_iter()
+        .map(|(solver, q)| GroupQuery::new(solver, q, opts.clone()))
+        .collect();
+        for g in [&unweighted, &weighted] {
+            let grouped = engine(g).solve_group(&queries);
+            assert_eq!((grouped.stats.executed, grouped.stats.deduped), (6, 2));
+            let reference = engine(g);
+            for (gq, got) in queries.iter().zip(&grouped.results) {
+                let shape = format!("{} {:?} weighted={}", gq.solver, gq.q, g.is_weighted());
+                match (got, reference.solve_with(&gq.solver, &gq.q, &gq.options)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.connector.vertices(), b.connector.vertices(), "{shape}");
+                        assert_eq!(a.wiener_index, b.wiener_index, "{shape}");
+                        assert_eq!(a.candidates, b.candidates, "{shape}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{shape}"),
+                    (a, b) => panic!("{shape}: group {a:?} vs lone {b:?}"),
+                }
+            }
+            for i in [3, 4] {
+                assert!(matches!(
+                    grouped.results[i],
+                    Err(CoreError::QueryNotConnectable)
+                ));
+            }
+        }
+    }
+
+    /// A solver that panics while holding leased workspaces.
+    struct Panicking;
+
+    impl ConnectorSolver for Panicking {
+        fn name(&self) -> &str {
+            "panics"
+        }
+
+        fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
+            let _bfs = ctx.workspace_pool().lease();
+            let _steiner = ctx.pools().steiner.lease();
+            panic!("test solver panics on {q:?}");
+        }
+    }
+
+    #[test]
+    fn solver_panic_costs_only_its_own_job() {
+        let g = karate_club();
+        let mut engine = QueryEngine::new(&g);
+        engine.register(Box::new(Panicking));
+        let reference = QueryEngine::new(&g);
+        let opts = QueryOptions::new().no_cache();
+        let queries = vec![
+            GroupQuery::new("ws-q", vec![11, 24, 25, 29], opts.clone()),
+            GroupQuery::new("panics", vec![0, 33], opts.clone()),
+            GroupQuery::new("ws-q", vec![2, 8, 30], opts.clone()),
+            GroupQuery::new("panics", vec![33, 0], opts.clone()),
+        ];
+        let same_as_lone = |got: &Result<SolveReport>, q: &[NodeId]| {
+            let got = got.as_ref().expect("ws-q answers");
+            let lone = reference.solve_with("ws-q", q, &opts).unwrap();
+            assert_eq!(got.connector.vertices(), lone.connector.vertices());
+            assert_eq!(got.wiener_index, lone.wiener_index);
+            assert_eq!(got.candidates, lone.candidates);
+        };
+        // The second group runs on the engine the first one's panics
+        // went through.
+        for _ in 0..2 {
+            let outcome = engine.solve_group(&queries);
+            assert_eq!((outcome.stats.executed, outcome.stats.deduped), (3, 1));
+            for i in [0, 2] {
+                same_as_lone(&outcome.results[i], &queries[i].q);
+            }
+            for i in [1, 3] {
+                match &outcome.results[i] {
+                    Err(CoreError::SolverPanicked { solver, message }) => {
+                        assert_eq!(solver, "panics");
+                        assert!(message.contains("[0, 33]"), "{message}");
+                    }
+                    other => panic!("expected a contained panic, got {other:?}"),
+                }
+            }
+        }
+        // A lone job on the calling thread: the workspace the solver held
+        // while it unwound is dropped, not pooled.
+        let idle = engine.shared.pool.idle();
+        assert!(idle > 0);
+        assert!(matches!(
+            engine.solve_with("panics", &[0, 33], &opts),
+            Err(CoreError::SolverPanicked { .. })
+        ));
+        assert_eq!(engine.shared.pool.idle(), idle - 1);
+        for q in [vec![11, 24, 25, 29], vec![0, 16, 26], vec![5, 28]] {
+            same_as_lone(&engine.solve_with("ws-q", &q, &opts), &q);
+        }
     }
 
     use mwc_graph::Graph;

@@ -42,6 +42,15 @@ pub enum CoreError {
         /// The configured budget it violated.
         budget: usize,
     },
+    /// The solver panicked while solving this query. The
+    /// [`QueryEngine`](crate::engine::QueryEngine) contains the panic to
+    /// the query's own job; the engine keeps serving.
+    SolverPanicked {
+        /// Registry name of the solver that panicked.
+        solver: String,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -69,6 +78,9 @@ impl fmt::Display for CoreError {
                 f,
                 "connector has {size} vertices, exceeding the size budget of {budget}"
             ),
+            CoreError::SolverPanicked { solver, message } => {
+                write!(f, "solver {solver:?} panicked: {message}")
+            }
         }
     }
 }

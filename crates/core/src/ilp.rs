@@ -17,7 +17,8 @@
 //!   Program 6 whose objective equals its Wiener index (tested).
 //!
 //! Together with `crate::exact` (which certifies optima directly) this
-//! covers §5's role in the evaluation; see DESIGN.md §3 item 4.
+//! covers §5's role in the evaluation; see the [`crate::lower_bound`]
+//! module doc.
 
 use mwc_graph::hash::FxHashMap;
 use mwc_graph::traversal::bfs::{bfs_parents, path_from_parents};

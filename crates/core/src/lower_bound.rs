@@ -1,11 +1,11 @@
 //! Certified lower bounds on the optimal Wiener index.
 //!
 //! §5 of the paper derives lower bounds from integer programs solved with
-//! Gurobi. A commercial MIP solver is outside this reproduction's scope
-//! (see DESIGN.md §3 item 4); instead this module provides a *certified
-//! combinatorial* lower bound playing the role of the solver's `GL` in
-//! Table 2, with a proof sketch below. On graphs with ≤ 64 vertices the
-//! exact enumerator (`crate::exact`) supplies `GL = GU = OPT` instead.
+//! Gurobi. A commercial MIP solver is outside this reproduction's scope;
+//! instead this module provides a *certified combinatorial* lower bound
+//! playing the role of the solver's `GL` in Table 2, with a proof sketch
+//! below. On graphs with ≤ 64 vertices the exact enumerator
+//! (`crate::exact`) supplies `GL = GU = OPT` instead.
 //!
 //! **Bound.** Let `Q` be the query set, `d_G` distances in the input graph,
 //! and `S ⊇ Q` any connector. Then

@@ -821,6 +821,8 @@ struct Groups {
     rescans: u64,
     minima_kept: u64,
     compactions: u64,
+    /// Most entries a fresh run reserves (`usize::MAX`: one per edge).
+    cap: usize,
 }
 
 impl Default for Groups {
@@ -834,6 +836,7 @@ impl Default for Groups {
             rescans: 0,
             minima_kept: 0,
             compactions: 0,
+            cap: usize::MAX,
         }
     }
 }
@@ -842,12 +845,16 @@ impl Groups {
     /// Empties the groups for a fresh run on a graph of `edges` edges, with
     /// room for every edge at once: the storage is reserved once and
     /// compacted only when full, as growing it by doubling would hold two
-    /// copies at a time.
+    /// copies at a time. Under a `cap`, the storage starts at most that
+    /// large.
     fn start(&mut self, edges: usize) {
         self.list.clear();
         self.index.clear();
         self.entries.clear();
-        self.entries.reserve(edges);
+        if self.entries.capacity() > self.cap {
+            self.entries.shrink_to(self.cap);
+        }
+        self.entries.reserve(edges.min(self.cap));
         self.free = END;
     }
 
@@ -1495,6 +1502,15 @@ impl SteinerWorkspace {
     pub fn group_work(&self) -> (u64, u64, u64) {
         let g = &self.kept.groups;
         (g.rescans, g.minima_kept, g.compactions)
+    }
+
+    /// Caps the crossing-edge storage each fresh run starts with at
+    /// `entries` instead of one per graph edge, so tests can fill it, and
+    /// make repairs compact it, on small graphs. Storage past the cap
+    /// still grows as a run needs it.
+    #[doc(hidden)]
+    pub fn cap_crossing_storage(&mut self, entries: usize) {
+        self.kept.groups.cap = entries;
     }
 
     /// Jumps the stamp generation to just before it wraps, so tests can

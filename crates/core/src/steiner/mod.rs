@@ -6,7 +6,7 @@
 //! 2-approximations — Kou–Markowsky–Berman (the algorithm Mehlhorn
 //! accelerates) and the Takahashi–Matsuyama path heuristic — are provided
 //! both as cross-validation for Mehlhorn's implementation and as the
-//! subroutine ablation in the bench suite (DESIGN.md §7).
+//! subroutine ablation of the `ablation` bench bin.
 
 pub(crate) mod expand;
 pub mod klein_ravi;
@@ -186,7 +186,7 @@ pub(crate) struct SteinerPool(Mutex<Vec<SteinerWorkspace>>);
 
 impl SteinerPool {
     /// Takes an idle workspace, or a new one; dropping the lease returns
-    /// it.
+    /// it, unless its thread is unwinding from a panic.
     pub(crate) fn lease(&self) -> SteinerLease<'_> {
         let idle = self.0.lock().expect("workspace pool poisoned").pop();
         SteinerLease {
@@ -217,6 +217,11 @@ impl std::ops::DerefMut for SteinerLease<'_> {
 
 impl Drop for SteinerLease<'_> {
     fn drop(&mut self) {
+        // A workspace left by a panicking solve may be half used (an
+        // expansion's `covered` bits still set, say): drop it instead.
+        if std::thread::panicking() {
+            return;
+        }
         self.ws.trim();
         if let Ok(mut idle) = self.pool.0.lock() {
             idle.push(std::mem::take(&mut self.ws));
@@ -248,5 +253,21 @@ mod tests {
     #[test]
     fn default_is_mehlhorn() {
         assert_eq!(SteinerAlgorithm::default(), SteinerAlgorithm::Mehlhorn);
+    }
+
+    #[test]
+    fn a_lease_dropped_while_unwinding_is_not_pooled() {
+        let pool = SteinerPool::default();
+        let idle = |pool: &SteinerPool| pool.0.lock().unwrap().len();
+        drop(pool.lease());
+        assert_eq!(idle(&pool), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ws = pool.lease();
+            panic!("a solve panics mid-call");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(idle(&pool), 0, "the half-used workspace was dropped");
+        drop(pool.lease());
+        assert_eq!(idle(&pool), 1);
     }
 }

@@ -4,7 +4,7 @@
 //! nearest to the current tree via a shortest path. Same `2(1 − 1/|Q|)`
 //! approximation factor as Mehlhorn's algorithm, but a different — often
 //! smaller, path-shaped — tree, which makes it an informative ablation
-//! subroutine inside Algorithm 1 (DESIGN.md §7).
+//! subroutine inside Algorithm 1 (the `ablation` bench bin).
 //!
 //! Each round is a multi-source Dijkstra from the current tree vertices,
 //! so the total cost is `O(|Q| (|E| + |V| log |V|))` — the same order as

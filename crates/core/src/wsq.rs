@@ -32,29 +32,24 @@
 //! exactly that with scoped threads. Each sweep worker also computes its
 //! own roots' distances `d_G(r, ·)` (line 1) in one pooled workspace:
 //! direction-optimizing BFS, or radix-heap Dijkstra on weighted graphs.
-//! Only a [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
-//! prefetch computes them ahead of the sweep
-//! ([`batched_root_distances_dispatch`]): on unweighted graphs it packs
-//! the roots of many queries into shared multi-source sweeps, on weighted
-//! ones it runs the same single-source kernel root by root. A worker takes
-//! a prefetched array when one covers its root. Every kernel yields the
-//! same distances, so connectors do not depend on where they came from.
+//! Every solve does so, including each job of a
+//! [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group),
+//! so a root's distances are computed where they are used and live only
+//! as long as that root's λ sweep.
 //!
 //! The same sweep serves `ws-q-approx` ([`crate::wsq_approx`]), whose
 //! workers read each root's distances as landmark estimates instead. That
 //! sweep skips `AdjustDistances`, which needs exact distances, and checks
 //! feasibility once up front with an exact search from `q[0]`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use mwc_graph::hash::FxHashMap;
 use mwc_graph::oracle::LandmarkOracle;
 use mwc_graph::traversal::bfs::{
-    canonical_parent, multi_source_distances, MsBfsWorkspace, PooledMsWorkspace,
-    PooledRadixWorkspace, PooledWorkspace, WorkspacePool,
+    canonical_parent, multi_source_distances, PooledMsWorkspace, PooledRadixWorkspace,
+    PooledWorkspace, WorkspacePool,
 };
 use mwc_graph::{wiener, Graph, NodeId, INF_DIST};
 
@@ -106,9 +101,9 @@ pub struct WsqConfig {
     pub steiner: SteinerAlgorithm,
     /// Bypass Lemma 4's node-to-edge cost shift and solve Problem 4
     /// directly with the Klein–Ravi node-weighted greedy (`O(log |Q|)`
-    /// factor). Exists for the ablation study: it measures what the
-    /// paper's constant-factor trick is worth (DESIGN.md §7). When set,
-    /// `steiner` is ignored.
+    /// factor). Exists for the ablation study (the `ablation` bench bin):
+    /// it measures what the paper's constant-factor trick is worth. When
+    /// set, `steiner` is ignored.
     pub node_weighted_steiner: bool,
     /// Cooperative wall-clock deadline. Once passed, the solver stops
     /// producing further `(root, λ)` candidates and selects among those
@@ -221,32 +216,11 @@ impl<'g> WienerSteiner<'g> {
     /// [`QueryEngine`](crate::engine::QueryEngine) uses to amortize
     /// workspace allocations across queries.
     pub fn solve_pooled(&self, q: &[NodeId], pool: &WorkspacePool) -> Result<WsqSolution> {
-        self.solve_pooled_shared(q, pool, None)
-    }
-
-    /// Like [`WienerSteiner::solve_pooled`], but taking per-root distance
-    /// arrays from `shared` where it has them: the cross-request
-    /// coalescing path, where one multi-source sweep served the roots of
-    /// *several* concurrent queries
-    /// ([`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)).
-    ///
-    /// Each sweep worker takes its root's array from `shared` when the map
-    /// covers that root and computes it in its own workspace otherwise.
-    /// Multi-source lanes are independent and match the single-source
-    /// kernels, so the arrays are bit-identical either way, and connectors
-    /// are bit-identical with or without `shared` (pinned by
-    /// `shared_root_distances_yield_identical_connectors`).
-    pub fn solve_pooled_shared(
-        &self,
-        q: &[NodeId],
-        pool: &WorkspacePool,
-        shared: Option<&SharedRootDists>,
-    ) -> Result<WsqSolution> {
         let pools = Pools {
             dist: pool,
             steiner: &SteinerPool::default(),
         };
-        self.solve_from(q, pools, DistanceSource::Exact(shared))
+        self.solve_from(q, pools, DistanceSource::Exact)
     }
 
     /// Algorithm 1 with each root's distances taken from `source`: the
@@ -345,11 +319,11 @@ impl<'g> WienerSteiner<'g> {
             RootPolicy::AllVertices => g.nodes().collect(),
         };
         // Stage accounting for the `root_sweep` span: root distance arrays
-        // computed in the sweep (the rest came from a prefetch), and the
-        // time of that, Steiner, `AdjustDistances`, `A(H, r)` and the
-        // induced subgraphs it runs on, accumulated across sweep workers
-        // (reported as counters — the stages run interleaved on several
-        // threads, so child spans would overlap their siblings).
+        // computed, and the time of that, Steiner, `AdjustDistances`,
+        // `A(H, r)` and the induced subgraphs it runs on, accumulated
+        // across sweep workers (reported as counters — the stages run
+        // interleaved on several threads, so child spans would overlap
+        // their siblings).
         let traced = self.config.trace.enabled();
         let sweep_start = traced.then(Instant::now);
         let stage_acc = StageCounters {
@@ -390,7 +364,8 @@ impl<'g> WienerSteiner<'g> {
     /// Fans the λ sweep for `roots` out across scoped worker threads
     /// (§6.6's embarrassing root parallelism), one fixed chunk of roots
     /// per worker; the merge keeps root order, so threading never changes
-    /// the candidate stream.
+    /// the candidate stream. A worker's panic resumes on the calling
+    /// thread with its own payload.
     #[allow(clippy::too_many_arguments)]
     fn sweep_roots(
         &self,
@@ -441,7 +416,7 @@ impl<'g> WienerSteiner<'g> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
         let mut out = Vec::new();
@@ -452,27 +427,12 @@ impl<'g> WienerSteiner<'g> {
     }
 }
 
-/// Distances from every root, batched through the multi-source BFS
-/// kernel: `⌈|roots|/64⌉` shared CSR sweeps, each serving up to 64 roots
-/// at once, gathered into one per-root array each. Bit-identical to
-/// per-root [`BfsWorkspace::run`](mwc_graph::traversal::bfs::BfsWorkspace::run)
-/// distances — the unweighted kernel of the group prefetch, exposed so
-/// the `wsq_batched` bench section measures exactly that code.
-pub fn batched_root_distances(
-    g: &Graph,
-    roots: &[NodeId],
-    ws: &mut MsBfsWorkspace,
-) -> Vec<Vec<u32>> {
-    multi_source_distances(g, roots, ws)
-}
-
-/// Pooled prefetch distance workspace, dispatched on the graph's
-/// weightedness: MS-BFS lanes for unweighted graphs, the single-source
-/// radix-heap Dijkstra
+/// Pooled workspace of [`batched_root_distances_dispatch`], dispatched on
+/// the graph's weightedness: MS-BFS lanes for unweighted graphs, the
+/// single-source radix-heap Dijkstra
 /// ([`RadixWorkspace`](mwc_graph::traversal::radix::RadixWorkspace)) for
-/// weighted ones. Both produce per-root arrays equal to the sweep
-/// workers' own, so the engine's cross-request prefetch hands workers the
-/// arrays they would compute themselves.
+/// weighted ones. Both produce per-root arrays equal to the ones ws-q's
+/// sweep workers compute for themselves.
 pub enum MsDistWorkspace<'p> {
     /// Unweighted graphs: 64-lane multi-source BFS (boxed: its per-lane
     /// aggregates make it the large variant).
@@ -492,11 +452,13 @@ impl<'p> MsDistWorkspace<'p> {
     }
 }
 
-/// [`batched_root_distances`] with kernel dispatch: unweighted graphs
-/// route through MS-BFS, weighted ones through one radix-heap Dijkstra
-/// per root.
-/// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)'s
-/// prefetch goes through here.
+/// Distances from every root at once, one array per root: unweighted
+/// graphs route through the multi-source BFS kernel (`⌈|roots|/64⌉`
+/// shared CSR sweeps), weighted ones through one radix-heap Dijkstra per
+/// root. Each array equals the one a ws-q sweep worker computes for that
+/// root, so a caller that replays Algorithm 1 outside the solver (as
+/// perfbench's stage split does) sees the solver's distances. No solve
+/// path calls it: each sweep worker computes its own roots' arrays.
 pub fn batched_root_distances_dispatch(
     g: &Graph,
     roots: &[NodeId],
@@ -517,22 +479,12 @@ pub(crate) struct Pools<'p> {
     pub(crate) steiner: &'p SteinerPool,
 }
 
-/// Per-root distance arrays shared *across* queries: root vertex →
-/// distances-from-root, produced by [`batched_root_distances_dispatch`].
-/// Built by
-/// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
-/// from the union of all coalesced queries' roots and consumed by
-/// [`WienerSteiner::solve_pooled_shared`]; the `Arc`s let many concurrent
-/// solves read one array without copying.
-pub type SharedRootDists = HashMap<NodeId, Arc<Vec<u32>>>;
-
 /// Where a root sweep's workers get each root's distances `d(r, ·)`
 /// (Algorithm 1 line 1).
 #[derive(Clone, Copy)]
 pub(crate) enum DistanceSource<'a> {
-    /// Exact distances: the root's array from a group prefetch when the
-    /// map covers it, and otherwise one the worker computes itself.
-    Exact(Option<&'a SharedRootDists>),
+    /// Exact distances, which the worker computes itself.
+    Exact,
     /// Landmark estimates (§6.6), `INF_DIST` saturated at `|V|`, for
     /// query roots only. Every estimate in a component without a landmark
     /// is `INF_DIST`, so they say nothing about feasibility, and they give
@@ -546,7 +498,7 @@ pub(crate) enum DistanceSource<'a> {
 /// estimate cannot tell an unreachable vertex from a landmark-free
 /// component.
 fn checks_each_root(cfg: &WsqConfig, source: DistanceSource<'_>) -> bool {
-    cfg.roots == RootPolicy::QueryOnly && matches!(source, DistanceSource::Exact(_))
+    cfg.roots == RootPolicy::QueryOnly && matches!(source, DistanceSource::Exact)
 }
 
 /// Convenience entry point with default configuration.
@@ -692,8 +644,7 @@ fn past_deadline(cfg: &WsqConfig) -> bool {
 
 /// A sweep worker's single-source distance workspace, dispatched on the
 /// graph's weightedness: direction-optimizing BFS on unweighted graphs,
-/// radix-heap Dijkstra on weighted ones. Each yields the arrays the group
-/// prefetch would, so a worker's own arrays equal prefetched ones.
+/// radix-heap Dijkstra on weighted ones.
 enum RootDistWorkspace<'p> {
     Bfs(PooledWorkspace<'p>),
     Radix(PooledRadixWorkspace<'p>),
@@ -720,12 +671,11 @@ impl<'p> RootDistWorkspace<'p> {
 /// Worker: full λ sweep for a chunk of roots, returning evaluated
 /// candidates.
 ///
-/// Under exact distances, a root's array comes from the prefetch when one
-/// covers it, and otherwise from this worker's own workspace, leased on
-/// the first root that needs it. Either way the BFS-tree parents feeding
+/// Under exact distances, a root's array comes from this worker's own
+/// workspace, leased on the first root. The BFS-tree parents feeding
 /// `AdjustDistances` are derived on demand from the distances by the
 /// deterministic [`canonical_parent`] rule — a pure function of the
-/// (kernel-invariant) distance array, so every source grafts identical
+/// (kernel-invariant) distance array, so every kernel grafts identical
 /// paths. A query root whose array misses a query vertex fails the solve
 /// with [`CoreError::QueryNotConnectable`] before any Steiner call. Under
 /// landmark estimates the worker computes every root's potentials itself
@@ -760,7 +710,7 @@ fn run_roots(
     let mut own: Option<RootDistWorkspace<'_>> = None;
     let mut estimates: Vec<u32>;
     let check_roots = checks_each_root(cfg, source);
-    let adjust = cfg.adjust && matches!(source, DistanceSource::Exact(_));
+    let adjust = cfg.adjust && matches!(source, DistanceSource::Exact);
     let mut terminals: Vec<NodeId> = Vec::with_capacity(q.len() + 1);
     for &r in roots {
         // Cooperative deadline: stop sweeping further roots, but never
@@ -768,36 +718,26 @@ fn run_roots(
         if !out.is_empty() && past_deadline(cfg) {
             break;
         }
-        let prefetched = match source {
-            DistanceSource::Exact(shared) => shared.and_then(|map| map.get(&r)),
-            DistanceSource::Landmarks(_) => None,
-        };
-        let dist_r: &[u32] = match prefetched {
-            Some(d) => d.as_slice(),
-            None => {
-                let t0 = counters.map(|_| Instant::now());
-                let d = match source {
-                    DistanceSource::Exact(_) => own
-                        .get_or_insert_with(|| RootDistWorkspace::lease(pools.dist, g))
-                        .run(g, r),
-                    DistanceSource::Landmarks(oracle) => {
-                        // INF_DIST fills every component without a
-                        // landmark; as a Steiner potential it saturates.
-                        estimates = oracle.estimate_all(r);
-                        for d in estimates.iter_mut().filter(|d| **d == INF_DIST) {
-                            *d = g.num_nodes() as u32;
-                        }
-                        &estimates
-                    }
-                };
-                if let (Some(c), Some(t0)) = (counters, t0) {
-                    c.root_distances.fetch_add(1, Ordering::Relaxed);
-                    c.root_distances_us
-                        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let t0 = counters.map(|_| Instant::now());
+        let dist_r: &[u32] = match source {
+            DistanceSource::Exact => own
+                .get_or_insert_with(|| RootDistWorkspace::lease(pools.dist, g))
+                .run(g, r),
+            DistanceSource::Landmarks(oracle) => {
+                // INF_DIST fills every component without a landmark; as a
+                // Steiner potential it saturates.
+                estimates = oracle.estimate_all(r);
+                for d in estimates.iter_mut().filter(|d| **d == INF_DIST) {
+                    *d = g.num_nodes() as u32;
                 }
-                d
+                &estimates
             }
         };
+        if let (Some(c), Some(t0)) = (counters, t0) {
+            c.root_distances.fetch_add(1, Ordering::Relaxed);
+            c.root_distances_us
+                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        }
         // Terminals: Q ∪ {r} (identical to Q under RootPolicy::QueryOnly).
         terminals.clear();
         terminals.extend_from_slice(q);
@@ -1136,157 +1076,154 @@ mod tests {
         assert_eq!(sol.connector.vertices(), &[2, 3, 4]);
     }
 
-    /// A group prefetch of `roots`, built as `QueryEngine::solve_group`
-    /// builds it.
-    fn prefetch(g: &Graph, roots: &[NodeId]) -> SharedRootDists {
-        let pool = WorkspacePool::new();
-        let mut ws = MsDistWorkspace::lease(&pool, g);
-        let arrays = batched_root_distances_dispatch(g, roots, &mut ws);
-        roots
-            .iter()
-            .copied()
-            .zip(arrays.into_iter().map(Arc::new))
-            .collect()
-    }
-
-    /// `solve_pooled_shared` over a prefetch of every root against plain
-    /// per-root `solve`, each in parallel and in sequence: connectors, W,
-    /// candidate counts and the winning `(root, λ)` must all agree with a
-    /// sequential per-root solve. Returns that reference.
-    fn assert_prefetch_parity(g: &Graph, q: &[NodeId], roots: RootPolicy) -> WsqSolution {
-        let all_roots: Vec<NodeId> = match roots {
-            RootPolicy::QueryOnly => normalize_query(g, q).unwrap(),
-            RootPolicy::AllVertices => g.nodes().collect(),
+    /// `queries` solved lone by `WienerSteiner` under `roots`, in sequence
+    /// and in parallel, and as the jobs of one `QueryEngine::solve_group`
+    /// that carries each query twice: the lone solves agree on connector,
+    /// W, candidate count and winning `(root, λ)`; the group runs each
+    /// distinct query once and answers both copies with the lone
+    /// connector, W and candidate count. Returns the sequential lone
+    /// solutions.
+    fn assert_group_parity(
+        g: &Graph,
+        queries: &[Vec<NodeId>],
+        roots: RootPolicy,
+    ) -> Vec<WsqSolution> {
+        use crate::engine::{GroupQuery, QueryEngine, QueryOptions, WsqSolver};
+        let config = WsqConfig {
+            roots,
+            ..WsqConfig::default()
         };
-        let shared = prefetch(g, &all_roots);
-        let pool = WorkspacePool::new();
         let solver = |parallel: bool| {
             WienerSteiner::with_config(
                 g,
                 WsqConfig {
-                    roots,
                     parallel,
-                    ..WsqConfig::default()
+                    ..config.clone()
                 },
             )
         };
-        let reference = solver(false).solve(q).unwrap();
-        for parallel in [false, true] {
-            let own = solver(parallel).solve(q).unwrap();
-            let prefetched = solver(parallel)
-                .solve_pooled_shared(q, &pool, Some(&shared))
-                .unwrap();
-            for sol in [own, prefetched] {
+        let mut engine = QueryEngine::new(g);
+        engine.register(Box::new(WsqSolver {
+            config: config.clone(),
+        }));
+        let group: Vec<GroupQuery> = queries
+            .iter()
+            .chain(queries)
+            .map(|q| GroupQuery::new("ws-q", q.clone(), QueryOptions::new().no_cache()))
+            .collect();
+        let outcome = engine.solve_group(&group);
+        let distinct: std::collections::HashSet<Vec<NodeId>> = queries
+            .iter()
+            .map(|q| normalize_query(g, q).unwrap())
+            .collect();
+        assert_eq!(outcome.stats.executed, distinct.len() as u64);
+        let mut lone = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let reference = solver(false).solve(q).unwrap();
+            let par = solver(true).solve(q).unwrap();
+            assert_eq!(par.connector.vertices(), reference.connector.vertices());
+            assert_eq!(par.wiener_index, reference.wiener_index);
+            assert_eq!(par.num_candidates, reference.num_candidates);
+            assert_eq!(
+                (par.best_root, par.best_lambda.to_bits()),
+                (reference.best_root, reference.best_lambda.to_bits())
+            );
+            for slot in [i, i + queries.len()] {
+                let got = outcome.results[slot].as_ref().unwrap();
                 assert_eq!(
-                    sol.connector.vertices(),
+                    got.connector.vertices(),
                     reference.connector.vertices(),
-                    "parallel={parallel} {q:?}"
+                    "{roots:?} {q:?}"
                 );
-                assert_eq!(sol.wiener_index, reference.wiener_index);
-                assert_eq!(sol.num_candidates, reference.num_candidates);
-                assert_eq!(
-                    (sol.best_root, sol.best_lambda.to_bits()),
-                    (reference.best_root, reference.best_lambda.to_bits())
-                );
+                assert_eq!(got.wiener_index, reference.wiener_index);
+                assert_eq!(got.candidates, reference.num_candidates as u64);
             }
+            lone.push(reference);
         }
-        reference
+        lone
+    }
+
+    /// `count` random queries of 2–6 vertices on `g`.
+    fn random_queries(g: &Graph, seed: u64, count: usize) -> Vec<Vec<NodeId>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = g.num_nodes() as NodeId;
+        (0..count)
+            .map(|_| {
+                let size = rng.gen_range(2..=6usize);
+                (0..size).map(|_| rng.gen_range(0..n)).collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn batch_toggle_yields_identical_connectors() {
-        // A prefetch changes where root distances come from, never what
-        // they are — and parents are a pure function of distances — so
-        // connectors must be bit-identical to per-root sweeps.
+    fn group_and_lone_solves_yield_identical_connectors() {
+        // A group runs each job's sweep as a lone solve does, so its
+        // connectors must be bit-identical to lone solves.
         let mut rng = rand::rngs::StdRng::seed_from_u64(73);
         let g = mwc_graph::generators::barabasi_albert(600, 3, &mut rng);
-        for _ in 0..5 {
-            let size = rng.gen_range(2..=6usize);
-            let q: Vec<NodeId> = (0..size).map(|_| rng.gen_range(0..600)).collect();
-            assert_prefetch_parity(&g, &q, RootPolicy::QueryOnly);
-        }
+        assert_group_parity(&g, &random_queries(&g, 74, 5), RootPolicy::QueryOnly);
     }
 
     #[test]
-    fn batch_parity_holds_with_all_vertices_roots() {
-        // AllVertices roots span three 64-lane prefetch sweeps, and the
-        // solve keeps its standalone feasibility search.
+    fn group_parity_holds_with_all_vertices_roots() {
+        // Every vertex is a root of both jobs, and each solve keeps its
+        // standalone feasibility search.
         let g = mwc_graph::generators::barabasi_albert(
             150,
             2,
             &mut rand::rngs::StdRng::seed_from_u64(79),
         );
-        assert_prefetch_parity(&g, &[3, 77, 149], RootPolicy::AllVertices);
+        let queries = [vec![3, 77, 149], vec![3, 40]];
+        assert_group_parity(&g, &queries, RootPolicy::AllVertices);
     }
 
     #[test]
-    fn batched_root_distances_match_per_root_bfs() {
+    fn batched_root_distances_dispatch_matches_per_root_kernels() {
+        use mwc_graph::traversal::bfs::BfsWorkspace;
+        use mwc_graph::traversal::dijkstra::DijkstraWorkspace;
         let mut rng = rand::rngs::StdRng::seed_from_u64(83);
         let g = mwc_graph::generators::barabasi_albert(500, 3, &mut rng);
+        let weighted = weighted_version(&g, 9);
         // 100 roots spans two 64-lane sweeps, with duplicates.
         let roots: Vec<NodeId> = (0..100).map(|i| (i * 7) % 500).collect();
-        let mut ms = mwc_graph::traversal::bfs::MsBfsWorkspace::new();
-        let dists = batched_root_distances(&g, &roots, &mut ms);
-        assert_eq!(dists.len(), roots.len());
-        let mut ws = mwc_graph::traversal::bfs::BfsWorkspace::new();
-        for (i, &r) in roots.iter().enumerate() {
-            assert_eq!(dists[i], ws.run(&g, r), "root {r}");
+        let pool = WorkspacePool::new();
+        for g in [&g, &weighted] {
+            let mut ws = MsDistWorkspace::lease(&pool, g);
+            let dists = batched_root_distances_dispatch(g, &roots, &mut ws);
+            assert_eq!(dists.len(), roots.len());
+            let (mut bfs, mut dijkstra) = (BfsWorkspace::new(), DijkstraWorkspace::new());
+            for (i, &r) in roots.iter().enumerate() {
+                let want = if g.is_weighted() {
+                    dijkstra.run(g, r).to_vec()
+                } else {
+                    bfs.run(g, r).to_vec()
+                };
+                assert_eq!(dists[i], want, "root {r}, weighted {}", g.is_weighted());
+            }
         }
     }
 
     #[test]
-    fn shared_root_distances_yield_identical_connectors() {
-        // The coalescing path hands the solver distance arrays computed by
-        // a multi-source sweep over the union of *several* queries' roots.
-        // Lanes are independent, so the connector must be bit-identical to
-        // the solver computing its own distances.
+    fn group_jobs_sharing_roots_match_lone_solves() {
+        // Every query draws from one small vertex pool, so the group's
+        // jobs share roots; each job still computes its own arrays.
         let mut rng = rand::rngs::StdRng::seed_from_u64(89);
         let g = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
-        let mut ms = MsBfsWorkspace::new();
-        for _ in 0..5 {
-            let size = rng.gen_range(2..=5usize);
-            let q: Vec<NodeId> = (0..size).map(|_| rng.gen_range(0..400)).collect();
-            let q_norm = normalize_query(&g, &q).unwrap();
-            // The union sweep: this query's roots plus unrelated ones, as
-            // the coalescer would pack them.
-            let mut union: Vec<NodeId> = q_norm.clone();
-            union.extend((0..6).map(|_| rng.gen_range(0..400u32)));
-            union.sort_unstable();
-            union.dedup();
-            let arrays = batched_root_distances(&g, &union, &mut ms);
-            let shared: SharedRootDists = union
-                .iter()
-                .copied()
-                .zip(arrays.into_iter().map(Arc::new))
-                .collect();
-            let solver = WienerSteiner::new(&g);
-            let pool = WorkspacePool::new();
-            let own = solver.solve_pooled(&q, &pool).unwrap();
-            let coalesced = solver
-                .solve_pooled_shared(&q, &pool, Some(&shared))
-                .unwrap();
-            assert_eq!(
-                own.connector.vertices(),
-                coalesced.connector.vertices(),
-                "{q:?}"
-            );
-            assert_eq!(own.wiener_index, coalesced.wiener_index);
-            assert_eq!(own.num_candidates, coalesced.num_candidates);
-            assert_eq!(
-                (own.best_root, own.best_lambda),
-                (coalesced.best_root, coalesced.best_lambda)
-            );
-        }
+        let pool: Vec<NodeId> = (0..6).map(|_| rng.gen_range(0..400)).collect();
+        let queries: Vec<Vec<NodeId>> = (0..6)
+            .map(|_| {
+                let size = rng.gen_range(2..=4usize);
+                (0..size)
+                    .map(|_| pool[rng.gen_range(0..pool.len())])
+                    .collect()
+            })
+            .collect();
+        assert_group_parity(&g, &queries, RootPolicy::QueryOnly);
     }
 
     /// The `root_sweep` span of a traced solve of `q`, and how many
     /// `feasibility` spans the solve emitted.
-    fn traced_sweep(
-        g: &Graph,
-        q: &[NodeId],
-        parallel: bool,
-        shared: Option<&SharedRootDists>,
-    ) -> (crate::trace::SpanRecord, usize) {
+    fn traced_sweep(g: &Graph, q: &[NodeId], parallel: bool) -> (crate::trace::SpanRecord, usize) {
         use crate::trace::{TraceRecorder, NO_PARENT};
         let recorder = TraceRecorder::new();
         let cfg = WsqConfig {
@@ -1295,9 +1232,7 @@ mod tests {
             ..WsqConfig::default()
         };
         let own = WienerSteiner::new(g).solve(q).unwrap();
-        let sol = WienerSteiner::with_config(g, cfg)
-            .solve_pooled_shared(q, &WorkspacePool::new(), shared)
-            .unwrap();
+        let sol = WienerSteiner::with_config(g, cfg).solve(q).unwrap();
         assert_eq!(own.connector.vertices(), sol.connector.vertices());
         assert_eq!(own.wiener_index, sol.wiener_index);
         assert_eq!(own.num_candidates, sol.num_candidates);
@@ -1307,24 +1242,41 @@ mod tests {
         (sweep, feasibility)
     }
 
+    fn counter(span: &crate::trace::SpanRecord, name: &str) -> Option<u64> {
+        span.counters.iter().find(|(k, _)| *k == name).map(|c| c.1)
+    }
+
     #[test]
-    fn partially_covered_shared_map_falls_back_to_own_sweep() {
+    fn every_sweep_computes_its_own_root_distances() {
+        use crate::engine::{GroupQuery, QueryEngine, QueryOptions};
+        use crate::trace::{TraceRecorder, NO_PARENT};
         let g = karate_club();
         let q = vec![11u32, 24, 25, 29];
-        let counter = |sweep: &crate::trace::SpanRecord, name: &str| {
-            sweep.counters.iter().find(|(k, _)| *k == name).map(|c| c.1)
-        };
-        // A map missing two of the roots: the sweep computes exactly those
-        // two itself, and the results are unchanged.
-        let partial = prefetch(&g, &[11, 24]);
         for parallel in [false, true] {
-            for (shared, computed) in [(None, 4), (Some(&partial), 2)] {
-                let (sweep, feasibility) = traced_sweep(&g, &q, parallel, shared);
-                assert_eq!(counter(&sweep, "roots"), Some(4));
-                assert_eq!(counter(&sweep, "root_distances"), Some(computed));
-                assert!(counter(&sweep, "root_distances_us").is_some());
-                assert_eq!(feasibility, 1, "one feasibility span per solve");
-            }
+            let (sweep, feasibility) = traced_sweep(&g, &q, parallel);
+            assert_eq!(counter(&sweep, "roots"), Some(4));
+            assert_eq!(counter(&sweep, "root_distances"), Some(4));
+            assert!(counter(&sweep, "root_distances_us").is_some());
+            assert_eq!(feasibility, 1, "one feasibility span per solve");
+        }
+        // Each job of a group records its own roots' distance work in its
+        // own request's `root_sweep` span.
+        let queries = [q, vec![0, 33], vec![2, 8, 30]];
+        let recorders: Vec<_> = queries.iter().map(|_| TraceRecorder::new()).collect();
+        let group: Vec<GroupQuery> = queries
+            .iter()
+            .zip(&recorders)
+            .map(|(q, rec)| {
+                let trace = TraceContext::attached(rec.clone(), NO_PARENT);
+                GroupQuery::new("ws-q", q.clone(), QueryOptions::new().trace(trace))
+            })
+            .collect();
+        let outcome = QueryEngine::new(&g).solve_group(&group);
+        assert_eq!(outcome.stats.executed, 3);
+        for (q, rec) in queries.iter().zip(recorders) {
+            let spans = rec.finish();
+            let sweep = spans.iter().find(|s| s.name == "root_sweep").unwrap();
+            assert_eq!(counter(sweep, "root_distances"), Some(q.len() as u64));
         }
     }
 
@@ -1338,34 +1290,27 @@ mod tests {
             Graph::from_weighted_edges(6, &edges.map(|(u, v)| (u, v, u + v + 1))).unwrap();
         let q = [0u32, 1, 4];
         for g in [&unweighted, &weighted] {
-            let partial = prefetch(g, &[1]);
             for roots in [RootPolicy::QueryOnly, RootPolicy::AllVertices] {
                 for parallel in [false, true] {
-                    for shared in [None, Some(&partial)] {
-                        let recorder = TraceRecorder::new();
-                        let solver = WienerSteiner::with_config(
-                            g,
-                            WsqConfig {
-                                roots,
-                                parallel,
-                                trace: TraceContext::attached(recorder.clone(), NO_PARENT),
-                                ..WsqConfig::default()
-                            },
-                        );
-                        let got = solver.solve_pooled_shared(&q, &WorkspacePool::new(), shared);
-                        let shape = format!(
-                            "{roots:?} parallel={parallel} prefetched={}",
-                            shared.is_some()
-                        );
-                        assert!(
-                            matches!(got, Err(CoreError::QueryNotConnectable)),
-                            "{shape}"
-                        );
-                        // Rejected before the sweep finished, so only the
-                        // feasibility span was recorded.
-                        let names: Vec<_> = recorder.finish().iter().map(|s| s.name).collect();
-                        assert_eq!(names, ["feasibility"], "{shape}");
-                    }
+                    let recorder = TraceRecorder::new();
+                    let solver = WienerSteiner::with_config(
+                        g,
+                        WsqConfig {
+                            roots,
+                            parallel,
+                            trace: TraceContext::attached(recorder.clone(), NO_PARENT),
+                            ..WsqConfig::default()
+                        },
+                    );
+                    let shape = format!("{roots:?} parallel={parallel}");
+                    assert!(
+                        matches!(solver.solve(&q), Err(CoreError::QueryNotConnectable)),
+                        "{shape}"
+                    );
+                    // Rejected before the sweep finished, so only the
+                    // feasibility span was recorded.
+                    let names: Vec<_> = recorder.finish().iter().map(|s| s.name).collect();
+                    assert_eq!(names, ["feasibility"], "{shape}");
                 }
             }
         }
@@ -1388,17 +1333,21 @@ mod tests {
     #[test]
     fn weighted_solves_are_toggle_invariant() {
         // On weighted graphs every distance comes from the radix-heap
-        // Dijkstra (in the prefetch and in the sweep workers), which is
-        // pinned equal to binary-heap Dijkstra, so parallelism and
-        // prefetched distances must leave the connector fixed.
+        // Dijkstra, which is pinned equal to binary-heap Dijkstra, so
+        // parallelism and grouping must leave the connector fixed.
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let base = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
         let g = weighted_version(&base, 9);
-        for _ in 0..4 {
-            let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..400)).collect();
-            let reference = assert_prefetch_parity(&g, &q, RootPolicy::QueryOnly);
+        let queries: Vec<Vec<NodeId>> = (0..4)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..400)).collect())
+            .collect();
+        for (q, reference) in
+            queries
+                .iter()
+                .zip(assert_group_parity(&g, &queries, RootPolicy::QueryOnly))
+        {
             // The reported Wiener index is the weighted one.
-            assert!(reference.connector.contains_all(&q));
+            assert!(reference.connector.contains_all(q));
             assert_eq!(
                 reference.wiener_index,
                 reference.connector.wiener_index(&g).unwrap()

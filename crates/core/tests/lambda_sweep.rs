@@ -332,3 +332,30 @@ fn large_terminal_sets_repair_on_the_hash_map_table() {
     assert!(repaired > 20, "{repaired} repairs");
     assert!(ws.group_work().0 > 0, "no group rescanned");
 }
+
+/// Crossing-edge storage capped far below one entry per edge fills up
+/// during repairs, which then compact it inside their Dijkstra, while
+/// labels are not yet final: every call still matches a fresh one, tree
+/// and certificate.
+#[test]
+fn repairs_compact_a_full_crossing_storage() {
+    let mut ws = SteinerWorkspace::new();
+    ws.cap_crossing_storage(16);
+    let mut repaired = 0;
+    for seed in 0..6u64 {
+        let g = family_graph(
+            seed as usize % 3,
+            200,
+            seed,
+            [1, 9][seed as usize % 2],
+            seed % 2 == 0,
+        );
+        let Some(q) = pick_query(&g, seed, 6) else {
+            continue;
+        };
+        repaired += check_instance(&mut ws, &g, &q, q[0]).unwrap();
+    }
+    let (_, _, compactions) = ws.group_work();
+    assert!(repaired > 20, "{repaired} repairs");
+    assert!(compactions > 0, "no repair compacted the storage");
+}

@@ -166,25 +166,20 @@ proptest! {
         prop_assert_eq!(once, normalize_query(&g, &reversed).unwrap());
     }
 
-    /// Prefetched vs per-root `ws-q` parity on the paper's evaluation
-    /// families (ER / BA / SBM) and on their hash-weighted twins: root
-    /// distances from a group prefetch (a multi-source sweep, or per-root
-    /// radix-heap Dijkstra when weighted) — with parent trees
-    /// reconstructed on demand from each array — must produce the
-    /// connectors, objective values, candidate counts and winning roots
-    /// of per-root sweeps, in parallel and in sequence.
+    /// Group vs lone `ws-q` parity on the paper's evaluation families
+    /// (ER / BA / SBM) and on their hash-weighted twins: the jobs of one
+    /// `solve_group` (sequential sweeps on the group's workers, each job
+    /// computing its own roots' distances) must return the connectors,
+    /// objective values and candidate counts of lone solves, in parallel
+    /// and in sequence.
     #[test]
-    fn wsq_batched_matches_per_root_on_families(
+    fn solve_group_matches_lone_wsq_on_families(
         (family, seed) in (0usize..3, any::<u64>()),
-        q_seed in any::<u64>(),
+        q_seeds in proptest::collection::vec(any::<u64>(), 2..5),
     ) {
-        use mwc_core::wsq::{
-            batched_root_distances_dispatch, normalize_query, MsDistWorkspace, SharedRootDists,
-            WienerSteiner, WsqConfig,
-        };
-        use mwc_graph::traversal::bfs::WorkspacePool;
+        use mwc_core::engine::{GroupQuery, QueryEngine, QueryOptions};
+        use mwc_core::wsq::{WienerSteiner, WsqConfig};
         use rand::{Rng, SeedableRng};
-        use std::sync::Arc;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 120 + (seed % 80) as usize;
         let raw = match family {
@@ -201,41 +196,45 @@ proptest! {
                 .graph
             }
         };
-        // Query inside one component so both paths solve (the rejection
-        // path is covered by unit tests).
+        // Queries inside one component so every solve succeeds (the
+        // rejection path is covered by unit tests).
         let (g, _) = mwc_graph::connectivity::largest_component_graph(&raw).unwrap();
         prop_assume!(g.num_nodes() >= 8);
-        let mut qrng = rand::rngs::StdRng::seed_from_u64(q_seed);
-        let size = qrng.gen_range(2..=5usize);
-        let q: Vec<NodeId> = (0..size)
-            .map(|_| qrng.gen_range(0..g.num_nodes() as NodeId))
+        let queries: Vec<Vec<NodeId>> = q_seeds
+            .iter()
+            .map(|&s| {
+                let mut qrng = rand::rngs::StdRng::seed_from_u64(s);
+                let size = qrng.gen_range(2..=5usize);
+                (0..size)
+                    .map(|_| qrng.gen_range(0..g.num_nodes() as NodeId))
+                    .collect()
+            })
             .collect();
-        let roots = normalize_query(&g, &q).unwrap();
         for g in [g.clone(), weighted_version(&g, 8)] {
-            let pool = WorkspacePool::new();
-            let arrays = batched_root_distances_dispatch(&g, &roots, &mut MsDistWorkspace::lease(&pool, &g));
-            let shared: SharedRootDists = roots.iter().copied().zip(arrays.into_iter().map(Arc::new)).collect();
+            let group: Vec<GroupQuery> = queries
+                .iter()
+                .map(|q| GroupQuery::new("ws-q", q.clone(), QueryOptions::new().no_cache()))
+                .collect();
+            let outcome = QueryEngine::new(&g).solve_group(&group);
             let solver = |parallel: bool| {
                 WienerSteiner::with_config(&g, WsqConfig { parallel, ..WsqConfig::default() })
             };
-            let reference = solver(false).solve(&q).unwrap();
-            for parallel in [false, true] {
-                let own = solver(parallel).solve(&q).unwrap();
-                let prefetched = solver(parallel).solve_pooled_shared(&q, &pool, Some(&shared)).unwrap();
-                for sol in [own, prefetched] {
-                    prop_assert_eq!(sol.connector.vertices(), reference.connector.vertices());
-                    prop_assert_eq!(sol.wiener_index, reference.wiener_index);
-                    prop_assert_eq!(sol.num_candidates, reference.num_candidates);
-                    prop_assert_eq!(sol.best_root, reference.best_root);
+            for (q, grouped) in queries.iter().zip(&outcome.results) {
+                let grouped = grouped.as_ref().unwrap();
+                for parallel in [false, true] {
+                    let lone = solver(parallel).solve(q).unwrap();
+                    prop_assert_eq!(grouped.connector.vertices(), lone.connector.vertices());
+                    prop_assert_eq!(grouped.wiener_index, lone.wiener_index);
+                    prop_assert_eq!(grouped.candidates, lone.num_candidates as u64);
                 }
             }
         }
     }
 
     /// Coalesced-group parity: packing heterogeneous concurrent queries
-    /// into one `solve_group` window — shared cross-request MS-BFS sweeps,
-    /// within-window dedup, mixed solvers and options — must answer every
-    /// query bit-identically to a direct per-query `solve_with` call.
+    /// into one `solve_group` window — within-window dedup, mixed solvers
+    /// and options — must answer every query bit-identically to a direct
+    /// per-query `solve_with` call.
     #[test]
     fn solve_group_matches_direct_solves(
         g in arb_connected_graph(80),

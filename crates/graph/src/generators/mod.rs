@@ -3,9 +3,9 @@
 //! The paper evaluates on SNAP/real-world graphs plus Erdős–Rényi and
 //! power-law synthetic graphs (§6.6). Real datasets are not redistributable
 //! here, so `mwc-datasets` builds *stand-ins* from these generators with
-//! matched size/family (see DESIGN.md §3). Structured families cover the
-//! worked examples (Fig 2's line-plus-roots) and the Steiner-benchmark-style
-//! instances (grids, hypercubes).
+//! matched size/family (see the `mwc-datasets` crate doc). Structured
+//! families cover the worked examples (Fig 2's line-plus-roots) and the
+//! Steiner-benchmark-style instances (grids, hypercubes).
 
 pub mod barabasi_albert;
 pub mod erdos_renyi;

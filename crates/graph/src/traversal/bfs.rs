@@ -602,8 +602,8 @@ pub fn canonical_parents(g: &Graph, dist: &[u32]) -> Vec<NodeId> {
 /// `⌈|sources|/64⌉` multi-source sweeps and gathered into one per-source
 /// array each (via the one-pass [`MsBfsWorkspace::all_lane_distances`]
 /// transpose). Bit-identical to per-source [`BfsWorkspace::run`] — the
-/// shared building block of the `ws-q` group prefetch and the
-/// batched [`LandmarkOracle`](crate::oracle::LandmarkOracle) build.
+/// building block of the batched
+/// [`LandmarkOracle`](crate::oracle::LandmarkOracle) build.
 pub fn multi_source_distances(
     g: &Graph,
     sources: &[NodeId],
@@ -655,9 +655,8 @@ impl WorkspacePool {
         Lease::new(&self.free)
     }
 
-    /// Borrows a multi-source workspace; creates one if none is free.
-    /// The `ws-q` group prefetch leases one per group instead of
-    /// reallocating the lane-mask and distance-matrix buffers per group.
+    /// Borrows a multi-source workspace; creates one if none is free, so
+    /// repeated batches reuse the lane-mask and distance-matrix buffers.
     pub fn lease_multi(&self) -> PooledMsWorkspace<'_> {
         Lease::new(&self.free_multi)
     }
@@ -684,7 +683,8 @@ impl WorkspacePool {
 }
 
 /// RAII lease from a [`WorkspacePool`]; derefs to the leased workspace
-/// and returns its buffers to the pool's free list on drop.
+/// and returns its buffers to the pool's free list on drop, unless its
+/// thread is unwinding from a panic.
 #[derive(Debug)]
 pub struct Lease<'p, T> {
     free: &'p Mutex<Vec<T>>,
@@ -725,6 +725,11 @@ impl<T> std::ops::DerefMut for Lease<'_, T> {
 
 impl<T> Drop for Lease<'_, T> {
     fn drop(&mut self) {
+        // A workspace left by a panicking caller may be half used: drop it
+        // instead of pooling it.
+        if std::thread::panicking() {
+            return;
+        }
         if let Some(ws) = self.ws.take() {
             if let Ok(mut free) = self.free.lock() {
                 free.push(ws);
@@ -1053,5 +1058,20 @@ mod tests {
             assert_eq!(pool.idle_multi(), 0);
         }
         assert_eq!(pool.idle_multi(), 1);
+    }
+
+    #[test]
+    fn a_lease_dropped_while_unwinding_is_not_pooled() {
+        let pool = WorkspacePool::new();
+        drop(pool.lease());
+        assert_eq!(pool.idle(), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ws = pool.lease();
+            panic!("a caller panics mid-run");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.idle(), 0, "the half-used workspace was dropped");
+        drop(pool.lease());
+        assert_eq!(pool.idle(), 1);
     }
 }

@@ -1,32 +1,32 @@
 //! Cross-request solve coalescing: a per-graph batch scheduler between
 //! the worker pool and [`CatalogEntry`].
 //!
-//! The 64-lane multi-source kernel pays off only with its lanes full, and
-//! one request's query fills a handful of them, so a lone solve computes
-//! its roots' distances one by one in its sweep workers. This module
-//! fills the lanes from *each other's* queries: solve requests for
-//! the same graph that arrive within a short flush window are gathered
-//! into one [`CatalogEntry::solve_group`] execution, whose engine-side
-//! prefetch unions every request's roots into shared `MsBfsWorkspace`
-//! sweeps and dedups identical work, then the results are demuxed back to
-//! each waiting request with its own deadline accounting.
+//! Interactive traffic repeats itself: many clients ask the same graph
+//! the same few questions at once. Solve requests for the same graph that
+//! arrive within a short flush window are gathered into one
+//! [`CatalogEntry::solve_group`] execution, which solves identical
+//! requests once and runs the distinct ones as jobs on the engine's
+//! workers, then the results are demuxed back to each waiting request
+//! with its own deadline accounting. Each job runs exactly the solve a
+//! lone request would.
 //!
 //! # Concurrency model: leader–worker windows
 //!
 //! There are no dedicated scheduler threads. The first worker to enqueue
 //! into an empty per-graph queue becomes that window's **leader**: it
 //! parks on the queue's condvar until the window expires (time trigger),
-//! enough root-BFS lanes have gathered (size trigger), or shutdown/abort
-//! wakes it — then drains the queue, runs the shared execution, and
+//! its work budget is reached (size trigger), or shutdown/abort wakes it
+//! — then drains the queue, runs the shared execution, and
 //! answers every member through its stored responder. Workers that
 //! enqueue while a leader is waiting return immediately and go back to
 //! pulling jobs, so a window gathers requests from the whole pool. With a
 //! single worker the leader simply waits out the window alone — batching
 //! degrades to a small fixed latency cost, never a deadlock.
 //!
-//! Lanes are counted once per distinct `(solver, canonical q, max_size)`:
-//! identical members share one execution, so a duplicate adds no root
-//! work and never triggers a flush.
+//! The work budget ([`CoalesceConfig::max_lanes`]) counts one unit per
+//! query vertex, once per distinct `(solver, canonical q, max_size)`:
+//! identical members share one execution, so a duplicate adds no work and
+//! never triggers a flush.
 //!
 //! # Gather at flush
 //!
@@ -36,7 +36,7 @@
 //! execution runs, the leader moves the solves for its graph that are
 //! still queued into the window, in queue order, through the server's
 //! [`Backlog`]. Duplicates of a member are always taken; a new distinct
-//! query is taken while the window holds fewer than `max_lanes` lanes.
+//! query is taken while the window's work is below `max_lanes`.
 //! The scan stops at a queued `load` of the graph (the only queued
 //! command that can replace it), leaves deadline-bearing requests to the
 //! workers, and takes nothing a [`Coalescer::submit`] would not park:
@@ -61,10 +61,9 @@
 //! queue: leaders are woken to flush immediately, and any leaderless
 //! leftovers are flushed by the draining thread itself.
 //!
-//! Results are **bit-identical** to uncoalesced solves: MS-BFS lanes are
-//! independent, so the distances a solver sees do not depend on which
-//! other requests shared its sweep (pinned by the engine's group tests
-//! and the service loopback parity suite).
+//! Results are **bit-identical** to uncoalesced solves: a window changes
+//! which requests run together, never what any of them computes (pinned
+//! by the engine's group tests and the service loopback parity suite).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,7 +71,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mwc_core::{GroupQuery, SolveReport, TraceContext};
-use mwc_graph::traversal::bfs::MS_BFS_LANES;
 use mwc_graph::NodeId;
 
 use crate::catalog::CatalogEntry;
@@ -95,11 +93,13 @@ pub struct CoalesceConfig {
     /// Flush window: how long the first request of a window waits for
     /// company before the batch executes.
     pub window: Duration,
-    /// Size trigger: flush early once the gathered requests' root-BFS
-    /// work is estimated to fill this many MS-BFS lanes (one lane per
-    /// query vertex of each distinct query). A flush's gather takes new
-    /// distinct queries only below it. Defaults to the kernel's lane
-    /// width.
+    /// Size trigger, a per-window work budget: flush early once the
+    /// gathered requests' work reaches it, counting one unit per query
+    /// vertex of each distinct query (a ws-q solve runs one root sweep
+    /// per query vertex). A flush's gather takes new distinct queries
+    /// only below it. Defaults to 64. The name, and the `flush_lanes`
+    /// counter of the size trigger, come from the multi-source BFS lanes
+    /// the budget once filled.
     pub max_lanes: usize,
     /// Hard cap on requests parked per graph, gathered ones included;
     /// beyond it new arrivals bypass to direct execution instead of
@@ -112,7 +112,7 @@ impl Default for CoalesceConfig {
         CoalesceConfig {
             enabled: true,
             window: Duration::from_micros(300),
-            max_lanes: MS_BFS_LANES,
+            max_lanes: 64,
             max_pending: 256,
         }
     }
@@ -168,9 +168,10 @@ struct Pending {
     enqueued: Instant,
 }
 
-/// The root-BFS lanes of a window, counted once per distinct `(solver,
-/// canonical q, max_size)`: identical members share one execution in
-/// [`CatalogEntry::solve_group`], so a duplicate adds no work.
+/// The work of a window against [`CoalesceConfig::max_lanes`], counted
+/// once per distinct `(solver, canonical q, max_size)`: identical members
+/// share one execution in [`CatalogEntry::solve_group`], so a duplicate
+/// adds no work.
 #[derive(Default)]
 struct Lanes {
     distinct: HashSet<(String, Vec<NodeId>, Option<usize>)>,
@@ -180,7 +181,7 @@ struct Lanes {
 impl Lanes {
     /// Counts `(params, q)` into the window unless an identical member is
     /// already there. With `cap`, a new distinct query is refused once
-    /// the window holds `cap` lanes. Returns whether the member fits.
+    /// the window's work reaches `cap`. Returns whether the member fits.
     fn add(&mut self, params: &SolveParams, q: &[NodeId], cap: Option<usize>) -> bool {
         let mut canonical = q.to_vec();
         canonical.sort_unstable();
@@ -217,7 +218,7 @@ struct QueueState {
     /// entry (load replaced it mid-window) bypasses instead.
     entry: Option<Arc<CatalogEntry>>,
     pending: Vec<Pending>,
-    /// MS-BFS lanes of the parked members' distinct root work.
+    /// The parked members' distinct work.
     lanes: Lanes,
     /// Whether a leader is currently waiting on / flushing this queue.
     leader: bool,
@@ -271,9 +272,6 @@ pub struct Coalescer {
     group_cache_hits: AtomicU64,
     group_deduped: AtomicU64,
     group_executed: AtomicU64,
-    group_shared_sweeps: AtomicU64,
-    group_shared_lanes: AtomicU64,
-    group_shared_roots: AtomicU64,
     /// Time requests spend parked before their window flushes.
     queue_wait: Histogram,
 }
@@ -309,9 +307,6 @@ impl Coalescer {
             group_cache_hits: AtomicU64::new(0),
             group_deduped: AtomicU64::new(0),
             group_executed: AtomicU64::new(0),
-            group_shared_sweeps: AtomicU64::new(0),
-            group_shared_lanes: AtomicU64::new(0),
-            group_shared_roots: AtomicU64::new(0),
             queue_wait: Histogram::default(),
         }
     }
@@ -439,7 +434,7 @@ impl Coalescer {
 
     /// Moves `graph`'s queued solves from `backlog` into a flushing
     /// window: duplicates of a member always, new distinct queries while
-    /// the window holds fewer than `max_lanes` lanes, and never more than
+    /// the window's work is below `max_lanes`, and never more than
     /// `max_pending` members in all.
     fn gather(
         &self,
@@ -532,12 +527,6 @@ impl Coalescer {
             .fetch_add(s.cache_hits, Ordering::Relaxed);
         self.group_deduped.fetch_add(s.deduped, Ordering::Relaxed);
         self.group_executed.fetch_add(s.executed, Ordering::Relaxed);
-        self.group_shared_sweeps
-            .fetch_add(s.shared_sweeps, Ordering::Relaxed);
-        self.group_shared_lanes
-            .fetch_add(s.shared_lanes, Ordering::Relaxed);
-        self.group_shared_roots
-            .fetch_add(s.shared_roots, Ordering::Relaxed);
         for (p, result) in live.into_iter().zip(outcome.results) {
             (p.respond)(result.map_err(ServiceError::Core));
         }
@@ -617,13 +606,6 @@ impl Coalescer {
     /// summation works field-by-field) plus the queue-wait histogram.
     pub fn stats_json(&self) -> Json {
         let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
-        let sweeps = self.group_shared_sweeps.load(Ordering::Relaxed);
-        let lanes = self.group_shared_lanes.load(Ordering::Relaxed);
-        let occupancy = if sweeps == 0 {
-            0.0
-        } else {
-            lanes as f64 / (sweeps * MS_BFS_LANES as u64) as f64
-        };
         Json::obj([
             ("enabled", Json::Bool(self.config.enabled)),
             (
@@ -646,10 +628,12 @@ impl Coalescer {
             ("cache_hits", load(&self.group_cache_hits)),
             ("deduped", load(&self.group_deduped)),
             ("executed", load(&self.group_executed)),
-            ("shared_sweeps", load(&self.group_shared_sweeps)),
-            ("shared_lanes", load(&self.group_shared_lanes)),
-            ("shared_roots", load(&self.group_shared_roots)),
-            ("lane_occupancy_mean", Json::from(occupancy)),
+            // Retired counters, always 0: removing a response field
+            // would bump the protocol version.
+            ("shared_sweeps", Json::from(0u64)),
+            ("shared_lanes", Json::from(0u64)),
+            ("shared_roots", Json::from(0u64)),
+            ("lane_occupancy_mean", Json::from(0.0)),
             (
                 "queue_wait",
                 Json::obj([
@@ -729,8 +713,10 @@ mod tests {
             window: Duration::from_millis(40),
             ..CoalesceConfig::default()
         }));
-        let queries: Vec<Vec<NodeId>> = vec![vec![0, 33], vec![11, 24, 25, 29], vec![5, 16]];
-        let solvers = ["ws-q", "ws-q+ls", "st"];
+        // The last member repeats the first: the window runs it once.
+        let queries: Vec<Vec<NodeId>> =
+            vec![vec![0, 33], vec![11, 24, 25, 29], vec![5, 16], vec![33, 0]];
+        let solvers = ["ws-q", "ws-q+ls", "st", "ws-q"];
         // Leader-to-be submits from a helper thread (it blocks for the
         // window); followers park and return immediately.
         let mut rxs = Vec::new();
@@ -768,9 +754,10 @@ mod tests {
             assert_eq!(got.wiener_index, direct.wiener_index);
         }
         let stats = co.stats_json();
-        assert_eq!(stats.get("enqueued").unwrap().as_u64(), Some(3));
-        assert_eq!(stats.get("flush_total").unwrap().as_u64(), Some(1));
-        assert!(stats.get("shared_sweeps").unwrap().as_u64().unwrap() >= 1);
+        let count = |name: &str| stats.get(name).unwrap().as_u64().unwrap();
+        assert_eq!(count("enqueued"), 4);
+        assert_eq!(count("flush_total"), 1);
+        assert_eq!((count("executed"), count("deduped")), (3, 1));
     }
 
     /// Requests waiting for a worker, offered to a gather in order.

@@ -1638,6 +1638,7 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
                             "cache_hits",
                             "deduped",
                             "executed",
+                            // Retired: every shard reports 0.
                             "shared_sweeps",
                             "shared_lanes",
                             "shared_roots",

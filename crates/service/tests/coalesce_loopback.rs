@@ -143,11 +143,22 @@ fn coalesced_results_match_direct_engine_calls_for_every_solver() {
             >= enqueued
     );
 
-    // Second phase: six ws-q clients fire distinct queries at the same
-    // graph simultaneously, so one window's prefetch must union their
-    // roots into shared MS-BFS sweeps (lanes shared across requests).
+    // Second phase: six ws-q clients fire three distinct queries, each
+    // twice, at the same graph simultaneously, so windows run identical
+    // requests once.
+    let count = |stats: &Json, name: &str| {
+        stats
+            .get("coalesce")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let before = client.stats().unwrap();
     let queries: Vec<Vec<NodeId>> = (0..6u32)
-        .map(|i| vec![i * 7, 599 - i * 11, 100 + i * 37])
+        .map(|i| {
+            let i = i % 3;
+            vec![i * 7, 599 - i * 11, 100 + i * 37]
+        })
         .collect();
     let barrier = Arc::new(Barrier::new(queries.len()));
     let reference = Arc::new(reference);
@@ -173,18 +184,23 @@ fn coalesced_results_match_direct_engine_calls_for_every_solver() {
     for t in threads {
         t.join().expect("phase-2 client");
     }
-    let stats = client.stats().unwrap();
-    let coalesce = stats.get("coalesce").unwrap();
-    assert!(coalesce.get("shared_sweeps").unwrap().as_u64().unwrap() >= 1);
-    assert!(coalesce.get("shared_roots").unwrap().as_u64().unwrap() >= 2);
-    assert!(
-        coalesce
-            .get("lane_occupancy_mean")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            > 0.0
+    let after = client.stats().unwrap();
+    let delta = |name: &str| count(&after, name) - count(&before, name);
+    assert_eq!(delta("group_requests"), 6);
+    let (executed, deduped) = (delta("executed"), delta("deduped"));
+    assert_eq!(
+        executed + deduped,
+        6,
+        "no cache: every request ran or deduped"
     );
+    assert!(executed >= 3, "each distinct query ran: {executed}");
+    assert!(deduped >= 1, "no window ran an identical pair once");
+    // The retired prefetch counters stay on the wire, at 0.
+    for name in ["shared_sweeps", "shared_lanes", "shared_roots"] {
+        assert_eq!(count(&after, name), 0, "{name}");
+    }
+    let occupancy = after.get("coalesce").unwrap().get("lane_occupancy_mean");
+    assert_eq!(occupancy.and_then(Json::as_f64), Some(0.0));
     handle.shutdown();
 }
 

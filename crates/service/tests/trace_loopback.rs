@@ -135,10 +135,9 @@ fn traced_solve_returns_pipeline_span_tree() {
             }
         }
 
-        // Distance counters surface on the sweep span: a lone fresh solve
-        // has no group prefetch, so its sweep computes every root's
-        // distances (ws-q) or landmark estimates (ws-q-approx) itself. It
-        // also misses the cache.
+        // Distance counters surface on the sweep span: the sweep computes
+        // every root's distances (ws-q) or landmark estimates
+        // (ws-q-approx) itself. A fresh solve also misses the cache.
         let sweep = child(root, "root_sweep").unwrap();
         let roots = counter(sweep, "roots").unwrap();
         assert!(roots >= 1);
