@@ -32,10 +32,11 @@
 //!                       a small fixed query pool, once with cross-request
 //!                       coalescing off and once with it on; solve caches
 //!                       are disabled on both runs so the speedup measures
-//!                       in-window dedup and job batching, not cache
-//!                       replay. Merges a `contend` section (with
-//!                       `speedup`, per-run p50/p99, and the coalescing
-//!                       run's `stats` counters) into BENCH_service.json.
+//!                       in-window dedup, job batching and any in-flight
+//!                       joins, not cache replay. Merges a `contend`
+//!                       section (with `speedup`, per-run p50/p99 and
+//!                       `joined`, and the coalescing run's `stats`
+//!                       counters) into BENCH_service.json.
 //!   --contend-window-us N
 //!                       coalescing flush window for the "on" run (default
 //!                       10000 — deliberately larger than the server's
@@ -80,7 +81,7 @@
 //!                       entries as a JSON array to PATH (CI artifact)
 //!   --weighted          swap every default workload graph for its
 //!                       weighted (`wba:`) twin, so solves run the
-//!                       delta-stepping kernel instead of BFS (default
+//!                       radix-heap Dijkstra instead of BFS (default
 //!                       corpus: wba2k=wba:2000x3 and wba5k=wba:5000x4;
 //!                       contend/router/reshard defaults become
 //!                       wba:2000x3). Incompatible with explicit
@@ -139,8 +140,8 @@ struct Args {
     metrics_out: Option<String>,
     slowlog_out: Option<String>,
     /// `--weighted`: the default workload graphs become their weighted
-    /// (`wba:`) twins, so every solve exercises the delta-stepping
-    /// kernel instead of BFS.
+    /// (`wba:`) twins, so every solve exercises the radix-heap Dijkstra
+    /// instead of BFS.
     weighted: bool,
 }
 
@@ -1053,7 +1054,7 @@ fn reshard_main(args: &Args) {
 /// Deterministic pool of distinct query sets for `--contend`: small on
 /// purpose, so concurrent clients repeatedly collide on the same queries
 /// and a coalescing window sees both duplicates (deduped) and distinct
-/// sets (roots unioned into shared MS-BFS sweeps).
+/// sets (run as jobs).
 fn contend_pool(seed: u64, nodes: usize, count: usize) -> Vec<Vec<NodeId>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut pool: Vec<Vec<NodeId>> = Vec::new();
@@ -1108,11 +1109,11 @@ fn contend_client_loop(
 /// One `--contend` run: an in-process server on the single contended
 /// graph (solve cache off, fixed 8-worker pool, coalescing per `enabled`),
 /// hammered by the pooled closed-loop clients. Returns elapsed seconds,
-/// the samples, and the server's own `coalesce` stats section.
+/// the samples, and the server's own `stats`.
 fn contend_run(args: &Args, enabled: bool, pool_size: usize) -> (f64, Vec<Sample>, Option<Json>) {
     let (name, spec) = &args.graphs[0];
-    // Cache off on BOTH runs: the comparison must measure shared sweeps
-    // and in-window dedup, not cache-hit replay of a repeated pool.
+    // Cache off on BOTH runs: the comparison must measure in-window dedup
+    // and job batching, not cache-hit replay of a repeated pool.
     let catalog = Arc::new(Catalog::new().with_solve_cache_bytes(0));
     let entry = catalog.load(name, spec).expect("load contend graph");
     let nodes = entry.num_nodes();
@@ -1164,9 +1165,18 @@ fn contend_run(args: &Args, enabled: bool, pool_size: usize) -> (f64, Vec<Sample
     });
 
     let mut probe = Client::connect(addr.as_str()).expect("connect probe");
-    let coalesce = probe.stats().ok().and_then(|s| s.get("coalesce").cloned());
+    let stats = probe.stats().ok();
     handle.shutdown();
-    (elapsed.as_secs_f64(), samples, coalesce)
+    (elapsed.as_secs_f64(), samples, stats)
+}
+
+/// Requests a server answered by joining an identical execution another
+/// group had in flight: its coalescing windows' plus its wire batches'.
+fn joined(stats: Option<&Json>) -> u64 {
+    ["coalesce", "batch"]
+        .into_iter()
+        .filter_map(|section| stats?.get(section)?.get("joined")?.as_u64())
+        .sum()
 }
 
 /// Latency/throughput summary for one contend run.
@@ -1198,13 +1208,19 @@ fn contend_main(args: &Args) {
     );
 
     eprintln!("loadgen --contend: run 1/2 — coalescing off");
-    let (secs_off, samples_off, _) = contend_run(args, false, POOL);
+    let (secs_off, samples_off, stats_off) = contend_run(args, false, POOL);
     eprintln!("loadgen --contend: run 2/2 — coalescing on");
-    let (secs_on, samples_on, coalesce) = contend_run(args, true, POOL);
+    let (secs_on, samples_on, stats_on) = contend_run(args, true, POOL);
 
-    let (rps_off, off) = contend_totals(secs_off, &samples_off);
+    let (rps_off, mut off) = contend_totals(secs_off, &samples_off);
     let (rps_on, mut on) = contend_totals(secs_on, &samples_on);
     let speedup = if rps_off > 0.0 { rps_on / rps_off } else { 0.0 };
+    for (totals, stats) in [(&mut off, &stats_off), (&mut on, &stats_on)] {
+        if let Json::Obj(m) = totals {
+            m.insert("joined".into(), Json::from(joined(stats.as_ref())));
+        }
+    }
+    let coalesce = stats_on.as_ref().and_then(|s| s.get("coalesce").cloned());
     if let (Json::Obj(m), Some(c)) = (&mut on, coalesce) {
         m.insert("coalesce".into(), c);
     }

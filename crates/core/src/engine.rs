@@ -15,9 +15,11 @@
 //!   amortizing across queries: a [`WorkspacePool`] of BFS buffers, a
 //!   lazily built betweenness vector, a lazily built [`LandmarkOracle`]
 //!   shared by every approximate solve,
-//!   and a bounded LRU *solve cache* ([`CacheStats`]) replaying recent
+//!   a bounded LRU *solve cache* ([`CacheStats`]) replaying recent
 //!   `(solver, query, options)` answers — repeated and overlapping query
-//!   sets are the serving norm;
+//!   sets are the serving norm — and an *in-flight registry* through
+//!   which an identical query of another [`QueryEngine::solve_group`]
+//!   joins an execution instead of running it again;
 //! * [`QueryContext`] — the per-query view handed to solvers: the graph,
 //!   the shared caches, and the caller's [`QueryOptions`] (deadline /
 //!   size budget);
@@ -54,10 +56,11 @@
 //! assert_eq!(reports.len(), 2);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use mwc_graph::oracle::{LandmarkOracle, LandmarkStrategy};
@@ -115,10 +118,13 @@ impl QueryOptions {
         self
     }
 
-    /// Bypasses the engine's solve cache for this query: the solver runs
-    /// even if an identical `(solver, query, options)` result is cached,
-    /// and the fresh result is not stored. The serving layer maps its
-    /// wire-level `no_cache` flag here.
+    /// Bypasses the engine's solve cache for this query: no cached
+    /// `(solver, query, options)` result answers it, and its result is
+    /// not stored. In a [`QueryEngine::solve_group`] it may still share an
+    /// identical execution, a duplicate in the group or one in flight in
+    /// another group; a lone [`QueryEngine::solve_with`] always runs the
+    /// solver. The serving layer maps its wire-level `no_cache` flag
+    /// here.
     pub fn no_cache(mut self) -> Self {
         self.no_cache = true;
         self
@@ -819,9 +825,14 @@ pub struct GroupStats {
     pub requests: u64,
     /// Queries answered from the solve cache without executing.
     pub cache_hits: u64,
-    /// Queries answered by another member's execution (identical
-    /// `(solver, canonical query, size budget)` within the window).
+    /// Queries answered without executing here: by another member's
+    /// execution (identical `(solver, canonical query, size budget)`
+    /// within the window), or by an identical execution another group
+    /// had in flight ([`Self::joined`]).
     pub deduped: u64,
+    /// The part of [`Self::deduped`] answered by another group's
+    /// execution.
+    pub joined: u64,
     /// Distinct solver executions the window ran.
     pub executed: u64,
 }
@@ -832,6 +843,7 @@ impl GroupStats {
         self.requests += other.requests;
         self.cache_hits += other.cache_hits;
         self.deduped += other.deduped;
+        self.joined += other.joined;
         self.executed += other.executed;
     }
 }
@@ -849,13 +861,92 @@ pub struct GroupOutcome {
 
 /// One distinct execution of a [`QueryEngine::solve_group`]: the solver,
 /// canonical query and options it runs with, the input slots it answers,
-/// and whether its report goes into the solve cache.
-struct GroupJob<'q> {
-    solver: &'q str,
+/// whether its report goes into the solve cache, and its part in the
+/// engine's in-flight registry.
+struct GroupJob<'e> {
+    solver: &'e str,
     canonical: Vec<NodeId>,
-    options: &'q QueryOptions,
+    options: &'e QueryOptions,
     members: Vec<usize>,
     cache_insert: bool,
+    flight: InFlight<'e>,
+}
+
+/// A [`GroupJob`]'s part in the engine's in-flight registry.
+enum InFlight<'e> {
+    /// Runs unshared: a lone call's job, or a deadline-bearing one.
+    Alone,
+    /// Runs here and answers the flight's joiners.
+    Leads(Lead<'e>),
+    /// Answered by the identical execution another group runs.
+    Joins(Arc<Flight>),
+}
+
+/// The engine's in-flight registry: one [`Flight`] per deadline-free job
+/// of a group call that is executing, keyed like the solve cache.
+type Flights = Mutex<HashMap<CacheKey, Arc<Flight>>>;
+
+/// One execution that identical jobs of other groups join: its leader
+/// lands the job's result here the moment the job finishes.
+#[derive(Default)]
+struct Flight {
+    result: Mutex<Option<Result<SolveReport>>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    /// A copy of the leader's result, once it lands.
+    fn wait(&self) -> Result<SolveReport> {
+        let result = self
+            .landed
+            .wait_while(lock(&self.result), |r| r.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        share(result.as_ref().expect("a landed flight holds its result"))
+    }
+}
+
+/// A job's lead of a [`Flight`]. Landing takes the flight off the
+/// registry, so the next identical query leads a fresh one, and answers
+/// the joiners. A lead dropped unlanded (its group unwound) lands
+/// [`CoreError::SolverPanicked`], so no joiner waits forever.
+struct Lead<'e> {
+    flights: &'e Flights,
+    key: CacheKey,
+    flight: Arc<Flight>,
+}
+
+impl Lead<'_> {
+    fn land(&self, result: &Result<SolveReport>) {
+        lock(self.flights).remove(&self.key);
+        *lock(&self.flight.result) = Some(share(result));
+        self.flight.landed.notify_all();
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        if lock(&self.flight.result).is_none() {
+            self.land(&Err(CoreError::SolverPanicked {
+                solver: self.key.0.clone(),
+                message: "the execution this query joined unwound without an answer".into(),
+            }));
+        }
+    }
+}
+
+/// Locks `m`, poisoned or not: the registry and a flight's result slot
+/// stay consistent through a panic, and a [`Lead`] lands while its group
+/// unwinds.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A copy of one execution's result for another member it answers.
+fn share(result: &Result<SolveReport>) -> Result<SolveReport> {
+    match result {
+        Ok(report) => Ok(report.clone()),
+        Err(e) => Err(duplicate_error(e)),
+    }
 }
 
 /// Best-effort duplication of a solve error, so one shared execution can
@@ -957,6 +1048,7 @@ pub struct QueryEngine<'g> {
     solvers: Vec<Box<dyn ConnectorSolver + Send + Sync>>,
     shared: SharedState,
     cache: SolveCache,
+    flights: Flights,
 }
 
 impl std::fmt::Debug for QueryEngine<'_> {
@@ -1016,6 +1108,7 @@ impl<'g> QueryEngine<'g> {
                 DEFAULT_SOLVE_CACHE_BYTES,
                 None,
             ),
+            flights: Flights::default(),
         };
         if with_solvers {
             engine
@@ -1195,7 +1288,10 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Solves one query with the named solver and explicit options: a
-    /// [`Self::solve_group`] of one [`GroupQuery`].
+    /// [`Self::solve_group`] of one [`GroupQuery`], except that a lone
+    /// call never shares an execution in flight. It neither joins an
+    /// identical query that a group is executing nor lets one join it, so
+    /// it always runs its own solve unless the cache answers it.
     ///
     /// Consults the engine's solve cache first: repeated `(solver,
     /// canonical query, size budget)` triples are the serving norm, and a
@@ -1211,7 +1307,7 @@ impl<'g> QueryEngine<'g> {
         options: &QueryOptions,
     ) -> Result<SolveReport> {
         let query = GroupQuery::new(solver, q.to_vec(), options.clone());
-        let mut outcome = self.solve_group(std::slice::from_ref(&query));
+        let mut outcome = self.run_group(std::slice::from_ref(&query), false);
         outcome.results.pop().expect("one result per query")
     }
 
@@ -1239,27 +1335,46 @@ impl<'g> QueryEngine<'g> {
     /// [`Self::solve_batch`] and `mwc_service`'s per-graph coalescer and
     /// wire `batch`.
     ///
-    /// Two passes:
+    /// Three passes:
     ///
     /// 1. **Admission** — per query: resolve the solver (unknown names
     ///    error in place), canonicalize, consult the solve cache (see
     ///    [`Self::solve_with`] for the policy), and *deduplicate* the
     ///    remainder: queries with identical `(solver, canonical query,
     ///    size budget)` share one execution (deadline-bearing queries are
-    ///    never shared — their results depend on wall-clock luck).
+    ///    never shared — their results depend on wall-clock luck). Then
+    ///    each deadline-free job either leads a flight of the engine's
+    ///    in-flight registry or, when another group is already executing
+    ///    the identical query, joins that flight instead of running.
     /// 2. **Execute** — scoped workers (the calling thread among them)
-    ///    each take the next job from a shared counter, with sequential
-    ///    solver internals when several jobs run at once; results fan back
-    ///    out to every member in input order. Each job runs exactly the
-    ///    solve a lone [`Self::solve_with`] call would, its ws-q sweep
-    ///    computing its own roots' distances. A job whose solver panics
-    ///    answers its members with [`CoreError::SolverPanicked`]; the
-    ///    other jobs and the engine carry on.
+    ///    each take the next job of the group's own from a shared
+    ///    counter, with sequential solver internals when several jobs run
+    ///    at once. Each job runs exactly the solve a lone
+    ///    [`Self::solve_with`] call would, its ws-q sweep computing its
+    ///    own roots' distances. A leader hands a copy of its report or
+    ///    error to its joiners the moment its job finishes, not when its
+    ///    group ends. A job whose solver panics answers its members, and
+    ///    its joiners, with [`CoreError::SolverPanicked`]; the other jobs
+    ///    and the engine carry on.
+    /// 3. **Join** — only once all of its own jobs are done does the
+    ///    group wait on the flights it joined, so no execution ever waits
+    ///    on another. Results then fan out to every member in input order.
+    ///
+    /// Sharing never changes an answer: deadline-free solves are
+    /// deterministic, so a `no_cache` query may be answered by an
+    /// identical execution in flight, though never by a stored report. A
+    /// cacheable member caches the report it was answered with.
     ///
     /// Results are **bit-identical** to per-query [`Self::solve_with`]
     /// calls (pinned by the group parity tests and the service-level
     /// coalescer suite).
     pub fn solve_group(&self, queries: &[GroupQuery]) -> GroupOutcome {
+        self.run_group(queries, true)
+    }
+
+    /// [`Self::solve_group`], whose deadline-free jobs share executions
+    /// in flight with other groups when `in_flight` is set.
+    fn run_group(&self, queries: &[GroupQuery], in_flight: bool) -> GroupOutcome {
         let start = Instant::now();
         let mut stats = GroupStats {
             requests: queries.len() as u64,
@@ -1268,7 +1383,7 @@ impl<'g> QueryEngine<'g> {
         let mut slots: Vec<Option<Result<SolveReport>>> = Vec::new();
         slots.resize_with(queries.len(), || None);
 
-        // Pass 1: admission — errors, cache hits, dedup.
+        // Pass 1: admission — errors, cache hits, dedup, flights.
         let mut jobs: Vec<GroupJob<'_>> = Vec::new();
         let mut dedup: HashMap<CacheKey, usize> = HashMap::new();
         for (i, gq) in queries.iter().enumerate() {
@@ -1310,20 +1425,49 @@ impl<'g> QueryEngine<'g> {
                 options: &gq.options,
                 members: vec![i],
                 cache_insert: cacheable,
+                flight: InFlight::Alone,
             });
         }
-        stats.executed = jobs.len() as u64;
+        if in_flight && !dedup.is_empty() {
+            let mut flights = lock(&self.flights);
+            for (key, j) in dedup {
+                jobs[j].flight = match flights.entry(key) {
+                    Entry::Occupied(running) => {
+                        stats.deduped += 1;
+                        stats.joined += jobs[j].members.len() as u64;
+                        InFlight::Joins(Arc::clone(running.get()))
+                    }
+                    Entry::Vacant(slot) => {
+                        let key = slot.key().clone();
+                        InFlight::Leads(Lead {
+                            flights: &self.flights,
+                            key,
+                            flight: Arc::clone(slot.insert(Arc::default())),
+                        })
+                    }
+                };
+            }
+        }
+        let admitted = Instant::now();
+        let own: Vec<usize> = (0..jobs.len())
+            .filter(|&j| !matches!(jobs[j].flight, InFlight::Joins(_)))
+            .collect();
+        stats.executed = own.len() as u64;
 
-        // Pass 2: execute and fan out. Workers pull jobs from a shared
-        // counter, so a run of slow jobs cannot pin one worker's fixed
-        // share of the group; solver internals stay sequential when
+        // Pass 2: execute the group's own jobs. Workers pull jobs from a
+        // shared counter, so a run of slow jobs cannot pin one worker's
+        // fixed share of the group; solver internals stay sequential when
         // several jobs run concurrently.
+        let mut results: Vec<Option<Result<SolveReport>>> = Vec::new();
+        results.resize_with(jobs.len(), || None);
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
-            .min(jobs.len().max(1));
-        let results: Vec<Result<SolveReport>> = if threads <= 1 {
-            jobs.iter().map(|job| self.solve_job(job, false)).collect()
+            .min(own.len().max(1));
+        if threads <= 1 {
+            for &j in &own {
+                results[j] = Some(self.solve_job(&jobs[j], false));
+            }
         } else {
             // Relaxed: the counter only hands out job indices; results
             // come back through `join`.
@@ -1331,18 +1475,16 @@ impl<'g> QueryEngine<'g> {
             let work = || {
                 let mut done = Vec::new();
                 loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break done };
-                    done.push((j, self.solve_job(job, true)));
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&j) = own.get(k) else { break done };
+                    done.push((j, self.solve_job(&jobs[j], true)));
                 }
             };
-            let mut out: Vec<Option<Result<SolveReport>>> = Vec::new();
-            out.resize_with(jobs.len(), || None);
             std::thread::scope(|scope| {
                 let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
                 let mut place = |done: Vec<(usize, Result<SolveReport>)>| {
                     for (j, r) in done {
-                        out[j] = Some(r);
+                        results[j] = Some(r);
                     }
                 };
                 place(work());
@@ -1350,24 +1492,35 @@ impl<'g> QueryEngine<'g> {
                     place(w.join().expect("group worker panicked"));
                 }
             });
-            out.into_iter()
-                .map(|s| s.expect("every job slot is filled by a worker"))
-                .collect()
-        };
+        }
+
+        // Pass 3: wait on the joined flights, then fan out. A member
+        // answered by an execution it did not run records the wait.
+        for (job, result) in jobs.iter().zip(&mut results) {
+            if result.is_none() {
+                *result = Some(self.solve_job(job, false));
+            }
+        }
+        let answered = Instant::now();
         for (job, result) in jobs.iter().zip(results) {
-            match result {
-                Ok(report) => {
-                    for &i in &job.members {
-                        slots[i] = Some(Ok(report.clone()));
-                    }
-                }
-                Err(e) => {
-                    for &i in &job.members[1..] {
-                        slots[i] = Some(Err(duplicate_error(&e)));
-                    }
-                    slots[job.members[0]] = Some(Err(e));
+            let result = result.expect("every job is executed or joined");
+            let joined = matches!(job.flight, InFlight::Joins(_));
+            let shared = if joined {
+                &job.members[..]
+            } else {
+                &job.members[1..]
+            };
+            for &i in shared {
+                let trace = queries[i].options.trace_context();
+                if trace.enabled() {
+                    let counters = vec![("joined", joined as u64)];
+                    trace.record_with("shared_wait", admitted, answered, counters);
                 }
             }
+            for &i in &job.members[1..] {
+                slots[i] = Some(share(&result));
+            }
+            slots[job.members[0]] = Some(result);
         }
 
         GroupOutcome {
@@ -1381,11 +1534,34 @@ impl<'g> QueryEngine<'g> {
 
     /// One job of a [`Self::solve_group`], with the cache lookup already
     /// done by the group's admission pass (`cache_insert` carries its
-    /// verdict): solve, stamp `seconds` with the job's own wall time,
-    /// enforce the size budget, and cache the report. A panic in the
-    /// solver becomes [`CoreError::SolverPanicked`]; the workspace pools
-    /// drop whatever the unwinding solve had leased.
+    /// verdict): run it here, or wait for the flight it joined; cache the
+    /// report; and land the flight it leads.
     fn solve_job(&self, job: &GroupJob<'_>, prefer_sequential: bool) -> Result<SolveReport> {
+        let result = match &job.flight {
+            InFlight::Joins(flight) => flight.wait(),
+            _ => self.execute(job, prefer_sequential),
+        };
+        if let (true, Ok(report)) = (job.cache_insert, &result) {
+            self.cache.insert(
+                (
+                    job.solver.to_string(),
+                    job.canonical.clone(),
+                    job.options.size_budget(),
+                ),
+                report.clone(),
+            );
+        }
+        if let InFlight::Leads(lead) = &job.flight {
+            lead.land(&result);
+        }
+        result
+    }
+
+    /// Runs one job's solve: stamp `seconds` with the job's own wall
+    /// time and enforce the size budget. A panic in the solver becomes
+    /// [`CoreError::SolverPanicked`]; the workspace pools drop whatever
+    /// the unwinding solve had leased.
+    fn execute(&self, job: &GroupJob<'_>, prefer_sequential: bool) -> Result<SolveReport> {
         let start = Instant::now();
         let s = self.solver(job.solver)?;
         let ctx = QueryContext::new(
@@ -1409,16 +1585,6 @@ impl<'g> QueryEngine<'g> {
                     budget,
                 });
             }
-        }
-        if job.cache_insert {
-            self.cache.insert(
-                (
-                    job.solver.to_string(),
-                    job.canonical.clone(),
-                    job.options.size_budget(),
-                ),
-                report.clone(),
-            );
         }
         Ok(report)
     }
@@ -2210,5 +2376,247 @@ mod tests {
         }
     }
 
+    /// What a [`Gated`] solver shares with its test: every run announces
+    /// its query on `started`, then blocks on its query's channel until
+    /// the test releases it.
+    struct Gates {
+        started: Mutex<mpsc::Sender<Vec<NodeId>>>,
+        gates: Mutex<HashMap<Vec<NodeId>, Gate>>,
+    }
+
+    /// One query's release channel: each message lets one run finish.
+    type Gate = (mpsc::Sender<bool>, Arc<Mutex<mpsc::Receiver<bool>>>);
+
+    impl Gates {
+        fn new() -> (Arc<Gates>, mpsc::Receiver<Vec<NodeId>>) {
+            let (started, runs) = mpsc::channel();
+            let gates = Gates {
+                started: Mutex::new(started),
+                gates: Mutex::default(),
+            };
+            (Arc::new(gates), runs)
+        }
+
+        fn gate(&self, q: &[NodeId]) -> Gate {
+            let mut gates = self.gates.lock().unwrap();
+            let (tx, rx) = gates.entry(q.to_vec()).or_insert_with(|| {
+                let (tx, rx) = mpsc::channel();
+                (tx, Arc::new(Mutex::new(rx)))
+            });
+            (tx.clone(), Arc::clone(rx))
+        }
+
+        /// Lets one run of `q` finish: with ws-q's answer, or by
+        /// panicking.
+        fn release(&self, q: &[NodeId], panic: bool) {
+            self.gate(q).0.send(panic).unwrap();
+        }
+    }
+
+    /// A test solver, `gated`: ws-q once the test releases the run.
+    struct Gated(Arc<Gates>);
+
+    impl ConnectorSolver for Gated {
+        fn name(&self) -> &str {
+            "gated"
+        }
+
+        fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
+            let gate = self.0.gate(q).1;
+            self.0.started.lock().unwrap().send(q.to_vec()).unwrap();
+            let panic = gate
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_secs(60))
+                .expect("the test releases every run");
+            assert!(!panic, "gated solver told to panic on {q:?}");
+            WsqSolver::default().solve(ctx, q)
+        }
+    }
+
+    fn gated_engine(g: &Graph) -> (QueryEngine<'_>, Arc<Gates>, mpsc::Receiver<Vec<NodeId>>) {
+        let (gates, started) = Gates::new();
+        let mut engine = QueryEngine::new(g);
+        engine.register(Box::new(Gated(Arc::clone(&gates))));
+        (engine, gates, started)
+    }
+
+    /// The query of the next gated run to start.
+    fn next_run(started: &mpsc::Receiver<Vec<NodeId>>) -> Vec<NodeId> {
+        started
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a gated run starts")
+    }
+
+    /// Spins until `joiners` groups have joined the flight of `q`, whose
+    /// `Arc` the registry, the leader and each joiner hold.
+    fn await_joiners(engine: &QueryEngine<'_>, q: &[NodeId], joiners: usize) {
+        let key: CacheKey = ("gated".into(), q.to_vec(), None);
+        let until = Instant::now() + Duration::from_secs(60);
+        while lock(&engine.flights).get(&key).map_or(0, Arc::strong_count) < 2 + joiners {
+            assert!(
+                Instant::now() < until,
+                "no group joined the flight of {q:?}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    fn assert_same_answer(a: &Result<SolveReport>, b: &Result<SolveReport>) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(a.connector.vertices(), b.connector.vertices());
+        assert_eq!(a.wiener_index, b.wiener_index);
+        assert_eq!(a.candidates, b.candidates);
+    }
+
+    #[test]
+    fn identical_group_query_joins_the_execution_in_flight() {
+        let g = karate_club();
+        let (engine, gates, started) = gated_engine(&g);
+        let q = vec![11, 24, 25, 29];
+        let group = |options: QueryOptions| [GroupQuery::new("gated", q.clone(), options)];
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| engine.solve_group(&group(QueryOptions::new().no_cache())));
+            assert_eq!(next_run(&started), q);
+            // A cacheable joiner of a `no_cache` leader.
+            let joiner = s.spawn(|| engine.solve_group(&group(QueryOptions::new())));
+            await_joiners(&engine, &q, 1);
+            gates.release(&q, false);
+            let (led, joined) = (leader.join().unwrap(), joiner.join().unwrap());
+            assert_same_answer(&led.results[0], &joined.results[0]);
+            assert_eq!((led.stats.executed, led.stats.joined), (1, 0));
+            let s = joined.stats;
+            assert_eq!((s.executed, s.deduped, s.joined), (0, 1, 1));
+        });
+        assert!(started.try_recv().is_err(), "the solver ran once");
+        assert!(lock(&engine.flights).is_empty());
+        // The joiner cached the report it was answered with.
+        assert_eq!(engine.cache_stats().entries, 1);
+        let hit = engine.solve_group(&[GroupQuery::new("gated", q.clone(), QueryOptions::new())]);
+        assert_eq!(hit.stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn deadline_and_lone_twins_run_their_own_executions() {
+        let g = karate_club();
+        let (engine, gates, started) = gated_engine(&g);
+        let q = vec![11, 24, 25, 29];
+        let opts = QueryOptions::new().no_cache();
+        let timed = QueryOptions::new().deadline(Duration::from_secs(600));
+        std::thread::scope(|s| {
+            let leader = s
+                .spawn(|| engine.solve_group(&[GroupQuery::new("gated", q.clone(), opts.clone())]));
+            assert_eq!(next_run(&started), q);
+            let deadline_twin = s.spawn(|| {
+                engine.solve_group(&[GroupQuery::new("gated", q.clone(), timed.clone())])
+            });
+            assert_eq!(
+                next_run(&started),
+                q,
+                "a deadline-bearing twin runs its own solve"
+            );
+            let lone_twin = s.spawn(|| engine.solve_with("gated", &q, &opts));
+            assert_eq!(next_run(&started), q, "a lone twin runs its own solve");
+            for _ in 0..3 {
+                gates.release(&q, false);
+            }
+            let led = leader.join().unwrap();
+            let timed = deadline_twin.join().unwrap();
+            assert_eq!((timed.stats.executed, timed.stats.joined), (1, 0));
+            assert_same_answer(&led.results[0], &timed.results[0]);
+            assert_same_answer(&led.results[0], &lone_twin.join().unwrap());
+        });
+        assert!(lock(&engine.flights).is_empty());
+    }
+
+    #[test]
+    fn joiner_returns_when_its_leaders_job_finishes() {
+        let g = karate_club();
+        let (engine, gates, started) = gated_engine(&g);
+        let (q1, q2) = (vec![11, 24, 25, 29], vec![0, 16, 26]);
+        let opts = QueryOptions::new().no_cache();
+        std::thread::scope(|s| {
+            let leaders = s.spawn(|| {
+                engine.solve_group(&[
+                    GroupQuery::new("gated", q1.clone(), opts.clone()),
+                    GroupQuery::new("gated", q2.clone(), opts.clone()),
+                ])
+            });
+            // With one worker the group runs q1 first; with more, q2 may
+            // start first.
+            while next_run(&started) != q1 {}
+            let joiner = s.spawn(|| {
+                engine.solve_group(&[GroupQuery::new("gated", q1.clone(), opts.clone())])
+            });
+            await_joiners(&engine, &q1, 1);
+            gates.release(&q1, false);
+            let joined = joiner.join().unwrap();
+            assert_eq!(joined.stats.joined, 1);
+            assert!(joined.results[0].is_ok());
+            assert!(!leaders.is_finished(), "q2 is still blocked");
+            gates.release(&q2, false);
+            let led = leaders.join().unwrap();
+            assert_eq!(led.stats.executed, 2);
+            assert_same_answer(&led.results[0], &joined.results[0]);
+        });
+    }
+
+    #[test]
+    fn panicking_leader_answers_its_joiner_and_leaves_no_flight() {
+        let g = karate_club();
+        let (engine, gates, started) = gated_engine(&g);
+        let q = vec![0, 33];
+        let group = || {
+            [GroupQuery::new(
+                "gated",
+                q.clone(),
+                QueryOptions::new().no_cache(),
+            )]
+        };
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| engine.solve_group(&group()));
+            assert_eq!(next_run(&started), q);
+            let joiner = s.spawn(|| engine.solve_group(&group()));
+            await_joiners(&engine, &q, 1);
+            gates.release(&q, true);
+            for outcome in [leader.join().unwrap(), joiner.join().unwrap()] {
+                match &outcome.results[0] {
+                    Err(CoreError::SolverPanicked { solver, message }) => {
+                        assert_eq!(solver, "gated");
+                        assert!(message.contains("told to panic"), "{message}");
+                    }
+                    other => panic!("expected a contained panic, got {other:?}"),
+                }
+            }
+            assert!(lock(&engine.flights).is_empty());
+            // The next identical query leads a fresh flight.
+            let next = s.spawn(|| engine.solve_group(&group()));
+            assert_eq!(next_run(&started), q);
+            gates.release(&q, false);
+            let next = next.join().unwrap();
+            assert_eq!((next.stats.executed, next.stats.joined), (1, 0));
+            assert!(next.results[0].is_ok());
+        });
+    }
+
+    #[test]
+    fn lead_dropped_unlanded_answers_its_joiners() {
+        let flights = Flights::default();
+        let key: CacheKey = ("ws-q".into(), vec![0, 33], None);
+        let flight = Arc::new(Flight::default());
+        lock(&flights).insert(key.clone(), Arc::clone(&flight));
+        drop(Lead {
+            flights: &flights,
+            key,
+            flight: Arc::clone(&flight),
+        });
+        assert!(lock(&flights).is_empty());
+        assert!(matches!(
+            flight.wait(),
+            Err(CoreError::SolverPanicked { .. })
+        ));
+    }
+
     use mwc_graph::Graph;
+    use std::sync::mpsc;
 }

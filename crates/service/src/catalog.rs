@@ -457,7 +457,8 @@ impl CatalogEntry {
     /// Group counterpart of [`CatalogEntry::solve`]: queries (each with
     /// its own solver and options) run through
     /// [`QueryEngine::solve_group`](mwc_core::QueryEngine::solve_group),
-    /// which dedups identical work and runs the rest as parallel jobs.
+    /// which dedups identical work, joins identical executions another
+    /// group has in flight, and runs the rest as parallel jobs.
     /// Ids are translated at the boundary
     /// in both directions; per-query errors stay in place. The coalescer
     /// and the wire `batch` are the callers.

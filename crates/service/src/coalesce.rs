@@ -8,7 +8,10 @@
 //! requests once and runs the distinct ones as jobs on the engine's
 //! workers, then the results are demuxed back to each waiting request
 //! with its own deadline accounting. Each job runs exactly the solve a
-//! lone request would.
+//! lone request would. A deadline-free request identical to one that
+//! another window or a wire `batch` is executing joins that execution
+//! instead of solving again (`joined` in `stats`); a request executed
+//! directly never shares one.
 //!
 //! # Concurrency model: leader–worker windows
 //!
@@ -88,7 +91,11 @@ pub type Responder = Box<dyn FnOnce(Result<SolveReport, ServiceError>) + Send + 
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
     /// Master switch. When off, every solve executes directly (the
-    /// pre-coalescer behavior).
+    /// pre-coalescer behavior): a lone engine solve, which neither joins
+    /// an identical execution in flight nor lets one join it. When on,
+    /// a window's deadline-free members also join identical executions
+    /// that another window or a wire `batch` has in flight, `no_cache`
+    /// members included; those never read a stored answer.
     pub enabled: bool,
     /// Flush window: how long the first request of a window waits for
     /// company before the batch executes.
@@ -271,6 +278,7 @@ pub struct Coalescer {
     group_requests: AtomicU64,
     group_cache_hits: AtomicU64,
     group_deduped: AtomicU64,
+    group_joined: AtomicU64,
     group_executed: AtomicU64,
     /// Time requests spend parked before their window flushes.
     queue_wait: Histogram,
@@ -306,6 +314,7 @@ impl Coalescer {
             group_requests: AtomicU64::new(0),
             group_cache_hits: AtomicU64::new(0),
             group_deduped: AtomicU64::new(0),
+            group_joined: AtomicU64::new(0),
             group_executed: AtomicU64::new(0),
             queue_wait: Histogram::default(),
         }
@@ -526,6 +535,7 @@ impl Coalescer {
         self.group_cache_hits
             .fetch_add(s.cache_hits, Ordering::Relaxed);
         self.group_deduped.fetch_add(s.deduped, Ordering::Relaxed);
+        self.group_joined.fetch_add(s.joined, Ordering::Relaxed);
         self.group_executed.fetch_add(s.executed, Ordering::Relaxed);
         for (p, result) in live.into_iter().zip(outcome.results) {
             (p.respond)(result.map_err(ServiceError::Core));
@@ -627,6 +637,7 @@ impl Coalescer {
             ("group_requests", load(&self.group_requests)),
             ("cache_hits", load(&self.group_cache_hits)),
             ("deduped", load(&self.group_deduped)),
+            ("joined", load(&self.group_joined)),
             ("executed", load(&self.group_executed)),
             // Retired counters, always 0: removing a response field
             // would bump the protocol version.

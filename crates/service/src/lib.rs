@@ -23,8 +23,9 @@
 //!   on shutdown;
 //! * [`coalesce`] — cross-request solve coalescing: per-graph flush
 //!   windows pack concurrent solves into one shared
-//!   [`solve_group`](mwc_core::QueryEngine::solve_group) execution whose
-//!   MS-BFS sweeps span requests, with deadline bypass, eviction abort
+//!   [`solve_group`](mwc_core::QueryEngine::solve_group) execution that
+//!   solves identical requests once and joins identical executions in
+//!   flight, with deadline bypass, eviction abort
 //!   (`graph_evicted`), and drain-before-ack on shutdown;
 //! * [`metrics`] — request counters, queue gauges, per-solver and
 //!   per-stage log₂ latency histograms, served by the `stats` command

@@ -87,9 +87,11 @@
 //! whose digest does not match the target graph, so answers solved under
 //! one weighting never seed a graph with another (or with none).
 //!
-//! `no_cache` forces a fresh solve even when the per-graph engine has the
-//! answer cached (see `QueryEngine`'s solve cache), and keeps the fresh
-//! result out of the cache.
+//! `no_cache` never reads a stored answer, even when the per-graph engine
+//! has the answer cached (see `QueryEngine`'s solve cache), and keeps the
+//! result out of the cache. A coalesced `no_cache` solve may still share
+//! an identical execution in flight: a duplicate in its window or batch,
+//! or a deadline-free one another window or batch is running.
 //!
 //! `trace` asks the server to record per-stage spans for this request
 //! and return them inline as a `"trace"` span tree (see
@@ -150,8 +152,9 @@ pub struct SolveParams {
     /// Maximum connector size (maps to `QueryOptions::max_connector_size`).
     pub max_size: Option<usize>,
     /// Bypass the engine's solve cache for this request (maps to
-    /// `QueryOptions::no_cache`): the solver always runs and the result
-    /// is not stored. Defaults to `false` when absent.
+    /// `QueryOptions::no_cache`): no stored answer is read and the result
+    /// is not stored, though an identical execution in flight may answer
+    /// it. Defaults to `false` when absent.
     pub no_cache: bool,
     /// Record per-stage spans and return them inline as a `"trace"`
     /// span tree. Defaults to `false` (tracing costs one branch per

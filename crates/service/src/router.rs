@@ -1637,6 +1637,7 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
                             "group_requests",
                             "cache_hits",
                             "deduped",
+                            "joined",
                             "executed",
                             // Retired: every shard reports 0.
                             "shared_sweeps",
@@ -1650,7 +1651,7 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
                     sum_into(
                         &mut totals,
                         batch,
-                        &["requests", "deduped", "executed"],
+                        &["requests", "deduped", "joined", "executed"],
                         "batch",
                     );
                 }

@@ -42,7 +42,8 @@
 //!   request that expires in the queue is failed without starting.
 //! * **One executor** — a coalescing window and a wire `batch` both run
 //!   through [`CatalogEntry::solve_group`], which answers identical
-//!   queries once and shares their root sweeps. A flushing window also
+//!   queries once and lets a query join the identical execution another
+//!   window or batch has in flight. A flushing window also
 //!   takes the solves for its graph still waiting in the admission queue
 //!   (up to a queued `load` of the graph; deadline-bearing requests stay
 //!   for the workers), so a backlog of repeated queries is solved once
@@ -302,6 +303,7 @@ fn solves_to_gather<'a>(
 pub(crate) struct BatchCounters {
     requests: AtomicU64,
     deduped: AtomicU64,
+    joined: AtomicU64,
     executed: AtomicU64,
 }
 
@@ -309,6 +311,7 @@ impl BatchCounters {
     fn record(&self, stats: &GroupStats) {
         self.requests.fetch_add(stats.requests, Ordering::Relaxed);
         self.deduped.fetch_add(stats.deduped, Ordering::Relaxed);
+        self.joined.fetch_add(stats.joined, Ordering::Relaxed);
         self.executed.fetch_add(stats.executed, Ordering::Relaxed);
     }
 
@@ -317,6 +320,7 @@ impl BatchCounters {
         Json::obj([
             ("requests", load(&self.requests)),
             ("deduped", load(&self.deduped)),
+            ("joined", load(&self.joined)),
             ("executed", load(&self.executed)),
         ])
     }
@@ -1392,10 +1396,10 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> Result<Vec<(&'static str, Json)>, S
             }
             // Entries may target different graphs (the router's fan-out
             // shape); each graph's entries run as one solve_group, which
-            // solves identical entries once and shares their root sweeps,
-            // then the replies are reassembled into the original request
-            // order. Group errors (unknown graph) land per entry, like
-            // per-query solve errors.
+            // solves identical entries once and joins identical executions
+            // in flight, then the replies are reassembled into the
+            // original request order. Group errors (unknown graph) land
+            // per entry, like per-query solve errors.
             let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
             for (i, entry) in queries.iter().enumerate() {
                 let name = entry.graph_name(&params.graph);

@@ -195,6 +195,8 @@ fn coalesced_results_match_direct_engine_calls_for_every_solver() {
     );
     assert!(executed >= 3, "each distinct query ran: {executed}");
     assert!(deduped >= 1, "no window ran an identical pair once");
+    // A window may join another's execution in flight: a part of deduped.
+    assert!(delta("joined") <= deduped);
     // The retired prefetch counters stay on the wire, at 0.
     for name in ["shared_sweeps", "shared_lanes", "shared_roots"] {
         assert_eq!(count(&after, name), 0, "{name}");
@@ -294,6 +296,7 @@ fn flushing_window_gathers_the_admission_backlog() {
     assert_eq!(count("group_requests"), queries.len() as u64);
     assert_eq!(count("executed"), 1 + distinct.len() as u64);
     assert_eq!(count("deduped"), duplicates.len() as u64 - 1);
+    assert_eq!(count("joined"), 0);
     handle.shutdown();
 }
 
@@ -319,6 +322,7 @@ fn disabled_coalescing_serves_directly() {
     assert_eq!(coalesce.get("enabled").unwrap().as_bool(), Some(false));
     assert_eq!(coalesce.get("enqueued").unwrap().as_u64(), Some(0));
     assert_eq!(coalesce.get("flush_total").unwrap().as_u64(), Some(0));
+    assert_eq!(coalesce.get("joined").unwrap().as_u64(), Some(0));
     handle.shutdown();
 }
 

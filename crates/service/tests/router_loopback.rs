@@ -480,7 +480,12 @@ fn stats_merge_aggregates_across_shards() {
     let aggregate = stats.get("aggregate").unwrap();
     let shards_doc = stats.get("shards").unwrap();
     let batch = aggregate.get("batch").expect("batch counters aggregate");
-    for (field, want) in [("requests", 4), ("deduped", 2), ("executed", 2)] {
+    for (field, want) in [
+        ("requests", 4),
+        ("deduped", 2),
+        ("joined", 0),
+        ("executed", 2),
+    ] {
         assert_eq!(
             batch.get(field).unwrap().as_u64(),
             Some(want),

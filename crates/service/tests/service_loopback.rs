@@ -219,11 +219,12 @@ fn batch_dedups_duplicate_entries_and_keeps_errors_in_place() {
     }
 
     // Per graph, one group: karate's four entries run two executions,
-    // toy's two run one.
+    // toy's two run one. Nothing else was in flight to join.
     let stats = client.stats().unwrap();
     let batch = stats.get("batch").expect("stats carry a batch section");
     assert_eq!(batch.get("requests").unwrap().as_u64(), Some(6));
     assert_eq!(batch.get("deduped").unwrap().as_u64(), Some(3));
+    assert_eq!(batch.get("joined").unwrap().as_u64(), Some(0));
     assert_eq!(batch.get("executed").unwrap().as_u64(), Some(3));
     handle.shutdown();
 }

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mwc_graph::NodeId;
+use mwc_service::coalesce::CoalesceConfig;
 use mwc_service::json::Json;
 use mwc_service::router::{self, RouterConfig, ShardSpec};
 use mwc_service::{server, Catalog, Client, RouterClient, ServerConfig};
@@ -252,6 +253,61 @@ fn traced_solve_reports_reused_steiner_trees() {
     let reused = counter(sweep, "steiner_reused").unwrap();
     assert!(reused > 0, "no reuse in {tree}");
     assert_eq!(Some(calls + reused), counter(sweep, "candidates"));
+    handle.shutdown();
+}
+
+/// A window member answered by its twin's execution records that wait as
+/// `shared_wait`, so its tree accounts for its wall time like the twin's
+/// does. The long window puts both concurrent requests in one window, and
+/// the solve is long next to it, so a tree without the wait would fall
+/// short of the 95% budget.
+#[test]
+fn window_duplicate_trace_covers_its_shared_wait() {
+    let catalog = Arc::new(Catalog::new());
+    catalog.load("ba2k", "ba:2000x3").unwrap();
+    let config = ServerConfig {
+        workers: 2,
+        coalesce: CoalesceConfig {
+            window: Duration::from_millis(200),
+            ..CoalesceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = server::start(catalog, config, "127.0.0.1:0").expect("bind loopback");
+    let q: &[NodeId] = &[3, 140, 377, 512, 901, 1204, 1588, 1999];
+    let trees: Vec<Json> = std::thread::scope(|s| {
+        let solves: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = Client::connect(handle.local_addr()).unwrap();
+                    let (_, tree) = client
+                        .solve_traced("ba2k", "ws-q+ls", q, None, None, true)
+                        .unwrap();
+                    tree.expect("trace:true returns an inline tree")
+                })
+            })
+            .collect();
+        solves.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let (ran, shared): (Vec<&Json>, Vec<&Json>) = trees
+        .iter()
+        .map(|t| t.get("root").unwrap())
+        .partition(|root| child(root, "root_sweep").is_some());
+    assert_eq!(
+        (ran.len(), shared.len()),
+        (1, 1),
+        "one twin runs: {trees:?}"
+    );
+    let root = shared[0];
+    let wait = child(root, "shared_wait").unwrap_or_else(|| panic!("no shared_wait in {root}"));
+    assert!(counter(wait, "joined").is_some());
+    let covered: u64 = children(root).iter().map(dur_us).sum();
+    assert!(covered <= dur_us(root), "children overlap in {root}");
+    assert!(
+        covered as f64 >= 0.95 * dur_us(root) as f64,
+        "children cover {covered} of {} us: {root}",
+        dur_us(root)
+    );
     handle.shutdown();
 }
 
