@@ -54,25 +54,26 @@
 //!                       and `speedup` = traced / untraced throughput)
 //!                       into BENCH_service.json, and prints one traced
 //!                       span tree as a stage breakdown.
-//!   --connections N     connection-scale comparison (linux only): spawn
-//!                       an in-process karate server twice — `threads`
-//!                       transport at min(N, 64) connections, then
-//!                       `epoll` at N — and drive an *open loop*: every
-//!                       connection sends one small solve each
+//!   --connections N     connection-scale open loop (linux only): an
+//!                       in-process karate server, then an in-process
+//!                       mwc-router over it as its one shard, each
+//!                       driven by N connections in an *open loop*:
+//!                       every connection sends one small solve each
 //!                       1/--conn-rate seconds regardless of responses
 //!                       (default 10000 × 0.5 r/s), all sockets
 //!                       multiplexed from one client thread on epoll.
 //!                       N is clamped against `ulimit -n` (a loopback
 //!                       connection costs two fds in-process) with a
-//!                       logged warning. Merges a `connections` section
-//!                       into --out: per-run accepted / throughput /
-//!                       p50 / p99, process RSS and thread counts, and
-//!                       `speedup` — the per-connection sustained-rate
-//!                       ratio (epoll at N vs threads at 64), ≈1.0 when
-//!                       the event loop holds the open-loop rate at
-//!                       scale and scale-invariant by construction, so
-//!                       the committed BENCH_conn.json baseline (10k
-//!                       connections) gates CI smokes at any N.
+//!                       logged warning. Merges a `connections` (server)
+//!                       and a `connections_router` section into --out:
+//!                       accepted / throughput / p50 / p99, process RSS
+//!                       and thread counts, and `speedup` — the
+//!                       sustained rate over the offered rate (responses
+//!                       received within the run over requests sent),
+//!                       ≈1.0 when the frontend holds the open-loop
+//!                       schedule and independent of N, so the committed
+//!                       BENCH_conn.json baseline (10k connections)
+//!                       gates CI smokes at any N.
 //!   --conn-rate R       per-connection request rate for --connections
 //!                       (default 0.5 r/s)
 //!   --metrics-out PATH  after the run, dump the server's Prometheus
@@ -321,7 +322,7 @@ fn parse_cli() -> Args {
     if args.connections > 0 {
         if args.router || args.contend || args.trace_overhead || args.addr.is_some() {
             eprintln!(
-                "--connections spawns its own paired servers; it composes with none of \
+                "--connections spawns its own server and router; it composes with none of \
                  --router, --contend, --trace-overhead, --addr"
             );
             usage();
@@ -1498,7 +1499,7 @@ struct ConnRunStats {
     rss_mb: f64,
     process_threads: u64,
     threads_spawned: u64,
-    server_connections_live: u64,
+    connections_live: u64,
 }
 
 #[cfg(target_os = "linux")]
@@ -1511,9 +1512,18 @@ impl ConnRunStats {
         }
     }
 
-    fn to_json(&self, transport: &str) -> Json {
+    /// The sustained rate over the offered rate: responses received
+    /// within the run over requests sent in it.
+    fn sustained(&self) -> f64 {
+        if self.sent > 0 {
+            self.received as f64 / self.sent as f64
+        } else {
+            0.0
+        }
+    }
+
+    fn to_json(&self) -> Json {
         Json::obj([
-            ("transport", Json::from(transport)),
             ("connections", Json::from(self.connections)),
             ("accepted", Json::from(self.accepted)),
             ("sent", Json::from(self.sent)),
@@ -1525,27 +1535,25 @@ impl ConnRunStats {
             ("rss_mb", Json::from(self.rss_mb)),
             ("process_threads", Json::from(self.process_threads)),
             ("threads_spawned", Json::from(self.threads_spawned)),
-            (
-                "server_connections_live",
-                Json::from(self.server_connections_live),
-            ),
+            ("connections_live", Json::from(self.connections_live)),
         ])
     }
 }
 
-/// One open-loop run: an in-process karate server on the given
-/// transport, `n` client connections each sending one small solve every
-/// `1/--conn-rate` seconds *regardless of responses*, all client sockets
-/// multiplexed from this one thread on epoll (a thread per client would
-/// make the load generator the scaling bottleneck it is measuring).
+/// One open-loop run: an in-process karate server — reached directly,
+/// or through an in-process `mwc-router` over it as the one shard when
+/// `via_router` — and `n` client connections each sending one small
+/// solve every `1/--conn-rate` seconds *regardless of responses*, all
+/// client sockets multiplexed from this one thread on epoll (a thread
+/// per client would make the load generator the scaling bottleneck it
+/// is measuring).
 ///
-/// Open loop means send times follow the schedule, not the server: a
-/// server that stalls keeps receiving requests and its latency tail —
-/// not its throughput — shows the damage. Connections ramp in over one
-/// period (staggered start offsets), so recorded throughput includes the
-/// ramp; the `speedup` ratio divides two runs with the same ramp shape.
+/// Open loop means send times follow the schedule, not the tier: a
+/// frontend that stalls keeps receiving requests, and the responses it
+/// owes at the end of the run count against its sustained rate.
+/// Connections ramp in over one period (staggered start offsets).
 #[cfg(target_os = "linux")]
-fn conn_run(args: &Args, transport: mwc_service::Transport, n: usize) -> ConnRunStats {
+fn conn_run(args: &Args, n: usize, via_router: bool) -> ConnRunStats {
     use std::collections::VecDeque;
     use std::io::Read as _;
     use std::net::TcpStream;
@@ -1662,19 +1670,29 @@ fn conn_run(args: &Args, transport: mwc_service::Transport, n: usize) -> ConnRun
     }
 
     // Two-node karate queries, rotated so the solve cache holds a small
-    // working set: the transport, not the solver, is under measurement.
+    // working set: the frontend, not the solver, is under measurement.
     const QUERIES: [(u32, u32); 4] = [(0, 33), (5, 16), (2, 25), (8, 30)];
 
     let (_, threads_before) = process_snapshot();
     let catalog = Arc::new(Catalog::new());
     catalog.load("karate", "karate").expect("load karate");
     let config = ServerConfig {
-        transport,
-        max_connections: n + 32, // the open-loop conns plus the stats probe
+        max_connections: n + 32, // the open-loop conns, or the router's pool
         ..ServerConfig::default()
     };
     let handle = server::start(catalog, config, "127.0.0.1:0").expect("bind in-process server");
-    let addr = handle.local_addr();
+    let router = via_router.then(|| {
+        let shard = ShardSpec::new("shard-0", handle.local_addr().to_string());
+        let config = RouterConfig {
+            max_connections: n + 32,
+            ..RouterConfig::default()
+        };
+        router::start(vec![shard], config, "127.0.0.1:0").expect("bind in-process router")
+    });
+    let (addr, front) = match &router {
+        Some(r) => (r.local_addr(), r.metrics()),
+        None => (handle.local_addr(), handle.metrics().as_ref()),
+    };
 
     let ep = Epoll::new().expect("client epoll");
     let mut conns: Vec<C> = Vec::with_capacity(n);
@@ -1784,44 +1802,13 @@ fn conn_run(args: &Args, transport: mwc_service::Transport, n: usize) -> ConnRun
     // Snapshot while every connection is still open: this is the
     // at-scale footprint, not the post-teardown one.
     let (rss_mb, threads_now) = process_snapshot();
-
-    // Collect in-flight tails (bounded) so the received count is honest.
-    let drain_deadline = Instant::now() + Duration::from_secs(2);
-    while Instant::now() < drain_deadline && conns.iter().any(|c| c.alive && !c.inflight.is_empty())
-    {
-        let nev = ep.wait(&mut events, 50).expect("client epoll wait");
-        for ev in &events[..nev] {
-            let bits = { ev.events };
-            let idx = { ev.data } as usize;
-            if bits & EPOLLOUT != 0 {
-                flush_conn(&ep, &mut conns[idx], idx as u64);
-            }
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-                drain_conn(
-                    &ep,
-                    &mut conns[idx],
-                    &mut scratch,
-                    &mut received,
-                    &mut errors,
-                    &mut latencies_ms,
-                );
-            }
-        }
-    }
-
-    let server_connections_live = Client::connect(addr)
-        .ok()
-        .and_then(|mut probe| probe.stats().ok())
-        .and_then(|stats| {
-            stats
-                .get("process")
-                .and_then(|p| p.get("connections_live"))
-                .and_then(Json::as_u64)
-        })
-        .unwrap_or(0);
+    let connections_live = front.connections_live.load(Ordering::Relaxed);
 
     drop(conns); // close every client socket before asking for the drain
     drop(ep);
+    if let Some(r) = router {
+        r.shutdown();
+    }
     handle.shutdown();
 
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
@@ -1836,17 +1823,17 @@ fn conn_run(args: &Args, transport: mwc_service::Transport, n: usize) -> ConnRun
         rss_mb,
         process_threads: threads_now,
         threads_spawned: threads_now.saturating_sub(threads_before),
-        server_connections_live,
+        connections_live,
     }
 }
 
-/// `--connections`: threads-at-64 vs epoll-at-N open-loop comparison,
-/// merged into `BENCH_service.json` as a `connections` section.
+/// `--connections`: the open loop at N connections against the server,
+/// then through the router, merged into `--out` as the `connections`
+/// and `connections_router` sections.
 ///
-/// The gated `speedup` is the **per-connection sustained-rate ratio**
-/// `(epoll_rps / N) / (threads_rps / 64)`: ≈1.0 whenever the event loop
-/// holds the open-loop schedule as well as thread-per-connection does,
-/// and — unlike a raw throughput ratio — independent of N, so the
+/// Each section's gated `speedup` is the **sustained rate over the
+/// offered rate**, `received / sent` within the run: ≈1.0 whenever the
+/// frontend holds the open-loop schedule, and independent of N, so the
 /// committed 10k-connection baseline gates CI smokes at any scale.
 #[cfg(target_os = "linux")]
 fn connections_main(args: &Args) {
@@ -1854,9 +1841,10 @@ fn connections_main(args: &Args) {
     let mut n = requested;
     if let Some(soft) = open_files_soft_limit() {
         // Each loopback connection costs two fds in this process (the
-        // client socket and the server's accepted socket), plus a margin
-        // for epoll/eventfd instances, the probe, and output files.
-        let budget = (soft.saturating_sub(128) / 2) as usize;
+        // client socket and the front's accepted socket), plus a margin
+        // for epoll/eventfd instances, output files and the router's
+        // backend pool (two fds for each busy relay's connection).
+        let budget = (soft.saturating_sub(1024) / 2) as usize;
         if n > budget {
             eprintln!(
                 "loadgen --connections: {requested} connections requested but \
@@ -1870,37 +1858,31 @@ fn connections_main(args: &Args) {
         n >= 2,
         "--connections needs at least 2 after the ulimit clamp"
     );
-    let threads_conns = n.min(64);
 
     eprintln!(
-        "loadgen --connections: open loop, {:.2} r/s per connection, {:?} per run",
+        "loadgen --connections: open loop, {n} connections at {:.2} r/s each, {:?} per run",
         args.conn_rate, args.duration
     );
-    eprintln!("loadgen --connections: run 1/2 — threads transport, {threads_conns} connections");
-    let threads_run = conn_run(args, mwc_service::Transport::Threads, threads_conns);
-    eprintln!("loadgen --connections: run 2/2 — epoll transport, {n} connections");
-    let epoll_run = conn_run(args, mwc_service::Transport::Epoll, n);
-
-    let per_conn = |run: &ConnRunStats| {
-        if run.connections > 0 {
-            run.rps() / run.connections as f64
-        } else {
-            0.0
-        }
-    };
-    let speedup = if per_conn(&threads_run) > 0.0 {
-        per_conn(&epoll_run) / per_conn(&threads_run)
-    } else {
-        0.0
-    };
+    eprintln!("loadgen --connections: run 1/2 — mwc-server");
+    let server_run = conn_run(args, n, false);
+    eprintln!("loadgen --connections: run 2/2 — mwc-router over one shard");
+    let router_run = conn_run(args, n, true);
 
     println!(
-        "{:<10} {:>8} {:>10} {:>12} {:>9} {:>9} {:>9} {:>8}",
-        "transport", "conns", "received", "thruput r/s", "p50 ms", "p99 ms", "rss MiB", "threads"
+        "{:<10} {:>8} {:>10} {:>12} {:>9} {:>9} {:>9} {:>8} {:>9}",
+        "front",
+        "conns",
+        "received",
+        "thruput r/s",
+        "p50 ms",
+        "p99 ms",
+        "rss MiB",
+        "threads",
+        "sustained"
     );
-    for (label, run) in [("threads", &threads_run), ("epoll", &epoll_run)] {
+    for (label, run) in [("server", &server_run), ("router", &router_run)] {
         println!(
-            "{label:<10} {:>8} {:>10} {:>12.1} {:>9.3} {:>9.3} {:>9.1} {:>8}",
+            "{label:<10} {:>8} {:>10} {:>12.1} {:>9.3} {:>9.3} {:>9.1} {:>8} {:>9.4}",
             run.accepted,
             run.received,
             run.rps(),
@@ -1908,36 +1890,34 @@ fn connections_main(args: &Args) {
             quantile_ms(&run.latencies_ms, 0.99),
             run.rss_mb,
             run.process_threads,
+            run.sustained(),
         );
     }
-    println!("per-connection sustained-rate ratio (epoll / threads): {speedup:.3}x");
 
-    let section = Json::obj([
+    let config = Json::obj([
+        ("connections_requested", Json::from(requested)),
+        ("connections", Json::from(n)),
+        ("rate_per_conn_rps", Json::from(args.conn_rate)),
+        ("duration_secs", Json::from(args.duration.as_secs_f64())),
+        ("graph", Json::from("karate")),
+        ("solver", Json::from("ws-q")),
         (
-            "config",
-            Json::obj([
-                ("connections_requested", Json::from(requested)),
-                ("connections", Json::from(n)),
-                ("threads_connections", Json::from(threads_conns)),
-                ("rate_per_conn_rps", Json::from(args.conn_rate)),
-                ("duration_secs", Json::from(args.duration.as_secs_f64())),
-                ("graph", Json::from("karate")),
-                ("solver", Json::from("ws-q")),
-                (
-                    "cores",
-                    Json::from(
-                        std::thread::available_parallelism()
-                            .map(|p| p.get())
-                            .unwrap_or(1),
-                    ),
-                ),
-                ("seed", Json::from(args.seed)),
-            ]),
+            "cores",
+            Json::from(
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1),
+            ),
         ),
-        ("threads", threads_run.to_json("threads")),
-        ("epoll", epoll_run.to_json("epoll")),
-        ("speedup", Json::from(speedup)),
+        ("seed", Json::from(args.seed)),
     ]);
+    let section = |key: &'static str, run: &ConnRunStats| {
+        Json::obj([
+            ("config", config.clone()),
+            (key, run.to_json()),
+            ("speedup", Json::from(run.sustained())),
+        ])
+    };
 
     // Merge into an existing document (the plain smoke run also writes
     // BENCH_service.json) rather than clobbering it.
@@ -1949,18 +1929,16 @@ fn connections_main(args: &Args) {
             _ => None,
         })
         .unwrap_or_default();
-    doc.insert("connections".into(), section);
+    doc.insert("connections".into(), section("epoll", &server_run));
+    doc.insert("connections_router".into(), section("router", &router_run));
     let mut file = std::fs::File::create(&args.out).expect("create output file");
     file.write_all(Json::Obj(doc).to_string().as_bytes())
         .expect("write output");
     file.write_all(b"\n").expect("write output");
     eprintln!(
-        "loadgen --connections: threads {:.1} r/s @ {}, epoll {:.1} r/s @ {}, \
-         per-conn ratio {speedup:.3}x → {}",
-        threads_run.rps(),
-        threads_run.accepted,
-        epoll_run.rps(),
-        epoll_run.accepted,
+        "loadgen --connections: sustained/offered {:.4} (server), {:.4} (router) → {}",
+        server_run.sustained(),
+        router_run.sustained(),
         args.out
     );
 }
@@ -1969,7 +1947,7 @@ fn connections_main(args: &Args) {
 fn connections_main(_args: &Args) {
     eprintln!(
         "loadgen --connections needs the epoll client multiplexer and is linux-only \
-         (the epoll transport itself is too)"
+         (serving itself is too)"
     );
     std::process::exit(2);
 }

@@ -4,7 +4,6 @@
 //! mwc-server [--listen ADDR] [--graph NAME=SPEC]... [--workers N]
 //!            [--queue N] [--cache-bytes N] [--cache-ttl SECS]
 //!            [--no-coalesce] [--coalesce-window-us N] [--slowlog-ms N]
-//!            [--transport epoll|threads]
 //!
 //!   --listen ADDR     bind address (default 127.0.0.1:7171)
 //!   --graph NAME=SPEC load a graph at startup; repeatable. SPEC is
@@ -28,27 +27,23 @@
 //!   --slowlog-ms N    slow-query log threshold in milliseconds; any
 //!                     request slower than this lands in the `slowlog`
 //!                     ring (default 100, 0 logs everything)
-//!   --transport T     accept/read/write machinery: `epoll` (one
-//!                     nonblocking event-loop thread, pipelining,
-//!                     bounded write buffers; linux default) or
-//!                     `threads` (one reader thread per connection,
-//!                     portable reference path). Also settable via
-//!                     MWC_TRANSPORT; the flag wins.
 //! ```
 //!
-//! The process serves until a protocol `shutdown` command arrives
-//! (`mwc-client <addr> shutdown`), then drains in-flight work and exits.
+//! One epoll event-loop thread serves every connection (pipelined,
+//! bounded write buffers), so serving is Linux-only. The process serves
+//! until a protocol `shutdown` command arrives (`mwc-client <addr>
+//! shutdown`), then drains in-flight work and exits.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use mwc_service::{server, Catalog, ServerConfig, Transport};
+use mwc_service::{server, Catalog, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: mwc-server [--listen ADDR] [--graph NAME=SPEC]... [--empty] [--workers N] \
          [--queue N] [--cache-bytes N] [--cache-ttl SECS] [--no-coalesce] \
-         [--coalesce-window-us N] [--slowlog-ms N] [--transport epoll|threads]"
+         [--coalesce-window-us N] [--slowlog-ms N]"
     );
     std::process::exit(2);
 }
@@ -107,16 +102,6 @@ fn main() -> ExitCode {
                 let ms: u64 = value("--slowlog-ms").parse().unwrap_or_else(|_| usage());
                 config.slowlog_threshold = std::time::Duration::from_millis(ms);
             }
-            "--transport" => {
-                config.transport = match value("--transport").as_str() {
-                    "epoll" => Transport::Epoll,
-                    "threads" => Transport::Threads,
-                    other => {
-                        eprintln!("--transport expects epoll or threads, got {other:?}");
-                        usage();
-                    }
-                }
-            }
             "--empty" => empty = true,
             "--help" | "-h" => usage(),
             other => {
@@ -156,7 +141,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let transport = config.transport;
     let handle = match server::start(catalog, config, listen.as_str()) {
         Ok(h) => h,
         Err(e) => {
@@ -165,13 +149,9 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "mwc-server listening on {} ({} graphs, {} transport); stop with: mwc-client {} shutdown",
+        "mwc-server listening on {} ({} graphs); stop with: mwc-client {} shutdown",
         handle.local_addr(),
         handle.catalog().len(),
-        match transport {
-            Transport::Epoll => "epoll",
-            Transport::Threads => "threads",
-        },
         handle.local_addr()
     );
     handle.wait();

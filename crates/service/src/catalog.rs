@@ -145,8 +145,10 @@ impl GraphSource {
                 .parse()
                 .map_err(|_| bad(format!("bad node count {n:?}")))?;
             let k: usize = k.parse().map_err(|_| bad(format!("bad degree {k:?}")))?;
-            if n < 2 || k == 0 {
-                return Err(bad("ba graph needs n >= 2 and k >= 1".to_string()));
+            if n < 2 || k == 0 || k >= n {
+                return Err(bad(format!(
+                    "ba graph needs n >= 2 and 1 <= k < n, got n = {n}, k = {k}"
+                )));
             }
             return Ok(GraphSource::BarabasiAlbert { n, k });
         }
@@ -167,10 +169,11 @@ impl GraphSource {
                 None => (rest, DEFAULT_WBA_MAX_WEIGHT),
             };
             let k: usize = k.parse().map_err(|_| bad(format!("bad degree {k:?}")))?;
-            if n < 2 || k == 0 || max_weight == 0 {
-                return Err(bad(
-                    "wba graph needs n >= 2, k >= 1, max weight >= 1".to_string()
-                ));
+            if n < 2 || k == 0 || k >= n || max_weight == 0 {
+                return Err(bad(format!(
+                    "wba graph needs n >= 2, 1 <= k < n and max weight >= 1, \
+                     got n = {n}, k = {k}, max weight = {max_weight}"
+                )));
             }
             // Same bound the wfile: loader enforces: u32 distance
             // arithmetic saturates at INF_DIST, so near-u32::MAX weights
@@ -721,9 +724,18 @@ mod tests {
             "wba:100x2x0",
             "wba:100x2xq",
             "wba:100x2x4294967295", // above MAX_EDGE_WEIGHT
+            // The generator needs n > k: refused here, not by a panic
+            // in the worker that would build the graph.
+            "ba:5x10",
+            "ba:5x5",
+            "wba:5x10",
+            "wba:4x4x9",
         ] {
-            assert!(GraphSource::parse(bad).is_err(), "{bad:?}");
+            let err = GraphSource::parse(bad).unwrap_err();
+            assert_eq!(err.code(), "bad_source", "{bad:?}");
         }
+        assert!(GraphSource::parse("ba:5x4").unwrap().build().is_ok());
+        assert!(GraphSource::parse("wba:5x4").unwrap().build().is_ok());
     }
 
     #[test]

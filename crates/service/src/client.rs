@@ -70,7 +70,7 @@ impl fmt::Display for WireError {
 /// Client-side failures.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Transport failure (connect, read, write).
+    /// A socket failure (connect, read, write).
     Io(std::io::Error),
     /// The server's response line was not a valid protocol response.
     Protocol(String),
@@ -525,17 +525,15 @@ impl Client {
 /// A pipelining protocol client: many requests in flight on one
 /// connection, responses matched by `id`.
 ///
-/// The epoll transport answers pipelined requests strictly in request
-/// order; the threaded transport serves one request at a time per
-/// connection, so pipelined requests queue server-side and *also* come
-/// back in order. Either way, send K requests with
+/// `mwc-server` and `mwc-router` share one line frontend, which answers
+/// pipelined requests strictly in request order. Send K requests with
 /// [`PipelinedClient::send_raw`] / [`PipelinedClient::send`] and collect
 /// each response with [`PipelinedClient::recv_until`] — responses that
 /// arrive before the one asked for are buffered, so collection order is
 /// free.
 ///
-/// Used by the loadgen's open-loop `--connections` mode and the
-/// transport tests; [`RouterClient`] stays lockstep.
+/// Used by the frontend tests and the benchmark's pipelined workload;
+/// [`RouterClient`] stays lockstep.
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -758,7 +756,7 @@ impl RouterClient {
                     // unknown_graph — deterministic, and must not be
                     // reported under a retryable code.
                     Err(ClientError::Server(e)) => *slot = Err(e),
-                    // Transport trouble on the re-issue: keep the
+                    // Socket trouble on the re-issue: keep the
                     // original shard_unavailable (still retryable).
                     Err(_) => {}
                 }

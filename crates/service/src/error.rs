@@ -76,6 +76,11 @@ pub enum ServiceError {
         /// What failed (connect refused, read error, ejected, …).
         reason: String,
     },
+    /// A server-side fault cost this one request: the work answering it
+    /// panicked, so its response was dropped unanswered. Stable code
+    /// `internal`, NOT retryable — the same request may fault the same
+    /// way.
+    Internal(String),
     /// An error from the solving layer (unknown solver, infeasible query,
     /// budget exceeded, …).
     Core(CoreError),
@@ -97,6 +102,7 @@ impl ServiceError {
             ServiceError::ShuttingDown => "shutting_down",
             ServiceError::GraphEvicted { .. } => "graph_evicted",
             ServiceError::ShardUnavailable { .. } => "shard_unavailable",
+            ServiceError::Internal(_) => "internal",
             ServiceError::Core(e) => match e {
                 CoreError::UnknownSolver { .. } => "unknown_solver",
                 CoreError::BudgetExceeded { .. } => "budget_exceeded",
@@ -163,6 +169,7 @@ impl fmt::Display for ServiceError {
             ServiceError::ShardUnavailable { shard, reason } => {
                 write!(f, "shard {shard:?} unavailable: {reason}")
             }
+            ServiceError::Internal(m) => write!(f, "internal error: {m}"),
             ServiceError::Core(e) => write!(f, "{e}"),
             ServiceError::Io(e) => write!(f, "io: {e}"),
         }
@@ -242,6 +249,7 @@ mod tests {
             .code(),
             "unsupported_version"
         );
+        assert_eq!(ServiceError::Internal("x".into()).code(), "internal");
     }
 
     #[test]
@@ -264,5 +272,6 @@ mod tests {
         }
         .retryable());
         assert!(!ServiceError::Core(CoreError::EmptyQuery).retryable());
+        assert!(!ServiceError::Internal("x".into()).retryable());
     }
 }

@@ -1,20 +1,25 @@
-//! The epoll transport: one nonblocking event-loop thread serving every
-//! connection, in place of the threaded transport's reader-per-connection.
+//! The line frontend: one nonblocking epoll thread that serves every
+//! connection of `mwc-server` and of `mwc-router`.
 //!
 //! # Shape
 //!
 //! ```text
-//!                 ┌───────────────── event loop (1 thread) ─────────────────┐
-//!  accept ───────▶│ connection table: token → {read buf, write buf, seqs}   │
-//!  readable ─────▶│ reassemble newline frames across partial reads          │
-//!                 │   control cmds → answered inline                        │
-//!                 │   data cmds    → admission queue (seq attached)         │
-//!  eventfd ──────▶│ drain completion mailbox → sequence → write buffers     │
-//!  writable ─────▶│ flush write buffers (single write, TCP_NODELAY)         │
-//!                 └──────────────────────────────────────────────────────────┘
-//!                        ▲ completions              │ jobs
-//!                        └────── worker pool ◀──────┘
+//!                ┌────────────────── frontend (1 thread) ──────────────────┐
+//!  accept ──────▶│ connection table; beyond max_connections: one refusal   │
+//!  readable ────▶│ newline framing: line cap, UTF-8, trailing line at EOF  │
+//!                │ parse → Handler::handle                                 │
+//!                │   answered inline ─────────────┐ (control plane)        │
+//!                │   deferred: move-only Reply ───┼──────────────▶ workers │
+//!  eventfd ─────▶│ completion mailbox ─▶ sequence ┘   (server: admission   │
+//!  writable ────▶│ bounded write buffers, one write    queue; router:      │
+//!                │ per flush, TCP_NODELAY              relay threads)      │
+//!                └─────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! Each binary plugs in one [`Handler`]. It answers a parsed request line
+//! on the loop thread ([`Handled::Inline`]) or turns the request's
+//! [`Slot`] into a [`Reply`] and hands both to its own workers
+//! ([`Handled::Deferred`]).
 //!
 //! * **Pipelining** — every request line gets a per-connection sequence
 //!   number at parse time; responses are flushed strictly in that order,
@@ -25,38 +30,60 @@
 //!   the connection is serveable; write interest only while its write
 //!   buffer is non-empty (the classic LT pattern, no spurious wakeups).
 //! * **Backpressure** — each connection's write buffer is bounded by
-//!   [`ServerConfig::max_write_buffer`](crate::server::ServerConfig):
-//!   reading from the connection pauses at half the cap, and a client
-//!   that still lets the backlog cross the cap (it is not reading its
-//!   responses) is disconnected rather than buffered without bound.
+//!   [`Limits::max_write_buffer`]: reading from the connection pauses at
+//!   half the cap, and a client that still lets the backlog cross the cap
+//!   (it is not reading its responses) is disconnected rather than
+//!   buffered without bound. Reading also pauses while
+//!   [`MAX_UNANSWERED`] of the connection's requests await their
+//!   responses, so a pipelining client cannot queue work without bound.
 //! * **Wakeup** — workers publish `(token, seq, line)` completions into
 //!   a mailbox and signal an eventfd, which re-arms write interest from
 //!   the loop thread; workers never touch sockets or epoll state.
-//! * **Drain** — on shutdown the loop stops accepting, parks no new
-//!   work, and exits once every admitted job's response has been flushed
-//!   (a bounded grace period caps how long unreachable clients can hold
-//!   the drain hostage).
+//! * **Failure isolation** — a [`Reply`] dropped unanswered (a worker
+//!   unwinding from a panic drops the one it holds) answers `internal`
+//!   in its sequence slot, so later pipelined responses still flush and
+//!   the drain still finishes.
+//! * **Drain** — on shutdown the loop stops accepting and reading, and
+//!   exits once every deferred request's response has been flushed (a
+//!   bounded grace period caps how long unreachable clients can hold the
+//!   drain hostage).
 //!
 //! The response path keeps the single-write + `TCP_NODELAY` discipline:
 //! responses ready at the same time leave in one `write`, so the Nagle/
-//! delayed-ACK ~40 ms interaction cannot re-enter through this
-//! transport.
+//! delayed-ACK ~40 ms interaction cannot re-enter.
+//!
+//! Serving is Linux-only: elsewhere [`spawn`] returns
+//! [`std::io::ErrorKind::Unsupported`].
+
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+#[cfg(target_os = "linux")]
+use std::os::unix::io::AsRawFd;
+
 use crate::error::ServiceError;
+use crate::json::Json;
+use crate::metrics::Metrics;
+#[cfg(target_os = "linux")]
 use crate::net::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::protocol::{error_response, parse_request, Command};
-use crate::server::{
-    admit, bad_utf8_response, control_response, salvage_id, shutdown_ack, too_long_response, Inner,
-    ResponseSink, Transport,
-};
+use crate::protocol::{error_response, ok_response, parse_request, Request};
+
+/// The per-connection outbound byte cap: the server's default, and the
+/// router's fixed cap.
+pub(crate) const DEFAULT_MAX_WRITE_BUFFER: usize = 8 << 20;
+
+/// Requests of one connection that may await their responses before the
+/// frontend stops reading from it. A 64 KiB read can still carry a few
+/// thousand more tiny lines past this mark; the bound is what keeps a
+/// pipelining client from queueing work without limit.
+const MAX_UNANSWERED: u64 = 1024;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
@@ -66,47 +93,193 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// their last bytes before abandoning them.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// The connection limits a binary's config hands the frontend.
+pub(crate) struct Limits {
+    /// Connections beyond this get one `too_many_connections` line.
+    pub(crate) max_connections: usize,
+    /// Hard cap on a request line's length, in bytes.
+    pub(crate) max_line_bytes: usize,
+    /// Per-connection outbound byte cap.
+    pub(crate) max_write_buffer: usize,
+    /// The `epoll_wait` timeout: how quickly the loop notices shutdown.
+    pub(crate) poll_interval: Duration,
+}
+
+/// What a binary plugs into the frontend.
+pub(crate) trait Handler: Send + 'static {
+    /// Where the frontend counts requests, connections and responses.
+    fn metrics(&self) -> &Metrics;
+    /// Whether the binary is shutting down: the loop then drains.
+    fn shutting_down(&self) -> bool;
+    /// Starts the binary's shutdown (called if the loop itself fails).
+    fn begin_shutdown(&self);
+    /// Answers one parsed request line (`line` is its raw text). A
+    /// handler that returns [`Handled::Deferred`] has called
+    /// [`Slot::defer`] and handed the [`Reply`] to a worker.
+    fn handle(&self, request: Request, line: &str, slot: Slot<'_>) -> Handled;
+}
+
+/// What a [`Handler`] did with a request.
+pub(crate) enum Handled {
+    /// Answered on the loop thread: the line, and whether it is a
+    /// success (for the ok/error counters).
+    Inline(String, bool),
+    /// Answered on the loop thread with the connection's last line (a
+    /// `shutdown` acknowledgement): lines after it are discarded and
+    /// the connection closes once it has flushed.
+    Close(String),
+    /// Handed to a worker with its [`Reply`].
+    Deferred,
+}
+
+/// A request's place in its connection's response sequence, before the
+/// handler decides how to answer it.
+pub(crate) struct Slot<'a> {
+    shared: &'a Arc<LoopShared>,
+    token: u64,
+    seq: u64,
+}
+
+impl Slot<'_> {
+    /// Turns the slot into a [`Reply`] a worker can answer from any
+    /// thread. `id` is the request's id, for the `internal` answer the
+    /// reply sends if it is dropped unanswered.
+    pub(crate) fn defer(self, id: &Option<Json>) -> Reply {
+        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
+        Reply {
+            shared: Arc::clone(self.shared),
+            token: self.token,
+            seq: self.seq,
+            id: id.clone(),
+            answered: false,
+        }
+    }
+}
+
+/// The move-only handle that answers one deferred request. Dropping it
+/// unanswered answers `internal` (non-retryable) in its sequence slot.
+pub(crate) struct Reply {
+    shared: Arc<LoopShared>,
+    token: u64,
+    seq: u64,
+    id: Option<Json>,
+    answered: bool,
+}
+
+impl Reply {
+    /// Publishes the response line; `ok` feeds the ok/error counters.
+    pub(crate) fn send(mut self, line: String, ok: bool) {
+        self.answered = true;
+        self.shared.complete(self.token, self.seq, line, ok);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            let err = ServiceError::Internal("the request was dropped unanswered".to_string());
+            let line = error_response(&self.id, &err);
+            self.shared.complete(self.token, self.seq, line, false);
+        }
+    }
+}
+
+/// The `shutdown` acknowledgement line. Callers set their shutdown flag
+/// *before* answering with it.
+pub(crate) fn shutdown_ack(id: &Option<Json>) -> String {
+    ok_response(id, vec![("stopping", Json::Bool(true))])
+}
+
+/// Best-effort `id` recovery from a line that failed request parsing, so
+/// even error responses correlate when the JSON itself was well-formed.
+fn salvage_id(line: &str) -> Option<Json> {
+    crate::json::parse(line).ok()?.get("id").cloned()
+}
+
 /// One worker-produced response, addressed by connection token and the
 /// per-connection sequence number the request was assigned at parse.
 struct Completion {
     token: u64,
     seq: u64,
     line: String,
+    ok: bool,
 }
 
-/// State shared between the loop thread and the worker pool: the
-/// completion mailbox, its eventfd doorbell, and the count of admitted
-/// jobs whose completions the loop has not yet collected (the drain
-/// barrier).
-pub(crate) struct LoopShared {
+/// State shared between the loop thread and the workers: the completion
+/// mailbox, its eventfd doorbell, and the count of deferred requests
+/// whose completions the loop has not yet collected (the drain barrier).
+struct LoopShared {
     completions: Mutex<Vec<Completion>>,
+    #[cfg(target_os = "linux")]
     wake: EventFd,
     outstanding: AtomicU64,
 }
 
 impl LoopShared {
-    pub(crate) fn new() -> std::io::Result<Arc<LoopShared>> {
-        Ok(Arc::new(LoopShared {
-            completions: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-            outstanding: AtomicU64::new(0),
-        }))
-    }
-
-    /// Publishes a worker's response line and rings the loop's doorbell.
-    /// Called from worker threads via `write_line` (which has already
-    /// counted ok/error totals); never blocks beyond the mailbox mutex.
-    pub(crate) fn complete(&self, token: u64, seq: u64, line: &str) {
+    /// Publishes a response line and rings the loop's doorbell. Never
+    /// panics (it runs in `Reply::drop`, possibly while unwinding), and
+    /// never blocks beyond the mailbox mutex.
+    fn complete(&self, token: u64, seq: u64, line: String, ok: bool) {
         self.completions
             .lock()
-            .expect("completion mailbox poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(Completion {
                 token,
                 seq,
-                line: line.to_string(),
+                line,
+                ok,
             });
+        #[cfg(target_os = "linux")]
         self.wake.signal();
     }
+}
+
+/// Starts the frontend thread serving `listener` through `handler`.
+/// Returns [`ErrorKind::Unsupported`] off Linux.
+#[cfg(target_os = "linux")]
+pub(crate) fn spawn<H: Handler>(
+    handler: H,
+    listener: TcpListener,
+    limits: Limits,
+    thread_name: &str,
+) -> std::io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let shared = Arc::new(LoopShared {
+        completions: Mutex::new(Vec::new()),
+        wake: EventFd::new()?,
+        outstanding: AtomicU64::new(0),
+    });
+    let epoll = Epoll::new()?;
+    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
+    epoll.add(shared.wake.raw(), TOKEN_WAKE, EPOLLIN)?;
+    let el = EventLoop {
+        handler,
+        limits,
+        shared,
+        epoll,
+        listener: Some(listener),
+        conns: HashMap::new(),
+        next_token: FIRST_CONN_TOKEN,
+        scratch: vec![0u8; 64 << 10],
+    };
+    std::thread::Builder::new()
+        .name(thread_name.to_string())
+        .spawn(move || el.run())
+}
+
+/// Starts the frontend thread serving `listener` through `handler`.
+/// Returns [`ErrorKind::Unsupported`] off Linux.
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn spawn<H: Handler>(
+    _handler: H,
+    _listener: TcpListener,
+    _limits: Limits,
+    _thread_name: &str,
+) -> std::io::Result<JoinHandle<()>> {
+    Err(std::io::Error::new(
+        ErrorKind::Unsupported,
+        "serving requires linux: the frontend is an epoll event loop",
+    ))
 }
 
 struct Conn {
@@ -130,21 +303,6 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            out_buf: Vec::new(),
-            out_cursor: 0,
-            ready: BTreeMap::new(),
-            next_seq: 0,
-            next_flush: 0,
-            interest: EPOLLIN | EPOLLRDHUP,
-            read_closed: false,
-            close_after_flush: false,
-        }
-    }
-
     fn backlog(&self) -> usize {
         self.out_buf.len() - self.out_cursor
     }
@@ -153,11 +311,23 @@ impl Conn {
     fn fully_flushed(&self) -> bool {
         self.backlog() == 0 && self.next_flush == self.next_seq
     }
+
+    /// Whether reading from this connection must wait: it is closing,
+    /// its unwritten backlog reached half the cap, or too many of its
+    /// requests are unanswered.
+    fn reads_paused(&self, max_write_buffer: usize) -> bool {
+        self.read_closed
+            || self.close_after_flush
+            || self.backlog() >= max_write_buffer / 2
+            || self.next_seq - self.next_flush >= MAX_UNANSWERED
+    }
 }
 
-struct EventLoop<'a> {
-    inner: &'a Arc<Inner>,
-    shared: &'a Arc<LoopShared>,
+#[cfg(target_os = "linux")]
+struct EventLoop<H> {
+    handler: H,
+    limits: Limits,
+    shared: Arc<LoopShared>,
     epoll: Epoll,
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
@@ -165,122 +335,88 @@ struct EventLoop<'a> {
     scratch: Vec<u8>,
 }
 
-/// The epoll transport's thread body (spawned by `server::start`).
-pub(crate) fn run(inner: &Arc<Inner>, listener: TcpListener, shared: &Arc<LoopShared>) {
-    debug_assert_eq!(inner.config.transport, Transport::Epoll);
-    if let Err(e) = serve(inner, listener, shared) {
-        // Setup failure (epoll_create, registration) is unrecoverable
-        // for this transport; leave a trace rather than dying silently.
-        eprintln!("mwc-server: epoll event loop failed: {e}");
-        inner.begin_shutdown();
+#[cfg(target_os = "linux")]
+impl<H: Handler> EventLoop<H> {
+    fn run(mut self) {
+        if let Err(e) = self.serve() {
+            // Readiness failed (epoll_wait): leave a trace and stop the
+            // binary rather than dying silently.
+            eprintln!("frontend event loop failed: {e}");
+            self.handler.begin_shutdown();
+        }
     }
-}
 
-fn serve(
-    inner: &Arc<Inner>,
-    listener: TcpListener,
-    shared: &Arc<LoopShared>,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
-    epoll.add(shared.wake.raw(), TOKEN_WAKE, EPOLLIN)?;
-    let mut el = EventLoop {
-        inner,
-        shared,
-        epoll,
-        listener: Some(listener),
-        conns: HashMap::new(),
-        next_token: FIRST_CONN_TOKEN,
-        scratch: vec![0u8; 64 << 10],
-    };
-    let mut events = vec![EpollEvent { events: 0, data: 0 }; 1024];
-    // The wait timeout doubles as the shutdown poll, exactly like the
-    // threaded transport's reader poll interval.
-    let poll_ms = inner.config.poll_interval.as_millis().clamp(1, 1000) as i32;
-    let mut accepting = true;
-    let mut flush_deadline: Option<Instant> = None;
-    loop {
-        let n = el.epoll.wait(&mut events, poll_ms)?;
-        el.inner
-            .metrics
-            .loop_wakeups
-            .fetch_add(1, Ordering::Relaxed);
-        if n > 0 {
-            el.inner
-                .metrics
-                .loop_events
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
-        for ev in &events[..n] {
-            let token = { ev.data };
-            let bits = { ev.events };
-            match token {
-                TOKEN_LISTENER => el.accept_ready(),
-                TOKEN_WAKE => el.shared.wake.drain(),
-                _ => el.conn_event(token, bits),
+    fn serve(&mut self) -> std::io::Result<()> {
+        let mut events = vec![EpollEvent { events: 0, data: 0 }; 1024];
+        // The wait timeout doubles as the shutdown poll.
+        let poll_ms = self.limits.poll_interval.as_millis().clamp(1, 1000) as i32;
+        let mut flush_deadline: Option<Instant> = None;
+        loop {
+            let n = self.epoll.wait(&mut events, poll_ms)?;
+            let metrics = self.handler.metrics();
+            metrics.loop_wakeups.fetch_add(1, Ordering::Relaxed);
+            if n > 0 {
+                metrics.loop_events.fetch_add(n as u64, Ordering::Relaxed);
             }
-        }
-        el.drain_completions();
-        if el.inner.shutdown.load(Ordering::SeqCst) {
-            if accepting {
-                accepting = false;
-                // Stop accepting (the listener closes, so late dials are
-                // refused at the TCP level, as when the threaded acceptor
-                // exits) and schedule every connection to close once its
-                // in-flight responses have flushed.
-                if let Some(l) = el.listener.take() {
-                    el.epoll.delete(l.as_raw_fd());
+            for ev in &events[..n] {
+                let token = { ev.data };
+                let bits = { ev.events };
+                match token {
+                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_WAKE => self.shared.wake.drain(),
+                    _ => self.conn_event(token, bits),
                 }
-                let tokens: Vec<u64> = el.conns.keys().copied().collect();
+            }
+            self.drain_completions();
+            if !self.handler.shutting_down() {
+                continue;
+            }
+            if let Some(l) = self.listener.take() {
+                // Stop accepting (the listener closes, so late dials are
+                // refused at the TCP level) and schedule every connection
+                // to close once its in-flight responses have flushed.
+                self.epoll.delete(l.as_raw_fd());
+                let tokens: Vec<u64> = self.conns.keys().copied().collect();
                 for token in tokens {
-                    if let Some(conn) = el.conns.get_mut(&token) {
+                    if let Some(conn) = self.conns.get_mut(&token) {
                         conn.close_after_flush = true;
                     }
-                    el.pump(token);
+                    self.pump(token);
                 }
             }
-            // Admitted work drains through the workers; once their
+            // Deferred work drains through the workers; once their
             // completions are all collected, only unflushed bytes keep
             // connections (and the loop) alive.
-            if el.shared.outstanding.load(Ordering::SeqCst) == 0 {
-                let done: Vec<u64> = el
+            if self.shared.outstanding.load(Ordering::SeqCst) == 0 {
+                let done: Vec<u64> = self
                     .conns
                     .iter()
                     .filter(|(_, c)| c.fully_flushed())
                     .map(|(t, _)| *t)
                     .collect();
                 for token in done {
-                    el.drop_conn(token);
-                }
-                if el.conns.is_empty() {
-                    return Ok(());
+                    self.drop_conn(token);
                 }
                 let deadline = *flush_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                if Instant::now() >= deadline {
-                    let tokens: Vec<u64> = el.conns.keys().copied().collect();
+                if self.conns.is_empty() || Instant::now() >= deadline {
+                    let tokens: Vec<u64> = self.conns.keys().copied().collect();
                     for token in tokens {
-                        el.drop_conn(token); // abandon unreachable clients
+                        self.drop_conn(token); // abandon unreachable clients
                     }
                     return Ok(());
                 }
             }
         }
     }
-}
 
-impl EventLoop<'_> {
     fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
+        while let Some(listener) = self.listener.as_ref() {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.inner.shutdown.load(Ordering::SeqCst) {
+                    if self.handler.shutting_down() {
                         continue; // dropped: the drain is in progress
                     }
-                    if self.conns.len() >= self.inner.config.max_connections {
+                    if self.conns.len() >= self.limits.max_connections {
                         self.refuse(stream);
                         continue;
                     }
@@ -298,22 +434,30 @@ impl EventLoop<'_> {
                         continue;
                     }
                     // The connection table is the authoritative source of
-                    // the live-connections gauge in this transport.
-                    self.inner
-                        .metrics
-                        .connections_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .metrics
-                        .connections_live
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.conns.insert(token, Conn::new(stream));
+                    // the live-connections gauge.
+                    let metrics = self.handler.metrics();
+                    metrics.connections_total.fetch_add(1, Ordering::Relaxed);
+                    metrics.connections_live.fetch_add(1, Ordering::Relaxed);
+                    self.conns.insert(
+                        token,
+                        Conn {
+                            stream,
+                            read_buf: Vec::new(),
+                            out_buf: Vec::new(),
+                            out_cursor: 0,
+                            ready: BTreeMap::new(),
+                            next_seq: 0,
+                            next_flush: 0,
+                            interest: EPOLLIN | EPOLLRDHUP,
+                            read_closed: false,
+                            close_after_flush: false,
+                        },
+                    );
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => {
                     // A persistent accept error (e.g. EMFILE) must not
-                    // busy-spin: back off briefly, like the threaded
-                    // acceptor.
+                    // busy-spin: back off briefly.
                     std::thread::sleep(Duration::from_millis(10));
                     return;
                 }
@@ -321,22 +465,17 @@ impl EventLoop<'_> {
         }
     }
 
-    /// One `overloaded` error line on a connection beyond the limit,
-    /// then close — identical to the threaded acceptor's refusal.
+    /// One `too_many_connections` error line on a connection beyond the
+    /// limit, then close.
     fn refuse(&self, mut stream: TcpStream) {
-        self.inner
-            .metrics
-            .overload_total
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .metrics
-            .error_total
-            .fetch_add(1, Ordering::Relaxed);
+        let metrics = self.handler.metrics();
+        metrics.overload_total.fetch_add(1, Ordering::Relaxed);
+        metrics.error_total.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
         let line = error_response(
             &None,
             &ServiceError::TooManyConnections {
-                limit: self.inner.config.max_connections,
+                limit: self.limits.max_connections,
             },
         );
         let mut buf = line.into_bytes();
@@ -367,8 +506,7 @@ impl EventLoop<'_> {
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    // A trailing line without its newline still counts
-                    // (the threaded reader serves it the same way).
+                    // A trailing line without its newline still counts.
                     self.process_buffered(token, true);
                     self.pump(token);
                     return;
@@ -376,15 +514,13 @@ impl EventLoop<'_> {
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&self.scratch[..n]);
                     self.process_buffered(token, false);
-                    // Backpressure: a connection with a large unwritten
-                    // backlog stops being read until it drains (level-
-                    // triggered epoll re-reports the pending bytes).
+                    // Backpressure: a paused connection stops being read
+                    // until it drains (level-triggered epoll re-reports
+                    // the pending bytes).
                     let Some(conn) = self.conns.get(&token) else {
                         return;
                     };
-                    if conn.close_after_flush
-                        || conn.backlog() >= self.inner.config.max_write_buffer / 2
-                    {
+                    if conn.reads_paused(self.limits.max_write_buffer) {
                         self.update_interest(token);
                         return;
                     }
@@ -401,10 +537,11 @@ impl EventLoop<'_> {
 
     /// Splits the connection's read buffer into complete lines and
     /// handles each; `eof` additionally serves a trailing newline-free
-    /// line. Lines after a `shutdown` (or any close-marking request) on
-    /// the same connection are discarded — framing intent is gone.
+    /// line. Lines after a closing answer (a `shutdown` ack, a too-long
+    /// line) on the same connection are discarded — framing intent is
+    /// gone.
     fn process_buffered(&mut self, token: u64, eof: bool) {
-        let max = self.inner.config.max_line_bytes;
+        let max = self.limits.max_line_bytes;
         let buf = match self.conns.get_mut(&token) {
             Some(c) => std::mem::take(&mut c.read_buf),
             None => return,
@@ -419,24 +556,16 @@ impl EventLoop<'_> {
             }
             let rest = &buf[start..];
             match rest.iter().position(|&b| b == b'\n') {
+                Some(pos) if pos > max => return self.reject_too_long(token),
                 Some(pos) => {
-                    if pos > max {
-                        self.reject_too_long(token);
-                        return;
-                    }
-                    let line = rest[..pos].to_vec();
                     start += pos + 1;
-                    self.handle_line(token, &line);
+                    self.handle_line(token, &rest[..pos]);
                 }
+                None if rest.len() > max => return self.reject_too_long(token),
                 None => {
-                    if rest.len() > max {
-                        self.reject_too_long(token);
-                        return;
-                    }
                     if eof && !rest.is_empty() {
-                        let line = rest.to_vec();
                         start = buf.len();
-                        self.handle_line(token, &line);
+                        self.handle_line(token, rest);
                     }
                     break;
                 }
@@ -451,19 +580,25 @@ impl EventLoop<'_> {
     }
 
     /// A line crossed `max_line_bytes`: answer `bad_request` and close
-    /// once flushed — framing is lost, exactly like the threaded path.
+    /// once flushed — framing is lost.
     fn reject_too_long(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.close_after_flush = true;
-        self.inner
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let line = too_long_response(self.inner);
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.close_after_flush = true;
+        }
+        let err = ServiceError::BadRequest(format!(
+            "request line exceeds {} bytes",
+            self.limits.max_line_bytes
+        ));
+        self.reject(token, error_response(&None, &err));
+    }
+
+    /// Answers a line that never became a request (too long, not UTF-8,
+    /// unparseable) with `bad_request`.
+    fn reject(&mut self, token: u64, line: String) {
+        let metrics = self.handler.metrics();
+        metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        metrics.bad_request_total.fetch_add(1, Ordering::Relaxed);
+        let seq = self.assign_seq(token);
         self.complete_local(token, seq, line, false);
     }
 
@@ -475,88 +610,50 @@ impl EventLoop<'_> {
     }
 
     fn handle_line(&mut self, token: u64, bytes: &[u8]) {
-        let line = match std::str::from_utf8(bytes) {
-            Ok(l) => l,
-            Err(_) => {
-                self.inner
-                    .metrics
-                    .requests_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = bad_utf8_response(self.inner);
-                let seq = self.assign_seq(token);
-                self.complete_local(token, seq, resp, false);
-                return;
-            }
+        let Ok(line) = std::str::from_utf8(bytes) else {
+            let err = ServiceError::BadRequest("request line is not UTF-8".to_string());
+            return self.reject(token, error_response(&None, &err));
         };
         if line.trim().is_empty() {
             return;
         }
-        self.inner
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
         let request = match parse_request(line) {
             Ok(r) => r,
-            Err(e) => {
-                self.inner
-                    .metrics
-                    .bad_request_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = error_response(&salvage_id(line), &e);
-                let seq = self.assign_seq(token);
-                self.complete_local(token, seq, resp, false);
-                return;
-            }
+            Err(e) => return self.reject(token, error_response(&salvage_id(line), &e)),
         };
+        self.handler
+            .metrics()
+            .requests_total
+            .fetch_add(1, Ordering::Relaxed);
         let seq = self.assign_seq(token);
-        if matches!(request.command, Command::Shutdown) {
-            // Flag first, then acknowledge — and the ack is sequenced
-            // after this connection's earlier pipelined responses, so a
-            // client that pipelines solves before `shutdown` sees every
-            // answer, then the ack, then EOF.
-            self.inner.begin_shutdown();
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.close_after_flush = true;
-            }
-            self.complete_local(token, seq, shutdown_ack(&request.id), true);
-            return;
-        }
-        if let Some((resp, ok)) = control_response(self.inner, &request) {
-            self.complete_local(token, seq, resp, ok);
-            return;
-        }
-        // Data plane: sequence number travels with the sink; the worker's
-        // `write_line` lands in the mailbox and the loop restores order.
-        if let Some(conn) = self.conns.get(&token) {
-            self.inner
-                .metrics
-                .pipeline_peak
-                .fetch_max(conn.next_seq - conn.next_flush, Ordering::Relaxed);
-        }
-        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
-        let sink = ResponseSink::Event {
-            shared: Arc::clone(self.shared),
+        let slot = Slot {
+            shared: &self.shared,
             token,
             seq,
         };
-        if let Some((resp, ok)) = admit(self.inner, request, sink, Instant::now()) {
-            self.shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-            self.complete_local(token, seq, resp, ok);
+        match self.handler.handle(request, line, slot) {
+            Handled::Inline(response, ok) => self.complete_local(token, seq, response, ok),
+            Handled::Close(response) => {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.close_after_flush = true;
+                }
+                self.complete_local(token, seq, response, true);
+            }
+            Handled::Deferred => {
+                if let Some(conn) = self.conns.get(&token) {
+                    self.handler
+                        .metrics()
+                        .pipeline_peak
+                        .fetch_max(conn.next_seq - conn.next_flush, Ordering::Relaxed);
+                }
+            }
         }
     }
 
-    /// A response produced on the loop thread itself (control plane,
-    /// admission rejections, framing errors): counted like `write_line`
-    /// counts, then sequenced.
+    /// A response produced on the loop thread itself: counted, then
+    /// sequenced.
     fn complete_local(&mut self, token: u64, seq: u64, line: String, ok: bool) {
-        if ok {
-            self.inner.metrics.ok_total.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.inner
-                .metrics
-                .error_total
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        count_response(self.handler.metrics(), ok);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.ready.insert(seq, line);
         }
@@ -564,24 +661,24 @@ impl EventLoop<'_> {
     }
 
     /// Collects worker completions. Completions for connections that
-    /// died in the meantime are discarded (their job already ran — only
+    /// died in the meantime are discarded (their work already ran — only
     /// the response has nowhere to go), but still release the drain
     /// barrier.
     fn drain_completions(&mut self) {
-        let batch: Vec<Completion> = {
-            let mut mailbox = self
+        let batch: Vec<Completion> = std::mem::take(
+            &mut *self
                 .shared
                 .completions
                 .lock()
-                .expect("completion mailbox poisoned");
-            std::mem::take(&mut mailbox)
-        };
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         if batch.is_empty() {
             return;
         }
         let mut touched: Vec<u64> = Vec::with_capacity(batch.len());
         for c in batch {
             self.shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            count_response(self.handler.metrics(), c.ok);
             if let Some(conn) = self.conns.get_mut(&c.token) {
                 conn.ready.insert(c.seq, c.line);
                 touched.push(c.token);
@@ -630,7 +727,7 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            self.inner.metrics.record_stage("write", t.elapsed());
+            self.handler.metrics().record_stage("write", t.elapsed());
             if conn.out_cursor == conn.out_buf.len() {
                 conn.out_buf.clear();
                 conn.out_cursor = 0;
@@ -646,11 +743,11 @@ impl EventLoop<'_> {
             return;
         }
         let conn = self.conns.get(&token).expect("conn vanished mid-pump");
-        if conn.backlog() > self.inner.config.max_write_buffer {
+        if conn.backlog() > self.limits.max_write_buffer {
             // The client is not reading its responses; cut it loose
             // instead of buffering without bound.
-            self.inner
-                .metrics
+            self.handler
+                .metrics()
                 .slow_client_disconnects
                 .fetch_add(1, Ordering::Relaxed);
             self.drop_conn(token);
@@ -667,15 +764,11 @@ impl EventLoop<'_> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let backlog = conn.backlog();
         let mut want = 0u32;
-        let pause_reads = conn.read_closed
-            || conn.close_after_flush
-            || backlog >= self.inner.config.max_write_buffer / 2;
-        if !pause_reads {
+        if !conn.reads_paused(self.limits.max_write_buffer) {
             want |= EPOLLIN | EPOLLRDHUP;
         }
-        if backlog > 0 {
+        if conn.backlog() > 0 {
             want |= EPOLLOUT;
         }
         if want != conn.interest
@@ -691,10 +784,153 @@ impl EventLoop<'_> {
     fn drop_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.epoll.delete(conn.stream.as_raw_fd());
-            self.inner
-                .metrics
+            self.handler
+                .metrics()
                 .connections_live
                 .fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+fn count_response(metrics: &Metrics, ok: bool) {
+    let counter = if ok {
+        &metrics.ok_total
+    } else {
+        &metrics.error_total
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::sync::atomic::AtomicBool;
+
+    use crate::protocol::Command;
+
+    /// A handler whose `burn` requests go to a helper thread that drops
+    /// the reply unanswered after `ms` milliseconds — what a worker
+    /// unwinding from a panic does to the reply it holds.
+    struct Dropper {
+        metrics: Metrics,
+        shutdown: AtomicBool,
+    }
+
+    impl Handler for Arc<Dropper> {
+        fn metrics(&self) -> &Metrics {
+            &self.metrics
+        }
+
+        fn shutting_down(&self) -> bool {
+            self.shutdown.load(Ordering::SeqCst)
+        }
+
+        fn begin_shutdown(&self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
+
+        fn handle(&self, request: Request, _line: &str, slot: Slot<'_>) -> Handled {
+            match request.command {
+                Command::Burn { ms } => {
+                    let reply = slot.defer(&request.id);
+                    std::thread::spawn(move || {
+                        std::thread::sleep(Duration::from_millis(ms));
+                        drop(reply);
+                    });
+                    Handled::Deferred
+                }
+                Command::Shutdown => {
+                    self.begin_shutdown();
+                    Handled::Close(shutdown_ack(&request.id))
+                }
+                _ => Handled::Inline(ok_response(&request.id, vec![]), true),
+            }
+        }
+    }
+
+    fn start() -> (Arc<Dropper>, std::net::SocketAddr, JoinHandle<()>) {
+        let handler = Arc::new(Dropper {
+            metrics: Metrics::new(),
+            shutdown: AtomicBool::new(false),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let limits = Limits {
+            max_connections: 8,
+            max_line_bytes: 1 << 10,
+            max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
+            poll_interval: Duration::from_millis(10),
+        };
+        let thread = spawn(Arc::clone(&handler), listener, limits, "frontend-test").unwrap();
+        (handler, addr, thread)
+    }
+
+    /// A client connection whose reads fail instead of hanging when an
+    /// answer never comes.
+    fn connect(addr: std::net::SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    fn joins_within(thread: JoinHandle<()>, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !thread.is_finished() {
+            assert!(Instant::now() < deadline, "the drain did not finish");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        thread.join().unwrap();
+    }
+
+    /// A reply dropped unanswered answers `internal` in its own slot, the
+    /// response pipelined behind it still flushes, and so does the
+    /// shutdown ack behind both.
+    #[test]
+    fn dropped_reply_answers_internal_in_its_slot() {
+        let (handler, addr, thread) = start();
+        let mut stream = connect(addr);
+        stream
+            .write_all(
+                b"{\"cmd\":\"burn\",\"ms\":50,\"id\":1}\n{\"cmd\":\"ping\",\"id\":2}\n\
+                  {\"cmd\":\"shutdown\",\"id\":3}\n",
+            )
+            .unwrap();
+        let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        let first = crate::json::parse(&lines[0]).unwrap();
+        assert_eq!(first.get("id").and_then(Json::as_u64), Some(1));
+        let error = first.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("internal"));
+        assert_eq!(error.get("retryable").and_then(Json::as_bool), Some(false));
+        assert!(lines[1].contains("\"id\":2") && lines[1].contains("\"ok\":true"));
+        assert!(lines[2].contains("\"stopping\":true"));
+        joins_within(thread, DRAIN_GRACE);
+        assert_eq!(handler.metrics.error_total.load(Ordering::Relaxed), 1);
+    }
+
+    /// A shutdown that arrives while a reply is still held finishes its
+    /// drain once the holder drops it: the client sees `internal`, then
+    /// EOF, well inside the drain grace.
+    #[test]
+    fn drain_finishes_when_a_held_reply_is_dropped() {
+        let (handler, addr, thread) = start();
+        let mut stream = connect(addr);
+        stream
+            .write_all(b"{\"cmd\":\"burn\",\"ms\":300,\"id\":\"held\"}\n")
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handler.metrics.pipeline_peak.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "burn never deferred");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handler.begin_shutdown();
+        let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("\"internal\"") && lines[0].contains("\"held\""));
+        joins_within(thread, DRAIN_GRACE);
     }
 }

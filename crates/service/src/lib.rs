@@ -13,14 +13,13 @@
 //! * [`protocol`] — a newline-delimited JSON wire protocol
 //!   (hand-rolled [`json`] — the workspace has no serde) with
 //!   per-request ids, deadlines, and stable error codes;
-//! * [`server`] — a std-only TCP server with two transports (see
-//!   [`server::Transport`]): a nonblocking epoll event loop (linux
-//!   default — one loop thread serves every connection, with pipelining
-//!   and bounded write-buffer backpressure) and a thread-per-connection
-//!   reference path; both feed the same fixed worker pool behind a
-//!   *bounded* admission queue (full queue ⇒ explicit `overloaded`
-//!   response), with end-to-end deadline accounting and graceful drain
-//!   on shutdown;
+//! * [`server`] — a std-only TCP server: the line frontend (one
+//!   nonblocking epoll thread serves every connection, with pipelining
+//!   and bounded write-buffer backpressure) feeds a fixed worker pool
+//!   behind a *bounded* admission queue (full queue ⇒ explicit
+//!   `overloaded` response), with end-to-end deadline accounting, a
+//!   panic costing only its own response, and graceful drain on
+//!   shutdown. Serving is Linux-only;
 //! * [`coalesce`] — cross-request solve coalescing: per-graph flush
 //!   windows pack concurrent solves into one shared
 //!   [`solve_group`](mwc_core::QueryEngine::solve_group) execution that
@@ -37,8 +36,9 @@
 //!   generator (`mwc_bench`'s `loadgen`), and the integration tests;
 //! * [`shard`] — the deterministic consistent-hash ring (virtual nodes)
 //!   that partitions the catalog **by graph name** across processes;
-//! * [`router`] — `mwc-router`, the sharded front-end: same wire
-//!   protocol, routes graph-addressed commands by ring lookup over
+//! * [`router`] — `mwc-router`, the sharded front-end: the same line
+//!   frontend and wire protocol, with relays on threads started on
+//!   demand; routes graph-addressed commands by ring lookup over
 //!   pooled backend connections, fans batches out per shard (replies
 //!   reassembled in request order), merges `stats`/`graphs`, tracks
 //!   backend health (ejection + reprobe), and maps backend failure to
@@ -78,8 +78,7 @@ pub mod catalog;
 pub mod client;
 pub mod coalesce;
 pub mod error;
-#[cfg(target_os = "linux")]
-pub(crate) mod event_loop;
+mod event_loop;
 pub mod json;
 pub mod metrics;
 #[cfg(target_os = "linux")]
@@ -100,6 +99,6 @@ pub use json::Json;
 pub use metrics::{Histogram, Metrics};
 pub use protocol::{CacheSeed, ShardChange, PROTOCOL_VERSION};
 pub use router::{RouterConfig, RouterHandle, ShardSpec};
-pub use server::{start, ServerConfig, ServerHandle, Transport};
+pub use server::{start, ServerConfig, ServerHandle};
 pub use shard::HashRing;
 pub use trace::{SlowLog, SpanRecord, TraceContext, TraceRecorder};

@@ -132,22 +132,22 @@ pub struct Metrics {
     pub queue_peak: AtomicU64,
     /// Connections accepted.
     pub connections_total: AtomicU64,
-    /// Connections currently open. Authoritative from the owning
-    /// transport: the epoll loop's connection table, or the threaded
-    /// acceptor (incremented at accept, decremented at reader exit) —
-    /// both count at the same instant, so the gauge reads identically
-    /// whichever transport serves.
+    /// Connections currently open: the size of the frontend's connection
+    /// table, counted at accept and at close.
     pub connections_live: AtomicU64,
     /// Clients disconnected because their outbound backlog crossed the
-    /// write-buffer cap (epoll transport backpressure).
+    /// frontend's write-buffer cap.
     pub slow_client_disconnects: AtomicU64,
-    /// Event-loop `epoll_wait` returns (epoll transport).
+    /// Frontend `epoll_wait` returns.
     pub loop_wakeups: AtomicU64,
-    /// Readiness events the event loop has dispatched (epoll transport).
+    /// Readiness events the frontend has dispatched.
     pub loop_events: AtomicU64,
     /// High-water mark of in-flight pipelined requests on any single
-    /// connection (epoll transport).
+    /// connection.
     pub pipeline_peak: AtomicU64,
+    /// Requests whose work panicked. Each cost its own response, which
+    /// was answered `internal`; the worker that ran it kept serving.
+    pub panics_total: AtomicU64,
     solver_latency: RwLock<HashMap<String, Arc<Histogram>>>,
     /// Always-on per-stage duration histograms (`admission`, `solve`,
     /// `serialize`, `write`, …) — the aggregate view of the same stages
@@ -173,6 +173,7 @@ impl Default for Metrics {
             loop_wakeups: AtomicU64::new(0),
             loop_events: AtomicU64::new(0),
             pipeline_peak: AtomicU64::new(0),
+            panics_total: AtomicU64::new(0),
             solver_latency: RwLock::new(HashMap::new()),
             stage_latency: RwLock::new(HashMap::new()),
         }
@@ -287,6 +288,7 @@ impl Metrics {
                     ("uptime_s", Json::from(self.started.elapsed().as_secs_f64())),
                     ("connections_live", load(&self.connections_live)),
                     ("queue_depth", load(&self.queue_depth)),
+                    ("panics_total", load(&self.panics_total)),
                 ]),
             ),
             (
@@ -368,6 +370,11 @@ impl Metrics {
             "mwc_loop_events_total",
             "Readiness events dispatched by the event loop.",
             l(&self.loop_events),
+        );
+        counter(
+            "mwc_panics_total",
+            "Requests whose work panicked (each answered internal).",
+            l(&self.panics_total),
         );
         let mut gauge = |name: &str, help: &str, v: f64| {
             out.push_str(&format!(
@@ -531,11 +538,13 @@ mod tests {
         let m = Metrics::new();
         m.requests_total.fetch_add(7, Ordering::Relaxed);
         m.connections_live.fetch_add(2, Ordering::Relaxed);
+        m.panics_total.fetch_add(1, Ordering::Relaxed);
         m.record_solve("ws-q", Duration::from_millis(3));
         m.record_stage("write", Duration::from_micros(40));
         let text = m.render_prometheus(64);
         assert!(text.contains("mwc_requests_total 7"));
         assert!(text.contains("mwc_connections_live 2"));
+        assert!(text.contains("mwc_panics_total 1"));
         assert!(text.contains("mwc_queue_capacity 64"));
         assert!(text.contains("mwc_solve_duration_seconds_count{solver=\"ws-q\"} 1"));
         assert!(text.contains("mwc_solve_duration_seconds_bucket{solver=\"ws-q\",le=\"+Inf\"} 1"));
@@ -563,6 +572,7 @@ mod tests {
         assert_eq!(process.get("connections_live").unwrap().as_u64(), Some(3));
         assert!(process.get("uptime_s").unwrap().as_f64().unwrap() >= 0.0);
         assert_eq!(process.get("queue_depth").unwrap().as_u64(), Some(0));
+        assert_eq!(process.get("panics_total").unwrap().as_u64(), Some(0));
         let stages = snap.get("stages").unwrap();
         assert_eq!(
             stages

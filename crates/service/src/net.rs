@@ -1,17 +1,17 @@
-//! Minimal epoll/eventfd syscall shim for the event-driven transport.
+//! Minimal epoll/eventfd syscall shim for the line frontend.
 //!
 //! The workspace is std-only (no `libc` crate), so the handful of
 //! syscalls the event loop needs — `epoll_create1`, `epoll_ctl`,
 //! `epoll_wait`, `eventfd` — are declared here against the C library
 //! std already links. Everything socket-shaped stays on std types
 //! (`TcpListener`/`TcpStream` in nonblocking mode), so this shim is the
-//! *entire* unsafe surface of the transport: two RAII fd wrappers and
+//! *entire* unsafe surface of the frontend: two RAII fd wrappers and
 //! one `#[repr(C)]` struct.
 //!
-//! Linux-only by construction (`lib.rs` gates the module); the threaded
-//! transport remains the portable path. The module is public so the
-//! load generator (`loadgen --connections`) can multiplex its 10k-class
-//! open-loop client sockets on the same readiness primitive.
+//! Linux-only by construction (`lib.rs` gates the module), which is why
+//! serving is Linux-only. The module is public so the load generator
+//! (`loadgen --connections`) can multiplex its 10k-class open-loop
+//! client sockets on the same readiness primitive.
 
 use std::io;
 use std::os::unix::io::RawFd;

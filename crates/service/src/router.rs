@@ -4,15 +4,16 @@
 //! # Architecture
 //!
 //! ```text
-//!                       ┌────────────── mwc-router ──────────────┐
-//! client ──TCP──▶ reader thread (1 per connection)               │
-//!                       │  parse line → Request                  │
-//!                       │  ping/shard/shutdown: answered locally │
-//!                       │  solve/load/evict: ring lookup ────────┼──▶ shard A
-//!                       │  batch: split by owning shard,         ├──▶ shard B
-//!                       │         reassemble in request order    ├──▶ shard C
-//!                       │  stats/graphs: fan out + merge         │
-//!                       └──────────── pooled backend conns ──────┘
+//!                 ┌────────────────── mwc-router ───────────────────┐
+//! client ──TCP──▶ frontend (one epoll thread, see crate::event_loop)│
+//!                 │  parse line → Request, responses in order       │
+//!                 │  ping/shard/shutdown: answered on the loop      │
+//!                 │  everything else → relay threads (on demand):   │
+//!                 │    solve/load/evict: ring lookup ───────────────┼──▶ shard A
+//!                 │    batch: split by owning shard,                ├──▶ shard B
+//!                 │           reassemble in request order           ├──▶ shard C
+//!                 │    stats/graphs/reshard: fan out + merge        │
+//!                 └────────────── pooled backend conns ─────────────┘
 //! ```
 //!
 //! The router speaks the *same* newline-delimited JSON protocol on both
@@ -52,6 +53,17 @@
 //!   counters; the `shard` command reports ring assignments (with
 //!   replica sets) and health.
 //!
+//! * **One frontend** — the router plugs one handler into the same line
+//!   frontend `mwc-server` runs, so it pipelines: a connection may keep
+//!   many requests in flight, answered in request order. Relays block on
+//!   backends, so they run on relay threads, never on the loop: a relay
+//!   thread starts when a relay is queued and none is idle, at most
+//!   [`RouterConfig::max_connections`] of them, and an idle one exits
+//!   after a few seconds. A relay that panics costs its own response
+//!   (`internal`, counted in `panics_total`); its thread keeps serving.
+//!   Serving is Linux-only: elsewhere [`start`] returns
+//!   [`std::io::ErrorKind::Unsupported`].
+//!
 //! Failure mapping is the contract the acceptance tests pin: any
 //! transport failure talking to a shard — refused connection, EOF from a
 //! killed process, read timeout — surfaces as the stable
@@ -59,21 +71,24 @@
 //! connection, and the surviving shards (and surviving replicas of each
 //! graph) keep serving.
 
-use std::io::Write;
+use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
 use crate::error::ServiceError;
-use crate::json::Json;
-use crate::protocol::{
-    error_json, error_response, ok_response, parse_request, Command, Request, ShardChange,
-    SolveParams,
+use crate::event_loop::{
+    shutdown_ack, Handled, Handler, Limits, Reply, Slot, DEFAULT_MAX_WRITE_BUFFER,
 };
-use crate::server::{read_line_bounded, salvage_id, LineRead};
+use crate::json::Json;
+use crate::metrics::Metrics;
+use crate::protocol::{
+    error_json, error_response, ok_response, Command, Request, ShardChange, SolveParams,
+};
 use crate::shard::{HashRing, DEFAULT_VNODES};
 use crate::trace::next_trace_id;
 
@@ -109,9 +124,11 @@ pub struct RouterConfig {
     pub replicas: usize,
     /// Hard cap on a request line's length, in bytes.
     pub max_line_bytes: usize,
-    /// Maximum concurrent client connections (one reader thread each).
+    /// Maximum concurrent client connections; also the most relay
+    /// threads the router runs at once.
     pub max_connections: usize,
-    /// Socket poll interval: how quickly idle readers notice shutdown.
+    /// The frontend's poll interval: how quickly it (and the reprobe
+    /// thread) notice shutdown.
     pub poll_interval: Duration,
     /// Consecutive backend failures before a shard is ejected (requests
     /// then fail fast until a reprobe succeeds).
@@ -149,15 +166,14 @@ impl Default for RouterConfig {
 }
 
 /// Router-side counters (the backends keep their own full metrics; the
-/// router only counts what it alone can see).
+/// router only counts what it alone can see). Requests read, malformed
+/// lines, connections and panics are the frontend's counters.
 #[derive(Debug, Default)]
 struct RouterMetrics {
-    requests_total: AtomicU64,
     /// Requests forwarded to a backend (including fan-out sub-requests).
     forwarded_total: AtomicU64,
     /// Requests answered locally (ping/shard/stats/graphs/shutdown).
     local_total: AtomicU64,
-    bad_request_total: AtomicU64,
     /// Requests (or batch entries) failed with `shard_unavailable`.
     shard_unavailable_total: AtomicU64,
     /// Reads answered by a later replica after an earlier one failed.
@@ -168,7 +184,6 @@ struct RouterMetrics {
     migrated_graphs_total: AtomicU64,
     /// Warm solve-cache entries imported by gaining shards.
     streamed_cache_entries_total: AtomicU64,
-    connections_total: AtomicU64,
 }
 
 /// One backend shard: pooled connections plus health state.
@@ -390,6 +405,9 @@ struct Inner {
     routes: RwLock<Arc<RouteTable>>,
     config: RouterConfig,
     metrics: RouterMetrics,
+    /// The frontend's counters: requests, connections, panics.
+    frontend: Metrics,
+    relays: RelayPool,
     shutdown: AtomicBool,
     /// Round-robin cursor: spreads `burn` and seeds the two-choice pick.
     round_robin: AtomicUsize,
@@ -451,6 +469,126 @@ impl Inner {
     }
 }
 
+/// How long an idle relay thread waits for work before it exits.
+const RELAY_IDLE: Duration = Duration::from_secs(5);
+
+/// A request the frontend handed to the relay threads: the parsed
+/// request, its raw line (forwarded verbatim) and its reply.
+struct Relay {
+    request: Request,
+    line: String,
+    reply: Reply,
+}
+
+/// The relay threads' queue. Threads start on demand and exit when idle
+/// (see [`submit_relay`] and [`relay_loop`]).
+#[derive(Default)]
+struct RelayPool {
+    state: Mutex<RelayState>,
+    /// Wakes an idle thread for queued work, or every thread to close.
+    work: Condvar,
+    /// Tells [`close_relays`] that a thread exited.
+    exited: Condvar,
+}
+
+#[derive(Default)]
+struct RelayState {
+    queue: VecDeque<Relay>,
+    threads: usize,
+    idle: usize,
+    closed: bool,
+}
+
+/// Queues a relay and starts a thread for it when no idle thread will
+/// take it, unless `max_connections` threads already run: then a busy
+/// one takes it when it finishes.
+fn submit_relay(inner: &Arc<Inner>, relay: Relay) {
+    let pool = &inner.relays;
+    let mut state = pool.state.lock().expect("relay pool poisoned");
+    state.queue.push_back(relay);
+    if state.queue.len() <= state.idle {
+        drop(state);
+        pool.work.notify_one();
+        return;
+    }
+    if state.threads >= inner.config.max_connections.max(1) {
+        return;
+    }
+    state.threads += 1;
+    drop(state);
+    let worker = Arc::clone(inner);
+    let spawned = std::thread::Builder::new()
+        .name("mwc-relay".to_string())
+        .spawn(move || relay_loop(&worker));
+    if spawned.is_err() {
+        let mut state = pool.state.lock().expect("relay pool poisoned");
+        state.threads -= 1;
+        if state.threads == 0 {
+            // No thread will take these: their replies, dropped here,
+            // answer `internal`.
+            let orphans = std::mem::take(&mut state.queue);
+            drop(state);
+            drop(orphans);
+        }
+    }
+}
+
+/// A relay thread: takes queued relays until it has waited
+/// [`RELAY_IDLE`] for one, or the pool closes with nothing queued.
+fn relay_loop(inner: &Arc<Inner>) {
+    let pool = &inner.relays;
+    let mut state = pool.state.lock().expect("relay pool poisoned");
+    loop {
+        if let Some(Relay {
+            request,
+            line,
+            reply,
+        }) = state.queue.pop_front()
+        {
+            drop(state);
+            // A panic costs this one request: its reply, dropped
+            // unanswered, answers `internal`, and the thread carries on.
+            // The router counts relays by what it forwarded, not by
+            // their outcome, so every relayed line counts as ok.
+            match catch_unwind(AssertUnwindSafe(|| relay(inner, request, &line))) {
+                Ok(response) => reply.send(response, true),
+                Err(_) => {
+                    inner.frontend.panics_total.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            state = pool.state.lock().expect("relay pool poisoned");
+            continue;
+        }
+        if state.closed {
+            break;
+        }
+        state.idle += 1;
+        let (guard, waited) = pool
+            .work
+            .wait_timeout(state, RELAY_IDLE)
+            .expect("relay pool poisoned");
+        state = guard;
+        state.idle -= 1;
+        if waited.timed_out() && state.queue.is_empty() {
+            break;
+        }
+    }
+    state.threads -= 1;
+    drop(state);
+    pool.exited.notify_all();
+}
+
+/// Closes the pool: every thread finishes the queue, then exits; returns
+/// once they all have.
+fn close_relays(pool: &RelayPool) {
+    let mut state = pool.state.lock().expect("relay pool poisoned");
+    state.closed = true;
+    pool.work.notify_all();
+    while state.threads > 0 {
+        state = pool.exited.wait(state).expect("relay pool poisoned");
+    }
+}
+
 /// A running router: its address and every thread it spawned. Stop it
 /// with [`RouterHandle::shutdown`] (or let a protocol `shutdown` command
 /// initiate the drain and [`RouterHandle::wait`] for it). Shutting the
@@ -458,14 +596,16 @@ impl Inner {
 pub struct RouterHandle {
     inner: Arc<Inner>,
     addr: std::net::SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    /// The frontend's loop thread (`None` once joined).
+    frontend: Option<JoinHandle<()>>,
     reprober: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Binds `addr` and starts routing for `shards` (name + backend address
 /// each). Shard names must be unique; the ring is deterministic in the
 /// set of names, so every router over the same shards routes identically.
+/// Serving is Linux-only: elsewhere this returns
+/// [`std::io::ErrorKind::Unsupported`].
 pub fn start(
     shards: Vec<ShardSpec>,
     config: RouterConfig,
@@ -501,24 +641,24 @@ pub fn start(
 
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
+    let limits = Limits {
+        max_connections: config.max_connections,
+        max_line_bytes: config.max_line_bytes,
+        max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
+        poll_interval: config.poll_interval,
+    };
     let inner = Arc::new(Inner {
         routes: RwLock::new(Arc::new(RouteTable { ring, backends })),
         config,
         metrics: RouterMetrics::default(),
+        frontend: Metrics::new(),
+        relays: RelayPool::default(),
         shutdown: AtomicBool::new(false),
         round_robin: AtomicUsize::new(0),
         reshard_gate: Mutex::new(()),
     });
-
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        let readers = Arc::clone(&readers);
-        std::thread::Builder::new()
-            .name("mwc-router-acceptor".to_string())
-            .spawn(move || acceptor_loop(&inner, &listener, &readers))
-            .expect("spawn router acceptor")
-    };
+    let frontend =
+        crate::event_loop::spawn(Arc::clone(&inner), listener, limits, "mwc-router-epoll")?;
     let reprober = {
         let inner = Arc::clone(&inner);
         std::thread::Builder::new()
@@ -530,9 +670,8 @@ pub fn start(
     Ok(RouterHandle {
         inner,
         addr,
-        acceptor: Some(acceptor),
+        frontend: Some(frontend),
         reprober: Some(reprober),
-        readers,
     })
 }
 
@@ -553,6 +692,13 @@ impl RouterHandle {
     /// routing time).
     pub fn replicas(&self) -> usize {
         self.inner.config.replicas.max(1)
+    }
+
+    /// The router frontend's counters: requests read, connections (live
+    /// and total), slow-client disconnects, panics. The routing counters
+    /// are in the `stats` command's `router` section.
+    pub fn metrics(&self) -> &Metrics {
+        &self.inner.frontend
     }
 
     /// Whether shutdown has been initiated.
@@ -580,80 +726,24 @@ impl RouterHandle {
     }
 
     fn join_all(&mut self) {
-        // Unblock the acceptor's blocking `accept` with a no-op connect.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        // The frontend exits once every relay it handed out has
+        // answered and flushed; only then is the relay queue closed.
+        if let Some(frontend) = self.frontend.take() {
+            let _ = frontend.join();
         }
         if let Some(reprober) = self.reprober.take() {
             let _ = reprober.join();
         }
-        let readers: Vec<JoinHandle<()>> = self
-            .readers
-            .lock()
-            .expect("router reader registry poisoned")
-            .drain(..)
-            .collect();
-        for r in readers {
-            let _ = r.join();
-        }
+        close_relays(&self.inner.relays);
     }
 }
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
+        if self.frontend.is_some() {
             self.begin_shutdown();
             self.join_all();
         }
-    }
-}
-
-fn acceptor_loop(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut registry = readers.lock().expect("router reader registry poisoned");
-        registry.retain(|h| !h.is_finished());
-        if registry.len() >= inner.config.max_connections {
-            drop(registry);
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let line = error_response(
-                &None,
-                &ServiceError::TooManyConnections {
-                    limit: inner.config.max_connections,
-                },
-            );
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.write_all(b"\n");
-            continue;
-        }
-        inner
-            .metrics
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-        let inner2 = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
-            .name("mwc-router-conn".to_string())
-            .spawn(move || serve_connection(&inner2, stream))
-            .expect("spawn router connection reader");
-        registry.push(handle);
     }
 }
 
@@ -679,177 +769,118 @@ fn reprobe_loop(inner: &Arc<Inner>) {
     }
 }
 
-fn write_raw(out: &Mutex<TcpStream>, line: &str) {
-    // One write per response (see the server's `write_line`: two small
-    // writes would re-trigger the Nagle/delayed-ACK stall the sockets'
-    // nodelay setting avoids).
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
-    let mut stream = out.lock().expect("router connection write lock poisoned");
-    let _ = stream.write_all(&buf);
-    let _ = stream.flush();
-}
+/// The router's side of the frontend: `ping`, `shard` and `shutdown` are
+/// answered on the loop thread; everything else blocks on backends, so
+/// it goes to the relay threads.
+impl Handler for Arc<Inner> {
+    fn metrics(&self) -> &Metrics {
+        &self.frontend
+    }
 
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(inner.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let out = Mutex::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut reader = std::io::BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match read_line_bounded(
-            &mut reader,
-            &mut buf,
-            inner.config.max_line_bytes,
-            &inner.shutdown,
-        ) {
-            LineRead::Eof | LineRead::Closed => return,
-            LineRead::TooLong => {
-                inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .metrics
-                    .bad_request_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let err = ServiceError::BadRequest(format!(
-                    "request line exceeds {} bytes",
-                    inner.config.max_line_bytes
-                ));
-                write_raw(&out, &error_response(&None, &err));
-                return; // framing is lost; drop the connection
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    fn handle(&self, request: Request, line: &str, slot: Slot<'_>) -> Handled {
+        let id = &request.id;
+        let local = &self.metrics.local_total;
+        match request.command {
+            Command::Ping => {
+                local.fetch_add(1, Ordering::Relaxed);
+                Handled::Inline(ok_response(id, vec![("pong", Json::Bool(true))]), true)
             }
-            LineRead::Line => {}
-        }
-        let line = match std::str::from_utf8(&buf) {
-            Ok(line) => line,
-            Err(_) => {
-                inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .metrics
-                    .bad_request_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let err = ServiceError::BadRequest("request line is not UTF-8".to_string());
-                write_raw(&out, &error_response(&None, &err));
-                continue;
+            Command::Shard { ref graph } => {
+                local.fetch_add(1, Ordering::Relaxed);
+                Handled::Inline(ok_response(id, shard_payload(self, graph.as_deref())), true)
             }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        let request = match parse_request(line) {
-            Ok(r) => r,
-            Err(e) => {
-                inner
-                    .metrics
-                    .bad_request_total
-                    .fetch_add(1, Ordering::Relaxed);
-                write_raw(&out, &error_response(&salvage_id(line), &e));
-                continue;
+            Command::Shutdown => {
+                local.fetch_add(1, Ordering::Relaxed);
+                // Flag before acknowledging (see the server's handler).
+                self.shutdown.store(true, Ordering::SeqCst);
+                Handled::Close(shutdown_ack(id))
             }
-        };
-        if handle_request(inner, &out, line, request) {
-            return; // shutdown requested on this connection
+            _ => {
+                let reply = slot.defer(id);
+                let line = line.to_string();
+                submit_relay(
+                    self,
+                    Relay {
+                        request,
+                        line,
+                        reply,
+                    },
+                );
+                Handled::Deferred
+            }
         }
     }
 }
 
-/// Handles one parsed request; returns `true` when the connection should
-/// close (router shutdown).
-fn handle_request(
-    inner: &Arc<Inner>,
-    out: &Mutex<TcpStream>,
-    line: &str,
-    request: Request,
-) -> bool {
-    let id = request.id.clone();
+/// Answers one relayed request on a relay thread — forwarded, fanned out
+/// or merged — and returns its response line.
+fn relay(inner: &Arc<Inner>, request: Request, line: &str) -> String {
+    let id = request.id;
     let metrics = &inner.metrics;
     let replicas = inner.config.replicas.max(1);
     match request.command {
-        Command::Ping => {
-            metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(out, &ok_response(&id, vec![("pong", Json::Bool(true))]));
-        }
-        Command::Shutdown => {
-            metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            // Flag before acknowledging (see the server's shutdown arm).
-            inner.shutdown.store(true, Ordering::SeqCst);
-            write_raw(out, &ok_response(&id, vec![("stopping", Json::Bool(true))]));
-            return true;
-        }
-        Command::Shard { graph } => {
-            metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(
-                out,
-                &ok_response(&id, shard_payload(inner, graph.as_deref())),
-            );
-        }
         Command::Reshard {
             ref add,
             ref remove,
         } => {
             metrics.local_total.fetch_add(1, Ordering::Relaxed);
             match handle_reshard(inner, add.as_ref(), remove.as_deref()) {
-                Ok(payload) => write_raw(out, &ok_response(&id, payload)),
-                Err(e) => write_raw(out, &error_response(&id, &e)),
+                Ok(payload) => ok_response(&id, payload),
+                Err(e) => error_response(&id, &e),
             }
         }
         Command::Stats => {
             metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(out, &ok_response(&id, vec![("stats", merged_stats(inner))]));
+            ok_response(&id, vec![("stats", merged_stats(inner))])
         }
         Command::Graphs => {
             metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(out, &ok_response(&id, merged_graphs(inner)));
+            ok_response(&id, merged_graphs(inner))
         }
         Command::Metrics => {
             metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(
-                out,
-                &ok_response(&id, vec![("text", Json::Str(router_prometheus(inner)))]),
-            );
+            ok_response(&id, vec![("text", Json::Str(router_prometheus(inner)))])
         }
         Command::Slowlog { limit } => {
             metrics.local_total.fetch_add(1, Ordering::Relaxed);
-            write_raw(out, &ok_response(&id, merged_slowlog(inner, limit)));
-        }
-        Command::Solve { ref params, .. } if params.trace => {
-            let table = inner.table();
-            let candidates = inner.read_order(table.replicas_for(&params.graph, replicas));
-            relay_read_traced(inner, out, &candidates, line, &id, params);
+            ok_response(&id, merged_slowlog(inner, limit))
         }
         Command::Solve { ref params, .. } => {
             let table = inner.table();
             let candidates = inner.read_order(table.replicas_for(&params.graph, replicas));
-            relay_read(inner, out, &candidates, line, &id);
+            if params.trace {
+                relay_read_traced(inner, &candidates, line, &id, params)
+            } else {
+                relay_read(inner, &candidates, line, &id)
+            }
         }
         Command::CacheExport { ref name } => {
             let table = inner.table();
             let candidates = inner.read_order(table.replicas_for(name, replicas));
-            relay_read(inner, out, &candidates, line, &id);
+            relay_read(inner, &candidates, line, &id)
         }
-        Command::Load { ref name, .. } => {
+        Command::Load { ref name, .. } | Command::Evict { ref name } => {
             let table = inner.table();
-            relay_write(inner, out, &table.replicas_for(name, replicas), line, &id);
-        }
-        Command::Evict { ref name } => {
-            let table = inner.table();
-            relay_write(inner, out, &table.replicas_for(name, replicas), line, &id);
+            relay_write(inner, &table.replicas_for(name, replicas), line, &id)
         }
         Command::Burn { .. } => {
             let table = inner.table();
             let backend = inner.round_robin_backend(&table);
-            relay_read(inner, out, &[backend], line, &id);
+            relay_read(inner, &[backend], line, &id)
         }
-        Command::Batch { params, queries } => {
-            handle_batch(inner, out, &id, &params, &queries);
+        Command::Batch { params, queries } => handle_batch(inner, &id, &params, &queries),
+        Command::Ping | Command::Shard { .. } | Command::Shutdown => {
+            unreachable!("answered on the frontend's loop thread")
         }
     }
-    false
 }
 
 /// Forwards `line` to the first answering replica (candidates in
@@ -859,11 +890,10 @@ fn handle_request(
 /// synthesized `shard_unavailable`.
 fn relay_read(
     inner: &Arc<Inner>,
-    out: &Mutex<TcpStream>,
     candidates: &[Arc<Backend>],
     line: &str,
     id: &Option<Json>,
-) {
+) -> String {
     inner
         .metrics
         .forwarded_total
@@ -878,8 +908,7 @@ fn relay_read(
                         .read_fallthrough_total
                         .fetch_add(attempt as u64, Ordering::Relaxed);
                 }
-                write_raw(out, &response);
-                return;
+                return response;
             }
             Err(e) => last = Some(e),
         }
@@ -889,7 +918,7 @@ fn relay_read(
         .shard_unavailable_total
         .fetch_add(1, Ordering::Relaxed);
     let err = last.expect("a replica set is never empty");
-    write_raw(out, &error_response(id, &err));
+    error_response(id, &err)
 }
 
 /// Forwards a traced `solve` with the same replica fall-through as
@@ -902,12 +931,11 @@ fn relay_read(
 /// shard's root is ≤ `backend_rtt`, which is ≤ `route`.
 fn relay_read_traced(
     inner: &Arc<Inner>,
-    out: &Mutex<TcpStream>,
     candidates: &[Arc<Backend>],
     line: &str,
     id: &Option<Json>,
     params: &SolveParams,
-) {
+) -> String {
     inner
         .metrics
         .forwarded_total
@@ -935,11 +963,7 @@ fn relay_read_traced(
                         .fetch_add(attempt as u64, Ordering::Relaxed);
                 }
                 let rtt = t_fwd.elapsed();
-                write_raw(
-                    out,
-                    &wrap_routed_trace(&response, &trace_id, backend, t0, t_fwd, rtt),
-                );
-                return;
+                return wrap_routed_trace(&response, &trace_id, backend, t0, t_fwd, rtt);
             }
             Err(e) => last = Some(e),
         }
@@ -949,7 +973,7 @@ fn relay_read_traced(
         .shard_unavailable_total
         .fetch_add(1, Ordering::Relaxed);
     let err = last.expect("a replica set is never empty");
-    write_raw(out, &error_response(id, &err));
+    error_response(id, &err)
 }
 
 /// Fans a write (`load`/`evict`) out to *every* replica concurrently and
@@ -959,11 +983,10 @@ fn relay_read_traced(
 /// when every replica refused it.
 fn relay_write(
     inner: &Arc<Inner>,
-    out: &Mutex<TcpStream>,
     replicas: &[Arc<Backend>],
     line: &str,
     id: &Option<Json>,
-) {
+) -> String {
     inner
         .metrics
         .forwarded_total
@@ -1027,7 +1050,7 @@ fn relay_write(
             // The backend already echoed the client's id (the line went
             // through verbatim); just attach the ack list.
             fields.insert("replicas".to_string(), Json::Arr(acks));
-            write_raw(out, &Json::Obj(fields).to_string());
+            Json::Obj(fields).to_string()
         }
         _ => {
             let err = first_error.expect("a replica set is never empty");
@@ -1039,7 +1062,7 @@ fn relay_write(
             if let Some(v) = id {
                 fields.push(("id", v.clone()));
             }
-            write_raw(out, &Json::obj(fields).to_string());
+            Json::obj(fields).to_string()
         }
     }
 }
@@ -1408,10 +1431,11 @@ fn router_prometheus(inner: &Arc<Inner>) -> String {
             "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
         ));
     };
+    let f = &inner.frontend;
     counter(
         "mwc_router_requests_total",
         "Requests read by the router.",
-        m.requests_total.load(Ordering::Relaxed),
+        f.requests_total.load(Ordering::Relaxed),
     );
     counter(
         "mwc_router_forwarded_total",
@@ -1426,7 +1450,7 @@ fn router_prometheus(inner: &Arc<Inner>) -> String {
     counter(
         "mwc_router_bad_request_total",
         "Requests rejected as malformed.",
-        m.bad_request_total.load(Ordering::Relaxed),
+        f.bad_request_total.load(Ordering::Relaxed),
     );
     counter(
         "mwc_router_shard_unavailable_total",
@@ -1456,7 +1480,12 @@ fn router_prometheus(inner: &Arc<Inner>) -> String {
     counter(
         "mwc_router_connections_total",
         "Client connections accepted.",
-        m.connections_total.load(Ordering::Relaxed),
+        f.connections_total.load(Ordering::Relaxed),
+    );
+    counter(
+        "mwc_router_panics_total",
+        "Relayed requests whose work panicked (each answered internal).",
+        f.panics_total.load(Ordering::Relaxed),
     );
     let table = inner.table();
     out.push_str("# HELP mwc_router_shard_healthy Shard health (1 = accepting, 0 = ejected).\n");
@@ -1686,20 +1715,22 @@ fn merged_stats(inner: &Arc<Inner>) -> Json {
         }
     }
     let m = &inner.metrics;
+    let f = &inner.frontend;
     let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
     let router = Json::obj([
         (
             "requests",
             Json::obj([
-                ("total", load(&m.requests_total)),
+                ("total", load(&f.requests_total)),
                 ("forwarded", load(&m.forwarded_total)),
                 ("local", load(&m.local_total)),
-                ("bad_request", load(&m.bad_request_total)),
+                ("bad_request", load(&f.bad_request_total)),
                 ("shard_unavailable", load(&m.shard_unavailable_total)),
                 ("read_fallthrough", load(&m.read_fallthrough_total)),
             ]),
         ),
-        ("connections", load(&m.connections_total)),
+        ("connections", load(&f.connections_total)),
+        ("panics_total", load(&f.panics_total)),
         ("replicas", Json::from(inner.config.replicas.max(1))),
         (
             "reshard",
@@ -1801,11 +1832,10 @@ type SubBatchOutcome = (Arc<Backend>, Vec<usize>, Result<Json, ServiceError>);
 /// of its graph failed.
 fn handle_batch(
     inner: &Arc<Inner>,
-    out: &Mutex<TcpStream>,
     id: &Option<Json>,
     params: &SolveParams,
     queries: &[crate::protocol::BatchEntry],
-) {
+) -> String {
     let table = inner.table();
     let replicas = inner.config.replicas.max(1);
     let mut slots: Vec<Option<Json>> = vec![None; queries.len()];
@@ -1902,7 +1932,7 @@ fn handle_batch(
                     }
                 }
                 Err(_) => {
-                    // Transport failure: fall through — each entry goes
+                    // Socket failure: fall through — each entry goes
                     // back in the pot for its next untried replica.
                     inner
                         .metrics
@@ -1924,17 +1954,14 @@ fn handle_batch(
     } else {
         Json::from(params.graph.as_str())
     };
-    write_raw(
-        out,
-        &ok_response(
-            id,
-            vec![
-                ("graph", graph),
-                ("solved", Json::from(solved)),
-                ("reports", Json::Arr(reports)),
-            ],
-        ),
-    );
+    ok_response(
+        id,
+        vec![
+            ("graph", graph),
+            ("solved", Json::from(solved)),
+            ("reports", Json::Arr(reports)),
+        ],
+    )
 }
 
 /// Builds the backend request line for one shard's slice of a batch.
@@ -2040,7 +2067,7 @@ mod tests {
             },
         ];
         let line = sub_batch_line(&params, &queries, &[1, 0]);
-        let parsed = parse_request(&line).unwrap();
+        let parsed = crate::protocol::parse_request(&line).unwrap();
         match parsed.command {
             Command::Batch {
                 params: p,

@@ -1,15 +1,15 @@
-//! The TCP server: two interchangeable transports in front of a fixed
-//! worker pool behind a bounded admission queue.
+//! The TCP server: the line frontend in front of a fixed worker pool
+//! behind a bounded admission queue.
 //!
 //! # Architecture
 //!
 //! ```text
-//!            threads transport                 epoll transport (linux)
-//!  acceptor ──spawns──▶ reader thread      one event-loop thread:
-//!  (1 per connection)                      nonblocking accept + read +
-//!        │ parse line → Request            write over a registered
-//!        │ control cmds answered inline    connection table (pipelined,
-//!        ▼                                 responses in request order)
+//!            frontend (one epoll thread, see [`crate::event_loop`]):
+//!            nonblocking accept + read + write over a connection table,
+//!            pipelined, responses in request order
+//!                            │ parse line → Request
+//!                            │ control cmds answered inline
+//!                            ▼
 //!                     bounded JobQueue ──✗ full → "overloaded"
 //!                            │
 //!               worker pool (N threads): solve/batch/load/burn
@@ -19,14 +19,12 @@
 //!                            │  for its graph when it flushes;
 //!                            │  batch → one solve_group per graph
 //!                            ▼
-//!          per-connection write mutex  /  completion mailbox
-//!          (threads)                      + eventfd wakeup (epoll)
+//!          each job's Reply → completion mailbox + eventfd wakeup
 //! ```
 //!
-//! [`ServerConfig::transport`] selects the transport; both speak the
-//! identical wire protocol (the loopback suites run bit-identically
-//! under either — CI pins this). The epoll loop lives in the private
-//! `event_loop` module, over the tiny syscall shim in `net`.
+//! The server plugs one handler into the frontend it shares with
+//! `mwc-router`. Serving is Linux-only: elsewhere [`start`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! Properties this shape buys:
 //!
@@ -48,17 +46,21 @@
 //!   (up to a queued `load` of the graph; deadline-bearing requests stay
 //!   for the workers), so a backlog of repeated queries is solved once
 //!   instead of once per worker pickup.
-//! * **Connection scale** (epoll) — 10k mostly-idle connections cost one
-//!   loop thread and a table entry each, not 10k reader threads; slow
-//!   clients are bounded by a per-connection write-buffer cap.
+//! * **Connection scale** — 10k mostly-idle connections cost the one
+//!   loop thread and a table entry each; slow clients are bounded by a
+//!   per-connection write-buffer cap.
+//! * **Failure isolation** — a worker runs each job under
+//!   `catch_unwind`: a panic costs that job's response, answered
+//!   `internal`, and is counted in `panics_total`; the worker keeps
+//!   serving.
 //!
 //! Shutdown is graceful: the queue drains, workers finish in-flight
-//! solves, readers (or the event loop) notice within one poll interval,
-//! and `join` collects every thread.
+//! solves, the frontend flushes their responses, and `join` collects
+//! every thread.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -70,46 +72,19 @@ use mwc_graph::NodeId;
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::coalesce::{Backlog, CoalesceConfig, Coalescer, Member, Responder, Submit};
 use crate::error::ServiceError;
+use crate::event_loop::{
+    shutdown_ack, Handled, Handler, Limits, Reply, Slot, DEFAULT_MAX_WRITE_BUFFER,
+};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::protocol::{
-    cache_seed_to_json, error_json, error_response, ok_response, parse_request, report_to_json,
-    Command, Request, SolveParams,
+    cache_seed_to_json, error_json, error_response, ok_response, report_to_json, Command, Request,
+    SolveParams,
 };
 use crate::trace::{
     next_trace_id, span_tree, SlowLog, TraceContext, TraceRecorder, DEFAULT_SLOWLOG_CAPACITY,
     DEFAULT_SLOWLOG_MS, NO_PARENT,
 };
-
-/// Which accept/read/write machinery serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// One reader thread per connection (portable reference path).
-    Threads,
-    /// One nonblocking event-loop thread over epoll (linux). Supports
-    /// pipelining: many in-flight requests per connection, answered in
-    /// request order.
-    Epoll,
-}
-
-impl Transport {
-    /// Platform default — `Epoll` on linux, `Threads` elsewhere —
-    /// overridable with `MWC_TRANSPORT=threads|epoll` (how CI runs the
-    /// same loopback suites under both transports).
-    pub fn from_env_or_default() -> Transport {
-        match std::env::var("MWC_TRANSPORT").as_deref() {
-            Ok("threads") => Transport::Threads,
-            Ok("epoll") => Transport::Epoll,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    Transport::Epoll
-                } else {
-                    Transport::Threads
-                }
-            }
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -125,12 +100,11 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Maximum queries accepted in one `batch` request.
     pub max_batch: usize,
-    /// Maximum concurrent connections (each costs one reader thread).
-    /// Beyond it, new connections get one `overloaded` error line and
-    /// are closed — so idle-connection floods are bounded, not just
-    /// solve traffic.
+    /// Maximum concurrent connections. Beyond it, new connections get
+    /// one `too_many_connections` error line and are closed — so
+    /// idle-connection floods are bounded, not just solve traffic.
     pub max_connections: usize,
-    /// Socket poll interval: how quickly idle readers notice shutdown.
+    /// The frontend's poll interval: how quickly it notices shutdown.
     pub poll_interval: Duration,
     /// Cross-request solve coalescing (see [`crate::coalesce`]). On by
     /// default; `mwc-server --no-coalesce` / `--coalesce-window-us` land
@@ -142,12 +116,10 @@ pub struct ServerConfig {
     pub slowlog_threshold: Duration,
     /// Slow-query ring capacity: newest entries evict oldest beyond it.
     pub slowlog_capacity: usize,
-    /// Accept/read/write machinery (see [`Transport`]).
-    pub transport: Transport,
-    /// Per-connection outbound byte cap (epoll transport): a client not
-    /// reading its responses is disconnected once this many bytes are
-    /// queued for it, instead of buffering without bound. Reading from
-    /// the connection pauses at half this backlog.
+    /// Per-connection outbound byte cap: a client not reading its
+    /// responses is disconnected once this many bytes are queued for it,
+    /// instead of buffering without bound. Reading from the connection
+    /// pauses at half this backlog.
     pub max_write_buffer: usize,
 }
 
@@ -166,38 +138,22 @@ impl Default for ServerConfig {
             coalesce: CoalesceConfig::default(),
             slowlog_threshold: Duration::from_millis(DEFAULT_SLOWLOG_MS),
             slowlog_capacity: DEFAULT_SLOWLOG_CAPACITY,
-            transport: Transport::from_env_or_default(),
-            max_write_buffer: 8 << 20,
+            max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
         }
     }
 }
 
-/// Where a worker's response line goes: straight to the connection's
-/// stream (threads transport) or back to the event loop's completion
-/// mailbox, tagged with the connection token and per-connection sequence
-/// number so pipelined responses flush in request order (epoll).
-#[derive(Clone)]
-pub(crate) enum ResponseSink {
-    Stream(Arc<Mutex<TcpStream>>),
-    #[cfg(target_os = "linux")]
-    Event {
-        shared: Arc<crate::event_loop::LoopShared>,
-        token: u64,
-        seq: u64,
-    },
-}
-
-pub(crate) struct Job {
-    pub(crate) request: Request,
-    pub(crate) sink: ResponseSink,
-    pub(crate) received: Instant,
+struct Job {
+    request: Request,
+    reply: Reply,
+    received: Instant,
 }
 
 /// FIFO queue with a hard capacity; `try_push` fails fast when full.
-pub(crate) struct JobQueue {
+struct JobQueue {
     jobs: Mutex<VecDeque<Job>>,
-    pub(crate) ready: Condvar,
-    pub(crate) capacity: usize,
+    ready: Condvar,
+    capacity: usize,
 }
 
 impl JobQueue {
@@ -209,14 +165,16 @@ impl JobQueue {
         }
     }
 
-    fn try_push(&self, job: Job, metrics: &Metrics) -> Result<(), ServiceError> {
+    /// Pushes the job `make` builds, or fails without building it when
+    /// the queue is full.
+    fn try_push(&self, make: impl FnOnce() -> Job, metrics: &Metrics) -> Result<(), ServiceError> {
         let mut jobs = self.jobs.lock().expect("queue lock poisoned");
         if jobs.len() >= self.capacity {
             return Err(ServiceError::Overloaded {
                 queue_capacity: self.capacity,
             });
         }
-        jobs.push_back(job);
+        jobs.push_back(make());
         let depth = jobs.len() as u64;
         metrics.queue_depth.store(depth, Ordering::Relaxed);
         metrics.queue_peak.fetch_max(depth, Ordering::Relaxed);
@@ -300,7 +258,7 @@ fn solves_to_gather<'a>(
 /// What the wire `batch` command's per-graph groups shared: the `stats`
 /// command's flat `"batch"` section.
 #[derive(Default)]
-pub(crate) struct BatchCounters {
+struct BatchCounters {
     requests: AtomicU64,
     deduped: AtomicU64,
     joined: AtomicU64,
@@ -326,15 +284,15 @@ impl BatchCounters {
     }
 }
 
-pub(crate) struct Inner {
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) metrics: Arc<Metrics>,
-    pub(crate) config: ServerConfig,
-    pub(crate) queue: JobQueue,
-    pub(crate) coalescer: Coalescer,
-    pub(crate) batch: BatchCounters,
-    pub(crate) slowlog: SlowLog,
-    pub(crate) shutdown: AtomicBool,
+struct Inner {
+    catalog: Arc<Catalog>,
+    metrics: Arc<Metrics>,
+    config: ServerConfig,
+    queue: JobQueue,
+    coalescer: Coalescer,
+    batch: BatchCounters,
+    slowlog: SlowLog,
+    shutdown: AtomicBool,
 }
 
 /// A flushing window gathers from the server's admission queue.
@@ -361,17 +319,14 @@ impl Backlog for Arc<Inner> {
             .map(|job| {
                 self.metrics
                     .record_stage("admission", job.received.elapsed());
-                let Command::Solve { params, q } = &job.request.command else {
-                    unreachable!("take_solves takes solves only")
-                };
-                park(self, &job, params, q)
+                park(self, job)
             })
             .collect()
     }
 }
 
 impl Inner {
-    pub(crate) fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.ready.notify_all();
         // Flush every coalescing window before anyone sees the shutdown
@@ -386,15 +341,14 @@ impl Inner {
 pub struct ServerHandle {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// The epoll transport's single loop thread (`None` under threads).
-    event_loop: Option<JoinHandle<()>>,
+    /// The frontend's loop thread (`None` once joined).
+    frontend: Option<JoinHandle<()>>,
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-/// accepting connections against `catalog`.
+/// accepting connections against `catalog`. Serving is Linux-only:
+/// elsewhere this returns [`std::io::ErrorKind::Unsupported`].
 pub fn start(
     catalog: Arc<Catalog>,
     config: ServerConfig,
@@ -402,10 +356,15 @@ pub fn start(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let metrics = Arc::new(Metrics::new());
+    let limits = Limits {
+        max_connections: config.max_connections,
+        max_line_bytes: config.max_line_bytes,
+        max_write_buffer: config.max_write_buffer,
+        poll_interval: config.poll_interval,
+    };
     let inner = Arc::new(Inner {
         catalog,
-        metrics,
+        metrics: Arc::new(Metrics::new()),
         queue: JobQueue::new(config.queue_capacity.max(1)),
         coalescer: Coalescer::new(config.coalesce.clone()),
         batch: BatchCounters::default(),
@@ -413,7 +372,7 @@ pub fn start(
         config,
         shutdown: AtomicBool::new(false),
     });
-
+    let frontend = crate::event_loop::spawn(Arc::clone(&inner), listener, limits, "mwc-epoll")?;
     let workers: Vec<JoinHandle<()>> = (0..inner.config.workers.max(1))
         .map(|i| {
             let inner = Arc::clone(&inner);
@@ -423,53 +382,11 @@ pub fn start(
                 .expect("spawn worker")
         })
         .collect();
-
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut acceptor = None;
-    let mut event_loop = None;
-    match inner.config.transport {
-        Transport::Threads => {
-            let inner2 = Arc::clone(&inner);
-            let readers2 = Arc::clone(&readers);
-            acceptor = Some(
-                std::thread::Builder::new()
-                    .name("mwc-acceptor".to_string())
-                    .spawn(move || acceptor_loop(&inner2, &listener, &readers2))
-                    .expect("spawn acceptor"),
-            );
-        }
-        #[cfg(target_os = "linux")]
-        Transport::Epoll => {
-            let shared = crate::event_loop::LoopShared::new()?;
-            let inner2 = Arc::clone(&inner);
-            event_loop = Some(
-                std::thread::Builder::new()
-                    .name("mwc-epoll".to_string())
-                    .spawn(move || crate::event_loop::run(&inner2, listener, &shared))
-                    .expect("spawn event loop"),
-            );
-        }
-        #[cfg(not(target_os = "linux"))]
-        Transport::Epoll => {
-            // Stop the worker pool we just started before reporting.
-            inner.begin_shutdown();
-            for w in workers {
-                let _ = w.join();
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the epoll transport requires linux; use Transport::Threads",
-            ));
-        }
-    }
-
     Ok(ServerHandle {
         inner,
         addr,
-        acceptor,
         workers,
-        readers,
-        event_loop,
+        frontend: Some(frontend),
     })
 }
 
@@ -501,7 +418,7 @@ impl ServerHandle {
     }
 
     /// Initiates a graceful shutdown and joins every thread: queued work
-    /// is finished, new requests are refused, readers disconnect.
+    /// is finished, new requests are refused, connections close.
     pub fn shutdown(mut self) {
         self.inner.begin_shutdown();
         self.join_all();
@@ -517,336 +434,63 @@ impl ServerHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            // Unblock the acceptor's blocking `accept` with a no-op
-            // connect (the epoll loop needs no wake: its wait times out
-            // every poll interval).
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-            let _ = acceptor.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(event_loop) = self.event_loop.take() {
-            // After the workers: every admitted job has published its
-            // completion by now, so the loop's outstanding count can
-            // only drain to zero.
-            let _ = event_loop.join();
-        }
-        let readers: Vec<JoinHandle<()>> = self
-            .readers
-            .lock()
-            .expect("reader registry poisoned")
-            .drain(..)
-            .collect();
-        for r in readers {
-            let _ = r.join();
+        if let Some(frontend) = self.frontend.take() {
+            // After the workers: every admitted job has answered (or
+            // dropped) its reply by now, so the frontend's outstanding
+            // count can only drain to zero.
+            let _ = frontend.join();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || self.event_loop.is_some() {
+        if self.frontend.is_some() {
             self.inner.begin_shutdown();
             self.join_all();
         }
     }
 }
 
-fn acceptor_loop(
-    inner: &Arc<Inner>,
-    listener: &TcpListener,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // A persistent accept error (e.g. EMFILE when fds are
-                // exhausted) must not busy-spin a core; back off briefly.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return; // the wake-up connect, or a straggler during drain
-        }
-        let mut registry = readers.lock().expect("reader registry poisoned");
-        registry.retain(|h| !h.is_finished()); // prune dead connections
-        if registry.len() >= inner.config.max_connections {
-            // Each connection costs a reader thread; refuse beyond the
-            // limit so idle floods are bounded, not just solve traffic.
-            drop(registry);
-            inner.metrics.overload_total.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.error_total.fetch_add(1, Ordering::Relaxed);
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let line = error_response(
-                &None,
-                &ServiceError::TooManyConnections {
-                    limit: inner.config.max_connections,
-                },
-            );
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.write_all(b"\n");
-            continue;
-        }
-        // Count the connection live at accept, not at reader startup, so
-        // the gauge is authoritative the moment the accept returns — the
-        // same instant the epoll transport counts it into its table.
-        inner
-            .metrics
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-        inner
-            .metrics
-            .connections_live
-            .fetch_add(1, Ordering::Relaxed);
-        let inner2 = Arc::clone(inner);
-        let spawned = std::thread::Builder::new()
-            .name("mwc-conn".to_string())
-            .spawn(move || serve_connection(&inner2, stream));
-        match spawned {
-            Ok(handle) => registry.push(handle),
-            Err(_) => {
-                // Thread exhaustion (e.g. at high --connections counts):
-                // shed the connection like an over-limit accept instead
-                // of killing the acceptor.
-                inner
-                    .metrics
-                    .connections_live
-                    .fetch_sub(1, Ordering::Relaxed);
-                inner.metrics.overload_total.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.error_total.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+/// The server's side of the frontend: control-plane commands are
+/// answered on the loop thread, everything else goes through admission
+/// to the worker pool.
+impl Handler for Arc<Inner> {
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
-}
 
-pub(crate) fn write_line(sink: &ResponseSink, line: &str, ok: bool, metrics: &Metrics) {
-    if ok {
-        metrics.ok_total.fetch_add(1, Ordering::Relaxed);
-    } else {
-        metrics.error_total.fetch_add(1, Ordering::Relaxed);
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
-    match sink {
-        ResponseSink::Stream(out) => {
-            // One write per response: two small writes on a Nagle-enabled
-            // socket trigger the delayed-ACK interaction (~40 ms per
-            // response — the difference between ~100 and thousands of
-            // requests per second).
-            let mut buf = Vec::with_capacity(line.len() + 1);
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-            let t = Instant::now();
-            let mut stream = out.lock().expect("connection write lock poisoned");
-            let _ = stream.write_all(&buf);
-            let _ = stream.flush();
-            drop(stream);
-            metrics.record_stage("write", t.elapsed());
-        }
-        #[cfg(target_os = "linux")]
-        ResponseSink::Event { shared, token, seq } => {
-            // The loop sequences the line into the connection's bounded
-            // write buffer and does the socket write itself (recording
-            // the `write` stage there).
-            shared.complete(*token, *seq, line);
-        }
+
+    fn begin_shutdown(&self) {
+        Inner::begin_shutdown(self);
     }
-}
 
-/// Decrements `connections_live` when the reader thread exits, whatever
-/// path it took out of `serve_connection`.
-struct LiveConnection<'a>(&'a Metrics);
-
-impl Drop for LiveConnection<'_> {
-    fn drop(&mut self) {
-        self.0.connections_live.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Best-effort `id` recovery from a line that failed request parsing, so
-/// even error responses correlate when the JSON itself was well-formed.
-/// Shared with the router's connection loop.
-pub(crate) fn salvage_id(line: &str) -> Option<Json> {
-    crate::json::parse(line).ok()?.get("id").cloned()
-}
-
-pub(crate) enum LineRead {
-    /// One complete line (newline stripped) is in the buffer.
-    Line,
-    /// Clean EOF with nothing buffered.
-    Eof,
-    /// The line exceeded the cap before its newline arrived.
-    TooLong,
-    /// I/O failure or shutdown while reading.
-    Closed,
-}
-
-/// Reads one `\n`-terminated line into `buf`, enforcing `max` on every
-/// chunk as it arrives — a client streaming a newline-free line cannot
-/// grow the buffer past the cap no matter how fast it sends. Read
-/// timeouts are the shutdown poll, not errors. Shared with the router's
-/// connection loop.
-pub(crate) fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    max: usize,
-    shutdown: &AtomicBool,
-) -> LineRead {
-    buf.clear();
-    loop {
-        let (consumed, outcome) = match reader.fill_buf() {
-            Ok([]) => (
-                0,
-                Some(if buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line // final line without trailing newline
-                }),
-            ),
-            Ok(chunk) => match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) if buf.len() + pos > max => (pos + 1, Some(LineRead::TooLong)),
-                Some(pos) => {
-                    buf.extend_from_slice(&chunk[..pos]);
-                    (pos + 1, Some(LineRead::Line))
-                }
-                None if buf.len() + chunk.len() > max => (chunk.len(), Some(LineRead::TooLong)),
-                None => {
-                    let n = chunk.len();
-                    buf.extend_from_slice(chunk);
-                    (n, None)
-                }
-            },
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return LineRead::Closed;
-                }
-                (0, None)
-            }
-            Err(_) => return LineRead::Closed,
-        };
-        reader.consume(consumed);
-        if let Some(outcome) = outcome {
-            return outcome;
-        }
-    }
-}
-
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    // The acceptor already counted this connection live; the guard only
-    // decrements on the way out.
-    let _live = LiveConnection(&inner.metrics);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(inner.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let sink = ResponseSink::Stream(Arc::new(Mutex::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })));
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match read_line_bounded(
-            &mut reader,
-            &mut buf,
-            inner.config.max_line_bytes,
-            &inner.shutdown,
-        ) {
-            LineRead::Eof | LineRead::Closed => return,
-            LineRead::TooLong => {
-                inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                write_line(&sink, &too_long_response(inner), false, &inner.metrics);
-                return; // framing is lost; drop the connection
-            }
-            LineRead::Line => {}
-        }
-        let line = match std::str::from_utf8(&buf) {
-            Ok(line) => line,
-            Err(_) => {
-                inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                write_line(&sink, &bad_utf8_response(inner), false, &inner.metrics);
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        let request = match parse_request(line) {
-            Ok(r) => r,
-            Err(e) => {
-                inner
-                    .metrics
-                    .bad_request_total
-                    .fetch_add(1, Ordering::Relaxed);
-                write_line(
-                    &sink,
-                    &error_response(&salvage_id(line), &e),
-                    false,
-                    &inner.metrics,
-                );
-                continue;
-            }
-        };
+    fn handle(&self, request: Request, _line: &str, slot: Slot<'_>) -> Handled {
         if matches!(request.command, Command::Shutdown) {
-            // Flag first, then acknowledge: the client must never see
-            // the response while `is_shutting_down()` still reads
-            // false (the pre-nodelay sockets hid this race behind
-            // ~40 ms of Nagle delay).
-            inner.begin_shutdown();
-            write_line(&sink, &shutdown_ack(&request.id), true, &inner.metrics);
-            return;
+            // Flag first, then acknowledge — and the ack is sequenced
+            // after this connection's earlier pipelined responses, so a
+            // client that pipelines solves before `shutdown` sees every
+            // answer, then the ack, then EOF.
+            Inner::begin_shutdown(self);
+            return Handled::Close(shutdown_ack(&request.id));
         }
-        if let Some((line, ok)) = control_response(inner, &request) {
-            write_line(&sink, &line, ok, &inner.metrics);
-            continue;
-        }
-        if let Some((line, ok)) = admit(inner, request, sink.clone(), Instant::now()) {
-            write_line(&sink, &line, ok, &inner.metrics);
+        match control_response(self, &request) {
+            Some((line, ok)) => Handled::Inline(line, ok),
+            None => admit(self, request, slot, Instant::now()),
         }
     }
-}
-
-/// The response to a request line that exceeded `max_line_bytes`
-/// (framing is lost — the connection must be dropped after sending it).
-pub(crate) fn too_long_response(inner: &Inner) -> String {
-    inner
-        .metrics
-        .bad_request_total
-        .fetch_add(1, Ordering::Relaxed);
-    let err = ServiceError::BadRequest(format!(
-        "request line exceeds {} bytes",
-        inner.config.max_line_bytes
-    ));
-    error_response(&None, &err)
-}
-
-/// The response to a request line that was not UTF-8 (framing survives).
-pub(crate) fn bad_utf8_response(inner: &Inner) -> String {
-    inner
-        .metrics
-        .bad_request_total
-        .fetch_add(1, Ordering::Relaxed);
-    let err = ServiceError::BadRequest("request line is not UTF-8".to_string());
-    error_response(&None, &err)
-}
-
-/// The `shutdown` acknowledgement line. Callers must set the shutdown
-/// flag (`begin_shutdown`) *before* writing it.
-pub(crate) fn shutdown_ack(id: &Option<Json>) -> String {
-    ok_response(id, vec![("stopping", Json::Bool(true))])
 }
 
 /// Answers a control-plane command inline — never queued, so these work
 /// even under overload. `None` for data-plane commands (and `shutdown`,
-/// which each transport handles itself). Both transports build their
-/// control responses here, which is what keeps them wire-identical.
-pub(crate) fn control_response(inner: &Inner, request: &Request) -> Option<(String, bool)> {
+/// which the handler answers itself).
+fn control_response(inner: &Inner, request: &Request) -> Option<(String, bool)> {
     match request.command {
         Command::Ping => Some((
             ok_response(&request.id, vec![("pong", Json::Bool(true))]),
@@ -860,13 +504,9 @@ pub(crate) fn control_response(inner: &Inner, request: &Request) -> Option<(Stri
                 fields.insert("solve_cache".to_string(), cache_stats_json(&inner.catalog));
                 fields.insert("coalesce".to_string(), inner.coalescer.stats_json());
                 fields.insert("batch".to_string(), inner.batch.stats_json());
-                fields.insert(
-                    "transport".to_string(),
-                    Json::from(match inner.config.transport {
-                        Transport::Threads => "threads",
-                        Transport::Epoll => "epoll",
-                    }),
-                );
+                // Kept so the stats shape stays stable; one frontend serves
+                // every connection, so it always reads "epoll".
+                fields.insert("transport".to_string(), Json::from("epoll"));
             }
             Some((ok_response(&request.id, vec![("stats", snap)]), true))
         }
@@ -980,16 +620,10 @@ pub(crate) fn control_response(inner: &Inner, request: &Request) -> Option<(Stri
 }
 
 /// Admits a data-plane request into the worker queue, pinning its trace
-/// id at the entry point. Returns `Some((line, false))` when the request
-/// was rejected instead (oversized batch, shutdown, full queue) — the
-/// caller sends that line through its own path. On `None` the response
-/// will arrive through `sink` from a worker.
-pub(crate) fn admit(
-    inner: &Arc<Inner>,
-    mut request: Request,
-    sink: ResponseSink,
-    received: Instant,
-) -> Option<(String, bool)> {
+/// id at the entry point. Answers inline when the request is rejected
+/// instead (oversized batch, shutdown, full queue); otherwise the job
+/// carries the request's reply to a worker.
+fn admit(inner: &Inner, mut request: Request, slot: Slot<'_>, received: Instant) -> Handled {
     // Pin the trace id at the entry point: every layer below — the
     // span tree, the slow log, the coalescing window — reads the
     // same one. The router forwards its own, so a shard keeps it.
@@ -1011,61 +645,65 @@ pub(crate) fn admit(
                 .metrics
                 .bad_request_total
                 .fetch_add(1, Ordering::Relaxed);
-            return Some((error_response(&request.id, &err), false));
+            return Handled::Inline(error_response(&request.id, &err), false);
         }
     }
     if inner.shutdown.load(Ordering::SeqCst) {
-        return Some((
+        return Handled::Inline(
             error_response(&request.id, &ServiceError::ShuttingDown),
             false,
-        ));
+        );
     }
     let id = request.id.clone();
-    let job = Job {
+    let job = || Job {
+        reply: slot.defer(&request.id),
         request,
-        sink,
         received,
     };
     match inner.queue.try_push(job, &inner.metrics) {
-        Ok(()) => None,
+        Ok(()) => Handled::Deferred,
         Err(e) => {
             inner.metrics.overload_total.fetch_add(1, Ordering::Relaxed);
-            Some((error_response(&id, &e), false))
+            Handled::Inline(error_response(&id, &e), false)
         }
     }
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
     while let Some(job) = inner.queue.pop(&inner.shutdown, &inner.metrics) {
-        // Queue wait, worker pickup included, is the admission stage.
-        inner
-            .metrics
-            .record_stage("admission", job.received.elapsed());
-        let job = match maybe_coalesce(inner, job) {
-            None => continue, // parked in (or answered by) a coalescing window
-            Some(job) => job,
-        };
-        let id = job.request.id.clone();
-        // Log before writing: once the response is on the wire the client
-        // may immediately ask `slowlog` (served by the reader thread) and
-        // must see this request.
-        match execute(inner, &job) {
-            Ok(payload) => {
-                observe_slow(inner, &job, true);
-                write_line(&job.sink, &ok_response(&id, payload), true, &inner.metrics);
-            }
-            Err(e) => {
-                if matches!(e, ServiceError::DeadlineExceeded { .. }) {
-                    inner
-                        .metrics
-                        .queue_deadline_total
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                observe_slow(inner, &job, false);
-                write_line(&job.sink, &error_response(&id, &e), false, &inner.metrics);
-            }
+        // A panic costs this one job: its reply, dropped while unwinding,
+        // answers `internal`, and the worker keeps serving.
+        if catch_unwind(AssertUnwindSafe(|| run_job(inner, job))).is_err() {
+            inner.metrics.panics_total.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+fn run_job(inner: &Arc<Inner>, job: Job) {
+    // Queue wait, worker pickup included, is the admission stage.
+    inner
+        .metrics
+        .record_stage("admission", job.received.elapsed());
+    let Some(job) = maybe_coalesce(inner, job) else {
+        return; // parked in (or answered by) a coalescing window
+    };
+    // Log before answering: once the response is on the wire the client
+    // may immediately ask `slowlog` (served by the frontend) and must
+    // see this request.
+    let (line, ok) = match execute(inner, &job) {
+        Ok(payload) => (ok_response(&job.request.id, payload), true),
+        Err(e) => {
+            if matches!(e, ServiceError::DeadlineExceeded { .. }) {
+                inner
+                    .metrics
+                    .queue_deadline_total
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            (error_response(&job.request.id, &e), false)
+        }
+    };
+    observe_slow(inner, &job, ok);
+    job.reply.send(line, ok);
 }
 
 /// Feeds the slow-query ring after a data-plane response is written:
@@ -1136,30 +774,15 @@ fn maybe_coalesce(inner: &Arc<Inner>, job: Job) -> Option<Job> {
                 .metrics
                 .queue_deadline_total
                 .fetch_add(1, Ordering::Relaxed);
-            observe_slow(inner, &job, false);
-            write_line(
-                &job.sink,
-                &error_response(&job.request.id, &e),
-                false,
-                &inner.metrics,
-            );
-            return None;
+            return answer_error(inner, job, e);
         }
     };
     let entry = match inner.catalog.get(&params.graph) {
         Ok(entry) => entry,
-        Err(e) => {
-            observe_slow(inner, &job, false);
-            write_line(
-                &job.sink,
-                &error_response(&job.request.id, &e),
-                false,
-                &inner.metrics,
-            );
-            return None;
-        }
+        Err(e) => return answer_error(inner, job, e),
     };
-    let member = park(inner, &job, params, q);
+    let (solver, q, options) = (params.solver.clone(), q.clone(), params.options(remaining));
+    let member = park(inner, job);
     let ctx = member.trace.clone();
     match inner.coalescer.submit(&entry, member, remaining, inner) {
         Submit::Queued => None,
@@ -1167,7 +790,7 @@ fn maybe_coalesce(inner: &Arc<Inner>, job: Job) -> Option<Job> {
             // Bypass verdict (tight deadline, full queue, drain): run it
             // uncoalesced on this worker, through the same responder.
             let result = entry
-                .solve(&params.solver, q, &params.options(remaining).trace(ctx))
+                .solve(&solver, &q, &options.trace(ctx))
                 .map_err(ServiceError::Core);
             respond(result);
             None
@@ -1175,20 +798,34 @@ fn maybe_coalesce(inner: &Arc<Inner>, job: Job) -> Option<Job> {
     }
 }
 
+/// Answers a job that failed before it could run.
+fn answer_error(inner: &Inner, job: Job, e: ServiceError) -> Option<Job> {
+    observe_slow(inner, &job, false);
+    let line = error_response(&job.request.id, &e);
+    job.reply.send(line, false);
+    None
+}
+
 /// Readies a `solve` job for a coalescing window: starts its trace and
-/// builds the responder that answers it through the job's sink.
-fn park(inner: &Arc<Inner>, job: &Job, params: &SolveParams, q: &[NodeId]) -> Member {
-    let trace = begin_trace(params, job.received);
+/// builds the responder that answers it through the job's reply.
+fn park(inner: &Arc<Inner>, job: Job) -> Member {
+    let Job {
+        request,
+        reply,
+        received,
+    } = job;
+    let Command::Solve { params, q } = request.command else {
+        unreachable!("only solves park in a coalescing window")
+    };
+    let trace = begin_trace(&params, received);
     let ctx = trace.as_ref().map(RequestTrace::ctx).unwrap_or_default();
     let respond: Responder = {
-        let id = job.request.id.clone();
-        let sink = job.sink.clone();
+        let id = request.id;
         let inner = Arc::clone(inner);
         let graph = params.graph.clone();
         let solver = params.solver.clone();
         let trace_id = params.trace_id.clone();
         let q_len = q.len();
-        let received = job.received;
         Box::new(move |result| {
             let ok = result.is_ok();
             let response = match result {
@@ -1218,9 +855,9 @@ fn park(inner: &Arc<Inner>, job: &Job, params: &SolveParams, q: &[NodeId]) -> Me
                     error_response(&id, &e)
                 }
             };
-            // Log before writing: once the response is on the wire the
-            // client may immediately ask `slowlog` (served by the reader
-            // thread) and must see this request.
+            // Log before answering: once the response is on the wire the
+            // client may immediately ask `slowlog` (served by the
+            // frontend) and must see this request.
             inner.slowlog.observe(received.elapsed(), || {
                 let mut fields = vec![
                     ("cmd", Json::from("solve")),
@@ -1234,13 +871,13 @@ fn park(inner: &Arc<Inner>, job: &Job, params: &SolveParams, q: &[NodeId]) -> Me
                 }
                 Json::obj(fields)
             });
-            write_line(&sink, &response, ok, &inner.metrics);
+            reply.send(response, ok);
         })
     };
     Member {
-        params: params.clone(),
-        q: q.to_vec(),
-        received: job.received,
+        params,
+        q,
+        received,
         trace: ctx,
         respond,
     }

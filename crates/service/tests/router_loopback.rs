@@ -4,6 +4,8 @@
 //! identically constructed graphs, and the failure contract is exercised
 //! by actually killing a shard.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -305,6 +307,75 @@ fn malformed_requests_get_structured_errors_via_router() {
     }
 }
 
+/// The router pipelines: responses on one connection keep request order
+/// even when a slow relay (a `burn`) heads the line, and that relay holds
+/// up neither the loop nor another connection's cache hit.
+#[test]
+fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
+    // Workers to spare on the shard: the burn occupies one, the cache
+    // hits run on another.
+    let catalog = Catalog::new();
+    catalog.load("karate", "karate").unwrap();
+    let shard = server::start(
+        Arc::new(catalog),
+        ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind shard");
+    let spec = ShardSpec::new("shard-0", shard.local_addr().to_string());
+    let router = router::start(vec![spec], RouterConfig::default(), "127.0.0.1:0").unwrap();
+    let mut fast = Client::connect(router.local_addr()).unwrap();
+    let warm = fast.solve("karate", "ws-q", &[0, 33], None, None).unwrap();
+
+    let burn_ms = 1500;
+    let started = std::time::Instant::now();
+    let mut slow = TcpStream::connect(router.local_addr()).unwrap();
+    slow.write_all(
+        format!(
+            "{{\"cmd\":\"burn\",\"ms\":{burn_ms},\"id\":1}}\n\
+             {{\"cmd\":\"solve\",\"graph\":\"karate\",\"solver\":\"ws-q\",\"q\":[0,33],\"id\":2}}\n\
+             {{\"cmd\":\"ping\",\"id\":3}}\n\
+             {{\"cmd\":\"stats\",\"id\":4}}\n"
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    // While the burn is relayed, another connection's cache hits (and
+    // this connection's own later requests) are served without waiting
+    // for it.
+    std::thread::sleep(Duration::from_millis(100));
+    for _ in 0..5 {
+        let hit = fast.solve("karate", "ws-q", &[0, 33], None, None).unwrap();
+        assert_eq!(hit.connector, warm.connector);
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(burn_ms / 2),
+        "cache hits on another connection waited for the burn: {:?}",
+        started.elapsed()
+    );
+    let mut reader = BufReader::new(slow);
+    let ids: Vec<u64> = (0..4)
+        .map(|_| {
+            let mut line = String::new();
+            assert!(
+                reader.read_line(&mut line).unwrap() > 0,
+                "connection closed"
+            );
+            let v = mwc_service::json::parse(line.trim()).unwrap();
+            assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{line}");
+            v.get("id").and_then(|i| i.as_u64()).unwrap()
+        })
+        .collect();
+    assert_eq!(ids, vec![1, 2, 3, 4], "responses must keep request order");
+    assert!(started.elapsed() >= Duration::from_millis(burn_ms));
+
+    router.shutdown();
+    shard.shutdown();
+}
+
 /// Killing a shard yields `shard_unavailable` (promptly — not a hang),
 /// surviving shards keep serving, the stats merge marks the dead shard,
 /// and after enough failures the shard is ejected and fails fast.
@@ -555,6 +626,12 @@ fn stats_merge_aggregates_across_shards() {
             .as_u64(),
         Some(0)
     );
+    // The router's own section and exposition count the relays that
+    // panicked: none.
+    let router = stats.get("router").unwrap();
+    assert_eq!(router.get("panics_total").unwrap().as_u64(), Some(0));
+    let text = client.metrics_text().unwrap();
+    assert!(text.contains("mwc_router_panics_total 0"), "{text}");
 
     tier.router.shutdown();
     for s in tier.shards {

@@ -1,32 +1,99 @@
-//! Transport-layer tests: framing across partial reads, pipelining,
-//! backpressure, drain — run against *both* transports (epoll and
-//! threads) where semantics are shared, so the two stay wire-compatible.
-//! The epoll-only behaviors (write-buffer cap, pipelined concurrency)
-//! are pinned separately.
+//! Frontend tests: framing across partial reads, pipelining,
+//! backpressure, drain — run against both binaries that serve through
+//! the line frontend: `mwc-server`, and `mwc-router` over one shard. The
+//! golden transcripts pin each binary's wire bytes.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mwc_service::{server, Catalog, CoalesceConfig, PipelinedClient, ServerConfig, Transport};
+use mwc_service::router::{self, RouterConfig, RouterHandle, ShardSpec};
+use mwc_service::{
+    server, Catalog, CoalesceConfig, Metrics, PipelinedClient, ServerConfig, ServerHandle,
+};
 
-/// The transports every shared-semantics test runs under.
-fn transports() -> Vec<Transport> {
-    if cfg!(target_os = "linux") {
-        vec![Transport::Threads, Transport::Epoll]
-    } else {
-        vec![Transport::Threads]
-    }
+/// Which binary the client talks to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Front {
+    Server,
+    Router,
 }
 
-fn start_karate(mut config: ServerConfig) -> server::ServerHandle {
-    let catalog = Arc::new(Catalog::new());
-    catalog.load("karate", "karate").unwrap();
-    // Fast shutdown polls keep the drain tests snappy.
-    config.poll_interval = Duration::from_millis(10);
-    server::start(catalog, config, "127.0.0.1:0").expect("bind loopback")
+const FRONTS: [Front; 2] = [Front::Server, Front::Router];
+
+/// A server, and (for [`Front::Router`]) a router over it as its one
+/// shard.
+struct Tier {
+    server: ServerHandle,
+    router: Option<RouterHandle>,
+}
+
+impl Tier {
+    fn start(front: Front, catalog: Catalog, server: ServerConfig, router: RouterConfig) -> Tier {
+        // Fast shutdown polls keep the drain tests snappy.
+        let poll_interval = Duration::from_millis(10);
+        let server = server::start(
+            Arc::new(catalog),
+            ServerConfig {
+                poll_interval,
+                ..server
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind server");
+        let router = (front == Front::Router).then(|| {
+            let shard = ShardSpec::new("shard-0", server.local_addr().to_string());
+            let config = RouterConfig {
+                poll_interval,
+                ..router
+            };
+            router::start(vec![shard], config, "127.0.0.1:0").expect("bind router")
+        });
+        Tier { server, router }
+    }
+
+    fn karate(front: Front, server: ServerConfig, router: RouterConfig) -> Tier {
+        let catalog = Catalog::new();
+        catalog.load("karate", "karate").unwrap();
+        Tier::start(front, catalog, server, router)
+    }
+
+    /// Where clients connect.
+    fn addr(&self) -> SocketAddr {
+        match &self.router {
+            Some(r) => r.local_addr(),
+            None => self.server.local_addr(),
+        }
+    }
+
+    /// The frontend counters of the binary clients talk to.
+    fn metrics(&self) -> &Metrics {
+        match &self.router {
+            Some(r) => r.metrics(),
+            None => self.server.metrics(),
+        }
+    }
+
+    fn shutdown(self) {
+        if let Some(r) = self.router {
+            r.shutdown();
+        }
+        self.server.shutdown();
+    }
+
+    /// Waits for a protocol `shutdown` sent to the front, then stops the
+    /// rest of the tier.
+    fn wait(self) {
+        match self.router {
+            Some(r) => {
+                r.wait();
+                self.server.shutdown();
+            }
+            None => self.server.wait(),
+        }
+    }
 }
 
 fn read_response_line(stream: &mut BufReader<TcpStream>) -> String {
@@ -38,23 +105,19 @@ fn read_response_line(stream: &mut BufReader<TcpStream>) -> String {
 
 /// A request frame split at *every* byte boundary must reassemble: the
 /// two halves are written as separate TCP segments (a flush + delay in
-/// between forces distinct reads on the server side).
+/// between forces distinct reads on the serving side).
 #[test]
 fn frames_reassemble_across_every_split_point() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        });
-        let addr = handle.local_addr();
+    for front in FRONTS {
+        let tier = Tier::karate(front, ServerConfig::default(), RouterConfig::default());
         let request = b"{\"cmd\":\"ping\",\"id\":7}\n";
         for split in 0..request.len() {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = TcpStream::connect(tier.addr()).unwrap();
             stream.set_nodelay(true).unwrap();
             stream.write_all(&request[..split]).unwrap();
             stream.flush().unwrap();
             // Let the first fragment arrive (and be parked in the
-            // server's reassembly buffer) before the rest follows.
+            // frontend's reassembly buffer) before the rest follows.
             std::thread::sleep(Duration::from_millis(2));
             stream.write_all(&request[split..]).unwrap();
             stream.flush().unwrap();
@@ -62,10 +125,10 @@ fn frames_reassemble_across_every_split_point() {
             let line = read_response_line(&mut reader);
             assert!(
                 line.contains("\"pong\":true") && line.contains("\"id\":7"),
-                "{transport:?} split at {split}: {line}"
+                "{front:?} split at {split}: {line}"
             );
         }
-        handle.shutdown();
+        tier.shutdown();
     }
 }
 
@@ -73,16 +136,13 @@ fn frames_reassemble_across_every_split_point() {
 /// come back as one response per frame, in order.
 #[test]
 fn chunked_burst_yields_one_response_per_frame_in_order() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        });
+    for front in FRONTS {
+        let tier = Tier::karate(front, ServerConfig::default(), RouterConfig::default());
         let mut burst = Vec::new();
         for id in 1..=10u64 {
             burst.extend_from_slice(format!("{{\"cmd\":\"ping\",\"id\":{id}}}\n").as_bytes());
         }
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut stream = TcpStream::connect(tier.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
         for chunk in burst.chunks(7) {
             stream.write_all(chunk).unwrap();
@@ -93,10 +153,10 @@ fn chunked_burst_yields_one_response_per_frame_in_order() {
             let line = read_response_line(&mut reader);
             assert!(
                 line.contains(&format!("\"id\":{id}")),
-                "{transport:?}: out-of-order or dropped response: {line}"
+                "{front:?}: out-of-order or dropped response: {line}"
             );
         }
-        handle.shutdown();
+        tier.shutdown();
     }
 }
 
@@ -105,16 +165,16 @@ fn chunked_burst_yields_one_response_per_frame_in_order() {
 /// request order on the wire, interleaved control traffic included.
 #[test]
 fn pipelined_responses_keep_request_order_under_coalescing() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
+    for front in FRONTS {
+        let server = ServerConfig {
             coalesce: CoalesceConfig {
                 window: Duration::from_millis(30),
                 ..CoalesceConfig::default()
             },
             ..ServerConfig::default()
-        });
-        let mut client = PipelinedClient::connect(handle.local_addr()).unwrap();
+        };
+        let tier = Tier::karate(front, server, RouterConfig::default());
+        let mut client = PipelinedClient::connect(tier.addr()).unwrap();
         let mut sent = Vec::new();
         for i in 0..8u64 {
             let q: Vec<u32> = if i % 2 == 0 {
@@ -131,24 +191,33 @@ fn pipelined_responses_keep_request_order_under_coalescing() {
         // responses it reads past, proving both order and matching.
         for id in sent.iter().rev() {
             let v = client.recv_until(*id).unwrap();
-            assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true));
+            assert_eq!(
+                v.get("ok").and_then(|b| b.as_bool()),
+                Some(true),
+                "{front:?}"
+            );
         }
-        handle.shutdown();
+        tier.shutdown();
     }
 }
 
 /// An oversized line is rejected with `bad_request` naming the cap, and
-/// the connection closes (framing is lost) — identically on both
-/// transports.
+/// the connection closes (framing is lost).
 #[test]
 fn oversized_line_rejected_then_closed() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
-            max_line_bytes: 256,
-            ..ServerConfig::default()
-        });
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    for front in FRONTS {
+        let tier = Tier::karate(
+            front,
+            ServerConfig {
+                max_line_bytes: 256,
+                ..ServerConfig::default()
+            },
+            RouterConfig {
+                max_line_bytes: 256,
+                ..RouterConfig::default()
+            },
+        );
+        let mut stream = TcpStream::connect(tier.addr()).unwrap();
         let big = vec![b'x'; 1024];
         stream.write_all(&big).unwrap();
         stream.flush().unwrap();
@@ -156,37 +225,41 @@ fn oversized_line_rejected_then_closed() {
         let line = read_response_line(&mut reader);
         assert!(
             line.contains("bad_request") && line.contains("exceeds 256 bytes"),
-            "{transport:?}: {line}"
+            "{front:?}: {line}"
         );
         let mut rest = String::new();
         assert_eq!(
             reader.read_line(&mut rest).unwrap(),
             0,
-            "{transport:?}: connection must close after a too-long line"
+            "{front:?}: connection must close after a too-long line"
         );
-        handle.shutdown();
+        tier.shutdown();
     }
 }
 
 /// Shutdown pipelined behind solves on the same connection: every solve
-/// is answered (the coalescer's 5 s windows are drained early), the ack
-/// arrives, then EOF — nothing parked is dropped. Under epoll the wire
-/// additionally keeps request order (solves strictly before the ack);
-/// the threaded transport only promises delivery, since its reader
-/// answers `shutdown` inline while solves sit in the worker queue.
+/// is answered, the ack arrives after them (request order), then EOF —
+/// nothing parked is dropped. The server's shutdown also drains its
+/// coalescing windows early: its 5 s window must not hold the ack back.
+/// A router's shutdown leaves its shard running, so there the shard's
+/// window is short and the router's drain waits for the relays.
 #[test]
 fn pipelined_requests_drain_before_shutdown_ack() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
+    for front in FRONTS {
+        let window = match front {
+            // A window far longer than the test: only the shutdown
+            // drain can flush it in time.
+            Front::Server => Duration::from_secs(5),
+            Front::Router => Duration::from_millis(200),
+        };
+        let server = ServerConfig {
             coalesce: CoalesceConfig {
-                // A window far longer than the test: only the shutdown
-                // drain can flush it in time.
-                window: Duration::from_secs(5),
+                window,
                 ..CoalesceConfig::default()
             },
             ..ServerConfig::default()
-        });
+        };
+        let tier = Tier::karate(front, server, RouterConfig::default());
         let mut burst = Vec::new();
         for id in 1..=3u64 {
             burst.extend_from_slice(
@@ -199,7 +272,7 @@ fn pipelined_requests_drain_before_shutdown_ack() {
         }
         burst.extend_from_slice(b"{\"cmd\":\"shutdown\",\"id\":99}\n");
         let started = Instant::now();
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut stream = TcpStream::connect(tier.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.write_all(&burst).unwrap();
         stream.flush().unwrap();
@@ -210,82 +283,114 @@ fn pipelined_requests_drain_before_shutdown_ack() {
         }
         assert!(
             started.elapsed() < Duration::from_secs(4),
-            "{transport:?}: drain must cut the 5 s window short"
+            "{front:?}: the drain must not wait out the 5 s window"
         );
         let mut rest = String::new();
         assert_eq!(
             reader.read_line(&mut rest).unwrap(),
             0,
-            "{transport:?}: EOF after the last pipelined response"
+            "{front:?}: EOF after the last pipelined response"
         );
-        for id in 1..=3u64 {
-            let solve = responses
-                .iter()
-                .find(|l| l.contains(&format!("\"id\":{id}")))
-                .unwrap_or_else(|| panic!("{transport:?}: parked solve {id} was dropped"));
-            assert!(solve.contains("\"connector\""), "{transport:?}: {solve}");
-        }
-        let ack_at = responses
-            .iter()
-            .position(|l| l.contains("\"id\":99") && l.contains("\"stopping\":true"))
-            .unwrap_or_else(|| panic!("{transport:?}: no shutdown ack in {responses:?}"));
-        if transport == Transport::Epoll {
-            assert_eq!(
-                ack_at, 3,
-                "epoll answers in request order: ack last, got {responses:?}"
+        for (id, solve) in (1..=3u64).zip(&responses) {
+            assert!(
+                solve.contains(&format!("\"id\":{id}")) && solve.contains("\"connector\""),
+                "{front:?}: parked solve {id} was dropped or reordered: {responses:?}"
             );
         }
-        handle.wait();
+        assert!(
+            responses[3].contains("\"id\":99") && responses[3].contains("\"stopping\":true"),
+            "{front:?}: the ack comes last, got {responses:?}"
+        );
+        tier.wait();
     }
 }
 
-/// `connections_live` is authoritative from the owning transport's
-/// connection table: it counts exactly the open connections, and returns
-/// to zero when they close — identically under both transports.
+/// `connections_live` is authoritative from the frontend's connection
+/// table: it counts exactly the open connections, and returns to zero
+/// when they close.
 #[test]
 fn connections_live_gauge_tracks_open_connections() {
-    for transport in transports() {
-        let handle = start_karate(ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        });
-        let addr = handle.local_addr();
-        let gauge = |h: &server::ServerHandle| h.metrics().connections_live.load(Ordering::Relaxed);
-        let wait_for = |h: &server::ServerHandle, want: u64| {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while gauge(h) != want {
-                assert!(
-                    Instant::now() < deadline,
-                    "{transport:?}: connections_live stuck at {} (want {want})",
-                    gauge(h)
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
-        assert_eq!(gauge(&handle), 0);
+    for front in FRONTS {
+        let tier = Tier::karate(front, ServerConfig::default(), RouterConfig::default());
+        let gauge = |t: &Tier| t.metrics().connections_live.load(Ordering::Relaxed);
+        assert_eq!(gauge(&tier), 0, "{front:?}");
         let mut conns = Vec::new();
         for i in 1..=3u64 {
-            let mut c = mwc_service::Client::connect(addr).unwrap();
+            let mut c = mwc_service::Client::connect(tier.addr()).unwrap();
             c.ping().unwrap(); // fully accepted and serving
             conns.push(c);
-            assert_eq!(gauge(&handle), i, "{transport:?}");
+            assert_eq!(gauge(&tier), i, "{front:?}");
         }
         drop(conns);
-        wait_for(&handle, 0);
-        handle.shutdown();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge(&tier) != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{front:?}: connections_live stuck at {}",
+                gauge(&tier)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        tier.shutdown();
+    }
+}
+
+/// A `load` the generator cannot build (`ba:5x10`: k ≥ n) costs one
+/// response: it is refused at parse time with a non-retryable
+/// `bad_source`, the request pipelined behind it is answered, and the
+/// binary keeps serving with every worker alive.
+#[test]
+fn unbuildable_load_is_refused_and_serving_continues() {
+    for front in FRONTS {
+        let tier = Tier::karate(front, ServerConfig::default(), RouterConfig::default());
+        let mut stream = TcpStream::connect(tier.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(
+                b"{\"cmd\":\"load\",\"name\":\"bad\",\"source\":\"ba:5x10\",\"id\":1}\n\
+                  {\"cmd\":\"ping\",\"id\":2}\n",
+            )
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let load = read_response_line(&mut reader);
+        assert!(
+            load.contains("\"code\":\"bad_source\"")
+                && load.contains("\"retryable\":false")
+                && load.contains("\"id\":1"),
+            "{front:?}: {load}"
+        );
+        let ping = read_response_line(&mut reader);
+        assert!(
+            ping.contains("\"pong\":true") && ping.contains("\"id\":2"),
+            "{front:?}: {ping}"
+        );
+        let mut client = mwc_service::Client::connect(tier.addr()).unwrap();
+        for q in [[0, 33], [5, 16], [2, 25]] {
+            let report = client.solve("karate", "ws-q", &q, None, None).unwrap();
+            assert!(report.connector.contains(&q[0]), "{front:?}");
+        }
+        assert!(client.graphs().unwrap().iter().all(|g| g.name != "bad"));
+        assert_eq!(
+            tier.server.metrics().panics_total.load(Ordering::Relaxed),
+            0,
+            "{front:?}"
+        );
+        tier.shutdown();
     }
 }
 
 /// Weighted solves over the wire are pinned to the direct engine call:
 /// the same catalog entry answers a `wba:` graph's query locally and
 /// through a TCP round trip, and the connector, weighted Wiener index,
-/// and candidate count must coincide — under both transports. The
-/// `graphs` listing must also advertise the weighting.
+/// and candidate count must coincide. The `graphs` listing must also
+/// advertise the weighting.
 #[test]
 fn weighted_wire_solves_match_direct_engine_calls() {
     let queries: [&[u32]; 3] = [&[2, 190, 377], &[5, 41], &[77, 200, 350, 399]];
-    for transport in transports() {
-        let catalog = Arc::new(Catalog::new());
+    for front in FRONTS {
+        let catalog = Catalog::new();
         let entry = catalog.load("wtoy", "wba:400x3").unwrap();
         let direct: Vec<_> = queries
             .iter()
@@ -295,144 +400,180 @@ fn weighted_wire_solves_match_direct_engine_calls() {
                     .unwrap()
             })
             .collect();
-        let handle = server::start(
+        let tier = Tier::start(
+            front,
             catalog,
-            ServerConfig {
-                transport,
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind loopback");
-        let mut client = mwc_service::Client::connect(handle.local_addr()).unwrap();
+            ServerConfig::default(),
+            RouterConfig::default(),
+        );
+        let mut client = mwc_service::Client::connect(tier.addr()).unwrap();
         let info = client.graphs().unwrap();
         assert!(
             info.iter().any(|g| g.name == "wtoy" && g.weighted),
-            "{transport:?}: graphs listing must flag the weighted entry"
+            "{front:?}: graphs listing must flag the weighted entry"
         );
         for (q, want) in queries.iter().zip(&direct) {
             let wire = client.solve("wtoy", "ws-q", q, None, None).unwrap();
             assert_eq!(
                 wire.connector,
                 want.connector.vertices(),
-                "{transport:?} q={q:?}"
+                "{front:?} q={q:?}"
             );
-            assert_eq!(
-                wire.wiener_index, want.wiener_index,
-                "{transport:?} q={q:?}"
-            );
-            assert_eq!(wire.candidates, want.candidates, "{transport:?} q={q:?}");
+            assert_eq!(wire.wiener_index, want.wiener_index, "{front:?} q={q:?}");
+            assert_eq!(wire.candidates, want.candidates, "{front:?} q={q:?}");
         }
-        handle.shutdown();
+        tier.shutdown();
     }
 }
 
-/// Epoll backpressure: a client that pipelines requests but never reads
-/// its responses crosses the per-connection write-buffer cap and is
+/// Backpressure: a client that pipelines requests but never reads its
+/// responses crosses the per-connection write-buffer cap and is
 /// disconnected (instead of growing the buffer without bound).
-#[cfg(target_os = "linux")]
+///
+/// The server's cap is set smaller than one response, which makes the
+/// disconnect deterministic: once the kernel socket buffers are full,
+/// the first unflushable response jumps the backlog from empty straight
+/// past the cap — the read-pausing flow control (which kicks in at half
+/// the cap) cannot hold it under. The router's cap is the fixed default
+/// (8 MiB); reading pauses at half of it with up to 1024 requests still
+/// unanswered, so each response must outweigh 4 KiB for the ones in
+/// flight to carry the backlog past the cap. A batch of 256 cached
+/// solves answers about 25 KiB. Few relay threads keep the router's
+/// side of the flood small.
 #[test]
 fn slow_client_is_disconnected_at_the_write_cap() {
-    // A cap smaller than one `stats` response makes the disconnect
-    // deterministic: once the kernel socket buffers are full (the client
-    // never reads), the first unflushable response jumps the backlog
-    // from empty straight past the cap — the loop's read-pausing flow
-    // control (which kicks in at half the cap) cannot hold it under.
-    let handle = start_karate(ServerConfig {
-        transport: Transport::Epoll,
-        max_write_buffer: 256,
-        ..ServerConfig::default()
-    });
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_write_timeout(Some(Duration::from_millis(50)))
-        .unwrap();
-    let metrics = Arc::clone(handle.metrics());
-    let req = b"{\"cmd\":\"stats\",\"id\":1}\n";
-    let deadline = Instant::now() + Duration::from_secs(20);
-    // Flood without ever reading; write timeouts are just kernel-buffer
-    // flow control, hard errors mean the server already cut us off.
-    while metrics.slow_client_disconnects.load(Ordering::Relaxed) == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "server never disconnected the non-reading client"
+    let queries = vec!["[0,33]"; 256].join(",");
+    let request = format!(
+        "{{\"cmd\":\"batch\",\"graph\":\"karate\",\"solver\":\"st\",\"queries\":[{queries}],\"id\":1}}\n"
+    );
+    for front in FRONTS {
+        let tier = Tier::karate(
+            front,
+            ServerConfig {
+                max_write_buffer: 256,
+                ..ServerConfig::default()
+            },
+            RouterConfig {
+                max_connections: 8,
+                ..RouterConfig::default()
+            },
         );
-        match stream.write(req) {
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => break,
+        let mut stream = TcpStream::connect(tier.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let disconnects = || {
+            tier.metrics()
+                .slow_client_disconnects
+                .load(Ordering::Relaxed)
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        // Flood without ever reading; write timeouts are just kernel-buffer
+        // flow control, hard errors mean the frontend already cut us off.
+        while disconnects() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "{front:?}: the non-reading client was never disconnected"
+            );
+            match stream.write(request.as_bytes()) {
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => break,
+            }
         }
-    }
-    let counted = Instant::now() + Duration::from_secs(5);
-    while metrics.slow_client_disconnects.load(Ordering::Relaxed) == 0 {
-        assert!(Instant::now() < counted, "disconnect was not counted");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // And the socket observes the cut: EOF or reset, never endless data.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .unwrap();
-    let mut buf = vec![0u8; 64 << 10];
-    let observed = Instant::now() + Duration::from_secs(10);
-    loop {
-        assert!(Instant::now() < observed, "no EOF/reset after disconnect");
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => continue, // responses buffered before the cut
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => break, // reset also counts
+        let counted = Instant::now() + Duration::from_secs(10);
+        while disconnects() == 0 {
+            assert!(
+                Instant::now() < counted,
+                "{front:?}: disconnect was not counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
+        // And the socket observes the cut: EOF or reset, never endless data.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut buf = vec![0u8; 64 << 10];
+        let observed = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(
+                Instant::now() < observed,
+                "{front:?}: no EOF/reset after disconnect"
+            );
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue, // responses buffered before the cut
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    continue
+                }
+                Err(_) => break, // reset also counts
+            }
+        }
+        tier.shutdown();
     }
-    handle.shutdown();
 }
 
-/// Wire parity: the same deterministic request script produces the same
-/// response lines under both transports (ids, payloads, error codes —
-/// everything except timing-dependent fields, which the script strips).
-/// The script runs lockstep: pipelined *order* across the data/control
-/// plane boundary is a transport property (epoll totally orders it,
-/// threads lets control answers overtake queued solves), but each
-/// request's response bytes must match.
-#[cfg(target_os = "linux")]
+/// Replaces the number after `"seconds":` with 0: a solve's timing is
+/// the one field of these transcripts that differs run to run.
+fn mask_seconds(line: &str) -> String {
+    const KEY: &str = "\"seconds\":";
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        rest = &rest[at + KEY.len()..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+            .unwrap_or(rest.len());
+        out.push('0');
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Replays a committed request → response transcript lockstep on one
+/// connection and compares every response byte for byte, after masking
+/// solve timings and the shard's ephemeral address.
+fn replay_transcript(front: Front, transcript: &str) {
+    let tier = Tier::karate(front, ServerConfig::default(), RouterConfig::default());
+    let shard_addr = tier.server.local_addr().to_string();
+    let stream = TcpStream::connect(tier.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let (mut expected, mut actual) = (Vec::new(), Vec::new());
+    for line in transcript.lines() {
+        if let Some(request) = line.strip_prefix("> ") {
+            writer.write_all(request.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            writer.flush().unwrap();
+            let response = read_response_line(&mut reader);
+            let masked = mask_seconds(response.trim_end()).replace(&shard_addr, "SHARD_ADDR");
+            actual.push(format!("> {request}\n< {masked}"));
+        } else if let Some(response) = line.strip_prefix("< ") {
+            expected.push(response.to_string());
+        }
+    }
+    tier.shutdown();
+    let responses: Vec<&str> = actual
+        .iter()
+        .map(|pair| pair.split_once("\n< ").unwrap().1)
+        .collect();
+    assert_eq!(
+        responses,
+        expected,
+        "{front:?} transcript differs; the replay read:\n{}",
+        actual.join("\n")
+    );
+}
+
+/// Golden transcripts: ping, a solve, a non-JSON line, an unknown
+/// command, a missing graph and `shard`, each answered byte for byte as
+/// committed — once by `mwc-server`, once through `mwc-router`.
 #[test]
-fn threads_and_epoll_answer_identically() {
-    let script: Vec<String> = vec![
-        "{\"cmd\":\"ping\",\"id\":1}".into(),
-        "{\"cmd\":\"solve\",\"graph\":\"karate\",\"solver\":\"st\",\"q\":[0,33],\"id\":2}".into(),
-        "not json at all".into(),
-        "{\"cmd\":\"nope\",\"id\":3}".into(),
-        "{\"cmd\":\"solve\",\"graph\":\"missing\",\"solver\":\"st\",\"q\":[1],\"id\":4}".into(),
-        "{\"cmd\":\"shard\",\"graph\":\"karate\",\"id\":5}".into(),
-    ];
-    let run = |transport: Transport| -> Vec<String> {
-        let handle = start_karate(ServerConfig {
-            transport,
-            ..ServerConfig::default()
-        });
-        let stream = TcpStream::connect(handle.local_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        let responses = script
-            .iter()
-            .map(|request| {
-                writer.write_all(request.as_bytes()).unwrap();
-                writer.write_all(b"\n").unwrap();
-                writer.flush().unwrap();
-                // Strip the one timing field a solve response carries.
-                let line = read_response_line(&mut reader);
-                let mut v = mwc_service::json::parse(line.trim()).unwrap();
-                if let mwc_service::Json::Obj(fields) = &mut v {
-                    if let Some(mwc_service::Json::Obj(report)) = fields.get_mut("report") {
-                        report.remove("seconds");
-                    }
-                }
-                v.to_string()
-            })
-            .collect();
-        handle.shutdown();
-        responses
-    };
-    assert_eq!(run(Transport::Threads), run(Transport::Epoll));
+fn golden_transcripts_replay_on_server_and_router() {
+    replay_transcript(Front::Server, include_str!("golden/server.txt"));
+    replay_transcript(Front::Router, include_str!("golden/router.txt"));
 }
