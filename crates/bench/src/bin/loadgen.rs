@@ -1844,7 +1844,8 @@ fn connections_main(args: &Args) {
         // client socket and the front's accepted socket), plus a margin
         // for epoll/eventfd instances, output files and the router's
         // backend pool (two fds for each busy relay's connection).
-        let budget = (soft.saturating_sub(1024) / 2) as usize;
+        let margin = (soft / 4).clamp(64, 1024);
+        let budget = (soft.saturating_sub(margin) / 2) as usize;
         if n > budget {
             eprintln!(
                 "loadgen --connections: {requested} connections requested but \
@@ -1854,10 +1855,10 @@ fn connections_main(args: &Args) {
             n = budget;
         }
     }
-    assert!(
-        n >= 2,
-        "--connections needs at least 2 after the ulimit clamp"
-    );
+    if n < 2 {
+        eprintln!("loadgen --connections: needs at least 2 connections, {n} fit the fd limit");
+        usage();
+    }
 
     eprintln!(
         "loadgen --connections: open loop, {n} connections at {:.2} r/s each, {:?} per run",

@@ -28,9 +28,9 @@
 //! shard(s) the ring assigns that graph name to. The ring can be
 //! changed live with the `reshard` control command, which streams
 //! graph sources and warm solve caches to their new owners before
-//! flipping routing. Clients may pipeline: the router serves through
-//! the same epoll line frontend as `mwc-server`, so serving is
-//! Linux-only. Stop the router with `mwc-client <addr> shutdown` — the
+//! flipping routing. Clients may pipeline (the router relays one
+//! request of a connection at a time): the router serves through the
+//! same epoll line frontend as `mwc-server`, so serving is Linux-only. Stop the router with `mwc-client <addr> shutdown` — the
 //! backends keep running.
 
 use std::process::ExitCode;

@@ -530,7 +530,9 @@ impl Client {
 /// [`PipelinedClient::send_raw`] / [`PipelinedClient::send`] and collect
 /// each response with [`PipelinedClient::recv_until`] — responses that
 /// arrive before the one asked for are buffered, so collection order is
-/// free.
+/// free. `mwc-router` relays one request of a connection at a time, so
+/// through it pipelining saves client round trips but runs no two
+/// relays of the connection at once.
 ///
 /// Used by the frontend tests and the benchmark's pipelined workload;
 /// [`RouterClient`] stays lockstep.

@@ -24,18 +24,21 @@
 //! * **Pipelining** — every request line gets a per-connection sequence
 //!   number at parse time; responses are flushed strictly in that order,
 //!   whatever order workers (or coalescing windows) finish in. A client
-//!   may keep any number of requests in flight and match responses by
-//!   `id` — order makes the matching trivial.
+//!   may write any number of requests ahead and match responses by `id`
+//!   — order makes the matching trivial. At most
+//!   [`Limits::max_unanswered`] of one connection's requests await their
+//!   responses at a time (the router's is 1); further lines wait, read
+//!   or not, until one is answered.
 //! * **Readiness** — level-triggered epoll. Read interest is armed while
 //!   the connection is serveable; write interest only while its write
 //!   buffer is non-empty (the classic LT pattern, no spurious wakeups).
 //! * **Backpressure** — each connection's write buffer is bounded by
-//!   [`Limits::max_write_buffer`]: reading from the connection pauses at
-//!   half the cap, and a client that still lets the backlog cross the cap
-//!   (it is not reading its responses) is disconnected rather than
-//!   buffered without bound. Reading also pauses while
-//!   [`MAX_UNANSWERED`] of the connection's requests await their
-//!   responses, so a pipelining client cannot queue work without bound.
+//!   [`Limits::max_write_buffer`]: handling and reading the connection's
+//!   lines pause at half the cap, and a client that still lets the
+//!   backlog cross the cap (it is not reading its responses) is
+//!   disconnected rather than buffered without bound. Reading also
+//!   pauses at the unanswered limit, so a pipelining client cannot queue
+//!   work without bound.
 //! * **Wakeup** — workers publish `(token, seq, line)` completions into
 //!   a mailbox and signal an eventfd, which re-arms write interest from
 //!   the loop thread; workers never touch sockets or epoll state.
@@ -79,12 +82,6 @@ use crate::protocol::{error_response, ok_response, parse_request, Request};
 /// router's fixed cap.
 pub(crate) const DEFAULT_MAX_WRITE_BUFFER: usize = 8 << 20;
 
-/// Requests of one connection that may await their responses before the
-/// frontend stops reading from it. A 64 KiB read can still carry a few
-/// thousand more tiny lines past this mark; the bound is what keeps a
-/// pipelining client from queueing work without limit.
-const MAX_UNANSWERED: u64 = 1024;
-
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -101,6 +98,10 @@ pub(crate) struct Limits {
     pub(crate) max_line_bytes: usize,
     /// Per-connection outbound byte cap.
     pub(crate) max_write_buffer: usize,
+    /// Requests of one connection that may await their responses at
+    /// once: the frontend handles none of the connection's further lines,
+    /// and reads no more of them, until one is answered.
+    pub(crate) max_unanswered: u64,
     /// The `epoll_wait` timeout: how quickly the loop notices shutdown.
     pub(crate) poll_interval: Duration,
 }
@@ -312,14 +313,28 @@ impl Conn {
         self.backlog() == 0 && self.next_flush == self.next_seq
     }
 
-    /// Whether reading from this connection must wait: it is closing,
-    /// its unwritten backlog reached half the cap, or too many of its
-    /// requests are unanswered.
-    fn reads_paused(&self, max_write_buffer: usize) -> bool {
-        self.read_closed
-            || self.close_after_flush
-            || self.backlog() >= max_write_buffer / 2
-            || self.next_seq - self.next_flush >= MAX_UNANSWERED
+    /// Moves contiguous completed responses into the write buffer.
+    fn sequence(&mut self) {
+        while let Some(line) = self.ready.remove(&self.next_flush) {
+            self.out_buf.extend_from_slice(line.as_bytes());
+            self.out_buf.push(b'\n');
+            self.next_flush += 1;
+        }
+    }
+
+    /// Whether the connection's next line may be handled: it is not
+    /// closing, its unwritten backlog is under half the cap, and fewer
+    /// than `max_unanswered` of its requests await their responses.
+    fn takes_lines(&self, limits: &Limits) -> bool {
+        !self.close_after_flush
+            && self.backlog() < limits.max_write_buffer / 2
+            && self.next_seq - self.next_flush < limits.max_unanswered
+    }
+
+    /// Whether reading from this connection must wait: its peer closed,
+    /// or it takes no lines for now.
+    fn reads_paused(&self, limits: &Limits) -> bool {
+        self.read_closed || !self.takes_lines(limits)
     }
 }
 
@@ -487,10 +502,17 @@ impl<H: Handler> EventLoop<H> {
         if !self.conns.contains_key(&token) {
             return; // stale readiness for a dropped connection
         }
-        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+        if bits & (EPOLLHUP | EPOLLERR) != 0 {
+            // Reset or failed: no response can reach the client any
+            // more. (Epoll reports these whatever the interest set, so
+            // a connection whose reads are paused must go now.)
+            self.drop_conn(token);
+            return;
+        }
+        if bits & (EPOLLIN | EPOLLRDHUP) != 0 {
             self.handle_readable(token);
         }
-        if bits & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0 {
+        if bits & EPOLLOUT != 0 {
             self.pump(token);
         }
     }
@@ -500,30 +522,22 @@ impl<H: Handler> EventLoop<H> {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.read_closed || conn.close_after_flush {
+            // Backpressure: a paused connection stops being read until
+            // it drains (level-triggered epoll re-reports the pending
+            // bytes once `pump` re-arms read interest).
+            if conn.reads_paused(&self.limits) {
                 return;
             }
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
-                    conn.read_closed = true;
                     // A trailing line without its newline still counts.
-                    self.process_buffered(token, true);
+                    conn.read_closed = true;
                     self.pump(token);
                     return;
                 }
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&self.scratch[..n]);
-                    self.process_buffered(token, false);
-                    // Backpressure: a paused connection stops being read
-                    // until it drains (level-triggered epoll re-reports
-                    // the pending bytes).
-                    let Some(conn) = self.conns.get(&token) else {
-                        return;
-                    };
-                    if conn.reads_paused(self.limits.max_write_buffer) {
-                        self.update_interest(token);
-                        return;
-                    }
+                    self.pump(token);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -535,15 +549,15 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Splits the connection's read buffer into complete lines and
-    /// handles each; `eof` additionally serves a trailing newline-free
-    /// line. Lines after a closing answer (a `shutdown` ack, a too-long
-    /// line) on the same connection are discarded — framing intent is
-    /// gone.
-    fn process_buffered(&mut self, token: u64, eof: bool) {
+    /// Handles the complete lines in the connection's read buffer while
+    /// it takes lines, and once its peer has closed, a trailing
+    /// newline-free line too; the rest stays buffered. Lines after a
+    /// closing answer (a `shutdown` ack, a too-long line) on the same
+    /// connection are discarded — framing intent is gone.
+    fn process_buffered(&mut self, token: u64) {
         let max = self.limits.max_line_bytes;
-        let buf = match self.conns.get_mut(&token) {
-            Some(c) => std::mem::take(&mut c.read_buf),
+        let (buf, eof) = match self.conns.get_mut(&token) {
+            Some(c) => (std::mem::take(&mut c.read_buf), c.read_closed),
             None => return,
         };
         let mut start = 0;
@@ -553,6 +567,9 @@ impl<H: Handler> EventLoop<H> {
             };
             if conn.close_after_flush {
                 return; // remainder discarded
+            }
+            if !conn.takes_lines(&self.limits) {
+                break;
             }
             let rest = &buf[start..];
             match rest.iter().position(|&b| b == b'\n') {
@@ -651,13 +668,13 @@ impl<H: Handler> EventLoop<H> {
     }
 
     /// A response produced on the loop thread itself: counted, then
-    /// sequenced.
+    /// sequenced (the `pump` that handled its line writes it).
     fn complete_local(&mut self, token: u64, seq: u64, line: String, ok: bool) {
         count_response(self.handler.metrics(), ok);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.ready.insert(seq, line);
+            conn.sequence();
         }
-        self.pump(token);
     }
 
     /// Collects worker completions. Completions for connections that
@@ -691,19 +708,51 @@ impl<H: Handler> EventLoop<H> {
         }
     }
 
-    /// Moves contiguous completed responses into the write buffer,
-    /// flushes as much as the socket accepts, and settles the
-    /// connection's fate: slow-client cap, close-after-flush, interest
-    /// re-arming.
+    /// Serves the connection: handles the buffered lines it takes and
+    /// flushes its completed responses, repeating while that lets more
+    /// lines in; then settles its fate: slow-client cap,
+    /// close-after-flush, interest re-arming.
     fn pump(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while let Some(line) = conn.ready.remove(&conn.next_flush) {
-            conn.out_buf.extend_from_slice(line.as_bytes());
-            conn.out_buf.push(b'\n');
-            conn.next_flush += 1;
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            conn.sequence();
+            let seq_before = conn.next_seq;
+            self.process_buffered(token);
+            if !self.flush(token) {
+                return;
+            }
+            match self.conns.get(&token) {
+                Some(conn) if conn.next_seq != seq_before => continue,
+                Some(_) => break,
+                None => return,
+            }
         }
+        let conn = self.conns.get(&token).expect("conn vanished mid-pump");
+        if conn.backlog() > self.limits.max_write_buffer {
+            // The client is not reading its responses; cut it loose
+            // instead of buffering without bound.
+            self.handler
+                .metrics()
+                .slow_client_disconnects
+                .fetch_add(1, Ordering::Relaxed);
+            self.drop_conn(token);
+            return;
+        }
+        if conn.fully_flushed() && (conn.close_after_flush || conn.read_closed) {
+            self.drop_conn(token);
+            return;
+        }
+        self.update_interest(token);
+    }
+
+    /// Writes as much of the connection's backlog as the socket accepts.
+    /// Returns false if the connection is gone (a failed write drops it).
+    fn flush(&mut self, token: u64) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
         let mut dead = false;
         if conn.backlog() > 0 {
             let t = Instant::now();
@@ -740,24 +789,8 @@ impl<H: Handler> EventLoop<H> {
         }
         if dead {
             self.drop_conn(token);
-            return;
         }
-        let conn = self.conns.get(&token).expect("conn vanished mid-pump");
-        if conn.backlog() > self.limits.max_write_buffer {
-            // The client is not reading its responses; cut it loose
-            // instead of buffering without bound.
-            self.handler
-                .metrics()
-                .slow_client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            self.drop_conn(token);
-            return;
-        }
-        if conn.fully_flushed() && (conn.close_after_flush || conn.read_closed) {
-            self.drop_conn(token);
-            return;
-        }
-        self.update_interest(token);
+        !dead
     }
 
     fn update_interest(&mut self, token: u64) {
@@ -765,7 +798,7 @@ impl<H: Handler> EventLoop<H> {
             return;
         };
         let mut want = 0u32;
-        if !conn.reads_paused(self.limits.max_write_buffer) {
+        if !conn.reads_paused(&self.limits) {
             want |= EPOLLIN | EPOLLRDHUP;
         }
         if conn.backlog() > 0 {
@@ -861,6 +894,7 @@ mod tests {
             max_connections: 8,
             max_line_bytes: 1 << 10,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
+            max_unanswered: 2,
             poll_interval: Duration::from_millis(10),
         };
         let thread = spawn(Arc::clone(&handler), listener, limits, "frontend-test").unwrap();
@@ -910,6 +944,38 @@ mod tests {
         assert!(lines[2].contains("\"stopping\":true"));
         joins_within(thread, DRAIN_GRACE);
         assert_eq!(handler.metrics.error_total.load(Ordering::Relaxed), 1);
+    }
+
+    /// Lines past the connection's unanswered limit (2 here) wait, read
+    /// or not: the `ping` behind two held `burn`s is handled only once
+    /// they are answered, and all three answers come back in order.
+    #[test]
+    fn lines_past_the_unanswered_limit_wait_for_an_answer() {
+        let (handler, addr, thread) = start();
+        let mut stream = connect(addr);
+        stream
+            .write_all(
+                b"{\"cmd\":\"burn\",\"ms\":1000,\"id\":1}\n\
+                  {\"cmd\":\"burn\",\"ms\":1000,\"id\":2}\n{\"cmd\":\"ping\",\"id\":3}\n",
+            )
+            .unwrap();
+        let handled = || handler.metrics.requests_total.load(Ordering::Relaxed);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handled() < 2 {
+            assert!(Instant::now() < deadline, "burns never handled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(handled(), 2, "the ping was handled past the limit");
+        let mut reader = BufReader::new(stream);
+        for id in 1..=3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(&format!("\"id\":{id}")), "{id}: {line}");
+        }
+        assert_eq!(handled(), 3);
+        handler.begin_shutdown();
+        joins_within(thread, DRAIN_GRACE);
     }
 
     /// A shutdown that arrives while a reply is still held finishes its

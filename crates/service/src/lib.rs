@@ -37,8 +37,8 @@
 //! * [`shard`] — the deterministic consistent-hash ring (virtual nodes)
 //!   that partitions the catalog **by graph name** across processes;
 //! * [`router`] — `mwc-router`, the sharded front-end: the same line
-//!   frontend and wire protocol, with relays on threads started on
-//!   demand; routes graph-addressed commands by ring lookup over
+//!   frontend and wire protocol, with relays (one per connection at a
+//!   time) on threads started on demand; routes graph-addressed commands by ring lookup over
 //!   pooled backend connections, fans batches out per shard (replies
 //!   reassembled in request order), merges `stats`/`graphs`, tracks
 //!   backend health (ejection + reprobe), and maps backend failure to

@@ -54,13 +54,15 @@
 //!   replica sets) and health.
 //!
 //! * **One frontend** — the router plugs one handler into the same line
-//!   frontend `mwc-server` runs, so it pipelines: a connection may keep
-//!   many requests in flight, answered in request order. Relays block on
-//!   backends, so they run on relay threads, never on the loop: a relay
-//!   thread starts when a relay is queued and none is idle, at most
-//!   [`RouterConfig::max_connections`] of them, and an idle one exits
-//!   after a few seconds. A relay that panics costs its own response
-//!   (`internal`, counted in `panics_total`); its thread keeps serving.
+//!   frontend `mwc-server` runs. A client may pipeline; the router
+//!   relays one request of a connection at a time and answers in request
+//!   order. Relays block on backends, so they run on relay threads, never
+//!   on the loop: a relay thread starts when a relay is queued and none
+//!   is idle, and an idle one exits after a few seconds, so there are at
+//!   most as many as connections were ever busy at once (and never more
+//!   than [`RouterConfig::max_connections`]). A relay that panics costs
+//!   its own response (`internal`, counted in `panics_total`); its
+//!   thread keeps serving.
 //!   Serving is Linux-only: elsewhere [`start`] returns
 //!   [`std::io::ErrorKind::Unsupported`].
 //!
@@ -645,6 +647,9 @@ pub fn start(
         max_connections: config.max_connections,
         max_line_bytes: config.max_line_bytes,
         max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
+        // One relay in flight per connection: no more relays are queued,
+        // nor relay threads started, than there are busy connections.
+        max_unanswered: 1,
         poll_interval: config.poll_interval,
     };
     let inner = Arc::new(Inner {

@@ -360,6 +360,9 @@ pub fn start(
         max_connections: config.max_connections,
         max_line_bytes: config.max_line_bytes,
         max_write_buffer: config.max_write_buffer,
+        // Admission answers `overloaded` inline once the queue is full,
+        // so this bounds only the answers parked behind a slow request.
+        max_unanswered: 1024,
         poll_interval: config.poll_interval,
     };
     let inner = Arc::new(Inner {

@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -307,9 +308,11 @@ fn malformed_requests_get_structured_errors_via_router() {
     }
 }
 
-/// The router pipelines: responses on one connection keep request order
-/// even when a slow relay (a `burn`) heads the line, and that relay holds
-/// up neither the loop nor another connection's cache hit.
+/// A client may pipeline through the router: responses on one connection
+/// keep request order even when a slow relay (a `burn`) heads the line,
+/// and that relay holds up neither the loop nor another connection's
+/// cache hit. The router relays one request of a connection at a time,
+/// so the lines behind the burn wait, unhandled, until it is answered.
 #[test]
 fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
     // Workers to spare on the shard: the burn occupies one, the cache
@@ -343,14 +346,15 @@ fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
         .as_bytes(),
     )
     .unwrap();
-    // While the burn is relayed, another connection's cache hits (and
-    // this connection's own later requests) are served without waiting
-    // for it.
+    // While the burn is relayed, another connection's cache hits are
+    // served without waiting for it; this connection's later requests
+    // are not even handled yet (1 warm-up + 5 hits + the burn).
     std::thread::sleep(Duration::from_millis(100));
     for _ in 0..5 {
         let hit = fast.solve("karate", "ws-q", &[0, 33], None, None).unwrap();
         assert_eq!(hit.connector, warm.connector);
     }
+    let handled = router.metrics().requests_total.load(Ordering::Relaxed);
     assert!(
         started.elapsed() < Duration::from_millis(burn_ms / 2),
         "cache hits on another connection waited for the burn: {:?}",
@@ -369,8 +373,14 @@ fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
             v.get("id").and_then(|i| i.as_u64()).unwrap()
         })
         .collect();
+    assert_eq!(handled, 7, "lines behind the burn were handled early");
     assert_eq!(ids, vec![1, 2, 3, 4], "responses must keep request order");
     assert!(started.elapsed() >= Duration::from_millis(burn_ms));
+    assert_eq!(
+        router.metrics().pipeline_peak.load(Ordering::Relaxed),
+        1,
+        "a router connection had more than one relay in flight"
+    );
 
     router.shutdown();
     shard.shutdown();
