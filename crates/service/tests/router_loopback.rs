@@ -336,19 +336,23 @@ fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
     let burn_ms = 1500;
     let started = std::time::Instant::now();
     let mut slow = TcpStream::connect(router.local_addr()).unwrap();
-    slow.write_all(
-        format!(
-            "{{\"cmd\":\"burn\",\"ms\":{burn_ms},\"id\":1}}\n\
-             {{\"cmd\":\"solve\",\"graph\":\"karate\",\"solver\":\"ws-q\",\"q\":[0,33],\"id\":2}}\n\
-             {{\"cmd\":\"ping\",\"id\":3}}\n\
-             {{\"cmd\":\"stats\",\"id\":4}}\n"
-        )
-        .as_bytes(),
-    )
-    .unwrap();
+    let mut burst = format!(
+        "{{\"cmd\":\"burn\",\"ms\":{burn_ms},\"id\":1}}\n\
+         {{\"cmd\":\"solve\",\"graph\":\"karate\",\"solver\":\"ws-q\",\"q\":[0,33],\"id\":2}}\n\
+         {{\"cmd\":\"ping\",\"id\":3}}\n\
+         {{\"cmd\":\"stats\",\"id\":4}}\n"
+    );
+    // Many more relays pipelined behind them, in one write.
+    let last_id = 200u64;
+    for id in 5..=last_id {
+        burst.push_str(&format!(
+            "{{\"cmd\":\"solve\",\"graph\":\"karate\",\"solver\":\"ws-q\",\"q\":[0,33],\"id\":{id}}}\n"
+        ));
+    }
+    slow.write_all(burst.as_bytes()).unwrap();
     // While the burn is relayed, another connection's cache hits are
-    // served without waiting for it; this connection's later requests
-    // are not even handled yet (1 warm-up + 5 hits + the burn).
+    // served without waiting for it; none of this connection's later
+    // requests is even handled yet (1 warm-up + 5 hits + the burn).
     std::thread::sleep(Duration::from_millis(100));
     for _ in 0..5 {
         let hit = fast.solve("karate", "ws-q", &[0, 33], None, None).unwrap();
@@ -361,7 +365,7 @@ fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
         started.elapsed()
     );
     let mut reader = BufReader::new(slow);
-    let ids: Vec<u64> = (0..4)
+    let ids: Vec<u64> = (1..=last_id)
         .map(|_| {
             let mut line = String::new();
             assert!(
@@ -374,7 +378,11 @@ fn router_pipelines_in_order_and_a_slow_relay_blocks_no_other_connection() {
         })
         .collect();
     assert_eq!(handled, 7, "lines behind the burn were handled early");
-    assert_eq!(ids, vec![1, 2, 3, 4], "responses must keep request order");
+    assert_eq!(
+        ids,
+        (1..=last_id).collect::<Vec<_>>(),
+        "responses must keep request order"
+    );
     assert!(started.elapsed() >= Duration::from_millis(burn_ms));
     assert_eq!(
         router.metrics().pipeline_peak.load(Ordering::Relaxed),
